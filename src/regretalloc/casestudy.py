@@ -252,7 +252,7 @@ def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
     weights = obj["weights"]
     if not isinstance(weights, list) or not weights:
         raise ConfigError("weights: expected a nonempty list")
-    weights = tuple(float(w) for w in weights)
+    weights = tuple(_as_probability(w, f"weights[{i}]") for i, w in enumerate(weights))
     budget = obj["budget"]
     if not isinstance(budget, int) or isinstance(budget, bool) or budget <= 0:
         raise ConfigError(f"budget: expected a positive integer, got {budget!r}")

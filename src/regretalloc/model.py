@@ -177,8 +177,8 @@ def check_allocation(problem: DesignProblem, allocation: Allocation) -> Allocati
 
 
 def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenario:
-    """Check a truth scenario against a problem: matching group count and
-    positive variances."""
+    """Check a truth scenario against a problem: matching group count,
+    finite values and positive variances."""
     G = problem.n_groups
     for name, values in (
         ("tau", truth.tau),
@@ -188,6 +188,10 @@ def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenari
     ):
         if len(values) != G:
             raise ValidationError(f"scenario field {name} has {len(values)} entries for {G} groups")
+        # A NaN or inf makes the sum non-finite, so the per-value test runs
+        # only then (or when large finite values overflow the sum).
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise ValidationError(f"scenario field {name} must be finite, got {values}")
     for g in range(G):
         if truth.var_control[g] <= 0.0 or truth.var_treated[g] <= 0.0:
             raise ValidationError(f"group {g}: scenario variances must be positive")

@@ -14,7 +14,12 @@ order.  Estimates are therefore bit-identical for a given
 ``(inputs, master_seed)`` regardless of execution order or the number of
 worker threads.  Within a chunk, outcome draws are group-major (all
 replications of group 0, then group 1, ...), followed by one fair-coin
-block per unsampled group.
+block per unsampled group.  At the ``trial`` level each group's outcomes
+are drawn in row tiles of about ``_TILE_BYTES``: all treated tiles, then
+all control tiles, each tile reduced to its row means before the next is
+drawn.  This consumes the stream exactly as one whole-chunk draw per arm
+would, so estimates do not depend on the tile size, and peak memory is
+O(tile + one row) per worker, independent of the replication count.
 
 The egalitarian paradigm targets the worst-off group's *expected* regret,
 so its Monte Carlo estimate is the maximum of the per-group replication
@@ -49,6 +54,9 @@ from .model import (
 
 CHUNK_SIZE = 8192
 _SEED_MASK = (1 << 64) - 1
+# Target size of one trial-level outcome tile; a row wider than this is drawn
+# alone.
+_TILE_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -229,6 +237,24 @@ def realized_regret(
     raise ValidationError(f"unknown paradigm {paradigm!r}")
 
 
+def _tiled_row_means(
+    rng: np.random.Generator, loc: float, scale: float, size: int, half: int
+) -> np.ndarray:
+    """Row means of a (size, half) N(loc, scale^2) draw, made in row tiles.
+
+    Tiles are drawn in row order, so the stream is consumed exactly as one
+    (size, half) draw would consume it, and each row's mean is reduced over
+    the same contiguous values: the result is bit-identical to the untiled
+    draw while holding at most one tile (or one row) of outcomes.
+    """
+    rows = max(1, _TILE_BYTES // (8 * half))
+    means = np.empty(size)
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        means[start:stop] = rng.normal(loc, scale, size=(stop - start, half)).mean(axis=1)
+    return means
+
+
 def _chunk_estimates(
     truth: TruthScenario,
     allocation: Allocation,
@@ -238,7 +264,8 @@ def _chunk_estimates(
 ) -> np.ndarray:
     """(size, G) matrix of per-replication group estimates; NaN where n=0.
 
-    ``level='trial'`` draws every outcome and forms the mean differences;
+    ``level='trial'`` draws every outcome, tile by tile, and forms the mean
+    differences;
     ``level='estimator'`` draws the estimates from their exact sampling
     distribution N(tau_g, 2*(s0^2+s1^2)/n_g).  The two levels are
     distributionally identical.
@@ -250,23 +277,33 @@ def _chunk_estimates(
             continue
         if level == "trial":
             half = n // 2
-            treated = rng.normal(
+            treated = _tiled_row_means(
+                rng,
                 truth.baseline[g] + truth.tau[g] / 2.0,
                 math.sqrt(truth.var_treated[g]),
-                size=(size, half),
+                size,
+                half,
             )
-            control = rng.normal(
+            control = _tiled_row_means(
+                rng,
                 truth.baseline[g] - truth.tau[g] / 2.0,
                 math.sqrt(truth.var_control[g]),
-                size=(size, half),
+                size,
+                half,
             )
-            estimates[:, g] = treated.mean(axis=1) - control.mean(axis=1)
+            estimates[:, g] = treated - control
         elif level == "estimator":
             se = math.sqrt(2.0 * truth.var_sums[g] / n)
             estimates[:, g] = rng.normal(truth.tau[g], se, size=size)
         else:
             raise ValidationError(f"unknown simulation level {level!r}")
     return estimates
+
+
+def _check_nonnegative(regrets: np.ndarray) -> None:
+    # Written as a raise, not an assert, so that it also holds under -O.
+    if not regrets.min() >= 0.0:
+        raise ValidationError("realized regret went negative or NaN")
 
 
 def _chunk_stats(
@@ -301,7 +338,7 @@ def _chunk_stats(
         aggregate = float(weights @ tau)
         best = int(aggregate > 0.0)
         regrets = aggregate * (best - chosen)
-        assert regrets.min() >= 0.0, "realized regret went negative"
+        _check_nonnegative(regrets)
         return (
             np.array([regrets.sum()]),
             np.array([(regrets * regrets).sum()]),
@@ -316,7 +353,7 @@ def _chunk_stats(
             chosen[:, g] = estimates[:, g] >= 0.0
     best = (tau > 0.0).astype(np.int64)
     per_group = tau[None, :] * (best[None, :] - chosen)
-    assert per_group.min() >= 0.0, "realized regret went negative"
+    _check_nonnegative(per_group)
     if paradigm is Paradigm.SEPARATE_UTILITARIAN:
         weights = np.array([g.weight for g in problem.groups])
         regrets = per_group @ weights

@@ -234,6 +234,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="groups"):
             parse_config(broken)
 
+    @pytest.mark.parametrize(
+        "weights, index",
+        [(["a", 0.5], 0), ([0.5, None], 1), ([True, 0.0], 0), ([0.5, 1.5], 1), ([0.5, -0.5], 1)],
+        ids=["string", "null", "bool", "above-one", "negative"],
+    )
+    def test_bad_weight_reported_with_index(self, weights, index):
+        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken["weights"] = weights
+        with pytest.raises(ConfigError, match=rf"weights\[{index}\]"):
+            parse_config(broken)
+
     def test_budget_type_checked(self):
         broken = json.loads(json.dumps(DEFAULT_CONFIG))
         broken["budget"] = "many"

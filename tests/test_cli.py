@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from regretalloc.casestudy import DEFAULT_CONFIG
 from regretalloc.cli import ReportTable, main
 from reference_values import (
     ORACLE_C0,
@@ -80,6 +81,18 @@ class TestAllocateCommand:
         code, _ = run_cli(["allocate", "--config", "/nowhere/missing.json", "--scheme", "minimax"])
         assert code == 2
         assert "/nowhere/missing.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", [["a", 0.5], [0.5, None]], ids=["string", "null"])
+    def test_bad_config_weight_exits_2_without_traceback(self, tmp_path, capsys, weights):
+        config = json.loads(json.dumps(DEFAULT_CONFIG))
+        config["weights"] = weights
+        path = tmp_path / "bad_weights.json"
+        path.write_text(json.dumps(config))
+        code, _ = run_cli(["evaluate", "--config", str(path), "--scheme", "minimax"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "weights[" in err
+        assert "Traceback" not in err
 
     def test_unknown_scheme_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,5 +1,7 @@
 """Domain types and validation."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -126,6 +128,26 @@ class TestScenario:
         )
         with pytest.raises(ValidationError, match="group 1"):
             check_scenario(problem, truth)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("field", ["tau", "baseline", "var_control", "var_treated"])
+    def test_check_scenario_rejects_non_finite(self, field, value):
+        problem = two_group_problem()
+        values = {
+            "tau": [0.1, 0.2], "baseline": [0.0, 0.0],
+            "var_control": [1.0, 1.0], "var_treated": [1.0, 1.0],
+        }
+        values[field][0] = value
+        with pytest.raises(ValidationError, match=f"scenario field {field} must be finite"):
+            check_scenario(problem, TruthScenario(**values))
+
+    def test_check_scenario_accepts_finite_values_whose_sum_overflows(self):
+        problem = two_group_problem()
+        truth = TruthScenario(
+            tau=(1e308, 1e308), baseline=(-1e308, -1e308),
+            var_control=(1e308, 1e308), var_treated=(1.0, 1.0),
+        )
+        assert check_scenario(problem, truth) == truth
 
     def test_negated_flips_only_tau(self):
         truth = TruthScenario(

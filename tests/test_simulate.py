@@ -1,6 +1,8 @@
 """Trial simulator: determinism, estimators, decisions, Monte Carlo engine."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from regretalloc.model import (
     TruthScenario,
     ValidationError,
 )
+from regretalloc import simulate
 from regretalloc.regret import expected_regret, worst_case_separate
 from regretalloc.simulate import (
     CHUNK_SIZE,
@@ -403,3 +406,139 @@ class TestMonteCarlo:
         for g in range(2):
             se = math.sqrt(2.0 * truth.var_sums[g] / allocation.counts[g]) / math.sqrt(reps)
             assert abs(float(estimates[:, g].mean()) - truth.tau[g]) <= 3.0 * se
+
+
+def untiled_chunk_estimates(truth, allocation, rng, size):
+    """Reference trial-level estimates: one whole (size, n/2) draw per arm,
+    group-major, treated before control."""
+    estimates = np.full((size, len(allocation.counts)), np.nan)
+    for g, n in enumerate(allocation.counts):
+        if n == 0:
+            continue
+        half = n // 2
+        treated = rng.normal(
+            truth.baseline[g] + truth.tau[g] / 2.0,
+            math.sqrt(truth.var_treated[g]),
+            size=(size, half),
+        )
+        control = rng.normal(
+            truth.baseline[g] - truth.tau[g] / 2.0,
+            math.sqrt(truth.var_control[g]),
+            size=(size, half),
+        )
+        estimates[:, g] = treated.mean(axis=1) - control.mean(axis=1)
+    return estimates
+
+
+def tile_rows(n):
+    return max(1, simulate._TILE_BYTES // (8 * (n // 2)))
+
+
+# A single row wider than one tile: each tile holds exactly one row.
+WIDE_N = 2 * (simulate._TILE_BYTES // 8 + 1)
+
+# Trial-level Monte Carlo on a 3-group problem with an unsampled group and a
+# group spanning several row tiles, recorded as float.hex() before the trial
+# draws were tiled.  The unsampled group's effect is small, so the worst
+# group, and with it the egalitarian result, depends on the outcome draws.
+# A change means the trial-level stream or its reduction moved and recorded
+# results are stale.
+PINNED_PROBLEM = make_problem((0.3, 0.5, 0.2), (1.5, 0.8, 2.0), 3000)
+PINNED_ALLOCATION = Allocation((2000, 600, 0))
+PINNED_TRUTH = design_truth(PINNED_PROBLEM, (0.05, -0.08, 0.004), baseline=(0.5, 1.5, -0.3))
+PINNED_CONFIG = SimConfig(replications=1500, master_seed=2024)
+PINNED_HEX = {
+    Paradigm.SEPARATE_UTILITARIAN: ("0x1.f2056b79cb9dfp-9", "0x1.09abfa16a79e9p-12"),
+    Paradigm.JOINT_UTILITARIAN: ("0x1.201e3be39447fp-6", "0x1.24190d9cf4bf5p-12"),
+    Paradigm.SEPARATE_EGALITARIAN: ("0x1.38636571bb750p-8", "0x1.8dae8e9387460p-12"),
+}
+
+
+class TestTiledTrialDraws:
+    @pytest.mark.parametrize(
+        "counts, size",
+        [
+            pytest.param((20,), 50, id="one-tile"),
+            pytest.param((WIDE_N,), 3, id="one-row-per-tile"),
+            pytest.param((2000,), 1000, id="ragged-last-tile"),
+            pytest.param((0, 40), 300, id="zero-count-group"),
+            pytest.param((2000, 600, 46), 700, id="three-groups"),
+        ],
+    )
+    def test_bit_identical_to_untiled_draw(self, counts, size):
+        G = len(counts)
+        truth = TruthScenario(
+            tau=tuple(0.1 * (g + 1) for g in range(G)),
+            baseline=tuple(0.5 - g for g in range(G)),
+            var_control=tuple(1.0 + g for g in range(G)),
+            var_treated=tuple(2.0 / (g + 1) for g in range(G)),
+        )
+        allocation = Allocation(counts)
+        tiled_rng = simulate._philox_rng(77, 3)
+        reference_rng = simulate._philox_rng(77, 3)
+        tiled = simulate._chunk_estimates(truth, allocation, tiled_rng, size, "trial")
+        reference = untiled_chunk_estimates(truth, allocation, reference_rng, size)
+        assert np.array_equal(tiled, reference, equal_nan=True)
+        # The stream is left where the untiled draw leaves it, so the fair
+        # coins drawn after the outcomes are unchanged too.
+        assert np.array_equal(tiled_rng.integers(0, 2, 64), reference_rng.integers(0, 2, 64))
+
+    def test_shapes_cover_the_tile_edges(self):
+        assert tile_rows(20) >= 50
+        assert tile_rows(WIDE_N) == 1
+        assert 1000 % tile_rows(2000) != 0 and tile_rows(2000) < 1000
+
+    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    def test_pinned_trial_level_results(self, paradigm):
+        estimate = monte_carlo_regret(
+            PINNED_PROBLEM, PINNED_ALLOCATION, PINNED_TRUTH, paradigm,
+            PINNED_CONFIG, level="trial",
+        )
+        assert (estimate.mean.hex(), estimate.std_error.hex()) == PINNED_HEX[paradigm]
+
+
+class TestTrialMemory:
+    @staticmethod
+    def peak_bytes(n, size):
+        truth = TruthScenario(tau=(0.1,), baseline=(0.5,), var_control=(1.0,), var_treated=(2.0,))
+        allocation = Allocation((n,))
+        rng = simulate._philox_rng(5, 0)
+        tracemalloc.start()
+        try:
+            simulate._chunk_estimates(truth, allocation, rng, size, "trial")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_peak_is_bounded_and_flat_in_group_size(self):
+        # Untiled, n=200,000 at 256 rows holds two 200 MB outcome arrays.
+        small = self.peak_bytes(20_000, 256)
+        large = self.peak_bytes(200_000, 256)
+        assert tile_rows(200_000) > 1  # one row still fits in a tile
+        assert large < 16 * 2**20
+        assert large < 1.5 * small
+
+
+class TestNonFiniteScenario:
+    problem = make_problem((0.4, 0.6), (1.5, 0.8), 60)
+    allocation = Allocation((24, 36))
+
+    @pytest.mark.parametrize("level", ["trial", "estimator"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("field", ["tau", "baseline", "var_control", "var_treated"])
+    def test_monte_carlo_rejects(self, field, value, level):
+        truth = design_truth(self.problem, (0.35, -0.2), baseline=(0.5, 1.5))
+        values = list(getattr(truth, field))
+        values[1] = value
+        broken = dataclasses.replace(truth, **{field: tuple(values)})
+        with pytest.raises(ValidationError, match=f"scenario field {field} must be finite"):
+            monte_carlo_regret(
+                self.problem, self.allocation, broken, Paradigm.SEPARATE_UTILITARIAN,
+                SimConfig(replications=100, master_seed=1), level=level,
+            )
+
+    @pytest.mark.parametrize("value", [-1e-3, math.nan])
+    def test_negative_or_nan_regret_raises_without_assert(self, value):
+        with pytest.raises(ValidationError, match="realized regret"):
+            simulate._check_nonnegative(np.array([0.0, value, 1.0]))
