@@ -2,9 +2,11 @@
 """Cross-validate the closed-form expected regret against the Monte Carlo
 engine for every case-study allocation and paradigm.
 
-Prints one line per (case, scheme, paradigm) with the closed form, the
+Prints one line per (case, allocation, paradigm) with the closed form, the
 Monte Carlo mean +/- standard error, and the z-score of the difference.
-Everything is seeded, so reruns are identical.
+Allocations are the ones ``regretalloc reproduce`` tabulates, labelled as
+in its CSV output; paradigms come from the paradigm table.  Everything is
+seeded, so reruns are identical.
 
     python scripts/mc_crosscheck.py --reps 1000000 --seed 7
 """
@@ -13,22 +15,15 @@ import argparse
 import sys
 
 from regretalloc import (
-    Allocation,
-    Paradigm,
     SimConfig,
-    allocate,
     build_case_study,
     default_config,
     expected_regret,
     load_config,
     monte_carlo_regret,
 )
-
-PARADIGMS = {
-    "separate": Paradigm.SEPARATE_UTILITARIAN,
-    "joint": Paradigm.JOINT_UTILITARIAN,
-    "egalitarian": Paradigm.SEPARATE_EGALITARIAN,
-}
+from regretalloc.cli import _case_allocations
+from regretalloc.regret import PARADIGMS
 
 
 def main() -> int:
@@ -44,26 +39,14 @@ def main() -> int:
     worst_z = 0.0
     for case in build_case_study(config):
         problem = case.problem
-        rows = [("only_g%d" % (g + 1),
-                 Allocation(tuple(2 * (problem.budget // 2) if i == g else 0
-                                  for i in range(problem.n_groups))))
-                for g in range(problem.n_groups)]
-        import warnings
-
-        from regretalloc import DegenerateAllocationWarning
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateAllocationWarning)
-            rows += [(s, allocate(problem, s)) for s in
-                     ("minimax", "proportional", "egalitarian", "neyman")]
-        for name, alloc in rows:
-            for pname, paradigm in PARADIGMS.items():
+        for name, alloc in _case_allocations(case, redistribute=False):
+            for paradigm, rule in PARADIGMS.items():
                 closed = expected_regret(problem, alloc, case.truth, paradigm).value
                 est = monte_carlo_regret(problem, alloc, case.truth, paradigm,
                                          sim, level=args.level)
                 z = abs(est.mean - closed) / est.std_error if est.std_error > 0 else 0.0
                 worst_z = max(worst_z, z)
-                print(f"beta={case.beta:<6} {name:<12} {pname:<12} "
+                print(f"beta={case.beta:<6} {name:<18} {rule.flag:<12} "
                       f"closed={closed:.6e}  mc={est.mean:.6e} +/- {est.std_error:.1e}  z={z:5.2f}")
     print(f"\nworst |z| = {worst_z:.2f} over all cells "
           f"({'OK' if worst_z < 4 else 'INVESTIGATE'})")

@@ -1,25 +1,28 @@
 """Sample-selection rules for stratified 1:1 randomized designs.
 
-Four allocation schemes are provided, each optimal (or classical) for a
-different objective:
+Each scheme is one entry of the ``SCHEMES`` table: a raw per-group share and
+a redistribution policy.  The four schemes, each optimal (or classical) for
+a different objective:
 
-* ``minimax_allocation``      -- shares proportional to (s0^2+s1^2)^(1/3) * w^(2/3);
+* ``minimax``      -- shares proportional to (s0^2+s1^2)^(1/3) * w^(2/3);
   minimizes the worst-case expected regret when every group gets its own
   treat/no-treat decision under population-weighted utility.
-* ``proportional_allocation`` -- shares proportional to the population weight w;
+* ``proportional`` -- shares proportional to the population weight w;
   minimax when a single pooled decision covers all groups.
-* ``egalitarian_allocation``  -- shares proportional to s0^2+s1^2; minimizes the
+* ``egalitarian``  -- shares proportional to s0^2+s1^2; minimizes the
   worst-off group's worst-case regret.
-* ``neyman_allocation``       -- shares proportional to w * sqrt(s0^2+s1^2); the
+* ``neyman``       -- shares proportional to w * sqrt(s0^2+s1^2); the
   classical variance-minimizing reference rule, included for comparisons.
 
-Every scheme first computes a continuous share vector that exhausts the
-budget, then rounds each share down to an even integer (``2*floor(x/2)``).
-Rounding can strand up to ``2*(G-1)`` participants; by default they stay
-unassigned, matching the closed-form selection rules literally.  Passing
-``redistribute=True`` hands the leftover pairs back out, greedily by
-marginal worst-case-regret reduction for the regret-driven schemes and by
-largest remainder for proportional/Neyman.
+One path serves every scheme: normalize the raw shares to exhaust the
+budget, round each down to an even integer (``2*floor(x/2)``), optionally
+redistribute, and warn about unsampled groups.  Rounding can strand up to
+``2*(G-1)`` participants; by default they stay unassigned, matching the
+closed-form selection rules literally.  ``redistribute=True`` hands the
+leftover pairs back out: greedily by marginal reduction of the targeted
+worst case (via ``regret.worst_case_terms``) for minimax and egalitarian,
+by largest remainder for proportional and Neyman.  The ``continuous_*`` and
+``*_allocation`` functions are one-line wrappers over that path.
 
 All functions are pure; inputs are validated via ``model.validate_problem``.
 """
@@ -29,8 +32,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
-from .model import Allocation, DesignProblem, ValidationError, validate_problem
+from .model import Allocation, DesignProblem, Paradigm, ValidationError, validate_problem
+from .regret import paradigm_rule, worst_case_terms
 
 # Snap tolerance: continuous shares within this of an even integer are taken
 # as exactly even, so float noise cannot drop a pair (e.g. 0.2*200 -> 40).
@@ -55,38 +60,43 @@ class ContinuousAllocation:
         return sum(self.shares)
 
 
-def _normalized_shares(problem: DesignProblem, raw_weights: list[float]) -> ContinuousAllocation:
-    total = sum(raw_weights)
-    return ContinuousAllocation(
-        shares=tuple(problem.budget * w / total for w in raw_weights)
-    )
+@dataclass(frozen=True)
+class Scheme:
+    """``raw_share(weight, var_sum)``: a group's unnormalized share.
+    ``greedy_target``: the paradigm whose worst case redistribution lowers
+    greedily; None redistributes by largest remainder."""
+
+    raw_share: Callable[[float, float], float]
+    greedy_target: Paradigm | None
 
 
-def continuous_minimax(problem: DesignProblem) -> ContinuousAllocation:
-    """Budget-exhausting relaxation of the minimax rule:
-    share_g = (s0_g^2+s1_g^2)^(1/3) * w_g^(2/3) * N / normalizer."""
+SCHEMES: dict[str, Scheme] = {
+    "minimax": Scheme(
+        lambda w, s: s ** (1.0 / 3.0) * w ** (2.0 / 3.0), Paradigm.SEPARATE_UTILITARIAN
+    ),
+    "proportional": Scheme(lambda w, s: w, None),
+    "egalitarian": Scheme(lambda w, s: s, Paradigm.SEPARATE_EGALITARIAN),
+    "neyman": Scheme(lambda w, s: w * math.sqrt(s), None),
+}
+
+
+def _scheme(name: str) -> Scheme:
+    try:
+        return SCHEMES[name]
+    except (KeyError, TypeError):
+        raise ValidationError(
+            f"unknown allocation scheme {name!r}; expected one of {sorted(SCHEMES)}"
+        ) from None
+
+
+def _continuous_shares(problem: DesignProblem, scheme: str) -> ContinuousAllocation:
+    """Budget-exhausting relaxation of a scheme:
+    share_g = raw_share_g * N / sum of raw shares."""
+    raw_share = _scheme(scheme).raw_share
     validate_problem(problem)
-    raw = [g.var_sum ** (1.0 / 3.0) * g.weight ** (2.0 / 3.0) for g in problem.groups]
-    return _normalized_shares(problem, raw)
-
-
-def continuous_proportional(problem: DesignProblem) -> ContinuousAllocation:
-    """share_g = w_g * N."""
-    validate_problem(problem)
-    return _normalized_shares(problem, [g.weight for g in problem.groups])
-
-
-def continuous_egalitarian(problem: DesignProblem) -> ContinuousAllocation:
-    """share_g proportional to the contrast variance s0_g^2 + s1_g^2; makes
-    sqrt(2*(s0^2+s1^2)/n) identical across groups."""
-    validate_problem(problem)
-    return _normalized_shares(problem, [g.var_sum for g in problem.groups])
-
-
-def continuous_neyman(problem: DesignProblem) -> ContinuousAllocation:
-    """share_g proportional to w_g * sqrt(s0_g^2 + s1_g^2)."""
-    validate_problem(problem)
-    return _normalized_shares(problem, [g.weight * math.sqrt(g.var_sum) for g in problem.groups])
+    raw = [raw_share(g.weight, g.var_sum) for g in problem.groups]
+    total = sum(raw)
+    return ContinuousAllocation(shares=tuple(problem.budget * w / total for w in raw))
 
 
 def _floor_even(x: float) -> int:
@@ -105,21 +115,15 @@ def round_to_even_floor(shares: ContinuousAllocation) -> Allocation:
     return Allocation(counts=tuple(_floor_even(s) for s in shares.shares))
 
 
-def _warn_on_zero_counts(allocation: Allocation, scheme: str) -> Allocation:
-    zero_groups = [g for g, n in enumerate(allocation.counts) if n == 0]
-    if zero_groups:
-        warnings.warn(
-            f"{scheme} allocation assigns zero samples to group(s) {zero_groups}; "
-            "worst-case regret is infinite for unsampled groups",
-            DegenerateAllocationWarning,
-            stacklevel=3,
-        )
-    return allocation
-
-
-def _greedy_redistribute(problem: DesignProblem, counts: list[int], objective) -> list[int]:
+def _greedy_redistribute(problem: DesignProblem, counts: list[int], target: Paradigm) -> list[int]:
     """Assign leftover pairs one at a time to the group whose extra pair
-    lowers ``objective(counts)`` the most."""
+    lowers the worst-case regret under ``target`` the most."""
+    rule = paradigm_rule(target)
+    weights, var_sums = rule.group_weights(problem), problem.var_sums
+
+    def objective(c: list[int]) -> float:
+        return rule.combine(worst_case_terms(weights, var_sums, c))
+
     leftover = problem.budget - sum(counts)
     while leftover >= 2:
         current = objective(counts)
@@ -158,87 +162,69 @@ def _largest_remainder_redistribute(
     return counts
 
 
-def _separate_worst_case(problem: DesignProblem, counts: list[int]) -> float:
-    from .stats import threshold_constants
-
-    c0 = threshold_constants().c0
-    total = 0.0
-    for g, spec in enumerate(problem.groups):
-        if counts[g] == 0:
-            return math.inf
-        total += spec.weight * math.sqrt(2.0 * spec.var_sum / counts[g])
-    return c0 * total
-
-
-def _egalitarian_worst_case(problem: DesignProblem, counts: list[int]) -> float:
-    from .stats import threshold_constants
-
-    c0 = threshold_constants().c0
-    worst = 0.0
-    for g, spec in enumerate(problem.groups):
-        if counts[g] == 0:
-            return math.inf
-        worst = max(worst, math.sqrt(2.0 * spec.var_sum / counts[g]))
-    return c0 * worst
-
-
-def minimax_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
-    """Even-floored minimax selection; optionally redistributes leftover pairs
-    by greatest reduction of the separate-decision worst-case regret."""
-    shares = continuous_minimax(problem)
+def _allocate(problem: DesignProblem, scheme: str, redistribute: bool) -> Allocation:
+    # Every public entry point calls this directly, so the warning's
+    # stacklevel=3 names the code that called the entry point.
+    shares = _continuous_shares(problem, scheme)
     counts = list(round_to_even_floor(shares).counts)
     if redistribute:
-        counts = _greedy_redistribute(
-            problem, counts, lambda c: _separate_worst_case(problem, c)
+        target = SCHEMES[scheme].greedy_target
+        if target is None:
+            counts = _largest_remainder_redistribute(problem, counts, shares)
+        else:
+            counts = _greedy_redistribute(problem, counts, target)
+    zero_groups = [g for g, n in enumerate(counts) if n == 0]
+    if zero_groups:
+        warnings.warn(
+            f"{scheme} allocation assigns zero samples to group(s) {zero_groups}; "
+            "worst-case regret is infinite for unsampled groups",
+            DegenerateAllocationWarning,
+            stacklevel=3,
         )
-    return _warn_on_zero_counts(Allocation(counts=tuple(counts)), "minimax")
-
-
-def proportional_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
-    """n_g = w_g * N when that is an even integer, otherwise its even floor;
-    redistribution follows the largest fractional remainder."""
-    shares = continuous_proportional(problem)
-    counts = list(round_to_even_floor(shares).counts)
-    if redistribute:
-        counts = _largest_remainder_redistribute(problem, counts, shares)
-    return _warn_on_zero_counts(Allocation(counts=tuple(counts)), "proportional")
-
-
-def egalitarian_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
-    """Even-floored variance-proportional selection; optional redistribution
-    targets the worst-off group's regret."""
-    shares = continuous_egalitarian(problem)
-    counts = list(round_to_even_floor(shares).counts)
-    if redistribute:
-        counts = _greedy_redistribute(
-            problem, counts, lambda c: _egalitarian_worst_case(problem, c)
-        )
-    return _warn_on_zero_counts(Allocation(counts=tuple(counts)), "egalitarian")
-
-
-def neyman_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
-    """Even-floored classical Neyman reference allocation."""
-    shares = continuous_neyman(problem)
-    counts = list(round_to_even_floor(shares).counts)
-    if redistribute:
-        counts = _largest_remainder_redistribute(problem, counts, shares)
-    return _warn_on_zero_counts(Allocation(counts=tuple(counts)), "neyman")
-
-
-SCHEMES = {
-    "minimax": minimax_allocation,
-    "proportional": proportional_allocation,
-    "egalitarian": egalitarian_allocation,
-    "neyman": neyman_allocation,
-}
+    return Allocation(counts=tuple(counts))
 
 
 def allocate(problem: DesignProblem, scheme: str, redistribute: bool = False) -> Allocation:
-    """Dispatch by scheme name; raises ValidationError for unknown names."""
-    try:
-        fn = SCHEMES[scheme]
-    except KeyError:
-        raise ValidationError(
-            f"unknown allocation scheme {scheme!r}; expected one of {sorted(SCHEMES)}"
-        ) from None
-    return fn(problem, redistribute=redistribute)
+    """Even-floored allocation of a named scheme, optionally redistributing
+    leftover pairs; raises ValidationError for unknown names."""
+    return _allocate(problem, scheme, redistribute)
+
+
+def continuous_minimax(problem: DesignProblem) -> ContinuousAllocation:
+    """share_g proportional to (s0_g^2+s1_g^2)^(1/3) * w_g^(2/3)."""
+    return _continuous_shares(problem, "minimax")
+
+
+def continuous_proportional(problem: DesignProblem) -> ContinuousAllocation:
+    """share_g = w_g * N."""
+    return _continuous_shares(problem, "proportional")
+
+
+def continuous_egalitarian(problem: DesignProblem) -> ContinuousAllocation:
+    """share_g proportional to s0_g^2 + s1_g^2 (equal standard errors)."""
+    return _continuous_shares(problem, "egalitarian")
+
+
+def continuous_neyman(problem: DesignProblem) -> ContinuousAllocation:
+    """share_g proportional to w_g * sqrt(s0_g^2 + s1_g^2)."""
+    return _continuous_shares(problem, "neyman")
+
+
+def minimax_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
+    """Even-floored minimax selection (redistribution lowers H)."""
+    return _allocate(problem, "minimax", redistribute)
+
+
+def proportional_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
+    """Even floor of n_g = w_g * N (redistribution by largest remainder)."""
+    return _allocate(problem, "proportional", redistribute)
+
+
+def egalitarian_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
+    """Even-floored variance-proportional selection (redistribution lowers He)."""
+    return _allocate(problem, "egalitarian", redistribute)
+
+
+def neyman_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
+    """Even-floored classical Neyman reference allocation (largest remainder)."""
+    return _allocate(problem, "neyman", redistribute)

@@ -59,8 +59,8 @@ class IncidenceSpec:
                     raise ConfigError(f"{name}[{g}] must be a probability, got {p}")
         if len(lengths) != 1:
             raise ConfigError("incidence lists must all have one entry per group")
-        if self.beta < 0.0:
-            raise ConfigError(f"beta must be nonnegative, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ConfigError(f"beta must be finite and nonnegative, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ class PowerSpec:
     var_treated: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.detectable_effect == 0.0:
-            raise ConfigError("detectable effect must be nonzero")
+        if self.detectable_effect == 0.0 or not math.isfinite(self.detectable_effect):
+            raise ConfigError("detectable effect must be finite and nonzero")
         for name in ("power_quantile", "size_quantile"):
             p = getattr(self, name)
             if not 0.0 < p < 1.0:
@@ -220,19 +220,33 @@ class ScenarioConfig:
     size_quantile: float
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
+def _require_keys(obj: Any, keys: set[str], path: str) -> None:
+    """``obj`` must be an object with exactly ``keys``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
+    unknown = set(obj) - keys
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = keys - set(obj)
     if missing:
         raise ConfigError(f"{path}: missing key(s) {sorted(missing)}")
 
 
+def _as_finite(value: Any, path: str, expected: str = "a finite number") -> float:
+    """A JSON number as a finite float; ConfigError naming ``path`` for
+    anything else, including NaN, +-Infinity and integers beyond float range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+
+
 def _as_probability(value: Any, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
+    v = _as_finite(value, path)
     if not 0.0 <= v <= 1.0:
         raise ConfigError(f"{path}: expected a probability in [0, 1], got {v}")
     return v
@@ -241,14 +255,7 @@ def _as_probability(value: Any, path: str) -> float:
 def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
     """Validate a JSON-compatible scenario document; unknown keys rejected,
     violations reported with their field path."""
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be an object")
-    _require_keys(
-        obj,
-        allowed={"weights", "budget", "groups", "beta_cases", "power"},
-        required={"weights", "budget", "groups", "beta_cases", "power"},
-        path="config",
-    )
+    _require_keys(obj, {"weights", "budget", "groups", "beta_cases", "power"}, "config")
     weights = obj["weights"]
     if not isinstance(weights, list) or not weights:
         raise ConfigError("weights: expected a nonempty list")
@@ -270,57 +277,31 @@ def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
     }
     for g, entry in enumerate(groups):
         path = f"groups[{g}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected an object")
-        _require_keys(
-            entry,
-            allowed={"label", "design", "reported"},
-            required={"label", "design", "reported"},
-            path=path,
-        )
+        _require_keys(entry, {"label", "design", "reported"}, path)
         if not isinstance(entry["label"], str):
             raise ConfigError(f"{path}.label: expected a string")
         labels.append(entry["label"])
         design = entry["design"]
-        if not isinstance(design, dict):
-            raise ConfigError(f"{path}.design: expected an object")
-        _require_keys(
-            design,
-            allowed={"covid_control", "ar_treated"},
-            required={"covid_control", "ar_treated"},
-            path=f"{path}.design",
-        )
+        _require_keys(design, {"covid_control", "ar_treated"}, f"{path}.design")
         design_cc.append(_as_probability(design["covid_control"], f"{path}.design.covid_control"))
         design_ar.append(_as_probability(design["ar_treated"], f"{path}.design.ar_treated"))
         rep = entry["reported"]
-        if not isinstance(rep, dict):
-            raise ConfigError(f"{path}.reported: expected an object")
-        _require_keys(
-            rep,
-            allowed=set(reported),
-            required=set(reported),
-            path=f"{path}.reported",
-        )
+        _require_keys(rep, set(reported), f"{path}.reported")
         for key in reported:
             reported[key].append(_as_probability(rep[key], f"{path}.reported.{key}"))
     beta_cases = obj["beta_cases"]
     if not isinstance(beta_cases, list) or not beta_cases:
         raise ConfigError("beta_cases: expected a nonempty list")
     for i, b in enumerate(beta_cases):
-        if not isinstance(b, (int, float)) or isinstance(b, bool) or b < 0:
-            raise ConfigError(f"beta_cases[{i}]: expected a nonnegative number, got {b!r}")
+        path, expected = f"beta_cases[{i}]", "a finite nonnegative number"
+        if _as_finite(b, path, expected) < 0:
+            raise ConfigError(f"{path}: expected {expected}, got {b!r}")
     power = obj["power"]
-    if not isinstance(power, dict):
-        raise ConfigError("power: expected an object")
-    _require_keys(
-        power,
-        allowed={"detectable_effect", "power_quantile", "size_quantile"},
-        required={"detectable_effect", "power_quantile", "size_quantile"},
-        path="power",
-    )
-    effect = power["detectable_effect"]
-    if not isinstance(effect, (int, float)) or isinstance(effect, bool) or effect == 0:
-        raise ConfigError("power.detectable_effect: expected a nonzero number")
+    _require_keys(power, {"detectable_effect", "power_quantile", "size_quantile"}, "power")
+    path, expected = "power.detectable_effect", "a finite nonzero number"
+    effect = _as_finite(power["detectable_effect"], path, expected)
+    if effect == 0:
+        raise ConfigError(f"{path}: expected {expected}, got {effect!r}")
     return ScenarioConfig(
         weights=weights,
         budget=budget,
@@ -329,7 +310,7 @@ def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
         design_ar_treated=tuple(design_ar),
         reported={k: tuple(v) for k, v in reported.items()},
         beta_cases=tuple(float(b) for b in beta_cases),
-        detectable_effect=float(effect),
+        detectable_effect=effect,
         power_quantile=_as_probability(power["power_quantile"], "power.power_quantile"),
         size_quantile=_as_probability(power["size_quantile"], "power.size_quantile"),
     )

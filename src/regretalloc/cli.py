@@ -41,16 +41,13 @@ from .casestudy import (
     load_config,
     required_sample_size,
 )
-from .model import Allocation, Paradigm, ValidationError, check_allocation
+from .model import Allocation, ValidationError, check_allocation
+from .regret import PARADIGMS
 from .simulate import SimConfig, monte_carlo_regret
 from .stats import threshold_constants
 
 _REGRET_SCALE = 1e4
-_PARADIGM_FLAGS = {
-    "separate": Paradigm.SEPARATE_UTILITARIAN,
-    "joint": Paradigm.JOINT_UTILITARIAN,
-    "egalitarian": Paradigm.SEPARATE_EGALITARIAN,
-}
+_PARADIGM_FLAGS = {rule.flag: paradigm for paradigm, rule in PARADIGMS.items()}
 
 
 @dataclass
@@ -116,30 +113,55 @@ def _case_allocations(case: CaseStudyCase, redistribute: bool) -> list[tuple[str
         counts = [0] * problem.n_groups
         counts[g] = full
         rows.append((f"only {spec.label}", Allocation(counts=tuple(counts))))
-    for scheme in ("minimax", "proportional", "egalitarian", "neyman"):
+    for scheme in SCHEMES:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateAllocationWarning)
             rows.append((scheme, build_allocation(problem, scheme, redistribute=redistribute)))
     return rows
 
 
-def _worst_cases(case: CaseStudyCase, allocation: Allocation) -> tuple[float, float, float]:
-    return (
-        regret_mod.worst_case_separate(case.problem, allocation).value,
-        regret_mod.worst_case_joint(case.problem, allocation).value,
-        regret_mod.worst_case_egalitarian(case.problem, allocation).value,
-    )
+def _worst_cases(case: CaseStudyCase, allocation: Allocation) -> list[float]:
+    """Worst-case regret under every paradigm, in table order."""
+    return [regret_mod.worst_case(case.problem, allocation, p).value for p in PARADIGMS]
 
 
-def _expected(case: CaseStudyCase, allocation: Allocation) -> tuple[float, float, float]:
-    return tuple(
+def _expected(case: CaseStudyCase, allocation: Allocation) -> list[float]:
+    """Expected regret under every paradigm, in table order."""
+    return [
         regret_mod.expected_regret(case.problem, allocation, case.truth, p).value
-        for p in (
-            Paradigm.SEPARATE_UTILITARIAN,
-            Paradigm.JOINT_UTILITARIAN,
-            Paradigm.SEPARATE_EGALITARIAN,
-        )
+        for p in PARADIGMS
+    ]
+
+
+def _monte_carlo(args: argparse.Namespace, case: CaseStudyCase, allocation: Allocation, paradigm):
+    """Estimator-level Monte Carlo (mean, standard error) at ``--reps``/``--seed``."""
+    estimate = monte_carlo_regret(
+        case.problem, allocation, case.truth, paradigm,
+        SimConfig(replications=args.reps, master_seed=args.seed), level="estimator",
     )
+    return estimate.mean, estimate.std_error
+
+
+def _power_table(config: ScenarioConfig, cases, vs_budget: bool) -> ReportTable:
+    """Required total sample size under both documented quantile conventions
+    (the configured power quantile, then 80%), optionally against the budget."""
+    headers = ["beta", "power_quantile", "size_quantile", "required_n"]
+    if vs_budget:
+        table = ReportTable(
+            "required total sample size", headers + ["vs budget"],
+            note=f"budget in config: {config.budget}",
+        )
+    else:
+        table = ReportTable("power conventions", headers)
+    for case in cases:
+        for pq in (case.power.power_quantile, 0.80):
+            spec = dataclasses.replace(case.power, power_quantile=pq)
+            n = required_sample_size(spec, config.weights)
+            row = [_fmt_raw(case.beta), _fmt_raw(pq), _fmt_raw(spec.size_quantile), str(n)]
+            if vs_budget:
+                row.append(f"{(n - config.budget) / config.budget:+.2%}")
+            table.add_row(row)
+    return table
 
 
 def _load(config_path: str | None) -> ScenarioConfig:
@@ -151,15 +173,12 @@ def _load(config_path: str | None) -> ScenarioConfig:
     return load_config(str(path))
 
 
-def _parse_allocation(text: str, n_groups: int) -> Allocation:
+def _parse_allocation(text: str) -> Allocation:
+    """Comma-separated counts; ``check_allocation`` checks them per case."""
     try:
         counts = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValidationError(f"--allocation expects comma-separated integers, got {text!r}")
-    if len(counts) != n_groups:
-        raise ValidationError(
-            f"--allocation has {len(counts)} entries for {n_groups} groups"
-        )
     return Allocation(counts=counts)
 
 
@@ -173,21 +192,14 @@ def cmd_allocate(args: argparse.Namespace, out) -> int:
     cases = build_case_study(config)
     table = ReportTable(
         title=f"{args.scheme} allocation",
-        headers=["beta", "counts", "total", "worst separate", "worst joint", "worst egalitarian"],
+        headers=["beta", "counts", "total", *(f"worst {f}" for f in _PARADIGM_FLAGS)],
         note="regret columns scaled by 1e4",
     )
     for case in cases:
         allocation = build_allocation(case.problem, args.scheme, redistribute=args.redistribute)
-        ws, wj, we = _worst_cases(case, allocation)
         table.add_row(
-            [
-                _fmt_raw(case.beta),
-                _fmt_counts(allocation),
-                str(allocation.total),
-                _fmt_scaled(ws),
-                _fmt_scaled(wj),
-                _fmt_scaled(we),
-            ]
+            [_fmt_raw(case.beta), _fmt_counts(allocation), str(allocation.total)]
+            + [_fmt_scaled(v) for v in _worst_cases(case, allocation)]
         )
     print(table.render(), file=out)
     return 0
@@ -196,11 +208,7 @@ def cmd_allocate(args: argparse.Namespace, out) -> int:
 def cmd_evaluate(args: argparse.Namespace, out) -> int:
     config = _load(args.config)
     cases = build_case_study(config)
-    paradigms = (
-        list(_PARADIGM_FLAGS.items())
-        if args.paradigm == "all"
-        else [(args.paradigm, _PARADIGM_FLAGS[args.paradigm])]
-    )
+    names = list(_PARADIGM_FLAGS) if args.paradigm == "all" else [args.paradigm]
     headers = ["beta", "counts", "paradigm", "worst case", "expected"]
     if args.reps:
         headers += ["mc mean", "mc se"]
@@ -211,13 +219,14 @@ def cmd_evaluate(args: argparse.Namespace, out) -> int:
     )
     for case in cases:
         if args.allocation is not None:
-            allocation = _parse_allocation(args.allocation, case.problem.n_groups)
+            allocation = _parse_allocation(args.allocation)
             check_allocation(case.problem, allocation)
         else:
             allocation = build_allocation(
                 case.problem, args.scheme, redistribute=args.redistribute
             )
-        for name, paradigm in paradigms:
+        for name in names:
+            paradigm = _PARADIGM_FLAGS[name]
             worst = regret_mod.worst_case(case.problem, allocation, paradigm).value
             expected = regret_mod.expected_regret(
                 case.problem, allocation, case.truth, paradigm
@@ -230,15 +239,7 @@ def cmd_evaluate(args: argparse.Namespace, out) -> int:
                 _fmt_scaled(expected),
             ]
             if args.reps:
-                estimate = monte_carlo_regret(
-                    case.problem,
-                    allocation,
-                    case.truth,
-                    paradigm,
-                    SimConfig(replications=args.reps, master_seed=args.seed),
-                    level="estimator",
-                )
-                row += [_fmt_scaled(estimate.mean), _fmt_scaled(estimate.std_error)]
+                row += [_fmt_scaled(v) for v in _monte_carlo(args, case, allocation, paradigm)]
             table.add_row(row)
     print(table.render(), file=out)
     return 0
@@ -290,17 +291,13 @@ def cmd_reproduce(args: argparse.Namespace, out) -> int:
 
     table1 = ReportTable("design noise", ["beta", "group", "label", "noise"])
     table4 = ReportTable("evaluation scenario", ["beta", "group", "label", "tau", "noise"])
+    row_keys = ["beta", "scheme", "counts", "total"]
     table2 = ReportTable(
-        "worst-case expected regret",
-        ["beta", "scheme", "counts", "total", "worst_separate", "worst_joint", "worst_egalitarian"],
+        "worst-case expected regret", row_keys + [f"worst_{f}" for f in _PARADIGM_FLAGS]
     )
-    headers5 = ["beta", "scheme", "counts", "total", "expected_separate", "expected_joint", "expected_egalitarian"]
+    headers5 = row_keys + [f"expected_{f}" for f in _PARADIGM_FLAGS]
     if args.reps:
-        headers5 += [
-            "mc_separate", "mc_separate_se",
-            "mc_joint", "mc_joint_se",
-            "mc_egalitarian", "mc_egalitarian_se",
-        ]
+        headers5 += [c for f in _PARADIGM_FLAGS for c in (f"mc_{f}", f"mc_{f}_se")]
     table5 = ReportTable("expected regret under the reported rates", headers5)
 
     for case in cases:
@@ -317,30 +314,12 @@ def cmd_reproduce(args: argparse.Namespace, out) -> int:
                 ]
             )
         for name, allocation in _case_allocations(case, args.redistribute):
-            ws, wj, we = _worst_cases(case, allocation)
-            table2.add_row(
-                [
-                    beta_cell, name, _fmt_counts(allocation), str(allocation.total),
-                    _fmt_raw(ws), _fmt_raw(wj), _fmt_raw(we),
-                ]
-            )
-            es, ej, ee = _expected(case, allocation)
-            row5 = [
-                beta_cell, name, _fmt_counts(allocation), str(allocation.total),
-                _fmt_raw(es), _fmt_raw(ej), _fmt_raw(ee),
-            ]
+            keys = [beta_cell, name, _fmt_counts(allocation), str(allocation.total)]
+            table2.add_row(keys + [_fmt_raw(v) for v in _worst_cases(case, allocation)])
+            row5 = keys + [_fmt_raw(v) for v in _expected(case, allocation)]
             if args.reps:
-                sim = SimConfig(replications=args.reps, master_seed=args.seed)
-                for paradigm in (
-                    Paradigm.SEPARATE_UTILITARIAN,
-                    Paradigm.JOINT_UTILITARIAN,
-                    Paradigm.SEPARATE_EGALITARIAN,
-                ):
-                    estimate = monte_carlo_regret(
-                        case.problem, allocation, case.truth, paradigm, sim,
-                        level="estimator",
-                    )
-                    row5 += [_fmt_raw(estimate.mean), _fmt_raw(estimate.std_error)]
+                for paradigm in PARADIGMS:
+                    row5 += [_fmt_raw(v) for v in _monte_carlo(args, case, allocation, paradigm)]
             table5.add_row(row5)
 
     constants = threshold_constants()
@@ -348,24 +327,12 @@ def cmd_reproduce(args: argparse.Namespace, out) -> int:
     constants_table.add_row(["t_star", _fmt_raw(constants.t_star)])
     constants_table.add_row(["c0", _fmt_raw(constants.c0)])
 
-    power_table = ReportTable(
-        "power conventions",
-        ["beta", "power_quantile", "size_quantile", "required_n"],
-    )
-    for case in cases:
-        for pq in (case.power.power_quantile, 0.80):
-            spec = dataclasses.replace(case.power, power_quantile=pq)
-            n = required_sample_size(spec, config.weights)
-            power_table.add_row(
-                [_fmt_raw(case.beta), _fmt_raw(pq), _fmt_raw(spec.size_quantile), str(n)]
-            )
-
     table1.write_csv(out_dir / "table1.csv")
     table2.write_csv(out_dir / "table2.csv")
     table4.write_csv(out_dir / "table4.csv")
     table5.write_csv(out_dir / "table5.csv")
     constants_table.write_csv(out_dir / "constants.csv")
-    power_table.write_csv(out_dir / "power_conventions.csv")
+    _power_table(config, cases, vs_budget=False).write_csv(out_dir / "power_conventions.csv")
     (out_dir / "discrepancies.txt").write_text(_DISCREPANCIES_TEXT, encoding="utf-8")
     print(f"wrote case-study tables to {out_dir}", file=out)
     return 0
@@ -373,27 +340,7 @@ def cmd_reproduce(args: argparse.Namespace, out) -> int:
 
 def cmd_power(args: argparse.Namespace, out) -> int:
     config = _load(args.config)
-    cases = build_case_study(config)
-    table = ReportTable(
-        "required total sample size",
-        ["beta", "power_quantile", "size_quantile", "required_n", "vs budget"],
-        note=f"budget in config: {config.budget}",
-    )
-    for case in cases:
-        for pq in (case.power.power_quantile, 0.80):
-            spec = dataclasses.replace(case.power, power_quantile=pq)
-            n = required_sample_size(spec, config.weights)
-            rel = (n - config.budget) / config.budget
-            table.add_row(
-                [
-                    _fmt_raw(case.beta),
-                    _fmt_raw(pq),
-                    _fmt_raw(case.power.size_quantile),
-                    str(n),
-                    f"{rel:+.2%}",
-                ]
-            )
-    print(table.render(), file=out)
+    print(_power_table(config, build_case_study(config), vs_budget=True).render(), file=out)
     return 0
 
 

@@ -75,9 +75,12 @@ class Allocation:
     def __post_init__(self) -> None:
         coerced = []
         for c in self.counts:
-            n = int(c)
-            if n != c:
-                # Catches continuous shares passed where counts belong.
+            try:
+                n = None if isinstance(c, bool) else int(c)
+            except (TypeError, ValueError, OverflowError):  # None, NaN, +-inf
+                n = None
+            if n is None or n != c:
+                # Also catches continuous shares passed where counts belong.
                 raise ValidationError(f"allocation counts must be integers, got {c!r}")
             coerced.append(n)
         object.__setattr__(self, "counts", tuple(coerced))
@@ -133,16 +136,13 @@ def validate_problem(problem: DesignProblem) -> DesignProblem:
     if len(groups) < 1:
         raise ValidationError("a design problem needs at least one group")
     for g, spec in enumerate(groups):
-        if not (spec.weight > 0.0) or not math.isfinite(spec.weight):
-            raise ValidationError(f"group {g}: weight must be positive, got {spec.weight}")
-        if not (spec.var_control > 0.0) or not math.isfinite(spec.var_control):
-            raise ValidationError(
-                f"group {g}: control-arm variance must be positive, got {spec.var_control}"
-            )
-        if not (spec.var_treated > 0.0) or not math.isfinite(spec.var_treated):
-            raise ValidationError(
-                f"group {g}: treated-arm variance must be positive, got {spec.var_treated}"
-            )
+        for name, value in (
+            ("weight", spec.weight),
+            ("control-arm variance", spec.var_control),
+            ("treated-arm variance", spec.var_treated),
+        ):
+            if not (value > 0.0) or not math.isfinite(value):
+                raise ValidationError(f"group {g}: {name} must be positive, got {value}")
     total_weight = sum(g.weight for g in groups)
     if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
         raise ValidationError(

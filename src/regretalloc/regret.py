@@ -22,6 +22,11 @@ estimate, so its decision is a fair coin and its expected regret
 contribution is |tau|/2.  (Worst-case regret over unbounded adversaries is
 infinite for such groups; expected regret under a fixed scenario is not.)
 
+What differs between paradigms lives in one table, ``PARADIGMS``: the
+worst-case evaluator, whether the decision is pooled, and whether per-group
+regrets combine by a weighted sum or by the worst-off max.  ``allocate``,
+``simulate`` and ``cli`` read it instead of branching on the paradigm.
+
 Infinities are explicit ``math.inf`` states, never overflow artifacts, and
 are absorbing in comparisons.
 """
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .model import (
     Allocation,
@@ -88,29 +94,36 @@ def _wrong_sign_probability(tau: float, se: float) -> float:
     return normal_sf(abs(tau) / se)
 
 
+def worst_case_terms(weights, var_sums, counts) -> list[float]:
+    """Unvalidated kernel: w_g * c0 * sqrt(2*(s0_g^2+s1_g^2)/n_g) per group,
+    inf where n_g = 0.  Summed under population weights they give H; their
+    max under unit weights gives He."""
+    c0 = threshold_constants().c0
+    return [
+        w * c0 * math.sqrt(2.0 * s / n) if n else math.inf
+        for w, s, n in zip(weights, var_sums, counts)
+    ]
+
+
+def _per_group_worst_case(
+    problem: DesignProblem, allocation: Allocation, paradigm: Paradigm
+) -> RegretSummary:
+    validate_problem(problem)
+    check_allocation(problem, allocation)
+    rule = PARADIGMS[paradigm]
+    per_group = worst_case_terms(rule.group_weights(problem), problem.var_sums, allocation.counts)
+    return RegretSummary(paradigm, rule.combine(per_group), per_group)
+
+
 def worst_case_separate(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
     """H(n): worst-case regret with per-group decisions, weighted utility.
     Infinite as soon as any group is unsampled."""
-    validate_problem(problem)
-    check_allocation(problem, allocation)
-    c0 = threshold_constants().c0
-    per_group = tuple(
-        spec.weight * c0 * _standard_error(spec.var_sum, n)
-        for spec, n in zip(problem.groups, allocation.counts)
-    )
-    return RegretSummary(Paradigm.SEPARATE_UTILITARIAN, sum(per_group), per_group)
+    return _per_group_worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN)
 
 
 def worst_case_egalitarian(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
     """He(n): worst-case regret of the worst-off group (unweighted)."""
-    validate_problem(problem)
-    check_allocation(problem, allocation)
-    c0 = threshold_constants().c0
-    per_group = tuple(
-        c0 * _standard_error(spec.var_sum, n)
-        for spec, n in zip(problem.groups, allocation.counts)
-    )
-    return RegretSummary(Paradigm.SEPARATE_EGALITARIAN, max(per_group), per_group)
+    return _per_group_worst_case(problem, allocation, Paradigm.SEPARATE_EGALITARIAN)
 
 
 def sampling_fractions(allocation: Allocation) -> tuple[float, ...]:
@@ -132,12 +145,15 @@ def joint_mismatch(problem: DesignProblem, allocation: Allocation) -> float:
     check_allocation(problem, allocation)
     if any(n == 0 for n in allocation.counts):
         return math.inf
-    h = sampling_fractions(allocation)
-    w = problem.weights
-    G = problem.n_groups
+    return _mismatch_terms(problem.weights, sampling_fractions(allocation))[0]
+
+
+def _mismatch_terms(w, h) -> tuple[float, float, float]:
+    """(K, sum_g w_g/h_g, F) for weights w and sampling fractions h."""
     inv_w = sum(1.0 / x for x in w)
     inv_h = sum(1.0 / x for x in h)
-    return sum(wg / hg for wg, hg in zip(w, h)) - G * inv_h / inv_w
+    scale = sum(wg / hg for wg, hg in zip(w, h))
+    return scale - len(w) * inv_h / inv_w, scale, inv_h / inv_w
 
 
 def worst_case_joint(
@@ -158,12 +174,9 @@ def worst_case_joint(
     if any(n == 0 for n in allocation.counts):
         return RegretSummary(Paradigm.JOINT_UTILITARIAN, math.inf)
     h = sampling_fractions(allocation)
-    w = problem.weights
-    kappa = joint_mismatch(problem, allocation)
-    scale = sum(wg / hg for wg, hg in zip(w, h))
+    kappa, scale, factor = _mismatch_terms(problem.weights, h)
     if abs(kappa) > kappa_tol * scale:
         return RegretSummary(Paradigm.JOINT_UTILITARIAN, math.inf)
-    factor = sum(1.0 / x for x in h) / sum(1.0 / x for x in w)
     pooled_var = sum(hg * s for hg, s in zip(h, problem.var_sums))
     c0 = threshold_constants().c0
     value = factor * c0 * math.sqrt(2.0 * pooled_var / allocation.total)
@@ -186,8 +199,9 @@ def expected_regret(
     validate_problem(problem)
     check_allocation(problem, allocation)
     check_scenario(problem, truth)
+    rule = paradigm_rule(paradigm)
 
-    if paradigm is Paradigm.JOINT_UTILITARIAN:
+    if rule.pooled:
         aggregate = sum(
             spec.weight * t for spec, t in zip(problem.groups, truth.tau)
         )
@@ -210,18 +224,32 @@ def expected_regret(
             value = -aggregate * normal_cdf(stat)
         return RegretSummary(paradigm, value)
 
-    per_group_unweighted = tuple(
-        abs(t) * _wrong_sign_probability(t, _standard_error(s, n))
-        for t, s, n in zip(truth.tau, truth.var_sums, allocation.counts)
-    )
-    if paradigm is Paradigm.SEPARATE_UTILITARIAN:
-        per_group = tuple(
-            spec.weight * r for spec, r in zip(problem.groups, per_group_unweighted)
+    per_group = tuple(
+        w * (abs(t) * _wrong_sign_probability(t, _standard_error(s, n)))
+        for w, t, s, n in zip(
+            rule.group_weights(problem), truth.tau, truth.var_sums, allocation.counts
         )
-        return RegretSummary(paradigm, sum(per_group), per_group)
-    if paradigm is Paradigm.SEPARATE_EGALITARIAN:
-        return RegretSummary(paradigm, max(per_group_unweighted), per_group_unweighted)
-    raise ValidationError(f"unknown paradigm {paradigm!r}")
+    )
+    return RegretSummary(paradigm, rule.combine(per_group), per_group)
+
+
+def _check_all_sampled(problem: DesignProblem, allocation: Allocation, t_dagger: float = 0.0) -> None:
+    validate_problem(problem)
+    check_allocation(problem, allocation)
+    if not math.isfinite(t_dagger):
+        raise ValidationError(f"t_dagger must be finite, got {t_dagger}")
+    if any(n == 0 for n in allocation.counts):
+        raise ValidationError("adversarial profiles are undefined for unsampled groups")
+
+
+def _design_scenario(problem: DesignProblem, tau: tuple[float, ...]) -> TruthScenario:
+    """Effects ``tau`` on zero baselines with the design's own variances."""
+    return TruthScenario(
+        tau=tau,
+        baseline=(0.0,) * problem.n_groups,
+        var_control=tuple(g.var_control for g in problem.groups),
+        var_treated=tuple(g.var_treated for g in problem.groups),
+    )
 
 
 def adversarial_tau_separate(problem: DesignProblem, allocation: Allocation) -> TruthScenario:
@@ -233,20 +261,11 @@ def adversarial_tau_separate(problem: DesignProblem, allocation: Allocation) -> 
     ``worst_case_separate`` exactly.  Signs are immaterial by symmetry; the
     positive profile is returned.
     """
-    validate_problem(problem)
-    check_allocation(problem, allocation)
-    if any(n == 0 for n in allocation.counts):
-        raise ValidationError("adversarial effects are undefined for unsampled groups")
+    _check_all_sampled(problem, allocation)
     t_star = threshold_constants().t_star
-    tau = tuple(
-        t_star * _standard_error(s, n)
-        for s, n in zip(problem.var_sums, allocation.counts)
-    )
-    return TruthScenario(
-        tau=tau,
-        baseline=(0.0,) * problem.n_groups,
-        var_control=tuple(g.var_control for g in problem.groups),
-        var_treated=tuple(g.var_treated for g in problem.groups),
+    return _design_scenario(
+        problem,
+        tuple(t_star * _standard_error(s, n) for s, n in zip(problem.var_sums, allocation.counts)),
     )
 
 
@@ -265,12 +284,7 @@ def joint_adversarial_tau(
     profile is a rescaled t_dagger because the per-group standardization
     uses sum h^2*S while the pooled statistic uses sum h*S.)
     """
-    validate_problem(problem)
-    check_allocation(problem, allocation)
-    if not math.isfinite(t_dagger):
-        raise ValidationError(f"t_dagger must be finite, got {t_dagger}")
-    if any(n == 0 for n in allocation.counts):
-        raise ValidationError("adversarial effects are undefined for unsampled groups")
+    _check_all_sampled(problem, allocation, t_dagger)
     h = sampling_fractions(allocation)
     w = problem.weights
     total = allocation.total
@@ -290,12 +304,7 @@ def joint_adversarial_tau(
         * (sf / dens + (t_dagger / wg - G * sf / (wg * dens)) / inv_w)
         for hg, wg in zip(h, w)
     )
-    return TruthScenario(
-        tau=tau,
-        baseline=(0.0,) * G,
-        var_control=tuple(g.var_control for g in problem.groups),
-        var_treated=tuple(g.var_treated for g in problem.groups),
-    )
+    return _design_scenario(problem, tau)
 
 
 def joint_regret_expression(
@@ -310,17 +319,10 @@ def joint_regret_expression(
     For K = 0 the supremum over t is the finite pooled worst case; for
     K > 0 the expression diverges as t -> -infinity.
     """
-    validate_problem(problem)
-    check_allocation(problem, allocation)
-    if not math.isfinite(t_dagger):
-        raise ValidationError(f"t_dagger must be finite, got {t_dagger}")
-    if any(n == 0 for n in allocation.counts):
-        raise ValidationError("expression undefined for unsampled groups")
+    _check_all_sampled(problem, allocation, t_dagger)
     h = sampling_fractions(allocation)
-    w = problem.weights
     total = allocation.total
-    kappa = joint_mismatch(problem, allocation)
-    factor = sum(1.0 / x for x in h) / sum(1.0 / x for x in w)
+    kappa, _, factor = _mismatch_terms(problem.weights, h)
     sf = normal_sf(t_dagger)
     dens = normal_pdf(t_dagger)
     scale = math.sqrt(2.0 * sum(hg * s for hg, s in zip(h, problem.var_sums)) / total)
@@ -342,10 +344,56 @@ def worst_case(
     kappa_tol: float = KAPPA_TOL_DEFAULT,
 ) -> RegretSummary:
     """Dispatch the worst-case evaluation by paradigm."""
-    if paradigm is Paradigm.SEPARATE_UTILITARIAN:
-        return worst_case_separate(problem, allocation)
-    if paradigm is Paradigm.JOINT_UTILITARIAN:
-        return worst_case_joint(problem, allocation, kappa_tol=kappa_tol)
-    if paradigm is Paradigm.SEPARATE_EGALITARIAN:
-        return worst_case_egalitarian(problem, allocation)
-    raise ValidationError(f"unknown paradigm {paradigm!r}")
+    return paradigm_rule(paradigm).worst_case(problem, allocation, kappa_tol)
+
+
+# ---------------------------------------------------------------------------
+# The paradigm table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ParadigmRule:
+    """What differs between paradigms.  ``flag`` names the paradigm in CLI
+    options and CSV columns.  ``pooled``: one decision, from the pooled
+    estimate, covers every group.  ``worst_off``: per-group regrets are
+    unweighted and combine by their max (in Monte Carlo, the max of the
+    per-group means); otherwise they combine by a population-weighted sum
+    per replication.  ``worst_case(problem, allocation, kappa_tol)`` is the
+    closed-form worst case."""
+
+    flag: str
+    pooled: bool
+    worst_off: bool
+    worst_case: Callable[[DesignProblem, Allocation, float], RegretSummary]
+
+    def combine(self, per_group) -> float:
+        return max(per_group) if self.worst_off else sum(per_group)
+
+    def group_weights(self, problem: DesignProblem) -> tuple[float, ...]:
+        return (1.0,) * problem.n_groups if self.worst_off else problem.weights
+
+
+# Entries are in Paradigm order, which is the column order of every report.
+# Only the pooled worst case uses the mismatch tolerance kappa_tol.
+PARADIGMS: dict[Paradigm, ParadigmRule] = {
+    Paradigm.SEPARATE_UTILITARIAN: ParadigmRule(
+        "separate", pooled=False, worst_off=False,
+        worst_case=lambda problem, allocation, _: worst_case_separate(problem, allocation),
+    ),
+    Paradigm.JOINT_UTILITARIAN: ParadigmRule(
+        "joint", pooled=True, worst_off=False, worst_case=worst_case_joint,
+    ),
+    Paradigm.SEPARATE_EGALITARIAN: ParadigmRule(
+        "egalitarian", pooled=False, worst_off=True,
+        worst_case=lambda problem, allocation, _: worst_case_egalitarian(problem, allocation),
+    ),
+}
+
+
+def paradigm_rule(paradigm: Paradigm) -> ParadigmRule:
+    """The table entry for ``paradigm``; ValidationError for a non-member."""
+    try:
+        return PARADIGMS[paradigm]
+    except (KeyError, TypeError):
+        raise ValidationError(f"unknown paradigm {paradigm!r}") from None

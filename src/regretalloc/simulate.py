@@ -3,7 +3,10 @@
 Generates Gaussian trial data (control arm N(b - tau/2, s0^2), treated arm
 N(b + tau/2, s1^2)), applies the mean-difference estimators and sign
 decision rules, and averages realized regret to cross-validate the closed
-forms in :mod:`regretalloc.regret`.
+forms in :mod:`regretalloc.regret`.  Every per-paradigm choice (a pooled or
+a per-group decision, a weighted sum or a worst-off max) is read from the
+paradigm table ``regret.PARADIGMS``; a value that is not a Paradigm raises
+ValidationError there.
 
 Reproducibility contract
 ------------------------
@@ -21,9 +24,9 @@ drawn.  This consumes the stream exactly as one whole-chunk draw per arm
 would, so estimates do not depend on the tile size, and peak memory is
 O(tile + one row) per worker, independent of the replication count.
 
-The egalitarian paradigm targets the worst-off group's *expected* regret,
-so its Monte Carlo estimate is the maximum of the per-group replication
-means (with the attaining group's standard error), not the mean of the
+The worst-off paradigm targets the worst-off group's *expected* regret, so
+its Monte Carlo estimate is the maximum of the per-group replication means
+(with the attaining group's standard error), not the mean of the
 per-replication maxima.
 
 Standard errors describe only the replications actually observed.  In
@@ -51,6 +54,7 @@ from .model import (
     check_scenario,
     validate_problem,
 )
+from .regret import paradigm_rule
 
 CHUNK_SIZE = 8192
 _SEED_MASK = (1 << 64) - 1
@@ -108,6 +112,15 @@ def _philox_rng(master_seed: int, stream: int) -> np.random.Generator:
     )
 
 
+def _arms(truth: TruthScenario, g: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(mean, sd) of group ``g``'s treated arm, then of its control arm; every
+    draw takes the treated arm first."""
+    return (
+        (truth.baseline[g] + truth.tau[g] / 2.0, math.sqrt(truth.var_treated[g])),
+        (truth.baseline[g] - truth.tau[g] / 2.0, math.sqrt(truth.var_control[g])),
+    )
+
+
 def run_trial(
     truth: TruthScenario,
     allocation: Allocation,
@@ -131,16 +144,7 @@ def run_trial(
     assignments: list[np.ndarray] = []
     for g, n in enumerate(allocation.counts):
         half = n // 2
-        treated = rng.normal(
-            truth.baseline[g] + truth.tau[g] / 2.0,
-            math.sqrt(truth.var_treated[g]),
-            size=half,
-        )
-        control = rng.normal(
-            truth.baseline[g] - truth.tau[g] / 2.0,
-            math.sqrt(truth.var_control[g]),
-            size=half,
-        )
+        treated, control = (rng.normal(loc, sd, size=half) for loc, sd in _arms(truth, g))
         y = np.concatenate([treated, control])
         w = np.concatenate([np.ones(half, dtype=np.int64), np.zeros(half, dtype=np.int64)])
         if shuffle and n > 0:
@@ -153,16 +157,10 @@ def run_trial(
 
 def dm_group_estimates(data: TrialData) -> tuple[float, ...]:
     """Per-group mean-difference estimates; NaN flags an unsampled group."""
-    estimates = []
-    for y, w in zip(data.outcomes, data.assignments):
-        n = len(y)
-        if n == 0:
-            estimates.append(math.nan)
-            continue
-        treated_sum = float(y[w == 1].sum())
-        control_sum = float(y[w == 0].sum())
-        estimates.append(2.0 / n * (treated_sum - control_sum))
-    return tuple(estimates)
+    return tuple(
+        2.0 / n * diff if n else math.nan
+        for n, diff in zip(data.group_sizes, _arm_differences(data))
+    )
 
 
 def dm_pooled_estimate(data: TrialData) -> float:
@@ -174,12 +172,15 @@ def dm_pooled_estimate(data: TrialData) -> float:
     total = sum(data.group_sizes)
     if total == 0:
         raise ValidationError("pooled estimate needs at least one sampled participant")
-    diff = 0.0
-    for y, w in zip(data.outcomes, data.assignments):
-        if len(y) == 0:
-            continue
-        diff += float(y[w == 1].sum()) - float(y[w == 0].sum())
-    return 2.0 / total * diff
+    return 2.0 / total * sum(_arm_differences(data))
+
+
+def _arm_differences(data: TrialData) -> list[float]:
+    """Per group: sum of treated outcomes minus sum of control outcomes."""
+    return [
+        float(y[w == 1].sum()) - float(y[w == 0].sum())
+        for y, w in zip(data.outcomes, data.assignments)
+    ]
 
 
 def decide(
@@ -196,7 +197,7 @@ def decide(
     infinitely-noisy-estimate convention of the closed forms) and defaults
     to treat otherwise.
     """
-    if paradigm is Paradigm.JOINT_UTILITARIAN:
+    if paradigm_rule(paradigm).pooled:
         if pooled_estimate is None:
             raise ValidationError("joint decisions need the pooled estimate")
         return int(pooled_estimate >= 0.0)
@@ -223,18 +224,15 @@ def realized_regret(
     (sum_g w_g tau_g) * (best - chosen); egalitarian: the worst group's
     tau_g * (best_g - chosen_g).  Always nonnegative.
     """
-    if paradigm is Paradigm.JOINT_UTILITARIAN:
+    rule = paradigm_rule(paradigm)
+    if rule.pooled:
         aggregate = sum(spec.weight * t for spec, t in zip(problem.groups, truth.tau))
         best = int(aggregate > 0.0)
         return aggregate * (best - int(decisions))
-    per_group = [
-        t * (int(t > 0.0) - d) for t, d in zip(truth.tau, decisions)
-    ]
-    if paradigm is Paradigm.SEPARATE_UTILITARIAN:
-        return sum(spec.weight * r for spec, r in zip(problem.groups, per_group))
-    if paradigm is Paradigm.SEPARATE_EGALITARIAN:
-        return max(per_group)
-    raise ValidationError(f"unknown paradigm {paradigm!r}")
+    return rule.combine(
+        w * (t * (int(t > 0.0) - d))
+        for w, t, d in zip(rule.group_weights(problem), truth.tau, decisions)
+    )
 
 
 def _tiled_row_means(
@@ -276,20 +274,8 @@ def _chunk_estimates(
         if n == 0:
             continue
         if level == "trial":
-            half = n // 2
-            treated = _tiled_row_means(
-                rng,
-                truth.baseline[g] + truth.tau[g] / 2.0,
-                math.sqrt(truth.var_treated[g]),
-                size,
-                half,
-            )
-            control = _tiled_row_means(
-                rng,
-                truth.baseline[g] - truth.tau[g] / 2.0,
-                math.sqrt(truth.var_control[g]),
-                size,
-                half,
+            treated, control = (
+                _tiled_row_means(rng, loc, sd, size, n // 2) for loc, sd in _arms(truth, g)
             )
             estimates[:, g] = treated - control
         elif level == "estimator":
@@ -318,14 +304,16 @@ def _chunk_stats(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-chunk (sum, sum-of-squares) of realized regret.
 
-    Shape (1,) for the scalar paradigms, (G,) per-group for egalitarian.
+    Shape (1,) for the weighted-sum paradigms, (G,) per-group for worst-off.
     """
+    rule = paradigm_rule(paradigm)
     rng = _philox_rng(master_seed, chunk_index)
     estimates = _chunk_estimates(truth, allocation, rng, size, level)
     counts = np.asarray(allocation.counts, dtype=float)
     tau = np.asarray(truth.tau)
+    weights = np.array(problem.weights)
 
-    if paradigm is Paradigm.JOINT_UTILITARIAN:
+    if rule.pooled:
         total = counts.sum()
         if total == 0:
             chosen = rng.integers(0, 2, size=size)
@@ -334,36 +322,25 @@ def _chunk_stats(
             sampled = counts > 0
             pooled = estimates[:, sampled] @ fractions[sampled]
             chosen = (pooled >= 0.0).astype(np.int64)
-        weights = np.array([g.weight for g in problem.groups])
         aggregate = float(weights @ tau)
         best = int(aggregate > 0.0)
         regrets = aggregate * (best - chosen)
         _check_nonnegative(regrets)
-        return (
-            np.array([regrets.sum()]),
-            np.array([(regrets * regrets).sum()]),
-        )
-
-    # Separate paradigms: per-group decisions, fair coin for absent groups.
-    chosen = np.empty_like(estimates, dtype=np.int64)
-    for g, n in enumerate(allocation.counts):
-        if n == 0:
-            chosen[:, g] = rng.integers(0, 2, size=size)
-        else:
-            chosen[:, g] = estimates[:, g] >= 0.0
-    best = (tau > 0.0).astype(np.int64)
-    per_group = tau[None, :] * (best[None, :] - chosen)
-    _check_nonnegative(per_group)
-    if paradigm is Paradigm.SEPARATE_UTILITARIAN:
-        weights = np.array([g.weight for g in problem.groups])
+    else:
+        # Per-group decisions, fair coin for absent groups.
+        chosen = np.empty_like(estimates, dtype=np.int64)
+        for g, n in enumerate(allocation.counts):
+            if n == 0:
+                chosen[:, g] = rng.integers(0, 2, size=size)
+            else:
+                chosen[:, g] = estimates[:, g] >= 0.0
+        best = (tau > 0.0).astype(np.int64)
+        per_group = tau[None, :] * (best[None, :] - chosen)
+        _check_nonnegative(per_group)
+        if rule.worst_off:
+            return per_group.sum(axis=0), (per_group * per_group).sum(axis=0)
         regrets = per_group @ weights
-        return (
-            np.array([regrets.sum()]),
-            np.array([(regrets * regrets).sum()]),
-        )
-    if paradigm is Paradigm.SEPARATE_EGALITARIAN:
-        return per_group.sum(axis=0), (per_group * per_group).sum(axis=0)
-    raise ValidationError(f"unknown paradigm {paradigm!r}")
+    return np.array([regrets.sum()]), np.array([(regrets * regrets).sum()])
 
 
 def _mean_and_se(total: float, total_sq: float, reps: int) -> tuple[float, float]:
@@ -392,6 +369,7 @@ def monte_carlo_regret(
     validate_problem(problem)
     check_allocation(problem, allocation)
     check_scenario(problem, truth)
+    rule = paradigm_rule(paradigm)
     reps = config.replications
     n_chunks = (reps + CHUNK_SIZE - 1) // CHUNK_SIZE
     sizes = [
@@ -415,7 +393,7 @@ def monte_carlo_regret(
     sums = np.sum([p[0] for p in partials], axis=0)
     sums_sq = np.sum([p[1] for p in partials], axis=0)
 
-    if paradigm is Paradigm.SEPARATE_EGALITARIAN:
+    if rule.worst_off:
         means = sums / reps
         worst = int(np.argmax(means))
         mean, se = _mean_and_se(float(sums[worst]), float(sums_sq[worst]), reps)

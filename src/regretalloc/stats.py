@@ -110,8 +110,6 @@ def solve_threshold_constants(tolerance: float = 1e-12) -> ThresholdConstants:
     The stationarity equation has a single root near 0.75; c0 is built from
     the root as t_star * Phi_c(t_star), which rounds to 0.17.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
     t_star = bisect_root(
         lambda t: t * normal_pdf(t) - normal_sf(t),
         *_THRESHOLD_BRACKET,

@@ -245,6 +245,42 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"weights\[{index}\]"):
             parse_config(broken)
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, -(10**400)], ids=["nan", "inf", "-inf", "huge-int"]
+    )
+    def test_non_finite_detectable_effect_rejected(self, value):
+        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken["power"]["detectable_effect"] = value
+        with pytest.raises(ConfigError, match="power.detectable_effect"):
+            parse_config(broken)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge-int"])
+    def test_non_finite_beta_case_rejected_with_index(self, value):
+        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken["beta_cases"] = [0.005, value]
+        with pytest.raises(ConfigError, match=r"beta_cases\[1\]"):
+            parse_config(broken)
+
+    def test_non_finite_library_inputs_rejected(self):
+        config = default_config()
+        spec = build_case_study(config)[0].power
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="detectable effect"):
+                dataclasses.replace(spec, detectable_effect=value)
+        rates = dict(
+            covid_treated=(0.0,), covid_control=(0.01,), ar_treated=(0.1,), ar_control=(0.02,)
+        )
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="beta"):
+                IncidenceSpec(**rates, beta=value)
+
+    def test_nan_literal_in_config_file_is_a_config_error(self, tmp_path):
+        text = json.dumps(DEFAULT_CONFIG).replace("-0.006", "NaN")
+        path = tmp_path / "nan.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="power.detectable_effect"):
+            load_config(str(path))
+
     def test_budget_type_checked(self):
         broken = json.loads(json.dumps(DEFAULT_CONFIG))
         broken["budget"] = "many"

@@ -113,6 +113,11 @@ class TestEvaluateCommand:
         assert code == 2
         assert "allocation" in capsys.readouterr().err
 
+    def test_rejects_wrong_length_allocation(self, capsys):
+        code, _ = run_cli(["evaluate", "--allocation", "9320"])
+        assert code == 2
+        assert "1 entries for 2 groups" in capsys.readouterr().err
+
     def test_rejects_odd_allocation(self, capsys):
         code, _ = run_cli(["evaluate", "--allocation", "9319,1"])
         assert code == 2
@@ -244,3 +249,39 @@ class TestPowerCommand:
     def test_relative_gap_to_budget_is_shown(self):
         _, text = run_cli(["power"])
         assert "%" in text
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize(
+        "field, value, command",
+        [
+            ("detectable_effect", math.nan, "power"),
+            ("detectable_effect", math.inf, "power"),
+            ("detectable_effect", math.nan, "reproduce"),
+            ("detectable_effect", -math.inf, "reproduce"),
+            ("beta", math.nan, "power"),
+            ("beta", math.inf, "reproduce"),
+        ],
+        ids=["nan-power", "inf-power", "nan-reproduce", "-inf-reproduce",
+             "nan-beta-power", "inf-beta-reproduce"],
+    )
+    def test_non_finite_config_exits_2_without_traceback(
+        self, tmp_path, capsys, field, value, command
+    ):
+        config = json.loads(json.dumps(DEFAULT_CONFIG))
+        if field == "beta":
+            config["beta_cases"] = [value]
+            expected = "beta_cases[0]"
+        else:
+            config["power"][field] = value
+            expected = f"power.{field}"
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(config))  # writes the NaN/Infinity literals
+        argv = [command, "--config", str(path)]
+        if command == "reproduce":
+            argv += ["--out", str(tmp_path / "out")]
+        code, _ = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert expected in err
+        assert "Traceback" not in err

@@ -100,6 +100,15 @@ class TestCheckAllocation:
             Allocation(counts=(59.5, 40.0))
         assert Allocation(counts=(60.0, 40)).counts == (60, 40)
 
+    @pytest.mark.parametrize(
+        "count",
+        [True, False, None, math.nan, math.inf, -math.inf],
+        ids=["true", "false", "none", "nan", "inf", "-inf"],
+    )
+    def test_non_count_values_raise_validation_error(self, count):
+        with pytest.raises(ValidationError, match="integers"):
+            Allocation(counts=(60, count))
+
     @given(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=50))
     def test_even_pairs_always_pass(self, a, b):
         check_allocation(two_group_problem(budget=200), Allocation(counts=(2 * a, 2 * b)))
