@@ -6,7 +6,15 @@ optimal under three decision paradigms (per-group decisions with weighted
 utility, one pooled decision, and the worst-off-group objective), evaluates
 worst-case and scenario-specific expected regret in closed form, and
 cross-validates everything with a seeded Monte Carlo trial simulator.
+
+Only the Monte Carlo engine (``regretalloc.simulate``) uses numpy, and it is
+loaded on first use: ``import regretalloc`` and every closed-form function
+leave numpy unimported.  The simulate names exported here (``SimConfig``,
+``monte_carlo_regret`` and the others) are resolved on first access and are
+the very objects in ``regretalloc.simulate``.
 """
+
+from importlib import import_module as _import_module
 
 from .allocate import (
     ContinuousAllocation,
@@ -59,17 +67,6 @@ from .regret import (
     worst_case_joint,
     worst_case_separate,
 )
-from .simulate import (
-    MonteCarloEstimate,
-    SimConfig,
-    TrialData,
-    decide,
-    dm_group_estimates,
-    dm_pooled_estimate,
-    monte_carlo_regret,
-    realized_regret,
-    run_trial,
-)
 from .stats import (
     ThresholdConstants,
     bisect_root,
@@ -82,3 +79,31 @@ from .stats import (
 )
 
 __version__ = "0.1.0"
+
+# Public names of ``simulate``, the one module that needs numpy, served on
+# first access (PEP 562) so that closed-form users never pay for that import.
+_SIMULATE_EXPORTS = frozenset(
+    (
+        "MonteCarloEstimate",
+        "SimConfig",
+        "TrialData",
+        "decide",
+        "dm_group_estimates",
+        "dm_pooled_estimate",
+        "monte_carlo_regret",
+        "realized_regret",
+        "run_trial",
+    )
+)
+
+
+def __getattr__(name: str):
+    if name not in _SIMULATE_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.simulate"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SIMULATE_EXPORTS})

@@ -96,7 +96,10 @@ def _continuous_shares(problem: DesignProblem, scheme: str) -> ContinuousAllocat
     validate_problem(problem)
     raw = [raw_share(g.weight, g.var_sum) for g in problem.groups]
     total = sum(raw)
-    return ContinuousAllocation(shares=tuple(problem.budget * w / total for w in raw))
+    shares = tuple(problem.budget * w / total for w in raw)
+    if not math.isfinite(sum(shares)):
+        raise ValidationError(f"{scheme} shares overflow: variances too large for float range")
+    return ContinuousAllocation(shares=shares)
 
 
 def _floor_even(x: float) -> int:

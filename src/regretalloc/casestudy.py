@@ -89,6 +89,15 @@ def _bernoulli_var(p: float) -> float:
     return p * (1.0 - p)
 
 
+def _square(x: float) -> float:
+    """``x**2``, or inf where that overflows; validation of the resulting
+    variances then rejects it as a ValidationError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def composite_moments(spec: IncidenceSpec) -> TruthScenario:
     """Gaussian moments of the composite outcome under independence.
 
@@ -97,14 +106,15 @@ def composite_moments(spec: IncidenceSpec) -> TruthScenario:
     effect is the treated-minus-control mean and the baseline their average.
     """
     beta = spec.beta
+    beta_sq = _square(beta)
     tau, baseline, var0, var1 = [], [], [], []
     for g in range(len(spec.covid_treated)):
         mean_treated = spec.covid_treated[g] + beta * spec.ar_treated[g]
         mean_control = spec.covid_control[g] + beta * spec.ar_control[g]
         tau.append(mean_treated - mean_control)
         baseline.append((mean_treated + mean_control) / 2.0)
-        var1.append(_bernoulli_var(spec.covid_treated[g]) + beta**2 * _bernoulli_var(spec.ar_treated[g]))
-        var0.append(_bernoulli_var(spec.covid_control[g]) + beta**2 * _bernoulli_var(spec.ar_control[g]))
+        var1.append(_bernoulli_var(spec.covid_treated[g]) + beta_sq * _bernoulli_var(spec.ar_treated[g]))
+        var0.append(_bernoulli_var(spec.covid_control[g]) + beta_sq * _bernoulli_var(spec.ar_control[g]))
     return TruthScenario(
         tau=tuple(tau),
         baseline=tuple(baseline),
@@ -132,12 +142,13 @@ def conservative_noise(
         ar = [float(v) for v in ar_treated]
         if len(ar) != groups:
             raise ConfigError("ar_treated must be scalar or one entry per group")
+    beta_sq = _square(beta)
     out = []
     for g in range(groups):
         for name, p in (("covid_control", covid_control[g]), ("ar_treated", ar[g])):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name}[{g}] must be a probability, got {p}")
-        var = _bernoulli_var(float(covid_control[g])) + beta**2 * _bernoulli_var(ar[g])
+        var = _bernoulli_var(float(covid_control[g])) + beta_sq * _bernoulli_var(ar[g])
         out.append((var, var))
     return tuple(out)
 
@@ -157,13 +168,18 @@ def required_sample_size(spec: PowerSpec, weights: Sequence[float]) -> int:
     pooled_treated = sum(w * v for w, v in zip(weights, spec.var_treated))
     z_power = normal_quantile(spec.power_quantile)
     z_size = normal_quantile(spec.size_quantile)
-    raw = (
-        2.0
-        * (pooled_control + pooled_treated)
-        * (z_power - z_size) ** 2
-        / spec.detectable_effect**2
-    )
-    return 2 * math.ceil(raw / 2.0)
+    try:
+        raw = (
+            2.0
+            * (pooled_control + pooled_treated)
+            * (z_power - z_size) ** 2
+            / spec.detectable_effect**2
+        )
+        return 2 * math.ceil(raw / 2.0)
+    except (OverflowError, ZeroDivisionError):  # effect**2 or the size out of float range
+        raise ConfigError(
+            f"detectable effect {spec.detectable_effect!r} gives no finite sample size"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +333,12 @@ def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Read and validate a scenario file; JSON parse errors become ConfigError."""
+    """Read and validate a scenario file; text that is not UTF-8 JSON, or
+    nests too deeply to parse, becomes ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(obj)
 

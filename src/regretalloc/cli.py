@@ -16,6 +16,9 @@ applies the 1e-4 display scaling noted in each table title.  Monte Carlo
 columns are produced by the estimator-level engine (distributionally exact
 and fast at case-study sample sizes) with a fixed seed, so repeated runs
 are byte-identical.
+
+Only ``--reps`` loads the Monte Carlo engine, and with it numpy; every other
+command and ``import regretalloc.cli`` stay closed form and numpy-free.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .casestudy import (
 )
 from .model import Allocation, ValidationError, check_allocation
 from .regret import PARADIGMS
-from .simulate import SimConfig, monte_carlo_regret
 from .stats import threshold_constants
 
 _REGRET_SCALE = 1e4
@@ -133,8 +135,18 @@ def _expected(case: CaseStudyCase, allocation: Allocation) -> list[float]:
     ]
 
 
+def monte_carlo_regret(*args, **kwargs):
+    """``simulate.monte_carlo_regret``, imported on the first ``--reps`` call
+    so that closed-form commands never load numpy."""
+    from .simulate import monte_carlo_regret as run
+
+    return run(*args, **kwargs)
+
+
 def _monte_carlo(args: argparse.Namespace, case: CaseStudyCase, allocation: Allocation, paradigm):
     """Estimator-level Monte Carlo (mean, standard error) at ``--reps``/``--seed``."""
+    from .simulate import SimConfig
+
     estimate = monte_carlo_regret(
         case.problem, allocation, case.truth, paradigm,
         SimConfig(replications=args.reps, master_seed=args.seed), level="estimator",

@@ -20,8 +20,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 WEIGHT_SUM_TOL = 1e-9
+# Allocators scale float shares by the budget; past 2**53 a float no longer
+# holds every integer (and past ~1.8e308 none at all).
+MAX_BUDGET = 2**53
 
 
 class ValidationError(ValueError):
@@ -57,11 +61,13 @@ class DesignProblem:
     def n_groups(self) -> int:
         return len(self.groups)
 
-    @property
+    # Cached per instance (in ``__dict__``, outside the dataclass fields, so
+    # equality, hashing and repr are unchanged); the groups never change.
+    @cached_property
     def weights(self) -> tuple[float, ...]:
         return tuple(g.weight for g in self.groups)
 
-    @property
+    @cached_property
     def var_sums(self) -> tuple[float, ...]:
         return tuple(g.var_sum for g in self.groups)
 
@@ -75,8 +81,14 @@ class Allocation:
     def __post_init__(self) -> None:
         coerced = []
         for c in self.counts:
+            # Booleans are not counts: Python's, and numpy's (dtype kind "b",
+            # duck-typed so that this module needs no numpy).  A plain int
+            # skips the lookups.
+            is_bool = type(c) is not int and (
+                isinstance(c, bool) or getattr(getattr(c, "dtype", None), "kind", None) == "b"
+            )
             try:
-                n = None if isinstance(c, bool) else int(c)
+                n = None if is_bool else int(c)
             except (TypeError, ValueError, OverflowError):  # None, NaN, +-inf
                 n = None
             if n is None or n != c:
@@ -104,7 +116,7 @@ class TruthScenario:
         for name in ("tau", "baseline", "var_control", "var_treated"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
 
-    @property
+    @cached_property
     def var_sums(self) -> tuple[float, ...]:
         return tuple(c + t for c, t in zip(self.var_control, self.var_treated))
 
@@ -153,6 +165,8 @@ def validate_problem(problem: DesignProblem) -> DesignProblem:
             f"budget {problem.budget} cannot give each of {len(groups)} groups "
             "one treated/control pair"
         )
+    if problem.budget > MAX_BUDGET:
+        raise ValidationError(f"budget {problem.budget} exceeds 2**53, the float-exact limit")
     return problem
 
 

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from regretalloc.allocate import minimax_allocation
+from regretalloc.allocate import egalitarian_allocation, minimax_allocation
 from regretalloc.casestudy import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -20,6 +20,7 @@ from regretalloc.casestudy import (
     parse_config,
     required_sample_size,
 )
+from regretalloc.model import ValidationError
 from reference_values import (
     ORACLE_DESIGN_NOISE,
     ORACLE_REQUIRED_N,
@@ -297,6 +298,34 @@ class TestConfigParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "content", [b'{"weights": "\xff\xfe"}', b"[" * 100_000], ids=["not-utf8", "too-deep"]
+    )
+    def test_load_config_unreadable_text(self, tmp_path, content):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("beta", [1e154, 1e308], ids=["square-finite", "square-overflows"])
+    def test_huge_beta_is_a_validation_error(self, beta):
+        # Variances past float range: the square overflows (1e308), or the
+        # egalitarian shares do (1e154).
+        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken["beta_cases"] = [beta]
+        with pytest.raises(ValidationError):
+            for case in build_case_study(parse_config(broken)):
+                egalitarian_allocation(case.problem)
+
+    @pytest.mark.parametrize("effect", [1e-300, 1e-160, 1e308, -1e308])
+    def test_sample_size_out_of_float_range_is_a_config_error(self, effect):
+        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken["power"]["detectable_effect"] = effect
+        config = parse_config(broken)
+        case = build_case_study(config)[0]
+        with pytest.raises(ConfigError, match="no finite sample size"):
+            required_sample_size(case.power, config.weights)
 
     def test_bundled_config_file_matches_default(self):
         from pathlib import Path

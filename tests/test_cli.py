@@ -285,3 +285,28 @@ class TestNonFiniteConfig:
         assert code == 2
         assert expected in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value, command, expected",
+        [
+            ("budget", 10**400, "allocate", "2**53"),
+            ("beta_cases", [1e308], "allocate", "variance must be positive"),
+            ("beta_cases", [1e154], "reproduce", "shares overflow"),
+            ("power", {"detectable_effect": 1e-300, "power_quantile": 0.9, "size_quantile": 0.05},
+             "power", "no finite sample size"),
+        ],
+        ids=["huge-budget", "huge-beta", "big-beta", "tiny-effect"],
+    )
+    def test_values_beyond_float_range_exit_2(self, tmp_path, capsys, key, value, command, expected):
+        config = json.loads(json.dumps(DEFAULT_CONFIG))
+        config[key] = value
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path)]
+        argv += {"allocate": ["--scheme", "minimax"], "reproduce": ["--out", str(tmp_path)]}.get(
+            command, []
+        )
+        code, _ = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert expected in err

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -62,6 +63,12 @@ class TestValidateProblem:
         with pytest.raises(ValidationError):
             validate_problem(DesignProblem(budget=10, groups=()))
 
+    def test_budget_beyond_float_exact_range(self):
+        validate_problem(two_group_problem(budget=2**53))
+        for budget in (2**53 + 2, 10**400):
+            with pytest.raises(ValidationError, match="2\\*\\*53"):
+                validate_problem(two_group_problem(budget=budget))
+
     def test_validation_is_idempotent(self):
         problem = two_group_problem()
         once = validate_problem(problem)
@@ -108,6 +115,16 @@ class TestCheckAllocation:
     def test_non_count_values_raise_validation_error(self, count):
         with pytest.raises(ValidationError, match="integers"):
             Allocation(counts=(60, count))
+
+    @pytest.mark.parametrize("count", [np.True_, np.False_, np.array(True)], ids=repr)
+    def test_numpy_booleans_raise_validation_error(self, count):
+        with pytest.raises(ValidationError, match="integers"):
+            Allocation(counts=(60, count))
+
+    def test_numpy_integers_are_counts(self):
+        allocation = Allocation(counts=(np.int64(4), np.int32(6)))
+        assert allocation.counts == (4, 6)
+        assert all(type(n) is int for n in allocation.counts)
 
     @given(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=50))
     def test_even_pairs_always_pass(self, a, b):
@@ -180,3 +197,29 @@ def test_paradigm_is_exhaustive():
 def test_group_spec_var_sum():
     spec = GroupSpec(label="g", weight=1.0, var_control=1.5, var_treated=2.5)
     assert spec.var_sum == 4.0
+
+
+class TestCachedTuples:
+    """``weights`` and ``var_sums`` are built once per instance and do not
+    take part in equality, hashing or repr."""
+
+    def test_problem_tuples_are_cached_and_match_groups(self):
+        p = two_group_problem(weights=(0.3, 0.7), variances=((0.1, 0.2), (0.3, 0.4)))
+        assert p.weights is p.weights
+        assert p.var_sums is p.var_sums
+        assert p.weights == tuple(g.weight for g in p.groups) == (0.3, 0.7)
+        assert p.var_sums == tuple(g.var_control + g.var_treated for g in p.groups)
+
+    def test_scenario_var_sums_cached_and_match_fields(self):
+        truth = TruthScenario(
+            tau=(0.1, -0.2), baseline=(0.0, 0.0), var_control=(0.1, 0.3), var_treated=(0.2, 0.4)
+        )
+        assert truth.var_sums is truth.var_sums
+        assert truth.var_sums == (0.1 + 0.2, 0.3 + 0.4)
+
+    def test_cache_leaves_equality_hash_and_repr_alone(self):
+        read, fresh = two_group_problem(), two_group_problem()
+        before = repr(read)
+        read.weights, read.var_sums
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) == before
