@@ -39,7 +39,10 @@ from .regret import paradigm_rule, worst_case_terms
 
 # Snap tolerance: continuous shares within this of an even integer are taken
 # as exactly even, so float noise cannot drop a pair (e.g. 0.2*200 -> 40).
+# Relative to the share, but capped at _SNAP_CAP: uncapped, it reaches a whole
+# unit once shares pass 1e9 and rounds them up past their value.
 _EVEN_SNAP = 1e-9
+_SNAP_CAP = 1e-6
 
 
 class DegenerateAllocationWarning(UserWarning):
@@ -104,7 +107,7 @@ def _continuous_shares(problem: DesignProblem, scheme: str) -> ContinuousAllocat
 
 def _floor_even(x: float) -> int:
     nearest = 2 * round(x / 2.0)
-    if abs(x - nearest) <= _EVEN_SNAP * max(1.0, abs(x)):
+    if abs(x - nearest) <= min(_EVEN_SNAP * max(1.0, abs(x)), _SNAP_CAP):
         return int(nearest)
     return 2 * math.floor(x / 2.0)
 
@@ -176,6 +179,9 @@ def _allocate(problem: DesignProblem, scheme: str, redistribute: bool) -> Alloca
             counts = _largest_remainder_redistribute(problem, counts, shares)
         else:
             counts = _greedy_redistribute(problem, counts, target)
+    if sum(counts) > problem.budget:
+        # Past about 1e10 the float shares themselves can sum above the budget.
+        raise ValidationError(f"{scheme} shares too large to round within budget {problem.budget}")
     zero_groups = [g for g, n in enumerate(counts) if n == 0]
     if zero_groups:
         warnings.warn(

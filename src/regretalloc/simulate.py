@@ -1,28 +1,32 @@
 """Seeded Monte Carlo engine for stratified 1:1 trials.
 
 Generates Gaussian trial data (control arm N(b - tau/2, s0^2), treated arm
-N(b + tau/2, s1^2)), applies the mean-difference estimators and sign
-decision rules, and averages realized regret to cross-validate the closed
-forms in :mod:`regretalloc.regret`.  Every per-paradigm choice (a pooled or
-a per-group decision, a weighted sum or a worst-off max) is read from the
-paradigm table ``regret.PARADIGMS``; a value that is not a Paradigm raises
-ValidationError there.
+N(b + tau/2, s1^2)) and averages realized regret to cross-validate the
+closed forms in :mod:`regretalloc.regret`.  ``run_trial`` and the
+``dm_*`` estimators give one trial's estimates; the engine draws an (R, G)
+matrix of them per chunk and applies the same ``decide`` and the same
+regret kernel (behind ``realized_regret``) over the replication axis.  Every
+per-paradigm choice (a pooled or a per-group decision, a weighted sum or a
+worst-off max) is read from the paradigm table ``regret.PARADIGMS``; a
+value that is not a Paradigm raises ValidationError there.
 
 Reproducibility contract
 ------------------------
 Replications are processed in fixed chunks of ``CHUNK_SIZE``.  Chunk ``c``
-draws from a counter-based Philox generator keyed by
-``(master_seed, c)``, and per-chunk partial sums are reduced in chunk-index
-order.  Estimates are therefore bit-identical for a given
-``(inputs, master_seed)`` regardless of execution order or the number of
-worker threads.  Within a chunk, outcome draws are group-major (all
-replications of group 0, then group 1, ...), followed by one fair-coin
-block per unsampled group.  At the ``trial`` level each group's outcomes
-are drawn in row tiles of about ``_TILE_BYTES``: all treated tiles, then
-all control tiles, each tile reduced to its row means before the next is
-drawn.  This consumes the stream exactly as one whole-chunk draw per arm
-would, so estimates do not depend on the tile size, and peak memory is
-O(tile + one row) per worker, independent of the replication count.
+draws from a counter-based Philox generator keyed by ``(master_seed, c)``,
+with the seed taken mod 2**64 (-1 is 2**64 - 1), and per-chunk partial sums
+are reduced in chunk-index order.  Estimates are therefore bit-identical
+for a given ``(inputs, master_seed)`` regardless of execution order or the
+number of worker threads.  Within a chunk, outcome draws are group-major
+(all replications of group 0, then group 1, ...), followed by the fair
+coins of ``decide``: one block per unsampled group, or under the joint
+paradigm one block when no group is sampled.  At the ``trial`` level each
+group's outcomes are drawn in row tiles of about ``_TILE_BYTES``: all
+treated tiles, then all control tiles, each tile reduced to its row means
+before the next is drawn.  This consumes the stream exactly as one
+whole-chunk draw per arm would, so estimates do not depend on the tile
+size, and peak memory is O(tile + one row) per worker, independent of the
+replication count.
 
 The worst-off paradigm targets the worst-off group's *expected* regret, so
 its Monte Carlo estimate is the maximum of the per-group replication means
@@ -39,6 +43,7 @@ the rare event's probability; pick ``replications`` accordingly.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -71,6 +76,11 @@ class SimConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
+        for name in ("replications", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.replications < 1:
             raise ValidationError(
                 f"replications must be at least 1, got {self.replications}"
@@ -107,9 +117,8 @@ class TrialData:
 
 
 def _philox_rng(master_seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=[master_seed & _SEED_MASK, stream & _SEED_MASK])
-    )
+    key = np.array([master_seed & _SEED_MASK, stream & _SEED_MASK], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _arms(truth: TruthScenario, g: int) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -185,31 +194,56 @@ def _arm_differences(data: TrialData) -> list[float]:
 
 def decide(
     paradigm: Paradigm,
-    group_estimates: tuple[float, ...] | None = None,
-    pooled_estimate: float | None = None,
+    group_estimates=None,
+    pooled_estimate=None,
     rng: np.random.Generator | None = None,
 ):
     """Sign decision rule: treat iff the relevant estimate is >= 0.
 
     Separate paradigms threshold each group's estimate; the joint paradigm
-    thresholds the pooled estimate.  A group flagged absent (NaN estimate)
-    is decided by a fair coin when ``rng`` is supplied (matching the
-    infinitely-noisy-estimate convention of the closed forms) and defaults
-    to treat otherwise.
+    thresholds the pooled estimate.  A NaN estimate (nobody sampled: in that
+    group, or pooled, anywhere) is decided by a fair coin when ``rng`` is
+    supplied (matching the infinitely-noisy-estimate convention of the
+    closed forms), one ``rng.integers`` block per NaN column in column order,
+    and defaults to treat otherwise.  A tuple or float in gives a tuple or
+    int out; a leading replication axis gives an int64 array of that shape.
     """
-    if paradigm_rule(paradigm).pooled:
-        if pooled_estimate is None:
-            raise ValidationError("joint decisions need the pooled estimate")
-        return int(pooled_estimate >= 0.0)
-    if group_estimates is None:
+    rule = paradigm_rule(paradigm)
+    if rule.pooled and pooled_estimate is None:
+        raise ValidationError("joint decisions need the pooled estimate")
+    if not rule.pooled and group_estimates is None:
         raise ValidationError("separate decisions need the per-group estimates")
-    decisions = []
-    for est in group_estimates:
-        if math.isnan(est):
-            decisions.append(int(rng.integers(0, 2)) if rng is not None else 1)
-        else:
-            decisions.append(int(est >= 0.0))
-    return tuple(decisions)
+    values = np.asarray(pooled_estimate if rule.pooled else group_estimates, dtype=float)
+    rows = values.reshape(-1, 1) if rule.pooled else np.atleast_2d(values)
+    chosen = (rows >= 0.0).astype(np.int64)
+    absent = np.isnan(rows)
+    for g in np.flatnonzero(absent.any(axis=0)):
+        coins = rng.integers(0, 2, size=int(absent[:, g].sum())) if rng is not None else 1
+        chosen[absent[:, g], g] = coins
+    if values.ndim == int(not rule.pooled):
+        return chosen.item() if rule.pooled else tuple(chosen[0].tolist())
+    return chosen.reshape(values.shape)
+
+
+def _regret_columns(
+    truth: TruthScenario, problem: DesignProblem, decisions, paradigm: Paradigm
+) -> np.ndarray:
+    """Regret effect * (best - chosen) of each replication row of
+    ``decisions``, the effect being tau_g per group or w . tau pooled:
+    (R, G) per group for worst-off, else one (R, 1) weighted-sum column."""
+    rule = paradigm_rule(paradigm)
+    tau = np.asarray(truth.tau)
+    weights = np.array(problem.weights)
+    effects = np.array([weights @ tau]) if rule.pooled else tau
+    trial = () if rule.pooled else tau.shape
+    if np.shape(decisions) not in (trial, np.shape(decisions)[:1] + trial):
+        raise ValidationError(f"decisions of shape {np.shape(decisions)} for {len(tau)} groups")
+    chosen = np.reshape(decisions, (-1, len(effects)))
+    regrets = effects * ((effects > 0.0).astype(np.int64) - chosen)
+    _check_nonnegative(regrets)
+    if rule.pooled or rule.worst_off:
+        return regrets
+    return (regrets @ weights)[:, None]
 
 
 def realized_regret(
@@ -217,22 +251,21 @@ def realized_regret(
     problem: DesignProblem,
     decisions,
     paradigm: Paradigm,
-) -> float:
-    """Regret of one concrete decision vector against the oracle decision.
+):
+    """Regret of concrete decisions against the oracle decision.
 
     Weighted utility: sum_g w_g * tau_g * (best_g - chosen_g); pooled:
     (sum_g w_g tau_g) * (best - chosen); egalitarian: the worst group's
-    tau_g * (best_g - chosen_g).  Always nonnegative.
+    tau_g * (best_g - chosen_g).  Always nonnegative.  One trial's decisions
+    give a float; a leading replication axis gives one per replication; any
+    other shape raises ValidationError.
     """
-    rule = paradigm_rule(paradigm)
-    if rule.pooled:
-        aggregate = sum(spec.weight * t for spec, t in zip(problem.groups, truth.tau))
-        best = int(aggregate > 0.0)
-        return aggregate * (best - int(decisions))
-    return rule.combine(
-        w * (t * (int(t > 0.0) - d))
-        for w, t, d in zip(rule.group_weights(problem), truth.tau, decisions)
-    )
+    # One weighted-sum or pooled column, or one per group for worst-off: either
+    # way the row max is the realized regret.
+    regrets = _regret_columns(truth, problem, decisions, paradigm).max(axis=1)
+    if np.ndim(decisions) == int(not paradigm_rule(paradigm).pooled):
+        return float(regrets[0])
+    return regrets
 
 
 def _tiled_row_means(
@@ -268,8 +301,7 @@ def _chunk_estimates(
     distribution N(tau_g, 2*(s0^2+s1^2)/n_g).  The two levels are
     distributionally identical.
     """
-    G = len(allocation.counts)
-    estimates = np.full((size, G), np.nan)
+    estimates = np.full((size, len(allocation.counts)), np.nan)
     for g, n in enumerate(allocation.counts):
         if n == 0:
             continue
@@ -278,12 +310,20 @@ def _chunk_estimates(
                 _tiled_row_means(rng, loc, sd, size, n // 2) for loc, sd in _arms(truth, g)
             )
             estimates[:, g] = treated - control
-        elif level == "estimator":
+        else:
             se = math.sqrt(2.0 * truth.var_sums[g] / n)
             estimates[:, g] = rng.normal(truth.tau[g], se, size=size)
-        else:
-            raise ValidationError(f"unknown simulation level {level!r}")
     return estimates
+
+
+def _pooled_estimates(estimates: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """Per-replication pooled estimate: the count-weighted mean of the sampled
+    groups' estimates, NaN when nobody is sampled."""
+    counts = np.asarray(counts, dtype=float)
+    sampled = counts > 0
+    if not sampled.any():
+        return np.full(len(estimates), np.nan)
+    return estimates[:, sampled] @ (counts[sampled] / counts.sum())
 
 
 def _check_nonnegative(regrets: np.ndarray) -> None:
@@ -302,45 +342,15 @@ def _chunk_stats(
     size: int,
     level: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-chunk (sum, sum-of-squares) of realized regret.
-
-    Shape (1,) for the weighted-sum paradigms, (G,) per-group for worst-off.
+    """Per-chunk (sum, sum-of-squares) of realized regret: ``decide`` and the
+    regret kernel over the chunk's rows.  Shape (1,), or (G,) for worst-off.
     """
-    rule = paradigm_rule(paradigm)
     rng = _philox_rng(master_seed, chunk_index)
     estimates = _chunk_estimates(truth, allocation, rng, size, level)
-    counts = np.asarray(allocation.counts, dtype=float)
-    tau = np.asarray(truth.tau)
-    weights = np.array(problem.weights)
-
-    if rule.pooled:
-        total = counts.sum()
-        if total == 0:
-            chosen = rng.integers(0, 2, size=size)
-        else:
-            fractions = counts / total
-            sampled = counts > 0
-            pooled = estimates[:, sampled] @ fractions[sampled]
-            chosen = (pooled >= 0.0).astype(np.int64)
-        aggregate = float(weights @ tau)
-        best = int(aggregate > 0.0)
-        regrets = aggregate * (best - chosen)
-        _check_nonnegative(regrets)
-    else:
-        # Per-group decisions, fair coin for absent groups.
-        chosen = np.empty_like(estimates, dtype=np.int64)
-        for g, n in enumerate(allocation.counts):
-            if n == 0:
-                chosen[:, g] = rng.integers(0, 2, size=size)
-            else:
-                chosen[:, g] = estimates[:, g] >= 0.0
-        best = (tau > 0.0).astype(np.int64)
-        per_group = tau[None, :] * (best[None, :] - chosen)
-        _check_nonnegative(per_group)
-        if rule.worst_off:
-            return per_group.sum(axis=0), (per_group * per_group).sum(axis=0)
-        regrets = per_group @ weights
-    return np.array([regrets.sum()]), np.array([(regrets * regrets).sum()])
+    pooled = _pooled_estimates(estimates, allocation.counts)
+    chosen = decide(paradigm, estimates, pooled, rng)
+    regrets = _regret_columns(truth, problem, chosen, paradigm)
+    return regrets.sum(axis=0), (regrets * regrets).sum(axis=0)
 
 
 def _mean_and_se(total: float, total_sq: float, reps: int) -> tuple[float, float]:
@@ -369,12 +379,11 @@ def monte_carlo_regret(
     validate_problem(problem)
     check_allocation(problem, allocation)
     check_scenario(problem, truth)
-    rule = paradigm_rule(paradigm)
+    paradigm_rule(paradigm)  # rejects a non-Paradigm before any draw
+    if level not in ("trial", "estimator"):
+        raise ValidationError(f"unknown simulation level {level!r}")
     reps = config.replications
-    n_chunks = (reps + CHUNK_SIZE - 1) // CHUNK_SIZE
-    sizes = [
-        min(CHUNK_SIZE, reps - c * CHUNK_SIZE) for c in range(n_chunks)
-    ]
+    sizes = [min(CHUNK_SIZE, reps - start) for start in range(0, reps, CHUNK_SIZE)]
 
     def job(c: int) -> tuple[np.ndarray, np.ndarray]:
         return _chunk_stats(
@@ -382,21 +391,17 @@ def monte_carlo_regret(
             config.master_seed, c, sizes[c], level,
         )
 
-    if workers is not None and workers > 1 and n_chunks > 1:
+    if workers is not None and workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(job, range(n_chunks)))
+            partials = list(pool.map(job, range(len(sizes))))
     else:
-        partials = [job(c) for c in range(n_chunks)]
+        partials = [job(c) for c in range(len(sizes))]
 
     # Fixed-order reduction over chunk index keeps aggregation deterministic
     # no matter which worker finished first.
     sums = np.sum([p[0] for p in partials], axis=0)
     sums_sq = np.sum([p[1] for p in partials], axis=0)
-
-    if rule.worst_off:
-        means = sums / reps
-        worst = int(np.argmax(means))
-        mean, se = _mean_and_se(float(sums[worst]), float(sums_sq[worst]), reps)
-    else:
-        mean, se = _mean_and_se(float(sums[0]), float(sums_sq[0]), reps)
+    # One weighted-sum column, or the worst-off group's per-group mean.
+    worst = int(np.argmax(sums / reps))
+    mean, se = _mean_and_se(float(sums[worst]), float(sums_sq[worst]), reps)
     return MonteCarloEstimate(mean=mean, std_error=se, replications=reps)

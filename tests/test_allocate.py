@@ -1,6 +1,7 @@
 """Allocation schemes: closed-form shares, even-floor rounding, invariants."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,13 @@ from regretalloc.allocate import (
     proportional_allocation,
     round_to_even_floor,
 )
-from regretalloc.model import Allocation, DesignProblem, GroupSpec, ValidationError
+from regretalloc.model import (
+    Allocation,
+    DesignProblem,
+    GroupSpec,
+    ValidationError,
+    check_allocation,
+)
 from regretalloc.regret import worst_case_separate
 from regretalloc.stats import threshold_constants
 from reference_values import ORACLE_MINIMAX_SHARES_CASE1, ORACLE_NEYMAN_ALLOCATION, REF_ALLOCATIONS
@@ -263,3 +270,30 @@ class TestRedistribution:
         for scheme in (minimax_allocation, egalitarian_allocation, neyman_allocation):
             allocation = scheme(problem, redistribute=True)
             assert problem.budget - allocation.total < 2
+
+
+SCHEMES = ("minimax", "proportional", "egalitarian", "neyman")
+
+
+class TestLargeBudgets:
+    @pytest.mark.parametrize("redistribute", [False, True])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_billion_scale_shares_do_not_round_up(self, scheme, redistribute):
+        # Shares of 500000001.5 each once snapped up to 500000002, one unit
+        # past the share, for a total of 1000000004 over a 1000000003 budget.
+        problem = make_problem((0.5, 0.5), (1.0, 1.0), 1_000_000_003)
+        counts = allocate(problem, scheme, redistribute=redistribute).counts
+        check_allocation(problem, Allocation(counts))
+        assert sum(counts) == (1_000_000_002 if redistribute else 1_000_000_000)
+
+    @given(random_problems(), st.integers(min_value=8, max_value=2**53), st.booleans())
+    def test_within_budget_or_validation_error(self, problem, budget, redistribute):
+        problem = DesignProblem(budget=budget, groups=problem.groups)
+        for scheme in SCHEMES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateAllocationWarning)
+                try:
+                    allocation = allocate(problem, scheme, redistribute=redistribute)
+                except ValidationError:
+                    continue
+            check_allocation(problem, allocation)

@@ -235,7 +235,7 @@ class TestReproduceCommand:
         blocker.write_text("a file, not a directory")
         code, _ = run_cli(["reproduce", "--out", str(blocker / "sub")])
         assert code == 1
-        assert "not writable" in capsys.readouterr().err or True
+        assert "not writable" in capsys.readouterr().err
 
 
 class TestPowerCommand:

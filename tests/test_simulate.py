@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -542,3 +543,167 @@ class TestNonFiniteScenario:
     def test_negative_or_nan_regret_raises_without_assert(self, value):
         with pytest.raises(ValidationError, match="realized regret"):
             simulate._check_nonnegative(np.array([0.0, value, 1.0]))
+
+
+def old_realized_regret(truth, problem, decisions, paradigm):
+    """Reference: the per-group Python loop the vectorized kernel replaced."""
+    if paradigm is Paradigm.JOINT_UTILITARIAN:
+        aggregate = sum(g.weight * t for g, t in zip(problem.groups, truth.tau))
+        return aggregate * (int(aggregate > 0.0) - decisions)
+    terms = [t * (int(t > 0.0) - d) for t, d in zip(truth.tau, decisions)]
+    if paradigm is Paradigm.SEPARATE_EGALITARIAN:
+        return max(terms)
+    return sum(w * term for w, term in zip(problem.weights, terms))
+
+
+class TestOneDecisionPath:
+    """The scalar per-trial API and the chunked engine share one path."""
+
+    problem = make_problem((0.3, 0.5, 0.2), (1.5, 0.8, 2.0), 3000)
+    truth = design_truth(problem, (0.05, -0.08, 0.004), baseline=(0.5, 1.5, -0.3))
+
+    @pytest.mark.parametrize("counts", [(20, 6, 2), (0, 40, 8), (12, 0, 0), (0, 0, 0)])
+    @pytest.mark.parametrize("seed", [0, 1, 20240817, -3])
+    def test_run_trial_estimates_match_engine_row(self, counts, seed):
+        allocation = Allocation(counts)
+        scalar = np.array(dm_group_estimates(run_trial(self.truth, allocation, seed)))
+        row = simulate._chunk_estimates(
+            self.truth, allocation, simulate._philox_rng(seed, 0), 1, "trial"
+        )[0]
+        assert np.array_equal(np.isnan(scalar), np.isnan(row))
+        sampled = ~np.isnan(row)
+        assert np.allclose(scalar[sampled], row[sampled], rtol=1e-12, atol=0.0)
+
+    def random_estimates(self, reps=200):
+        rng = np.random.default_rng(7)
+        estimates = rng.normal(0.0, 1.0, size=(reps, 3))
+        estimates[:, 1] = np.nan
+        estimates[::7, 2] = 0.0
+        pooled = estimates[:, [0, 2]] @ np.array([0.5, 0.5])
+        pooled[::5] = np.nan
+        return estimates, pooled
+
+    def test_batched_decide_matches_scalar_rows(self):
+        estimates, pooled = self.random_estimates()
+        for paradigm in (Paradigm.SEPARATE_UTILITARIAN, Paradigm.SEPARATE_EGALITARIAN):
+            batch = decide(paradigm, group_estimates=estimates)
+            assert batch.shape == estimates.shape and batch.dtype == np.int64
+            for row, chosen in zip(estimates, batch):
+                assert decide(paradigm, group_estimates=tuple(row)) == tuple(chosen)
+        batch = decide(Paradigm.JOINT_UTILITARIAN, pooled_estimate=pooled)
+        assert batch.shape == pooled.shape
+        for value, chosen in zip(pooled, batch):
+            assert decide(Paradigm.JOINT_UTILITARIAN, pooled_estimate=float(value)) == chosen
+
+    def test_batched_coins_fill_only_nan_entries(self):
+        estimates, pooled = self.random_estimates()
+        rng = simulate._philox_rng(3, 0)
+        batch = decide(Paradigm.SEPARATE_UTILITARIAN, group_estimates=estimates, rng=rng)
+        assert set(np.unique(batch[:, 1])) == {0, 1}
+        assert np.array_equal(batch[:, [0, 2]], estimates[:, [0, 2]] >= 0.0)
+        # One block of coins per column that holds a NaN, in column order.
+        coins = simulate._philox_rng(3, 0).integers(0, 2, size=len(estimates))
+        assert np.array_equal(batch[:, 1], coins)
+        joint = decide(Paradigm.JOINT_UTILITARIAN, pooled_estimate=pooled, rng=rng)
+        assert np.array_equal(joint[~np.isnan(pooled)], pooled[~np.isnan(pooled)] >= 0.0)
+
+    def test_nan_pooled_estimate_follows_the_nan_rule(self):
+        # Nobody sampled under the joint paradigm: treat without an rng (NaN
+        # >= 0 would have said "do not treat"), a fair coin with one.
+        assert decide(Paradigm.JOINT_UTILITARIAN, pooled_estimate=math.nan) == 1
+        rng = simulate._philox_rng(5, 0)
+        draws = {
+            decide(Paradigm.JOINT_UTILITARIAN, pooled_estimate=math.nan, rng=rng)
+            for _ in range(64)
+        }
+        assert draws == {0, 1}
+
+    def test_scalar_decisions_keep_python_types(self):
+        assert type(decide(Paradigm.JOINT_UTILITARIAN, pooled_estimate=-0.5)) is int
+        decisions = decide(Paradigm.SEPARATE_UTILITARIAN, group_estimates=(0.1, -0.1, math.nan))
+        assert decisions == (1, 0, 1) and all(type(d) is int for d in decisions)
+        value = realized_regret(self.truth, self.problem, decisions, Paradigm.SEPARATE_UTILITARIAN)
+        assert type(value) is float
+
+    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    def test_batched_regret_matches_scalar_and_reference(self, paradigm):
+        rng = np.random.default_rng(11)
+        problem = make_problem((0.25, 0.45, 0.3), (1.0, 1.0, 1.0), 100)
+        for _ in range(20):
+            truth = design_truth(problem, tuple(rng.normal(0.0, 1.0, 3)))
+            if paradigm is Paradigm.JOINT_UTILITARIAN:
+                batch_decisions = rng.integers(0, 2, size=16)
+                rows = [int(d) for d in batch_decisions]
+            else:
+                batch_decisions = rng.integers(0, 2, size=(16, 3))
+                rows = [tuple(int(d) for d in row) for row in batch_decisions]
+            batch = realized_regret(truth, problem, batch_decisions, paradigm)
+            assert batch.shape == (16,)
+            for decisions, value in zip(rows, batch):
+                scalar = realized_regret(truth, problem, decisions, paradigm)
+                assert scalar == pytest.approx(float(value), rel=1e-12, abs=0.0)
+                reference = old_realized_regret(truth, problem, decisions, paradigm)
+                assert scalar == pytest.approx(reference, rel=1e-12, abs=1e-300)
+
+
+    @pytest.mark.parametrize(
+        "paradigm, decisions",
+        [
+            (Paradigm.SEPARATE_UTILITARIAN, (1, 0)),
+            (Paradigm.SEPARATE_UTILITARIAN, np.zeros((3, 2), dtype=int)),
+            (Paradigm.SEPARATE_EGALITARIAN, 1),
+            (Paradigm.JOINT_UTILITARIAN, np.zeros((4, 3), dtype=int)),
+        ],
+        ids=["short", "transposed-batch", "scalar", "pooled-matrix"],
+    )
+    def test_regret_rejects_decisions_of_another_shape(self, paradigm, decisions):
+        # Three groups: a (3, 2) batch must not be read as two trials.
+        with pytest.raises(ValidationError, match="decisions of shape"):
+            realized_regret(self.truth, self.problem, decisions, paradigm)
+
+
+class TestSeeds:
+    problem = make_problem((0.4, 0.6), (1.5, 0.8), 60)
+    allocation = Allocation((24, 36))
+    truth = design_truth(problem, (0.35, -0.2), baseline=(0.5, 1.5))
+
+    def estimate(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return monte_carlo_regret(
+                self.problem, self.allocation, self.truth, Paradigm.SEPARATE_UTILITARIAN,
+                SimConfig(replications=500, master_seed=seed), level="estimator",
+            )
+
+    def test_seeds_past_int64_keep_every_bit(self):
+        # A float64 key once folded -1 (masked to 2**64 - 1) onto 0 and
+        # dropped the low bits of seeds from 2**63 up.
+        assert self.estimate(-1) != self.estimate(0)
+        assert self.estimate(2**63) != self.estimate(2**63 + 1)
+        assert self.estimate(-1) == self.estimate(2**64 - 1)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        assert self.estimate(np.int64(-7)) == self.estimate(-7)
+        config = SimConfig(replications=np.int32(3), master_seed=np.uint64(2**63))
+        assert config == SimConfig(replications=3, master_seed=2**63)
+        assert type(config.master_seed) is int
+
+
+class TestBadInput:
+    problem = make_problem((0.4, 0.6), (1.5, 0.8), 60)
+    truth = design_truth(problem, (0.35, -0.2))
+
+    @pytest.mark.parametrize("field", ["replications", "master_seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, None, True, np.True_, "3"], ids=repr)
+    def test_sim_config_rejects_non_integers(self, field, value):
+        kwargs = {"replications": 10, "master_seed": 1, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("counts", [(24, 36), (0, 0)])
+    def test_unknown_level_raises_even_when_nothing_is_sampled(self, counts):
+        with pytest.raises(ValidationError, match="unknown simulation level"):
+            monte_carlo_regret(
+                self.problem, Allocation(counts), self.truth, Paradigm.SEPARATE_UTILITARIAN,
+                SimConfig(replications=10, master_seed=1), level="bogus",
+            )
