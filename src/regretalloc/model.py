@@ -13,12 +13,22 @@ Conventions
 
 All types are immutable values; they carry no behavior beyond validation and
 may be shared freely across threads.
+
+Validation runs once per instance.  ``validate_problem``, and the parts of
+``check_allocation`` and ``check_scenario`` that depend on the allocation or
+the scenario alone, record a pass on the frozen instance (in its
+``__dict__``, outside the dataclass fields, like the cached ``weights``), so
+later calls skip those checks; equality, hashing and repr do not see the
+record.  Only success is recorded: an invalid input raises the same
+``ValidationError`` on every call.  The checks that pair an allocation or a
+scenario with a problem (group count, total within budget) run every time.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +40,12 @@ MAX_BUDGET = 2**53
 
 class ValidationError(ValueError):
     """An input violates a documented structural invariant."""
+
+
+def _record_pass(instance) -> None:
+    # A frozen dataclass refuses setattr; the record shadows the class-level
+    # ``_checked = False`` from the instance ``__dict__``.
+    instance.__dict__["_checked"] = True
 
 
 @dataclass(frozen=True)
@@ -54,6 +70,8 @@ class DesignProblem:
     budget: int
     groups: tuple[GroupSpec, ...]
 
+    _checked = False  # not a field: set by ``validate_problem`` on success
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", tuple(self.groups))
 
@@ -63,13 +81,15 @@ class DesignProblem:
 
     # Cached per instance (in ``__dict__``, outside the dataclass fields, so
     # equality, hashing and repr are unchanged); the groups never change.
+    # Stored as Python floats, so the regret kernels' per-group terms are
+    # floats too; a numpy float64 converts without changing its value.
     @cached_property
     def weights(self) -> tuple[float, ...]:
-        return tuple(g.weight for g in self.groups)
+        return tuple(float(g.weight) for g in self.groups)
 
     @cached_property
     def var_sums(self) -> tuple[float, ...]:
-        return tuple(g.var_sum for g in self.groups)
+        return tuple(float(g.var_sum) for g in self.groups)
 
 
 @dataclass(frozen=True)
@@ -77,6 +97,8 @@ class Allocation:
     """Even per-group sample counts; the sum may undershoot the budget."""
 
     counts: tuple[int, ...]
+
+    _checked = False  # not a field: set by ``check_allocation`` on success
 
     def __post_init__(self) -> None:
         coerced = []
@@ -97,7 +119,7 @@ class Allocation:
             coerced.append(n)
         object.__setattr__(self, "counts", tuple(coerced))
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(self.counts)
 
@@ -111,6 +133,8 @@ class TruthScenario:
     baseline: tuple[float, ...]
     var_control: tuple[float, ...]
     var_treated: tuple[float, ...]
+
+    _checked = False  # not a field: set by ``check_scenario`` on success
 
     def __post_init__(self) -> None:
         for name in ("tau", "baseline", "var_control", "var_treated"):
@@ -142,8 +166,13 @@ def validate_problem(problem: DesignProblem) -> DesignProblem:
     """Check all structural invariants and return the problem unchanged.
 
     Raises ValidationError naming the offending group index for per-group
-    violations.  Validation is idempotent.
+    violations, or the budget.  The checks run once per instance: a pass is
+    recorded on the frozen problem and later calls return at once.  A
+    failure is never recorded, so an invalid problem raises the same error
+    on every call.
     """
+    if problem._checked:
+        return problem
     groups = problem.groups
     if len(groups) < 1:
         raise ValidationError("a design problem needs at least one group")
@@ -153,6 +182,8 @@ def validate_problem(problem: DesignProblem) -> DesignProblem:
             ("control-arm variance", spec.var_control),
             ("treated-arm variance", spec.var_treated),
         ):
+            if not isinstance(value, numbers.Real):
+                raise ValidationError(f"group {g}: {name} must be a real number, got {value!r}")
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValidationError(f"group {g}: {name} must be positive, got {value}")
     total_weight = sum(g.weight for g in groups)
@@ -160,40 +191,53 @@ def validate_problem(problem: DesignProblem) -> DesignProblem:
         raise ValidationError(
             f"group weights must sum to 1 within {WEIGHT_SUM_TOL:g}; got {total_weight!r}"
         )
-    if problem.budget < 2 * len(groups):
+    budget = problem.budget
+    # Counts are integers, so a fractional or NaN budget has no meaning.
+    # numbers.Integral admits numpy integers without importing numpy.
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+        raise ValidationError(f"budget must be an integer, got {budget!r}")
+    if budget < 2 * len(groups):
         raise ValidationError(
-            f"budget {problem.budget} cannot give each of {len(groups)} groups "
+            f"budget {budget} cannot give each of {len(groups)} groups "
             "one treated/control pair"
         )
-    if problem.budget > MAX_BUDGET:
-        raise ValidationError(f"budget {problem.budget} exceeds 2**53, the float-exact limit")
+    if budget > MAX_BUDGET:
+        raise ValidationError(f"budget {budget} exceeds 2**53, the float-exact limit")
+    _record_pass(problem)
     return problem
 
 
 def check_allocation(problem: DesignProblem, allocation: Allocation) -> Allocation:
     """Standalone allocation checker: even nonnegative counts, correct length,
-    total within budget.  Usable independently of any allocator."""
+    total within budget.  Usable independently of any allocator.  The
+    per-count checks run once per allocation; the length and budget checks,
+    which depend on the problem, run on every call."""
     counts = allocation.counts
     if len(counts) != problem.n_groups:
         raise ValidationError(
             f"allocation has {len(counts)} entries for {problem.n_groups} groups"
         )
-    for g, n in enumerate(counts):
-        if n < 0:
-            raise ValidationError(f"group {g}: count {n} is negative")
-        if n % 2 != 0:
-            raise ValidationError(f"group {g}: count {n} is odd; strata must balance 1:1")
-    if sum(counts) > problem.budget:
+    if not allocation._checked:
+        for g, n in enumerate(counts):
+            if n < 0:
+                raise ValidationError(f"group {g}: count {n} is negative")
+            if n % 2 != 0:
+                raise ValidationError(f"group {g}: count {n} is odd; strata must balance 1:1")
+        _record_pass(allocation)
+    if allocation.total > problem.budget:
         raise ValidationError(
-            f"allocation total {sum(counts)} exceeds budget {problem.budget}"
+            f"allocation total {allocation.total} exceeds budget {problem.budget}"
         )
     return allocation
 
 
 def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenario:
     """Check a truth scenario against a problem: matching group count,
-    finite values and positive variances."""
+    finite values and positive variances.  The value checks run once per
+    scenario; the group count, which depends on the problem, is compared on
+    every call."""
     G = problem.n_groups
+    checked = truth._checked
     for name, values in (
         ("tau", truth.tau),
         ("baseline", truth.baseline),
@@ -204,9 +248,11 @@ def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenari
             raise ValidationError(f"scenario field {name} has {len(values)} entries for {G} groups")
         # A NaN or inf makes the sum non-finite, so the per-value test runs
         # only then (or when large finite values overflow the sum).
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        if not checked and not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise ValidationError(f"scenario field {name} must be finite, got {values}")
-    for g in range(G):
-        if truth.var_control[g] <= 0.0 or truth.var_treated[g] <= 0.0:
-            raise ValidationError(f"group {g}: scenario variances must be positive")
+    if not checked:
+        for g in range(G):
+            if truth.var_control[g] <= 0.0 or truth.var_treated[g] <= 0.0:
+                raise ValidationError(f"group {g}: scenario variances must be positive")
+        _record_pass(truth)
     return truth

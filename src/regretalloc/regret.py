@@ -70,14 +70,31 @@ class RegretSummary:
     per_group: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if math.isnan(self.value) or self.value < 0.0:
-            raise ValidationError(f"regret must be a nonnegative real or inf, got {self.value}")
+        _check_regret(self.value)
         if self.per_group is not None:
             object.__setattr__(self, "per_group", tuple(float(v) for v in self.per_group))
+
+    @classmethod
+    def _from_floats(
+        cls, paradigm: Paradigm, value: float, per_group: tuple[float, ...] | None = None
+    ) -> "RegretSummary":
+        """The kernels' constructor: ``per_group`` is a tuple the kernel just
+        built from floats (the problem's cached weights and variance sums and
+        the scenario's fields are floats), so only ``value`` is checked."""
+        _check_regret(value)
+        summary = object.__new__(cls)
+        # Frozen: fill the fields the way the cached properties are stored.
+        summary.__dict__.update(paradigm=paradigm, value=value, per_group=per_group)
+        return summary
 
     @property
     def is_finite(self) -> bool:
         return math.isfinite(self.value)
+
+
+def _check_regret(value: float) -> None:
+    if math.isnan(value) or value < 0.0:
+        raise ValidationError(f"regret must be a nonnegative real or inf, got {value}")
 
 
 def _standard_error(var_sum: float, count: int) -> float:
@@ -111,8 +128,10 @@ def _per_group_worst_case(
     validate_problem(problem)
     check_allocation(problem, allocation)
     rule = PARADIGMS[paradigm]
-    per_group = worst_case_terms(rule.group_weights(problem), problem.var_sums, allocation.counts)
-    return RegretSummary(paradigm, rule.combine(per_group), per_group)
+    per_group = tuple(
+        worst_case_terms(rule.group_weights(problem), problem.var_sums, allocation.counts)
+    )
+    return RegretSummary._from_floats(paradigm, rule.combine(per_group), per_group)
 
 
 def worst_case_separate(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
@@ -172,15 +191,15 @@ def worst_case_joint(
     if allocation.total <= 0:
         raise ValidationError("pooled worst case needs at least one sampled participant")
     if any(n == 0 for n in allocation.counts):
-        return RegretSummary(Paradigm.JOINT_UTILITARIAN, math.inf)
+        return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, math.inf)
     h = sampling_fractions(allocation)
     kappa, scale, factor = _mismatch_terms(problem.weights, h)
     if abs(kappa) > kappa_tol * scale:
-        return RegretSummary(Paradigm.JOINT_UTILITARIAN, math.inf)
+        return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, math.inf)
     pooled_var = sum(hg * s for hg, s in zip(h, problem.var_sums))
     c0 = threshold_constants().c0
     value = factor * c0 * math.sqrt(2.0 * pooled_var / allocation.total)
-    return RegretSummary(Paradigm.JOINT_UTILITARIAN, value)
+    return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, value)
 
 
 def expected_regret(
@@ -202,14 +221,12 @@ def expected_regret(
     rule = paradigm_rule(paradigm)
 
     if rule.pooled:
-        aggregate = sum(
-            spec.weight * t for spec, t in zip(problem.groups, truth.tau)
-        )
+        aggregate = sum(w * t for w, t in zip(problem.weights, truth.tau))
         if aggregate == 0.0:
-            return RegretSummary(paradigm, 0.0)
+            return RegretSummary._from_floats(paradigm, 0.0)
         if allocation.total == 0:
             # Nothing sampled anywhere: the pooled decision is a fair coin.
-            return RegretSummary(paradigm, abs(aggregate) / 2.0)
+            return RegretSummary._from_floats(paradigm, abs(aggregate) / 2.0)
         h = sampling_fractions(allocation)
         tau_bar = sum(hg * t for hg, t in zip(h, truth.tau))
         se = math.sqrt(
@@ -222,7 +239,7 @@ def expected_regret(
             value = aggregate * normal_sf(stat)
         else:
             value = -aggregate * normal_cdf(stat)
-        return RegretSummary(paradigm, value)
+        return RegretSummary._from_floats(paradigm, value)
 
     per_group = tuple(
         w * (abs(t) * _wrong_sign_probability(t, _standard_error(s, n)))
@@ -230,7 +247,7 @@ def expected_regret(
             rule.group_weights(problem), truth.tau, truth.var_sums, allocation.counts
         )
     )
-    return RegretSummary(paradigm, rule.combine(per_group), per_group)
+    return RegretSummary._from_floats(paradigm, rule.combine(per_group), per_group)
 
 
 def _check_all_sampled(problem: DesignProblem, allocation: Allocation, t_dagger: float = 0.0) -> None:

@@ -68,6 +68,14 @@ _SEED_MASK = (1 << 64) - 1
 _TILE_BYTES = 1 << 21
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int; numpy integers convert, while bools and
+    non-integers (1.5, 2.0, None, "3") raise ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Replication count and master seed for a Monte Carlo run."""
@@ -77,10 +85,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("replications", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.replications < 1:
             raise ValidationError(
                 f"replications must be at least 1, got {self.replications}"
@@ -138,7 +143,8 @@ def run_trial(
 ) -> TrialData:
     """Draw one trial: n_g/2 control and n_g/2 treated outcomes per group.
 
-    Identical seeds give bit-identical data.  By default the first n_g/2
+    Identical seeds give bit-identical data; ``seed`` is an integer taken
+    mod 2**64, as ``SimConfig.master_seed`` is.  By default the first n_g/2
     units of each group are the treated ones; outcomes are i.i.d. within
     arms so the ordering is distributionally irrelevant, but ``shuffle=True``
     interleaves assignments for realism.
@@ -148,7 +154,7 @@ def run_trial(
     for g, n in enumerate(allocation.counts):
         if n < 0 or n % 2 != 0:
             raise ValidationError(f"group {g}: count {n} cannot be balanced 1:1")
-    rng = _philox_rng(seed, 0)
+    rng = _philox_rng(_as_int("seed", seed), 0)
     outcomes: list[np.ndarray] = []
     assignments: list[np.ndarray] = []
     for g, n in enumerate(allocation.counts):

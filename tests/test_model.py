@@ -69,6 +69,31 @@ class TestValidateProblem:
             with pytest.raises(ValidationError, match="2\\*\\*53"):
                 validate_problem(two_group_problem(budget=budget))
 
+    @pytest.mark.parametrize(
+        "budget", [float("nan"), 100.5, 100.0, "100", None, True, np.float64(100)], ids=repr
+    )
+    def test_budget_must_be_an_integer(self, budget):
+        problem = two_group_problem(budget=budget)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="budget must be an integer"):
+                validate_problem(problem)
+
+    def test_numpy_integer_budget_is_accepted(self):
+        assert validate_problem(two_group_problem(budget=np.int64(100))).budget == 100
+
+    @pytest.mark.parametrize("value", ["0.5", None, 0.5 + 0j], ids=repr)
+    @pytest.mark.parametrize(
+        "field, name", [(0, "weight"), (1, "control-arm variance"), (2, "treated-arm variance")]
+    )
+    def test_group_numbers_must_be_real(self, value, field, name):
+        specs = [[0.5, 1.0, 1.0], [0.5, 1.0, 1.0]]
+        specs[1][field] = value
+        groups = tuple(GroupSpec(f"g{i}", *spec) for i, spec in enumerate(specs))
+        problem = DesignProblem(budget=100, groups=groups)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=f"group 1: {name} must be a real number"):
+                validate_problem(problem)
+
     def test_validation_is_idempotent(self):
         problem = two_group_problem()
         once = validate_problem(problem)

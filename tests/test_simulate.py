@@ -688,6 +688,17 @@ class TestSeeds:
         assert config == SimConfig(replications=3, master_seed=2**63)
         assert type(config.master_seed) is int
 
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.int8(5), 2**64 + 5], ids=repr)
+    def test_run_trial_seed_follows_the_sim_config_rule(self, seed):
+        truth = design_truth(make_problem((1.0,), (1.0,), 8), (0.3,))
+        data, reference = (run_trial(truth, Allocation((4,)), s) for s in (seed, 5))
+        assert np.array_equal(data.outcomes[0], reference.outcomes[0])
+
+    def test_run_trial_negative_seed_is_taken_mod_2_64(self):
+        truth = design_truth(make_problem((1.0,), (1.0,), 8), (0.3,))
+        minus_one, top = (run_trial(truth, Allocation((4,)), s) for s in (-1, 2**64 - 1))
+        assert np.array_equal(minus_one.outcomes[0], top.outcomes[0])
+
 
 class TestBadInput:
     problem = make_problem((0.4, 0.6), (1.5, 0.8), 60)
@@ -699,6 +710,11 @@ class TestBadInput:
         kwargs = {"replications": 10, "master_seed": 1, field: value}
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, None, True, np.True_, "3"], ids=repr)
+    def test_run_trial_rejects_non_integer_seeds(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run_trial(self.truth, Allocation((4, 2)), seed)
 
     @pytest.mark.parametrize("counts", [(24, 36), (0, 0)])
     def test_unknown_level_raises_even_when_nothing_is_sampled(self, counts):

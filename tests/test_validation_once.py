@@ -1,0 +1,263 @@
+"""Validation runs once per frozen instance, and regret results are built
+without re-coercing their per-group terms.  Neither may change what a call
+returns or raises: only success is recorded, so an invalid input raises the
+same ValidationError on every call."""
+
+import dataclasses
+import math
+import pickle
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from regretalloc.allocate import allocate
+from regretalloc.model import (
+    Allocation,
+    DesignProblem,
+    GroupSpec,
+    Paradigm,
+    TruthScenario,
+    ValidationError,
+    check_allocation,
+    check_scenario,
+    validate_problem,
+)
+from regretalloc.regret import (
+    RegretSummary,
+    adversarial_tau_separate,
+    expected_regret,
+    joint_mismatch,
+    worst_case,
+)
+from regretalloc.simulate import SimConfig, monte_carlo_regret
+
+PARADIGMS = tuple(Paradigm)
+BAD_NUMBERS = st.sampled_from(
+    [0.0, -1.0, float("nan"), float("inf"), float("-inf"), "1", None]
+)
+BAD_BUDGETS = st.sampled_from([float("nan"), 100.5, "100", None, True, 1, 2**53 + 2])
+
+
+@st.composite
+def problems(draw, n_groups):
+    """A valid problem, or one with a single fault in a weight, a variance,
+    the weight sum or the budget."""
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n_groups, max_size=n_groups))
+    specs = [
+        [r / sum(raw), draw(st.floats(0.01, 4.0)), draw(st.floats(0.01, 4.0))] for r in raw
+    ]
+    budget = draw(st.integers(2 * n_groups, 400))
+    fault = draw(st.sampled_from(["none", "none", "group", "sum", "budget"]))
+    if fault == "group":
+        specs[draw(st.integers(0, n_groups - 1))][draw(st.integers(0, 2))] = draw(BAD_NUMBERS)
+    elif fault == "sum":
+        specs[0][0] *= 1.5
+    elif fault == "budget":
+        budget = draw(BAD_BUDGETS)
+    groups = tuple(GroupSpec(f"g{g}", *spec) for g, spec in enumerate(specs))
+    return DesignProblem(budget=budget, groups=groups)
+
+
+def allocations(n_groups):
+    """Even counts mostly; odd, negative and wrong-length ones too."""
+    count = st.one_of(st.integers(0, 100).map(lambda k: 2 * k), st.integers(-3, 201))
+    length = st.sampled_from([n_groups, n_groups, n_groups, n_groups + 1])
+    return length.flatmap(lambda n: st.lists(count, min_size=n, max_size=n)).map(
+        lambda counts: Allocation(tuple(counts))
+    )
+
+
+def truths(n_groups):
+    """A finite scenario with positive variances, or one with a NaN or inf
+    value, a non-positive variance or a field of the wrong length."""
+    effect = st.one_of(
+        st.floats(-2.0, 2.0), st.sampled_from([float("nan"), float("inf")])
+    )
+    variance = st.one_of(st.floats(0.01, 4.0), st.sampled_from([0.0, -1.0]))
+    length = st.sampled_from([n_groups, n_groups, n_groups, n_groups - 1])
+    return length.flatmap(
+        lambda n: st.builds(
+            TruthScenario,
+            tau=st.lists(effect, min_size=n, max_size=n),
+            baseline=st.just((0.0,) * n),
+            var_control=st.lists(variance, min_size=n, max_size=n),
+            var_treated=st.lists(variance, min_size=n, max_size=n),
+        )
+    )
+
+
+@st.composite
+def inputs(draw):
+    n_groups = draw(st.integers(1, 3))
+    return draw(problems(n_groups)), draw(allocations(n_groups)), draw(truths(n_groups))
+
+
+def entry_points(problem, allocation, truth):
+    """Every public call that validates, by name."""
+    calls = {"joint_mismatch": lambda: joint_mismatch(problem, allocation)}
+    for p in PARADIGMS:
+        calls[f"worst_case[{p.name}]"] = lambda p=p: worst_case(problem, allocation, p)
+        calls[f"expected_regret[{p.name}]"] = lambda p=p: expected_regret(
+            problem, allocation, truth, p
+        )
+    calls["adversarial_tau_separate"] = lambda: adversarial_tau_separate(problem, allocation)
+    calls["allocate"] = lambda: allocate(problem, "minimax", redistribute=True)
+    calls["monte_carlo_regret"] = lambda: monte_carlo_regret(
+        problem, allocation, truth, Paradigm.SEPARATE_UTILITARIAN,
+        SimConfig(replications=1, master_seed=0), level="estimator",
+    )
+    return calls
+
+
+def outcome(call):
+    """("ok", result) or ("error", message); any other exception escapes."""
+    try:
+        return ("ok", call())
+    except ValidationError as err:
+        return ("error", str(err))
+
+
+def fresh(instance):
+    """An equal instance built through the constructor, so nothing is recorded on it."""
+    return dataclasses.replace(instance)
+
+
+@given(inputs())
+def test_every_call_repeats_its_result_or_its_error(case):
+    problem, allocation, truth = case
+    shared = entry_points(problem, allocation, truth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, call in shared.items():
+            # Inputs never validated before give the reference outcome; the
+            # shared inputs carry whatever earlier calls recorded on them.
+            expected = outcome(entry_points(fresh(problem), fresh(allocation), fresh(truth))[name])
+            assert outcome(call) == expected, name
+            assert outcome(call) == expected, name
+
+
+def valid_problem(n_groups=2, budget=100):
+    groups = tuple(GroupSpec(f"g{g}", 1.0 / n_groups, 1.0, 2.0) for g in range(n_groups))
+    return DesignProblem(budget=budget, groups=groups)
+
+
+def valid_truth(n_groups=2):
+    return TruthScenario(
+        tau=(0.3,) * n_groups,
+        baseline=(0.0,) * n_groups,
+        var_control=(1.0,) * n_groups,
+        var_treated=(2.0,) * n_groups,
+    )
+
+
+class TestPairingIsCheckedEveryCall:
+    def test_validated_problem_with_allocation_of_another_group_count(self):
+        problem = validate_problem(valid_problem(2))
+        allocation = check_allocation(valid_problem(3), Allocation((2, 2, 2)))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="allocation has 3 entries for 2 groups"):
+                worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN)
+
+    def test_validated_problem_with_truth_of_another_group_count(self):
+        problem = validate_problem(valid_problem(2))
+        truth = check_scenario(valid_problem(3), valid_truth(3))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="scenario field tau has 3 entries for 2 groups"):
+                expected_regret(problem, Allocation((2, 2)), truth, Paradigm.SEPARATE_UTILITARIAN)
+
+    def test_checked_allocation_over_a_smaller_budget(self):
+        allocation = check_allocation(valid_problem(2, budget=100), Allocation((40, 40)))
+        small = validate_problem(valid_problem(2, budget=60))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="allocation total 80 exceeds budget 60"):
+                check_allocation(small, allocation)
+
+
+class TestRecordStaysOutOfTheValue:
+    @pytest.mark.parametrize("make, check", [
+        (valid_problem, validate_problem),
+        (lambda: Allocation((2, 4)), lambda a: check_allocation(valid_problem(2), a)),
+        (valid_truth, lambda t: check_scenario(valid_problem(2), t)),
+    ])
+    def test_equality_hash_repr_and_pickle(self, make, check):
+        checked, unchecked = make(), make()
+        check(checked)
+        assert checked == unchecked and hash(checked) == hash(unchecked)
+        assert repr(checked) == repr(unchecked)
+        copy = pickle.loads(pickle.dumps(checked))
+        assert copy == unchecked and hash(copy) == hash(unchecked) and repr(copy) == repr(unchecked)
+
+    def test_failure_is_not_recorded(self):
+        problem = valid_problem(2, budget=3)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="budget 3 cannot give"):
+                validate_problem(problem)
+        assert "_checked" not in vars(problem)
+
+    def test_replace_is_validated_afresh(self):
+        problem = validate_problem(valid_problem(2))
+        for budget in (3, float("nan")):
+            with pytest.raises(ValidationError, match="budget"):
+                validate_problem(dataclasses.replace(problem, budget=budget))
+        truth = check_scenario(problem, valid_truth(2))
+        with pytest.raises(ValidationError, match="must be finite"):
+            check_scenario(problem, dataclasses.replace(truth, tau=(math.nan, 0.3)))
+        allocation = check_allocation(problem, Allocation((2, 4)))
+        with pytest.raises(ValidationError, match="count 3 is odd"):
+            check_allocation(problem, dataclasses.replace(allocation, counts=(2, 3)))
+
+
+class TestRegretSummary:
+    P = Paradigm.SEPARATE_UTILITARIAN
+
+    def test_public_constructor_coerces_per_group_to_float(self):
+        summary = RegretSummary(self.P, 1.0, [1, np.float64(0.5), Fraction(1, 4)])
+        assert summary.per_group == (1.0, 0.5, 0.25)
+        assert [type(v) for v in summary.per_group] == [float] * 3
+
+    @pytest.mark.parametrize("value", [math.nan, -1e-300, -math.inf], ids=repr)
+    def test_nan_and_negative_values_are_rejected(self, value):
+        with pytest.raises(ValidationError, match="nonnegative real or inf"):
+            RegretSummary(self.P, value)
+        with pytest.raises(ValidationError, match="nonnegative real or inf"):
+            RegretSummary._from_floats(self.P, value, (1.0,))
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda g: st.tuples(
+                st.lists(st.floats(0.05, 1.0), min_size=g, max_size=g),
+                st.lists(st.floats(0.01, 4.0), min_size=g, max_size=g),
+                st.lists(st.integers(0, 60), min_size=g, max_size=g).filter(any),
+                st.lists(st.floats(-1.0, 1.0), min_size=g, max_size=g),
+                st.booleans(),
+            )
+        )
+    )
+    def test_kernel_summaries_match_the_public_constructor(self, case):
+        raw, variances, pairs, tau, as_numpy = case
+        weights = np.asarray(raw) / sum(raw) if as_numpy else [r / sum(raw) for r in raw]
+        weights = tuple(weights)
+        assume(abs(sum(weights) - 1.0) <= 1e-9)
+        problem = DesignProblem(
+            budget=max(2 * sum(pairs), 2 * len(raw)),
+            groups=tuple(
+                GroupSpec(f"g{g}", w, v, v) for g, (w, v) in enumerate(zip(weights, variances))
+            ),
+        )
+        allocation = Allocation(tuple(2 * k for k in pairs))
+        truth = TruthScenario(tau, (0.0,) * len(tau), variances, variances)
+        for p in PARADIGMS:
+            for summary in (
+                worst_case(problem, allocation, p),
+                expected_regret(problem, allocation, truth, p),
+            ):
+                reference = RegretSummary(summary.paradigm, summary.value, summary.per_group)
+                assert summary == reference
+                assert type(summary.value) is float
+                if summary.per_group is not None:
+                    assert type(summary.per_group) is tuple
+                    assert [type(v) for v in summary.per_group] == [float] * len(raw)
