@@ -14,15 +14,8 @@ seeded, so reruns are identical.
 import argparse
 import sys
 
-from regretalloc import (
-    SimConfig,
-    build_case_study,
-    default_config,
-    expected_regret,
-    load_config,
-    monte_carlo_regret,
-)
-from regretalloc.cli import _case_allocations
+from regretalloc import SimConfig, expected_regret, monte_carlo_regret
+from regretalloc.cli import _case_allocations, _cases
 from regretalloc.regret import PARADIGMS
 
 
@@ -33,11 +26,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--level", choices=["trial", "estimator"], default="estimator")
     args = parser.parse_args()
-    config = load_config(args.config) if args.config else default_config()
     sim = SimConfig(replications=args.reps, master_seed=args.seed)
 
     worst_z = 0.0
-    for case in build_case_study(config):
+    for case in _cases(args):
         problem = case.problem
         for name, alloc in _case_allocations(case, redistribute=False):
             for paradigm, rule in PARADIGMS.items():

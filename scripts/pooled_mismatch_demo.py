@@ -18,14 +18,12 @@ import warnings
 from regretalloc import (
     DegenerateAllocationWarning,
     allocate,
-    build_case_study,
-    default_config,
     joint_mismatch,
     joint_regret_expression,
-    load_config,
     threshold_constants,
     worst_case_joint,
 )
+from regretalloc.cli import _cases
 
 T_GRID = (0.75, 0.0, -2.0, -4.0, -6.0, -8.0)
 
@@ -34,8 +32,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=None)
     args = parser.parse_args()
-    config = load_config(args.config) if args.config else default_config()
-    case = build_case_study(config)[0]
+    case = _cases(args)[0]
     problem = case.problem
 
     print(f"t_star = {threshold_constants().t_star:.4f} "

@@ -19,13 +19,17 @@ instead use the trial's reported incidence rates, converted to Gaussian
 moments under independence of the two components.
 
 All rates are stored as fractions; percent formatting happens only at
-presentation time.
+presentation time.  The bundled scenario is the file ``covid_trial.json``
+in this package's directory; ``default_config`` reads it with
+``load_config``, the same path a user's scenario file takes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import os
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -35,6 +39,50 @@ from .stats import normal_quantile
 
 class ConfigError(ValueError):
     """A scenario configuration violates the documented schema."""
+
+
+def _as_finite(
+    value: Any, path: str, expected: str = "a finite number", accept=None
+) -> float:
+    """A real number (not a bool) as a finite float for which ``accept``, if
+    given, holds; ConfigError naming ``path`` for anything else, including
+    NaN, +-Infinity and integers beyond float range.  JSON numbers and
+    Python or numpy scalars all pass through here."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v) and (accept is None or accept(v)):
+            return v
+    raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+
+
+def _as_probability(value: Any, path: str) -> float:
+    v = _as_finite(value, path)
+    if not 0.0 <= v <= 1.0:
+        raise ConfigError(f"{path}: expected a probability in [0, 1], got {v}")
+    return v
+
+
+def _as_nonnegative(value: Any, path: str) -> float:
+    return _as_finite(value, path, "a finite nonnegative number", lambda v: v >= 0)
+
+
+def _as_nonzero(value: Any, path: str) -> float:
+    return _as_finite(value, path, "a finite nonzero number", lambda v: v != 0)
+
+
+def _as_tuple(values: Any, name: str, check) -> tuple[float, ...]:
+    """``check(value, "name[g]")`` applied to each entry of ``values``."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ConfigError(f"{name}: expected a list of numbers, got {values!r}") from None
+    return tuple(check(v, f"{name}[{g}]") for g, v in enumerate(items))
+
+
+_RATE_FIELDS = ("covid_treated", "covid_control", "ar_treated", "ar_control")
 
 
 @dataclass(frozen=True)
@@ -49,18 +97,11 @@ class IncidenceSpec:
     beta: float
 
     def __post_init__(self) -> None:
-        lengths = set()
-        for name in ("covid_treated", "covid_control", "ar_treated", "ar_control"):
-            values = tuple(float(v) for v in getattr(self, name))
-            object.__setattr__(self, name, values)
-            lengths.add(len(values))
-            for g, p in enumerate(values):
-                if not 0.0 <= p <= 1.0:
-                    raise ConfigError(f"{name}[{g}] must be a probability, got {p}")
-        if len(lengths) != 1:
+        for name in _RATE_FIELDS:
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), name, _as_probability))
+        if len({len(getattr(self, name)) for name in _RATE_FIELDS}) != 1:
             raise ConfigError("incidence lists must all have one entry per group")
-        if not 0.0 <= self.beta < math.inf:
-            raise ConfigError(f"beta must be finite and nonnegative, got {self.beta}")
+        object.__setattr__(self, "beta", _as_nonnegative(self.beta, "beta"))
 
 
 @dataclass(frozen=True)
@@ -75,14 +116,18 @@ class PowerSpec:
     var_treated: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.detectable_effect == 0.0 or not math.isfinite(self.detectable_effect):
-            raise ConfigError("detectable effect must be finite and nonzero")
+        object.__setattr__(
+            self, "detectable_effect", _as_nonzero(self.detectable_effect, "detectable effect")
+        )
         for name in ("power_quantile", "size_quantile"):
-            p = getattr(self, name)
+            p = _as_finite(getattr(self, name), name)
             if not 0.0 < p < 1.0:
                 raise ConfigError(f"{name} must lie strictly in (0, 1), got {p}")
-        object.__setattr__(self, "var_control", tuple(float(v) for v in self.var_control))
-        object.__setattr__(self, "var_treated", tuple(float(v) for v in self.var_treated))
+            object.__setattr__(self, name, p)
+        for name in ("var_control", "var_treated"):
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), name, _as_nonnegative))
+        if len(self.var_control) != len(self.var_treated):
+            raise ConfigError("var_control and var_treated differ in length")
 
 
 def _bernoulli_var(p: float) -> float:
@@ -135,20 +180,17 @@ def conservative_noise(
     incidence, treated's reaction incidence), so the two arms' composite
     variances come out identical by construction.
     """
-    groups = len(covid_control)
-    if isinstance(ar_treated, (int, float)):
-        ar = [float(ar_treated)] * groups
+    covid_control = _as_tuple(covid_control, "covid_control", _as_probability)
+    if isinstance(ar_treated, numbers.Real):
+        ar = (_as_probability(ar_treated, "ar_treated"),) * len(covid_control)
     else:
-        ar = [float(v) for v in ar_treated]
-        if len(ar) != groups:
+        ar = _as_tuple(ar_treated, "ar_treated", _as_probability)
+        if len(ar) != len(covid_control):
             raise ConfigError("ar_treated must be scalar or one entry per group")
-    beta_sq = _square(beta)
+    beta_sq = _square(_as_nonnegative(beta, "beta"))
     out = []
-    for g in range(groups):
-        for name, p in (("covid_control", covid_control[g]), ("ar_treated", ar[g])):
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name}[{g}] must be a probability, got {p}")
-        var = _bernoulli_var(float(covid_control[g])) + beta_sq * _bernoulli_var(ar[g])
+    for cc, a in zip(covid_control, ar):
+        var = _bernoulli_var(cc) + beta_sq * _bernoulli_var(a)
         out.append((var, var))
     return tuple(out)
 
@@ -162,6 +204,7 @@ def required_sample_size(spec: PowerSpec, weights: Sequence[float]) -> int:
     conventions (80% vs 90% power quantile) give materially different sizes;
     both are reported by the CLI rather than silently chosen.
     """
+    weights = _as_tuple(weights, "weights", _as_probability)
     if len(weights) != len(spec.var_control):
         raise ConfigError("weights and variance lists differ in length")
     pooled_control = sum(w * v for w, v in zip(weights, spec.var_control))
@@ -185,40 +228,6 @@ def required_sample_size(spec: PowerSpec, weights: Sequence[float]) -> int:
 # ---------------------------------------------------------------------------
 # Scenario configuration
 # ---------------------------------------------------------------------------
-
-DEFAULT_CONFIG: dict[str, Any] = {
-    "weights": [0.83, 0.17],
-    "budget": 9320,
-    "groups": [
-        {
-            "label": "18 to <65 yr",
-            "design": {"covid_control": 0.007, "ar_treated": 0.067},
-            "reported": {
-                "covid_treated": 0.0,
-                "covid_control": 0.0019,
-                "ar_treated": 0.1455,
-                "ar_control": 0.0253,
-            },
-        },
-        {
-            "label": ">=65 yr",
-            "design": {"covid_control": 0.025, "ar_treated": 0.067},
-            "reported": {
-                "covid_treated": 0.0,
-                "covid_control": 0.0028,
-                "ar_treated": 0.0950,
-                "ar_control": 0.0248,
-            },
-        },
-    ],
-    "beta_cases": [0.005, 0.025],
-    "power": {
-        "detectable_effect": -0.006,
-        "power_quantile": 0.90,
-        "size_quantile": 0.05,
-    },
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -248,26 +257,6 @@ def _require_keys(obj: Any, keys: set[str], path: str) -> None:
         raise ConfigError(f"{path}: missing key(s) {sorted(missing)}")
 
 
-def _as_finite(value: Any, path: str, expected: str = "a finite number") -> float:
-    """A JSON number as a finite float; ConfigError naming ``path`` for
-    anything else, including NaN, +-Infinity and integers beyond float range."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            v = float(value)
-        except OverflowError:
-            v = math.inf
-        if math.isfinite(v):
-            return v
-    raise ConfigError(f"{path}: expected {expected}, got {value!r}")
-
-
-def _as_probability(value: Any, path: str) -> float:
-    v = _as_finite(value, path)
-    if not 0.0 <= v <= 1.0:
-        raise ConfigError(f"{path}: expected a probability in [0, 1], got {v}")
-    return v
-
-
 def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
     """Validate a JSON-compatible scenario document; unknown keys rejected,
     violations reported with their field path."""
@@ -285,12 +274,7 @@ def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
             f"groups: expected a list with one entry per weight ({len(weights)})"
         )
     labels, design_cc, design_ar = [], [], []
-    reported: dict[str, list[float]] = {
-        "covid_treated": [],
-        "covid_control": [],
-        "ar_treated": [],
-        "ar_control": [],
-    }
+    reported: dict[str, list[float]] = {key: [] for key in _RATE_FIELDS}
     for g, entry in enumerate(groups):
         path = f"groups[{g}]"
         _require_keys(entry, {"label", "design", "reported"}, path)
@@ -308,16 +292,9 @@ def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
     beta_cases = obj["beta_cases"]
     if not isinstance(beta_cases, list) or not beta_cases:
         raise ConfigError("beta_cases: expected a nonempty list")
-    for i, b in enumerate(beta_cases):
-        path, expected = f"beta_cases[{i}]", "a finite nonnegative number"
-        if _as_finite(b, path, expected) < 0:
-            raise ConfigError(f"{path}: expected {expected}, got {b!r}")
+    beta_cases = tuple(_as_nonnegative(b, f"beta_cases[{i}]") for i, b in enumerate(beta_cases))
     power = obj["power"]
     _require_keys(power, {"detectable_effect", "power_quantile", "size_quantile"}, "power")
-    path, expected = "power.detectable_effect", "a finite nonzero number"
-    effect = _as_finite(power["detectable_effect"], path, expected)
-    if effect == 0:
-        raise ConfigError(f"{path}: expected {expected}, got {effect!r}")
     return ScenarioConfig(
         weights=weights,
         budget=budget,
@@ -325,19 +302,22 @@ def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
         design_covid_control=tuple(design_cc),
         design_ar_treated=tuple(design_ar),
         reported={k: tuple(v) for k, v in reported.items()},
-        beta_cases=tuple(float(b) for b in beta_cases),
-        detectable_effect=effect,
+        beta_cases=beta_cases,
+        detectable_effect=_as_nonzero(power["detectable_effect"], "power.detectable_effect"),
         power_quantile=_as_probability(power["power_quantile"], "power.power_quantile"),
         size_quantile=_as_probability(power["size_quantile"], "power.size_quantile"),
     )
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Read and validate a scenario file; text that is not UTF-8 JSON, or
-    nests too deeply to parse, becomes ConfigError."""
+    """Read and validate a scenario file.  A path that is missing or names a
+    directory, and text that is not UTF-8 JSON or nests too deeply to parse,
+    become ConfigError naming ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(obj)
@@ -375,15 +355,7 @@ def build_case_study(config: ScenarioConfig) -> tuple[CaseStudyCase, ...]:
             for g in range(len(config.weights))
         )
         problem = validate_problem(DesignProblem(budget=config.budget, groups=groups))
-        truth = composite_moments(
-            IncidenceSpec(
-                covid_treated=config.reported["covid_treated"],
-                covid_control=config.reported["covid_control"],
-                ar_treated=config.reported["ar_treated"],
-                ar_control=config.reported["ar_control"],
-                beta=beta,
-            )
-        )
+        truth = composite_moments(IncidenceSpec(**config.reported, beta=beta))
         power = PowerSpec(
             detectable_effect=config.detectable_effect,
             power_quantile=config.power_quantile,
@@ -395,6 +367,10 @@ def build_case_study(config: ScenarioConfig) -> tuple[CaseStudyCase, ...]:
     return tuple(cases)
 
 
+_BUNDLED_CONFIG = os.path.join(os.path.dirname(__file__), "covid_trial.json")
+
+
 def default_config() -> ScenarioConfig:
-    """The bundled two-group COVID-19 vaccine scenario."""
-    return parse_config(json.loads(json.dumps(DEFAULT_CONFIG)))
+    """The bundled two-group COVID-19 vaccine scenario: ``covid_trial.json``
+    in this package's directory, read by ``load_config``."""
+    return load_config(_BUNDLED_CONFIG)

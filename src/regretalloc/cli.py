@@ -38,7 +38,6 @@ from .allocate import allocate as build_allocation
 from .casestudy import (
     CaseStudyCase,
     ConfigError,
-    ScenarioConfig,
     build_case_study,
     default_config,
     load_config,
@@ -154,35 +153,32 @@ def _monte_carlo(args: argparse.Namespace, case: CaseStudyCase, allocation: Allo
     return estimate.mean, estimate.std_error
 
 
-def _power_table(config: ScenarioConfig, cases, vs_budget: bool) -> ReportTable:
+def _power_table(cases, vs_budget: bool) -> ReportTable:
     """Required total sample size under both documented quantile conventions
     (the configured power quantile, then 80%), optionally against the budget."""
     headers = ["beta", "power_quantile", "size_quantile", "required_n"]
     if vs_budget:
         table = ReportTable(
             "required total sample size", headers + ["vs budget"],
-            note=f"budget in config: {config.budget}",
+            note=f"budget in config: {cases[0].problem.budget}",
         )
     else:
         table = ReportTable("power conventions", headers)
     for case in cases:
         for pq in (case.power.power_quantile, 0.80):
             spec = dataclasses.replace(case.power, power_quantile=pq)
-            n = required_sample_size(spec, config.weights)
+            n = required_sample_size(spec, case.problem.weights)
             row = [_fmt_raw(case.beta), _fmt_raw(pq), _fmt_raw(spec.size_quantile), str(n)]
             if vs_budget:
-                row.append(f"{(n - config.budget) / config.budget:+.2%}")
+                budget = case.problem.budget
+                row.append(f"{(n - budget) / budget:+.2%}")
             table.add_row(row)
     return table
 
 
-def _load(config_path: str | None) -> ScenarioConfig:
-    if config_path is None:
-        return default_config()
-    path = Path(config_path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return load_config(str(path))
+def _cases(args: argparse.Namespace) -> tuple[CaseStudyCase, ...]:
+    """The cases of the ``--config`` file, or of the bundled scenario."""
+    return build_case_study(default_config() if args.config is None else load_config(args.config))
 
 
 def _parse_allocation(text: str) -> Allocation:
@@ -200,8 +196,7 @@ def _parse_allocation(text: str) -> Allocation:
 
 
 def cmd_allocate(args: argparse.Namespace, out) -> int:
-    config = _load(args.config)
-    cases = build_case_study(config)
+    cases = _cases(args)
     table = ReportTable(
         title=f"{args.scheme} allocation",
         headers=["beta", "counts", "total", *(f"worst {f}" for f in _PARADIGM_FLAGS)],
@@ -218,8 +213,7 @@ def cmd_allocate(args: argparse.Namespace, out) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace, out) -> int:
-    config = _load(args.config)
-    cases = build_case_study(config)
+    cases = _cases(args)
     names = list(_PARADIGM_FLAGS) if args.paradigm == "all" else [args.paradigm]
     headers = ["beta", "counts", "paradigm", "worst case", "expected"]
     if args.reps:
@@ -289,8 +283,7 @@ Known conventions and deviations in these tables
 
 
 def cmd_reproduce(args: argparse.Namespace, out) -> int:
-    config = _load(args.config)
-    cases = build_case_study(config)
+    cases = _cases(args)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -344,15 +337,14 @@ def cmd_reproduce(args: argparse.Namespace, out) -> int:
     table4.write_csv(out_dir / "table4.csv")
     table5.write_csv(out_dir / "table5.csv")
     constants_table.write_csv(out_dir / "constants.csv")
-    _power_table(config, cases, vs_budget=False).write_csv(out_dir / "power_conventions.csv")
+    _power_table(cases, vs_budget=False).write_csv(out_dir / "power_conventions.csv")
     (out_dir / "discrepancies.txt").write_text(_DISCREPANCIES_TEXT, encoding="utf-8")
     print(f"wrote case-study tables to {out_dir}", file=out)
     return 0
 
 
 def cmd_power(args: argparse.Namespace, out) -> int:
-    config = _load(args.config)
-    print(_power_table(config, build_case_study(config), vs_budget=True).render(), file=out)
+    print(_power_table(_cases(args), vs_budget=True).render(), file=out)
     return 0
 
 

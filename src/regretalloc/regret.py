@@ -354,14 +354,9 @@ def joint_regret_expression(
     return scale * (mismatch_term + factor * t_dagger * sf)
 
 
-def worst_case(
-    problem: DesignProblem,
-    allocation: Allocation,
-    paradigm: Paradigm,
-    kappa_tol: float = KAPPA_TOL_DEFAULT,
-) -> RegretSummary:
+def worst_case(problem: DesignProblem, allocation: Allocation, paradigm: Paradigm) -> RegretSummary:
     """Dispatch the worst-case evaluation by paradigm."""
-    return paradigm_rule(paradigm).worst_case(problem, allocation, kappa_tol)
+    return paradigm_rule(paradigm).worst_case(problem, allocation)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +371,13 @@ class ParadigmRule:
     estimate, covers every group.  ``worst_off``: per-group regrets are
     unweighted and combine by their max (in Monte Carlo, the max of the
     per-group means); otherwise they combine by a population-weighted sum
-    per replication.  ``worst_case(problem, allocation, kappa_tol)`` is the
-    closed-form worst case."""
+    per replication.  ``worst_case(problem, allocation)`` is the closed-form
+    worst case."""
 
     flag: str
     pooled: bool
     worst_off: bool
-    worst_case: Callable[[DesignProblem, Allocation, float], RegretSummary]
+    worst_case: Callable[[DesignProblem, Allocation], RegretSummary]
 
     def combine(self, per_group) -> float:
         return max(per_group) if self.worst_off else sum(per_group)
@@ -392,18 +387,15 @@ class ParadigmRule:
 
 
 # Entries are in Paradigm order, which is the column order of every report.
-# Only the pooled worst case uses the mismatch tolerance kappa_tol.
 PARADIGMS: dict[Paradigm, ParadigmRule] = {
     Paradigm.SEPARATE_UTILITARIAN: ParadigmRule(
-        "separate", pooled=False, worst_off=False,
-        worst_case=lambda problem, allocation, _: worst_case_separate(problem, allocation),
+        "separate", pooled=False, worst_off=False, worst_case=worst_case_separate,
     ),
     Paradigm.JOINT_UTILITARIAN: ParadigmRule(
         "joint", pooled=True, worst_off=False, worst_case=worst_case_joint,
     ),
     Paradigm.SEPARATE_EGALITARIAN: ParadigmRule(
-        "egalitarian", pooled=False, worst_off=True,
-        worst_case=lambda problem, allocation, _: worst_case_egalitarian(problem, allocation),
+        "egalitarian", pooled=False, worst_off=True, worst_case=worst_case_egalitarian,
     ),
 }
 

@@ -10,7 +10,13 @@ this package's own closed forms tightly.
 Regret entries are in units of 1e-4 unless noted; rates are fractions.
 """
 
+import json
 import math
+from pathlib import Path
+
+from regretalloc import casestudy
+
+BUNDLED_CONFIG_PATH = Path(casestudy.__file__).with_name("covid_trial.json")
 
 # --- universal constants (independent bisection oracle, 40 digits) --------
 ORACLE_T_STAR = 0.751791524693564
@@ -170,3 +176,9 @@ def agrees_with_printed(value: float, printed: str, rel: float, abs_floor: float
     ref = float(printed)
     tol = max(rel * abs(ref), print_quantum(printed), abs_floor)
     return math.isfinite(value) and abs(value - ref) <= tol
+
+
+def bundled_config_document() -> dict:
+    """A fresh, mutable copy of the bundled scenario document, read from the
+    JSON file packaged with ``regretalloc``."""
+    return json.loads(BUNDLED_CONFIG_PATH.read_text(encoding="utf-8"))

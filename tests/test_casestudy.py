@@ -3,13 +3,16 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from regretalloc import casestudy
 from regretalloc.allocate import egalitarian_allocation, minimax_allocation
 from regretalloc.casestudy import (
     ConfigError,
-    DEFAULT_CONFIG,
     IncidenceSpec,
     PowerSpec,
     build_case_study,
@@ -22,6 +25,7 @@ from regretalloc.casestudy import (
 )
 from regretalloc.model import ValidationError
 from reference_values import (
+    BUNDLED_CONFIG_PATH,
     ORACLE_DESIGN_NOISE,
     ORACLE_REQUIRED_N,
     ORACLE_TRUTH_NOISE,
@@ -29,6 +33,7 @@ from reference_values import (
     REF_DESIGN_NOISE_PCT,
     REF_TRUTH_NOISE_PCT,
     REF_TRUTH_TAU_PCT,
+    bundled_config_document,
 )
 
 REPORTED = {
@@ -96,6 +101,40 @@ class TestCompositeMoments:
                 ar_treated=(0.0,), ar_control=(0.0,), beta=0.1,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("covid_treated", ("0.5",), r"covid_treated\[0\]"),
+            ("covid_control", (True,), r"covid_control\[0\]"),
+            ("ar_treated", (None,), r"ar_treated\[0\]"),
+            ("ar_control", (math.nan,), r"ar_control\[0\]"),
+            ("ar_control", None, "ar_control"),
+            ("beta", "x", "beta"),
+            ("beta", True, "beta"),
+            ("beta", -0.1, "beta"),
+        ],
+        ids=["string-rate", "bool-rate", "none-rate", "nan-rate", "none-list",
+             "string-beta", "bool-beta", "negative-beta"],
+    )
+    def test_bad_input_is_a_config_error_naming_it(self, field, value, match):
+        fields = dict(
+            covid_treated=(0.0,), covid_control=(0.01,), ar_treated=(0.1,), ar_control=(0.02,),
+            beta=0.1,
+        )
+        fields[field] = value
+        with pytest.raises(ConfigError, match=match):
+            IncidenceSpec(**fields)
+
+    def test_numpy_scalars_accepted(self):
+        spec = IncidenceSpec(
+            covid_treated=np.array([0.0]), covid_control=(np.float64(0.01),),
+            ar_treated=(np.float32(0.5),), ar_control=(0.02,), beta=np.float64(0.1),
+        )
+        assert spec == IncidenceSpec(
+            covid_treated=(0.0,), covid_control=(0.01,), ar_treated=(0.5,), ar_control=(0.02,),
+            beta=0.1,
+        )
+
     def test_rejects_ragged_group_lists(self):
         with pytest.raises(ConfigError, match="per group"):
             IncidenceSpec(
@@ -127,6 +166,37 @@ class TestConservativeNoise:
         assert scalar == vector
         with pytest.raises(ConfigError, match="one entry per group"):
             conservative_noise((0.01, 0.02), (0.05,), 0.1)
+
+    def test_numpy_scalars_and_arrays_accepted(self):
+        assert conservative_noise((0.01, 0.02), np.float32(0.05), 0.1) == conservative_noise(
+            (0.01, 0.02), float(np.float32(0.05)), 0.1
+        )
+        from_arrays = conservative_noise(
+            np.array([0.01, 0.02]), np.array([0.05, 0.05]), np.float64(0.1)
+        )
+        assert from_arrays == conservative_noise((0.01, 0.02), 0.05, 0.1)
+        assert all(type(v) is float for pair in from_arrays for v in pair)
+
+    @pytest.mark.parametrize(
+        "covid_control, ar_treated, beta, field",
+        [
+            (("x", 0.02), 0.05, 0.1, r"covid_control\[0\]"),
+            ((0.01, None), 0.05, 0.1, r"covid_control\[1\]"),
+            ((0.01, True), 0.05, 0.1, r"covid_control\[1\]"),
+            (None, 0.05, 0.1, "covid_control"),
+            ((0.01, 0.02), True, 0.1, "ar_treated"),
+            ((0.01, 0.02), 1.5, 0.1, "ar_treated"),
+            ((0.01, 0.02), (0.05, "0.05"), 0.1, r"ar_treated\[1\]"),
+            ((0.01, 0.02), 0.05, "x", "beta"),
+            ((0.01, 0.02), 0.05, -0.1, "beta"),
+            ((0.01, 0.02), 0.05, math.nan, "beta"),
+        ],
+        ids=["string-rate", "none-rate", "bool-rate", "none-list", "bool-scalar",
+             "scalar-above-one", "string-in-list", "string-beta", "negative-beta", "nan-beta"],
+    )
+    def test_bad_input_is_a_config_error_naming_it(self, covid_control, ar_treated, beta, field):
+        with pytest.raises(ConfigError, match=field):
+            conservative_noise(covid_control, ar_treated, beta)
 
 
 class TestRequiredSampleSize:
@@ -197,6 +267,55 @@ class TestRequiredSampleSize:
         with pytest.raises(ConfigError, match="length"):
             required_sample_size(self.make_spec(0.005, 0.9), (1.0,))
 
+    def test_negative_variance_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"var_control\[0\]"):
+            required_sample_size(PowerSpec(-0.006, 0.9, 0.05, (-1.0,), (0.1,)), (1.0,))
+
+    @pytest.mark.parametrize("field", ["var_control", "var_treated"])
+    @pytest.mark.parametrize(
+        "value", [-1.0, -1e-300, math.nan, math.inf, -math.inf, "0.1", None, True],
+        ids=["negative", "tiny-negative", "nan", "inf", "-inf", "string", "none", "bool"],
+    )
+    def test_bad_variance_is_a_config_error_naming_it(self, field, value):
+        variances = {"var_control": (0.1, 0.1), "var_treated": (0.1, 0.1), field: (0.1, value)}
+        with pytest.raises(ConfigError, match=rf"{field}\[1\]"):
+            PowerSpec(-0.006, 0.9, 0.05, **variances)
+
+    @pytest.mark.parametrize(
+        "weights", [(math.nan,), (-1.0,), ("x",), (None,)], ids=["nan", "negative", "string", "none"]
+    )
+    def test_bad_weight_is_a_config_error_naming_it(self, weights):
+        with pytest.raises(ConfigError, match=r"weights\[0\]"):
+            required_sample_size(PowerSpec(-0.006, 0.9, 0.05, (0.1,), (0.1,)), weights)
+
+    def test_zero_variances_are_legal(self):
+        assert required_sample_size(PowerSpec(-0.006, 0.9, 0.05, (0.0,), (0.0,)), (1.0,)) == 0
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (("x", 0.9, 0.05, (0.1,), (0.1,)), "detectable effect"),
+            ((-0.006, "x", 0.05, (0.1,), (0.1,)), "power_quantile"),
+            ((-0.006, 0.9, 1.0, (0.1,), (0.1,)), "size_quantile"),
+            ((-0.006, 0.9, 0.05, None, (0.1,)), "var_control"),
+            ((-0.006, 0.9, 0.05, (0.1, 0.1), (0.1,)), "length"),
+        ],
+        ids=["string-effect", "string-quantile", "quantile-one", "none-list", "ragged"],
+    )
+    def test_bad_fields_are_config_errors(self, args, match):
+        with pytest.raises(ConfigError, match=match):
+            PowerSpec(*args)
+
+    def test_numpy_scalars_accepted(self):
+        spec = PowerSpec(
+            np.float64(-0.006), np.float64(0.9), np.float64(0.05),
+            np.array([0.1, 0.2]), (np.float64(0.1), 0.2),
+        )
+        assert spec == PowerSpec(-0.006, 0.9, 0.05, (0.1, 0.2), (0.1, 0.2))
+        assert required_sample_size(spec, (0.5, 0.5)) == required_sample_size(
+            PowerSpec(-0.006, 0.9, 0.05, (0.1, 0.2), (0.1, 0.2)), (0.5, 0.5)
+        )
+
 
 class TestConfigParsing:
     def test_default_config_parses(self):
@@ -206,31 +325,31 @@ class TestConfigParsing:
         assert config.beta_cases == (0.005, 0.025)
 
     def test_unknown_key_rejected_with_path(self):
-        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken = bundled_config_document()
         broken["groups"][0]["design"]["bonus"] = 1
         with pytest.raises(ConfigError, match=r"groups\[0\].design"):
             parse_config(broken)
 
     def test_unknown_top_level_key_rejected(self):
-        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken = bundled_config_document()
         broken["extra"] = True
         with pytest.raises(ConfigError, match="extra"):
             parse_config(broken)
 
     def test_missing_key_reported(self):
-        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken = bundled_config_document()
         del broken["groups"][1]["reported"]["ar_control"]
         with pytest.raises(ConfigError, match=r"groups\[1\].reported"):
             parse_config(broken)
 
     def test_probability_out_of_range_reported_with_path(self):
-        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken = bundled_config_document()
         broken["groups"][0]["reported"]["ar_treated"] = 1.7
         with pytest.raises(ConfigError, match=r"groups\[0\].reported.ar_treated"):
             parse_config(broken)
 
     def test_group_weight_count_mismatch(self):
-        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken = bundled_config_document()
         broken["weights"] = [1.0]
         with pytest.raises(ConfigError, match="groups"):
             parse_config(broken)
@@ -241,7 +360,7 @@ class TestConfigParsing:
         ids=["string", "null", "bool", "above-one", "negative"],
     )
     def test_bad_weight_reported_with_index(self, weights, index):
-        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken = bundled_config_document()
         broken["weights"] = weights
         with pytest.raises(ConfigError, match=rf"weights\[{index}\]"):
             parse_config(broken)
@@ -250,14 +369,14 @@ class TestConfigParsing:
         "value", [math.nan, math.inf, -math.inf, -(10**400)], ids=["nan", "inf", "-inf", "huge-int"]
     )
     def test_non_finite_detectable_effect_rejected(self, value):
-        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken = bundled_config_document()
         broken["power"]["detectable_effect"] = value
         with pytest.raises(ConfigError, match="power.detectable_effect"):
             parse_config(broken)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge-int"])
     def test_non_finite_beta_case_rejected_with_index(self, value):
-        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken = bundled_config_document()
         broken["beta_cases"] = [0.005, value]
         with pytest.raises(ConfigError, match=r"beta_cases\[1\]"):
             parse_config(broken)
@@ -276,21 +395,21 @@ class TestConfigParsing:
                 IncidenceSpec(**rates, beta=value)
 
     def test_nan_literal_in_config_file_is_a_config_error(self, tmp_path):
-        text = json.dumps(DEFAULT_CONFIG).replace("-0.006", "NaN")
+        text = json.dumps(bundled_config_document()).replace("-0.006", "NaN")
         path = tmp_path / "nan.json"
         path.write_text(text)
         with pytest.raises(ConfigError, match="power.detectable_effect"):
             load_config(str(path))
 
     def test_budget_type_checked(self):
-        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken = bundled_config_document()
         broken["budget"] = "many"
         with pytest.raises(ConfigError, match="budget"):
             parse_config(broken)
 
     def test_load_config_round_trips(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(DEFAULT_CONFIG))
+        path.write_text(json.dumps(bundled_config_document()))
         assert load_config(str(path)) == default_config()
 
     def test_load_config_invalid_json(self, tmp_path):
@@ -312,7 +431,7 @@ class TestConfigParsing:
     def test_huge_beta_is_a_validation_error(self, beta):
         # Variances past float range: the square overflows (1e308), or the
         # egalitarian shares do (1e154).
-        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken = bundled_config_document()
         broken["beta_cases"] = [beta]
         with pytest.raises(ValidationError):
             for case in build_case_study(parse_config(broken)):
@@ -320,18 +439,34 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("effect", [1e-300, 1e-160, 1e308, -1e308])
     def test_sample_size_out_of_float_range_is_a_config_error(self, effect):
-        broken = json.loads(json.dumps(DEFAULT_CONFIG))
+        broken = bundled_config_document()
         broken["power"]["detectable_effect"] = effect
         config = parse_config(broken)
         case = build_case_study(config)[0]
         with pytest.raises(ConfigError, match="no finite sample size"):
             required_sample_size(case.power, config.weights)
 
-    def test_bundled_config_file_matches_default(self):
-        from pathlib import Path
+    def test_bundled_config_file_matches_default(self, monkeypatch):
+        assert BUNDLED_CONFIG_PATH.is_file()
+        paths = []
 
-        bundled = Path(__file__).resolve().parents[1] / "configs" / "covid_trial.json"
-        assert load_config(str(bundled)) == default_config()
+        def recording_load_config(path):
+            paths.append(Path(path))
+            return load_config(path)
+
+        monkeypatch.setattr(casestudy, "load_config", recording_load_config)
+        assert default_config() == load_config(str(BUNDLED_CONFIG_PATH))
+        assert paths == [BUNDLED_CONFIG_PATH]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "below-a-file"])
+    def test_unreadable_path_is_a_config_error_naming_it(self, tmp_path, kind):
+        target = {
+            "missing": tmp_path / "missing.json",
+            "directory": tmp_path,
+            "below-a-file": BUNDLED_CONFIG_PATH / "scenario.json",
+        }[kind]
+        with pytest.raises(ConfigError, match=re.escape(str(target))):
+            load_config(str(target))
 
 
 class TestBuildCaseStudy:
@@ -353,12 +488,13 @@ class TestBuildCaseStudy:
             assert case.power.size_quantile == 0.05
 
     def test_single_group_pipeline_degenerates(self):
+        bundled = bundled_config_document()
         config = {
             "weights": [1.0],
             "budget": 100,
-            "groups": [DEFAULT_CONFIG["groups"][0]],
+            "groups": [bundled["groups"][0]],
             "beta_cases": [0.005],
-            "power": DEFAULT_CONFIG["power"],
+            "power": bundled["power"],
         }
         cases = build_case_study(parse_config(json.loads(json.dumps(config))))
         assert len(cases) == 1

@@ -7,7 +7,6 @@ import math
 
 import pytest
 
-from regretalloc.casestudy import DEFAULT_CONFIG
 from regretalloc.cli import ReportTable, main
 from reference_values import (
     ORACLE_C0,
@@ -15,6 +14,7 @@ from reference_values import (
     REF_EXPECTED,
     REF_WORST_CASE,
     agrees_with_printed,
+    bundled_config_document,
 )
 
 
@@ -82,9 +82,34 @@ class TestAllocateCommand:
         assert code == 2
         assert "/nowhere/missing.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["allocate", "evaluate", "reproduce", "power"])
+    def test_directory_config_exits_2_naming_path(self, tmp_path, capsys, command):
+        argv = [command, "--config", str(tmp_path)]
+        argv += {"allocate": ["--scheme", "minimax"], "evaluate": ["--scheme", "minimax"],
+                 "reproduce": ["--out", str(tmp_path / "out")]}.get(command, [])
+        code, _ = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{tmp_path}: Is a directory" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("power_quantile", 1.0), ("size_quantile", 0)], ids=["one", "zero"]
+    )
+    def test_boundary_quantile_in_config_exits_2(self, tmp_path, capsys, field, value):
+        config = bundled_config_document()
+        config["power"][field] = value
+        path = tmp_path / "quantile.json"
+        path.write_text(json.dumps(config))
+        code, _ = run_cli(["power", "--config", str(path)])
+        assert code == 2
+        assert f"error: {field} must lie strictly in (0, 1), got {float(value)}\n" == (
+            capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize("weights", [["a", 0.5], [0.5, None]], ids=["string", "null"])
     def test_bad_config_weight_exits_2_without_traceback(self, tmp_path, capsys, weights):
-        config = json.loads(json.dumps(DEFAULT_CONFIG))
+        config = bundled_config_document()
         config["weights"] = weights
         path = tmp_path / "bad_weights.json"
         path.write_text(json.dumps(config))
@@ -268,7 +293,7 @@ class TestNonFiniteConfig:
     def test_non_finite_config_exits_2_without_traceback(
         self, tmp_path, capsys, field, value, command
     ):
-        config = json.loads(json.dumps(DEFAULT_CONFIG))
+        config = bundled_config_document()
         if field == "beta":
             config["beta_cases"] = [value]
             expected = "beta_cases[0]"
@@ -298,7 +323,7 @@ class TestNonFiniteConfig:
         ids=["huge-budget", "huge-beta", "big-beta", "tiny-effect"],
     )
     def test_values_beyond_float_range_exit_2(self, tmp_path, capsys, key, value, command, expected):
-        config = json.loads(json.dumps(DEFAULT_CONFIG))
+        config = bundled_config_document()
         config[key] = value
         path = tmp_path / "extreme.json"
         path.write_text(json.dumps(config))

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from regretalloc.allocate import SCHEMES, allocate
 from regretalloc.casestudy import (
-    DEFAULT_CONFIG,
     ConfigError,
     build_case_study,
     parse_config,
@@ -24,6 +23,7 @@ from regretalloc.casestudy import (
 from regretalloc.cli import main
 from regretalloc.model import ValidationError
 from regretalloc.regret import PARADIGMS, expected_regret, worst_case
+from reference_values import bundled_config_document
 
 # Numbers near the edges of what the parser and the arithmetic behind it
 # accept: zero and signs, float range limits, integers past 2**53 and past
@@ -59,16 +59,17 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-DEFAULT_PATHS = list(_paths(DEFAULT_CONFIG))
+BUNDLED = bundled_config_document()
+BUNDLED_PATHS = list(_paths(BUNDLED))
 
 
 @st.composite
 def mutated_configs(draw):
     """The bundled config with one to three values replaced, removed, or
     joined by an extra key or list entry."""
-    doc = copy.deepcopy(DEFAULT_CONFIG)
+    doc = copy.deepcopy(BUNDLED)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        path = draw(st.sampled_from(DEFAULT_PATHS))
+        path = draw(st.sampled_from(BUNDLED_PATHS))
         value = draw(st.one_of(EDGE_NUMBERS, JSON_VALUES))
         if not path:
             return value
@@ -153,7 +154,7 @@ CONFIG_CHOICES = ["bundled", "missing", "not-json", "not-utf8", "too-deep", "fuz
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    (root / "bundled.json").write_text(json.dumps(DEFAULT_CONFIG))
+    (root / "bundled.json").write_text(json.dumps(BUNDLED))
     (root / "not-json.json").write_text("{\"weights\": [0.83,")
     (root / "not-utf8.json").write_bytes(b"{\"weights\": \"\xff\xfe\"}")
     (root / "too-deep.json").write_text("[" * 100_000)

@@ -105,7 +105,7 @@ class TestParadigmTable:
     def test_table_evaluator_matches_public_worst_case(self):
         problem, allocation = problem_and_allocation()
         for paradigm, rule in PARADIGMS.items():
-            via_table = rule.worst_case(problem, allocation, 1e-4)
+            via_table = rule.worst_case(problem, allocation)
             assert via_table == worst_case(problem, allocation, paradigm)
             assert via_table.paradigm is paradigm
 
