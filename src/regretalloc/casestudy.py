@@ -209,15 +209,13 @@ def required_sample_size(spec: PowerSpec, weights: Sequence[float]) -> int:
         raise ConfigError("weights and variance lists differ in length")
     pooled_control = sum(w * v for w, v in zip(weights, spec.var_control))
     pooled_treated = sum(w * v for w, v in zip(weights, spec.var_treated))
+    contrast_var = 2.0 * (pooled_control + pooled_treated)
+    if not math.isfinite(contrast_var):
+        raise ConfigError("variances var_control and var_treated pool beyond float range")
     z_power = normal_quantile(spec.power_quantile)
     z_size = normal_quantile(spec.size_quantile)
     try:
-        raw = (
-            2.0
-            * (pooled_control + pooled_treated)
-            * (z_power - z_size) ** 2
-            / spec.detectable_effect**2
-        )
+        raw = contrast_var * (z_power - z_size) ** 2 / spec.detectable_effect**2
         return 2 * math.ceil(raw / 2.0)
     except (OverflowError, ZeroDivisionError):  # effect**2 or the size out of float range
         raise ConfigError(

@@ -42,6 +42,14 @@ class ValidationError(ValueError):
     """An input violates a documented structural invariant."""
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int; numpy integers (numbers.Integral, so no numpy
+    import) convert, while bools and 1.5, 2.0, None, "3" raise ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _record_pass(instance) -> None:
     # A frozen dataclass refuses setattr; the record shadows the class-level
     # ``_checked = False`` from the instance ``__dict__``.
@@ -138,7 +146,14 @@ class TruthScenario:
 
     def __post_init__(self) -> None:
         for name in ("tau", "baseline", "var_control", "var_treated"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            values = getattr(self, name)
+            try:
+                coerced = tuple(float(v) for v in values)
+            except (TypeError, ValueError, OverflowError):  # None, "x", a bare scalar
+                raise ValidationError(
+                    f"scenario field {name} must be a sequence of real numbers, got {values!r}"
+                ) from None
+            object.__setattr__(self, name, coerced)
 
     @cached_property
     def var_sums(self) -> tuple[float, ...]:
@@ -182,7 +197,7 @@ def validate_problem(problem: DesignProblem) -> DesignProblem:
             ("control-arm variance", spec.var_control),
             ("treated-arm variance", spec.var_treated),
         ):
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValidationError(f"group {g}: {name} must be a real number, got {value!r}")
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValidationError(f"group {g}: {name} must be positive, got {value}")
@@ -191,11 +206,8 @@ def validate_problem(problem: DesignProblem) -> DesignProblem:
         raise ValidationError(
             f"group weights must sum to 1 within {WEIGHT_SUM_TOL:g}; got {total_weight!r}"
         )
-    budget = problem.budget
     # Counts are integers, so a fractional or NaN budget has no meaning.
-    # numbers.Integral admits numpy integers without importing numpy.
-    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
-        raise ValidationError(f"budget must be an integer, got {budget!r}")
+    budget = _as_int("budget", problem.budget)
     if budget < 2 * len(groups):
         raise ValidationError(
             f"budget {budget} cannot give each of {len(groups)} groups "
@@ -217,13 +229,7 @@ def check_allocation(problem: DesignProblem, allocation: Allocation) -> Allocati
         raise ValidationError(
             f"allocation has {len(counts)} entries for {problem.n_groups} groups"
         )
-    if not allocation._checked:
-        for g, n in enumerate(counts):
-            if n < 0:
-                raise ValidationError(f"group {g}: count {n} is negative")
-            if n % 2 != 0:
-                raise ValidationError(f"group {g}: count {n} is odd; strata must balance 1:1")
-        _record_pass(allocation)
+    _check_counts(allocation)
     if allocation.total > problem.budget:
         raise ValidationError(
             f"allocation total {allocation.total} exceeds budget {problem.budget}"
@@ -231,12 +237,30 @@ def check_allocation(problem: DesignProblem, allocation: Allocation) -> Allocati
     return allocation
 
 
+def _check_counts(allocation: Allocation) -> None:
+    """Even nonnegative counts; checked once per allocation."""
+    if allocation._checked:
+        return
+    for g, n in enumerate(allocation.counts):
+        if n < 0:
+            raise ValidationError(f"group {g}: count {n} is negative")
+        if n % 2 != 0:
+            raise ValidationError(f"group {g}: count {n} is odd; strata must balance 1:1")
+    _record_pass(allocation)
+
+
 def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenario:
     """Check a truth scenario against a problem: matching group count,
     finite values and positive variances.  The value checks run once per
     scenario; the group count, which depends on the problem, is compared on
     every call."""
-    G = problem.n_groups
+    _check_scenario_values(truth, problem.n_groups)
+    return truth
+
+
+def _check_scenario_values(truth: TruthScenario, G: int) -> None:
+    """Every field has ``G`` entries, and (once per scenario) the values are
+    finite and the variances positive."""
     checked = truth._checked
     for name, values in (
         ("tau", truth.tau),
@@ -246,13 +270,10 @@ def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenari
     ):
         if len(values) != G:
             raise ValidationError(f"scenario field {name} has {len(values)} entries for {G} groups")
-        # A NaN or inf makes the sum non-finite, so the per-value test runs
-        # only then (or when large finite values overflow the sum).
-        if not checked and not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        if not checked and not all(map(math.isfinite, values)):
             raise ValidationError(f"scenario field {name} must be finite, got {values}")
     if not checked:
         for g in range(G):
             if truth.var_control[g] <= 0.0 or truth.var_treated[g] <= 0.0:
                 raise ValidationError(f"group {g}: scenario variances must be positive")
         _record_pass(truth)
-    return truth

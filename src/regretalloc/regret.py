@@ -34,6 +34,7 @@ are absorbing in comparisons.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,7 +55,7 @@ from .stats import normal_cdf, normal_pdf, normal_sf, threshold_constants
 # rounding of an exactly proportional selection perturbs K by O(1/total),
 # around 1e-5 for the bundled case study; genuinely non-proportional
 # selections sit orders of magnitude above this threshold.
-KAPPA_TOL_DEFAULT = 1e-4
+KAPPA_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,12 @@ def _standard_error(var_sum: float, count: int) -> float:
     if count == 0:
         return math.inf
     return math.sqrt(2.0 * var_sum / count)
+
+
+def _pooled_standard_error(h, var_sums, total: int) -> float:
+    """sqrt(2 * sum_g h_g*(s0_g^2+s1_g^2) / total): the standard error of the
+    pooled mean difference under sampling fractions ``h``."""
+    return _standard_error(sum(hg * s for hg, s in zip(h, var_sums)), total)
 
 
 def _wrong_sign_probability(tau: float, se: float) -> float:
@@ -175,15 +182,11 @@ def _mismatch_terms(w, h) -> tuple[float, float, float]:
     return scale - len(w) * inv_h / inv_w, scale, inv_h / inv_w
 
 
-def worst_case_joint(
-    problem: DesignProblem,
-    allocation: Allocation,
-    kappa_tol: float = KAPPA_TOL_DEFAULT,
-) -> RegretSummary:
+def worst_case_joint(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
     """Hj(n): worst-case regret of the pooled sign decision.
 
     Returns infinity when any group is unsampled or when the mismatch
-    statistic K exceeds ``kappa_tol`` relative to sum_g w_g/h_g; otherwise
+    statistic K exceeds ``KAPPA_TOL`` relative to sum_g w_g/h_g; otherwise
     evaluates F * c0 * sqrt(2 * sum_g h_g*(s0_g^2+s1_g^2) / total).
     """
     validate_problem(problem)
@@ -194,11 +197,10 @@ def worst_case_joint(
         return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, math.inf)
     h = sampling_fractions(allocation)
     kappa, scale, factor = _mismatch_terms(problem.weights, h)
-    if abs(kappa) > kappa_tol * scale:
+    if abs(kappa) > KAPPA_TOL * scale:
         return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, math.inf)
-    pooled_var = sum(hg * s for hg, s in zip(h, problem.var_sums))
     c0 = threshold_constants().c0
-    value = factor * c0 * math.sqrt(2.0 * pooled_var / allocation.total)
+    value = factor * c0 * _pooled_standard_error(h, problem.var_sums, allocation.total)
     return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, value)
 
 
@@ -229,10 +231,7 @@ def expected_regret(
             return RegretSummary._from_floats(paradigm, abs(aggregate) / 2.0)
         h = sampling_fractions(allocation)
         tau_bar = sum(hg * t for hg, t in zip(h, truth.tau))
-        se = math.sqrt(
-            2.0 * sum(hg * s for hg, s in zip(h, truth.var_sums)) / allocation.total
-        )
-        stat = tau_bar / se
+        stat = tau_bar / _pooled_standard_error(h, truth.var_sums, allocation.total)
         # Wrong decision: fail to treat when the aggregate effect is positive,
         # or treat when it is negative.
         if aggregate > 0.0:
@@ -250,13 +249,16 @@ def expected_regret(
     return RegretSummary._from_floats(paradigm, rule.combine(per_group), per_group)
 
 
-def _check_all_sampled(problem: DesignProblem, allocation: Allocation, t_dagger: float = 0.0) -> None:
+def _check_all_sampled(problem: DesignProblem, allocation: Allocation) -> None:
     validate_problem(problem)
     check_allocation(problem, allocation)
-    if not math.isfinite(t_dagger):
-        raise ValidationError(f"t_dagger must be finite, got {t_dagger}")
     if any(n == 0 for n in allocation.counts):
         raise ValidationError("adversarial profiles are undefined for unsampled groups")
+
+
+def _check_t_dagger(t_dagger) -> None:
+    if not isinstance(t_dagger, numbers.Real) or not math.isfinite(t_dagger):
+        raise ValidationError(f"t_dagger must be a finite real number, got {t_dagger!r}")
 
 
 def _design_scenario(problem: DesignProblem, tau: tuple[float, ...]) -> TruthScenario:
@@ -301,7 +303,8 @@ def joint_adversarial_tau(
     profile is a rescaled t_dagger because the per-group standardization
     uses sum h^2*S while the pooled statistic uses sum h*S.)
     """
-    _check_all_sampled(problem, allocation, t_dagger)
+    _check_all_sampled(problem, allocation)
+    _check_t_dagger(t_dagger)
     h = sampling_fractions(allocation)
     w = problem.weights
     total = allocation.total
@@ -336,13 +339,13 @@ def joint_regret_expression(
     For K = 0 the supremum over t is the finite pooled worst case; for
     K > 0 the expression diverges as t -> -infinity.
     """
-    _check_all_sampled(problem, allocation, t_dagger)
+    _check_all_sampled(problem, allocation)
+    _check_t_dagger(t_dagger)
     h = sampling_fractions(allocation)
-    total = allocation.total
     kappa, _, factor = _mismatch_terms(problem.weights, h)
     sf = normal_sf(t_dagger)
     dens = normal_pdf(t_dagger)
-    scale = math.sqrt(2.0 * sum(hg * s for hg, s in zip(h, problem.var_sums)) / total)
+    scale = _pooled_standard_error(h, problem.var_sums, allocation.total)
     if kappa == 0.0:
         mismatch_term = 0.0
     elif dens == 0.0:

@@ -43,7 +43,6 @@ the rare event's probability; pick ``replications`` accordingly.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -55,25 +54,20 @@ from .model import (
     Paradigm,
     TruthScenario,
     ValidationError,
+    _as_int,
+    _check_counts,
+    _check_scenario_values,
     check_allocation,
     check_scenario,
     validate_problem,
 )
-from .regret import paradigm_rule
+from .regret import _standard_error, paradigm_rule
 
 CHUNK_SIZE = 8192
 _SEED_MASK = (1 << 64) - 1
 # Target size of one trial-level outcome tile; a row wider than this is drawn
 # alone.
 _TILE_BYTES = 1 << 21
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as a Python int; numpy integers convert, while bools and
-    non-integers (1.5, 2.0, None, "3") raise ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -135,38 +129,29 @@ def _arms(truth: TruthScenario, g: int) -> tuple[tuple[float, float], tuple[floa
     )
 
 
-def run_trial(
-    truth: TruthScenario,
-    allocation: Allocation,
-    seed: int,
-    shuffle: bool = False,
-) -> TrialData:
+def run_trial(truth: TruthScenario, allocation: Allocation, seed: int) -> TrialData:
     """Draw one trial: n_g/2 control and n_g/2 treated outcomes per group.
 
     Identical seeds give bit-identical data; ``seed`` is an integer taken
-    mod 2**64, as ``SimConfig.master_seed`` is.  By default the first n_g/2
-    units of each group are the treated ones; outcomes are i.i.d. within
-    arms so the ordering is distributionally irrelevant, but ``shuffle=True``
-    interleaves assignments for realism.
+    mod 2**64, as ``SimConfig.master_seed`` is.  The first n_g/2 units of
+    each group are the treated ones; outcomes are i.i.d. within arms, so the
+    ordering is distributionally irrelevant.  The allocation and the
+    scenario get the per-instance checks of ``check_allocation`` and
+    ``check_scenario`` (ValidationError), with the allocation's length as
+    the group count.
     """
-    if len(truth.tau) != len(allocation.counts):
-        raise ValidationError("scenario and allocation have different group counts")
-    for g, n in enumerate(allocation.counts):
-        if n < 0 or n % 2 != 0:
-            raise ValidationError(f"group {g}: count {n} cannot be balanced 1:1")
+    _check_counts(allocation)
+    _check_scenario_values(truth, len(allocation.counts))
     rng = _philox_rng(_as_int("seed", seed), 0)
     outcomes: list[np.ndarray] = []
     assignments: list[np.ndarray] = []
     for g, n in enumerate(allocation.counts):
         half = n // 2
         treated, control = (rng.normal(loc, sd, size=half) for loc, sd in _arms(truth, g))
-        y = np.concatenate([treated, control])
-        w = np.concatenate([np.ones(half, dtype=np.int64), np.zeros(half, dtype=np.int64)])
-        if shuffle and n > 0:
-            perm = rng.permutation(n)
-            y, w = y[perm], w[perm]
-        outcomes.append(y)
-        assignments.append(w)
+        outcomes.append(np.concatenate([treated, control]))
+        assignments.append(
+            np.concatenate([np.ones(half, dtype=np.int64), np.zeros(half, dtype=np.int64)])
+        )
     return TrialData(outcomes=tuple(outcomes), assignments=tuple(assignments))
 
 
@@ -317,7 +302,7 @@ def _chunk_estimates(
             )
             estimates[:, g] = treated - control
         else:
-            se = math.sqrt(2.0 * truth.var_sums[g] / n)
+            se = _standard_error(truth.var_sums[g], n)
             estimates[:, g] = rng.normal(truth.tau[g], se, size=size)
     return estimates
 
@@ -388,6 +373,8 @@ def monte_carlo_regret(
     paradigm_rule(paradigm)  # rejects a non-Paradigm before any draw
     if level not in ("trial", "estimator"):
         raise ValidationError(f"unknown simulation level {level!r}")
+    if workers is not None:
+        workers = _as_int("workers", workers)
     reps = config.replications
     sizes = [min(CHUNK_SIZE, reps - start) for start in range(0, reps, CHUNK_SIZE)]
 

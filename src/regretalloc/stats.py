@@ -5,16 +5,15 @@ The decision problem for a single stratum reduces to maximizing t * Phi_c(t)
 over t >= 0, where Phi_c is the standard-normal survival function.  The
 maximizer ``t_star`` (~0.7518) and the maximum ``c0 = t_star * Phi_c(t_star)``
 (~0.16997) are universal constants of the model; they are solved numerically
-at first use rather than hard-coded, so their provenance stays testable.
+rather than hard-coded, so their provenance stays testable.
 
-All functions are pure and safe for concurrent use.  ``threshold_constants``
-is memoized; repeated calls return the same frozen object.
+All functions are pure and safe for concurrent use.  The constants are
+solved once at import; ``threshold_constants`` returns that frozen object.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable
@@ -24,6 +23,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Bracket for the root of t*pdf(t) - sf(t); the root is unique and ~0.75.
 _THRESHOLD_BRACKET = (0.5, 1.0)
+# A bracket with a NaN end meets neither stopping test of ``bisect_root``;
+# this step cap is what ends it.
+_BISECT_MAX_ITER = 200
 
 
 def normal_pdf(x: float) -> float:
@@ -60,13 +62,7 @@ def normal_quantile(p: float) -> float:
     return z
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tolerance: float,
-    max_iter: int = 200,
-) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float, tolerance: float) -> float:
     """Bracketed bisection: a root of ``f`` in [lo, hi] to within ``tolerance``.
 
     ``f(lo)`` and ``f(hi)`` must differ in sign.  Deterministic and
@@ -82,7 +78,7 @@ def bisect_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tolerance or mid in (lo, hi):
             return mid
@@ -118,21 +114,10 @@ def solve_threshold_constants(tolerance: float = 1e-12) -> ThresholdConstants:
     return ThresholdConstants(t_star=t_star, c0=t_star * normal_sf(t_star))
 
 
-_constants_lock = threading.Lock()
-_constants_cache: dict[float, ThresholdConstants] = {}
+# The import lock runs this exactly once per process.
+_CONSTANTS = solve_threshold_constants()
 
 
-def threshold_constants(tolerance: float = 1e-12) -> ThresholdConstants:
-    """Memoized accessor for :func:`solve_threshold_constants`.
-
-    Double-checked locking makes initialization once-only per tolerance even
-    under concurrent first calls; later calls are lock-free dictionary hits.
-    """
-    found = _constants_cache.get(tolerance)
-    if found is None:
-        with _constants_lock:
-            found = _constants_cache.get(tolerance)
-            if found is None:
-                found = solve_threshold_constants(tolerance)
-                _constants_cache[tolerance] = found
-    return found
+def threshold_constants() -> ThresholdConstants:
+    """The constants :func:`solve_threshold_constants` solved at import."""
+    return _CONSTANTS

@@ -288,6 +288,16 @@ class TestRequiredSampleSize:
         with pytest.raises(ConfigError, match=r"weights\[0\]"):
             required_sample_size(PowerSpec(-0.006, 0.9, 0.05, (0.1,), (0.1,)), weights)
 
+    @pytest.mark.parametrize(
+        "var_control, var_treated, weights",
+        [((1e308,), (1e308,), (1.0,)), ((1e308, 1e308), (0.0, 0.0), (0.5, 0.5)), ((1e308,), (0.0,), (1.0,))],
+        ids=["arms-overflow", "groups-overflow", "doubling-overflows"],
+    )
+    def test_variances_beyond_float_range_are_named(self, var_control, var_treated, weights):
+        spec = PowerSpec(-0.006, 0.9, 0.05, var_control, var_treated)
+        with pytest.raises(ConfigError, match="variances var_control .* beyond float range"):
+            required_sample_size(spec, weights)
+
     def test_zero_variances_are_legal(self):
         assert required_sample_size(PowerSpec(-0.006, 0.9, 0.05, (0.0,), (0.0,)), (1.0,)) == 0
 

@@ -81,7 +81,7 @@ class TestValidateProblem:
     def test_numpy_integer_budget_is_accepted(self):
         assert validate_problem(two_group_problem(budget=np.int64(100))).budget == 100
 
-    @pytest.mark.parametrize("value", ["0.5", None, 0.5 + 0j], ids=repr)
+    @pytest.mark.parametrize("value", ["0.5", None, 0.5 + 0j, True], ids=repr)
     @pytest.mark.parametrize(
         "field, name", [(0, "weight"), (1, "control-arm variance"), (2, "treated-arm variance")]
     )
@@ -191,6 +191,18 @@ class TestScenario:
         values[field][0] = value
         with pytest.raises(ValidationError, match=f"scenario field {field} must be finite"):
             check_scenario(problem, TruthScenario(**values))
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, "x", 0.5, [None, 1.0], ["x", 1.0], [10**400]],
+        ids=["none", "string", "scalar", "none-entry", "string-entry", "huge-int-entry"],
+    )
+    @pytest.mark.parametrize("field", ["tau", "baseline", "var_control", "var_treated"])
+    def test_non_numeric_field_raises_validation_error_naming_it(self, field, value):
+        values = {"tau": [0.1], "baseline": [0.0], "var_control": [1.0], "var_treated": [1.0]}
+        values[field] = value
+        with pytest.raises(ValidationError, match=f"scenario field {field} must be a sequence"):
+            TruthScenario(**values)
 
     def test_check_scenario_accepts_finite_values_whose_sum_overflows(self):
         problem = two_group_problem()

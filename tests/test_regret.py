@@ -112,12 +112,6 @@ class TestWorstCaseJoint:
         assert joint_mismatch(problem, Allocation((60, 140))) == pytest.approx(0.0, abs=1e-12)
         assert joint_mismatch(problem, Allocation((100, 100))) > 0.01
 
-    def test_kappa_tolerance_is_overridable(self, covid_cases):
-        problem = covid_cases[0].problem
-        minimax = Allocation((6100, 3218))
-        assert worst_case_joint(problem, minimax).value == math.inf
-        assert math.isfinite(worst_case_joint(problem, minimax, kappa_tol=1.0).value)
-
     def test_sub_budget_proportional_is_finite_but_larger(self):
         problem = make_problem((0.3, 0.7), (1.0, 2.0), 200)
         full = worst_case_joint(problem, Allocation((60, 140))).value
@@ -265,6 +259,13 @@ class TestAdversarialSeparate:
 
 
 class TestJointAdversarial:
+    @pytest.mark.parametrize("t_dagger", ["x", None, math.nan, math.inf], ids=repr)
+    @pytest.mark.parametrize("function", [joint_adversarial_tau, joint_regret_expression])
+    def test_t_dagger_must_be_a_finite_real(self, function, t_dagger):
+        problem = make_problem((0.5, 0.5), (2.0, 2.0), 80)
+        with pytest.raises(ValidationError, match="t_dagger must be a finite real number"):
+            function(problem, Allocation((40, 40)), t_dagger)
+
     def test_single_group_collapse(self):
         problem = make_problem((1.0,), (3.0,), 50)
         allocation = Allocation((50,))

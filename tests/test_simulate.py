@@ -95,15 +95,6 @@ class TestRunTrial:
         for w, n in zip(data.assignments, (10, 6)):
             assert int(w.sum()) == n // 2
 
-    def test_shuffle_keeps_balance_and_determinism(self):
-        a = run_trial(GOLDEN_TRUTH, Allocation((10, 6)), seed=3, shuffle=True)
-        b = run_trial(GOLDEN_TRUTH, Allocation((10, 6)), seed=3, shuffle=True)
-        for (wa, ya), (wb, yb) in zip(
-            zip(a.assignments, a.outcomes), zip(b.assignments, b.outcomes)
-        ):
-            assert np.array_equal(wa, wb) and np.array_equal(ya, yb)
-            assert int(wa.sum()) * 2 == len(wa)
-
     def test_degenerate_variance_recovers_arm_means(self):
         truth = TruthScenario(
             tau=(0.4,), baseline=(1.0,), var_control=(1e-24,), var_treated=(1e-24,)
@@ -119,6 +110,20 @@ class TestRunTrial:
         )
         with pytest.raises(ValidationError, match="1:1"):
             run_trial(truth, Allocation((5,)), seed=1)
+
+    @pytest.mark.parametrize(
+        "truth, counts, match",
+        [
+            (TruthScenario((0.1,), (0.0,), (-1.0,), (1.0,)), (2,), "variances must be positive"),
+            (TruthScenario((math.nan,), (0.0,), (1.0,), (1.0,)), (2,), "tau must be finite"),
+            (TruthScenario((0.1,), (0.0,), (1.0,), (1.0,)), (2, 2), "tau has 1 entries for 2"),
+            (TruthScenario((0.1,), (0.0,), (1.0,), (1.0,)), (-2,), "count -2 is negative"),
+        ],
+        ids=["negative-variance", "nan-tau", "group-count", "negative-count"],
+    )
+    def test_inputs_pass_the_model_checks(self, truth, counts, match):
+        with pytest.raises(ValidationError, match=match):
+            run_trial(truth, Allocation(counts), seed=1)
 
 
 class TestEstimators:
@@ -715,6 +720,14 @@ class TestBadInput:
     def test_run_trial_rejects_non_integer_seeds(self, seed):
         with pytest.raises(ValidationError, match="seed must be an integer"):
             run_trial(self.truth, Allocation((4, 2)), seed)
+
+    @pytest.mark.parametrize("workers", ["2", 2.5, True, np.True_], ids=repr)
+    def test_monte_carlo_rejects_non_integer_workers(self, workers):
+        with pytest.raises(ValidationError, match="workers must be an integer"):
+            monte_carlo_regret(
+                self.problem, Allocation((24, 36)), self.truth, Paradigm.SEPARATE_UTILITARIAN,
+                SimConfig(replications=10, master_seed=1), workers=workers,
+            )
 
     @pytest.mark.parametrize("counts", [(24, 36), (0, 0)])
     def test_unknown_level_raises_even_when_nothing_is_sampled(self, counts):

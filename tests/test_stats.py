@@ -1,7 +1,12 @@
 """Normal special functions, quantiles, root finding, threshold constants."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -139,12 +144,33 @@ class TestThresholdConstants:
         assert all(r is a for r in results)
 
     def test_memoized_once_from_concurrent_cold_start(self):
-        from regretalloc import stats
+        # In a fresh interpreter, threads race to import the module and read
+        # the constants; the import lock solves them once for all of them.
+        script = textwrap.dedent(
+            """
+            import threading
+            from concurrent.futures import ThreadPoolExecutor
 
-        stats._constants_cache.clear()
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: threshold_constants(), range(32)))
-        assert len({id(r) for r in results}) == 1
+            barrier = threading.Barrier(8)
+
+            def first_use(_):
+                barrier.wait()
+                from regretalloc.stats import threshold_constants
+                return threshold_constants()
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(first_use, range(8)))
+            print(len({id(r) for r in results}))
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
