@@ -172,7 +172,7 @@ def _allocate(problem: DesignProblem, scheme: str, redistribute: bool) -> Alloca
     # Every public entry point calls this directly, so the warning's
     # stacklevel=3 names the code that called the entry point.
     shares = _continuous_shares(problem, scheme)
-    counts = list(round_to_even_floor(shares).counts)
+    counts = [_floor_even(s) for s in shares.shares]
     if redistribute:
         target = SCHEMES[scheme].greedy_target
         if target is None:

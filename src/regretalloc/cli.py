@@ -43,7 +43,7 @@ from .casestudy import (
     load_config,
     required_sample_size,
 )
-from .model import Allocation, ValidationError, check_allocation
+from .model import Allocation, ValidationError
 from .regret import PARADIGMS
 from .stats import threshold_constants
 
@@ -182,7 +182,7 @@ def _cases(args: argparse.Namespace) -> tuple[CaseStudyCase, ...]:
 
 
 def _parse_allocation(text: str) -> Allocation:
-    """Comma-separated counts; ``check_allocation`` checks them per case."""
+    """Comma-separated counts; the regret calls check them against each case."""
     try:
         counts = tuple(int(part) for part in text.split(","))
     except ValueError:
@@ -226,7 +226,6 @@ def cmd_evaluate(args: argparse.Namespace, out) -> int:
     for case in cases:
         if args.allocation is not None:
             allocation = _parse_allocation(args.allocation)
-            check_allocation(case.problem, allocation)
         else:
             allocation = build_allocation(
                 case.problem, args.scheme, redistribute=args.redistribute

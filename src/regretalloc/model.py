@@ -8,20 +8,22 @@ Conventions
 * Outcomes are unit-agnostic: only relative magnitudes of effects and
   standard deviations matter, and regret scales linearly with the outcome
   unit.  The bundled case study stores rates as fractions, never percents.
-* Allocations hold even per-group counts so treatment and control can be
-  perfectly balanced within each stratum.
+* Allocations hold even, nonnegative per-group counts so treatment and
+  control can be perfectly balanced within each stratum.  ``Allocation``
+  checks this when it is built, so an odd or negative one never exists.
 
 All types are immutable values; they carry no behavior beyond validation and
 may be shared freely across threads.
 
-Validation runs once per instance.  ``validate_problem``, and the parts of
-``check_allocation`` and ``check_scenario`` that depend on the allocation or
-the scenario alone, record a pass on the frozen instance (in its
-``__dict__``, outside the dataclass fields, like the cached ``weights``), so
-later calls skip those checks; equality, hashing and repr do not see the
-record.  Only success is recorded: an invalid input raises the same
-``ValidationError`` on every call.  The checks that pair an allocation or a
-scenario with a problem (group count, total within budget) run every time.
+Problems and scenarios are validated once per instance.  ``validate_problem``,
+and the part of ``check_scenario`` that depends on the scenario alone,
+record a pass on the frozen instance (in its ``__dict__``, outside the
+dataclass fields, like the cached ``weights``), so later calls skip those
+checks; equality, hashing and repr do not see the record.  Only success is
+recorded: an invalid input raises the same ``ValidationError`` on every
+call.  ``check_allocation`` and ``check_scenario`` start by validating their
+problem; the checks that pair an allocation or a scenario with it (group
+count, total within budget) run every time.
 """
 
 from __future__ import annotations
@@ -81,7 +83,13 @@ class DesignProblem:
     _checked = False  # not a field: set by ``validate_problem`` on success
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", tuple(self.groups))
+        try:
+            groups = tuple(self.groups)
+        except TypeError:  # None, a bare GroupSpec
+            raise ValidationError(
+                f"problem field groups must be a sequence of GroupSpec, got {self.groups!r}"
+            ) from None
+        object.__setattr__(self, "groups", groups)
 
     @property
     def n_groups(self) -> int:
@@ -102,11 +110,10 @@ class DesignProblem:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Even per-group sample counts; the sum may undershoot the budget."""
+    """Even, nonnegative per-group sample counts (ValidationError when built
+    otherwise); the sum may undershoot the budget."""
 
     counts: tuple[int, ...]
-
-    _checked = False  # not a field: set by ``check_allocation`` on success
 
     def __post_init__(self) -> None:
         coerced = []
@@ -125,6 +132,12 @@ class Allocation:
                 # Also catches continuous shares passed where counts belong.
                 raise ValidationError(f"allocation counts must be integers, got {c!r}")
             coerced.append(n)
+        # A second pass, so that a non-integer anywhere is reported first.
+        for g, n in enumerate(coerced):
+            if n < 0:
+                raise ValidationError(f"group {g}: count {n} is negative")
+            if n % 2 != 0:
+                raise ValidationError(f"group {g}: count {n} is odd; strata must balance 1:1")
         object.__setattr__(self, "counts", tuple(coerced))
 
     @cached_property
@@ -148,6 +161,8 @@ class TruthScenario:
         for name in ("tau", "baseline", "var_control", "var_treated"):
             values = getattr(self, name)
             try:
+                if isinstance(values, (str, bytes)):  # would split per character
+                    raise TypeError
                 coerced = tuple(float(v) for v in values)
             except (TypeError, ValueError, OverflowError):  # None, "x", a bare scalar
                 raise ValidationError(
@@ -192,6 +207,8 @@ def validate_problem(problem: DesignProblem) -> DesignProblem:
     if len(groups) < 1:
         raise ValidationError("a design problem needs at least one group")
     for g, spec in enumerate(groups):
+        if not isinstance(spec, GroupSpec):
+            raise ValidationError(f"group {g}: expected a GroupSpec, got {spec!r}")
         for name, value in (
             ("weight", spec.weight),
             ("control-arm variance", spec.var_control),
@@ -220,16 +237,16 @@ def validate_problem(problem: DesignProblem) -> DesignProblem:
 
 
 def check_allocation(problem: DesignProblem, allocation: Allocation) -> Allocation:
-    """Standalone allocation checker: even nonnegative counts, correct length,
-    total within budget.  Usable independently of any allocator.  The
-    per-count checks run once per allocation; the length and budget checks,
-    which depend on the problem, run on every call."""
+    """Check an allocation against a problem: the problem is valid, and the
+    allocation has one count per group and a total within the budget.  Usable
+    independently of any allocator; an ``Allocation`` is even and
+    nonnegative from the moment it is built."""
+    validate_problem(problem)
     counts = allocation.counts
     if len(counts) != problem.n_groups:
         raise ValidationError(
             f"allocation has {len(counts)} entries for {problem.n_groups} groups"
         )
-    _check_counts(allocation)
     if allocation.total > problem.budget:
         raise ValidationError(
             f"allocation total {allocation.total} exceeds budget {problem.budget}"
@@ -237,23 +254,12 @@ def check_allocation(problem: DesignProblem, allocation: Allocation) -> Allocati
     return allocation
 
 
-def _check_counts(allocation: Allocation) -> None:
-    """Even nonnegative counts; checked once per allocation."""
-    if allocation._checked:
-        return
-    for g, n in enumerate(allocation.counts):
-        if n < 0:
-            raise ValidationError(f"group {g}: count {n} is negative")
-        if n % 2 != 0:
-            raise ValidationError(f"group {g}: count {n} is odd; strata must balance 1:1")
-    _record_pass(allocation)
-
-
 def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenario:
-    """Check a truth scenario against a problem: matching group count,
-    finite values and positive variances.  The value checks run once per
-    scenario; the group count, which depends on the problem, is compared on
-    every call."""
+    """Check a truth scenario against a problem: the problem is valid, and
+    the scenario has a matching group count, finite values and positive
+    variances.  The value checks run once per scenario; the group count,
+    which depends on the problem, is compared on every call."""
+    validate_problem(problem)
     _check_scenario_values(truth, problem.n_groups)
     return truth
 

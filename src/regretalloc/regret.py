@@ -46,7 +46,6 @@ from .model import (
     ValidationError,
     check_allocation,
     check_scenario,
-    validate_problem,
 )
 from .stats import normal_cdf, normal_pdf, normal_sf, threshold_constants
 
@@ -88,10 +87,6 @@ class RegretSummary:
         summary.__dict__.update(paradigm=paradigm, value=value, per_group=per_group)
         return summary
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
 
 def _check_regret(value: float) -> None:
     if math.isnan(value) or value < 0.0:
@@ -132,7 +127,6 @@ def worst_case_terms(weights, var_sums, counts) -> list[float]:
 def _per_group_worst_case(
     problem: DesignProblem, allocation: Allocation, paradigm: Paradigm
 ) -> RegretSummary:
-    validate_problem(problem)
     check_allocation(problem, allocation)
     rule = PARADIGMS[paradigm]
     per_group = tuple(
@@ -167,7 +161,6 @@ def joint_mismatch(problem: DesignProblem, allocation: Allocation) -> float:
     pooled-decision worst case is finite only on that set.  Infinite when a
     group is unsampled.
     """
-    validate_problem(problem)
     check_allocation(problem, allocation)
     if any(n == 0 for n in allocation.counts):
         return math.inf
@@ -189,10 +182,7 @@ def worst_case_joint(problem: DesignProblem, allocation: Allocation) -> RegretSu
     statistic K exceeds ``KAPPA_TOL`` relative to sum_g w_g/h_g; otherwise
     evaluates F * c0 * sqrt(2 * sum_g h_g*(s0_g^2+s1_g^2) / total).
     """
-    validate_problem(problem)
     check_allocation(problem, allocation)
-    if allocation.total <= 0:
-        raise ValidationError("pooled worst case needs at least one sampled participant")
     if any(n == 0 for n in allocation.counts):
         return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, math.inf)
     h = sampling_fractions(allocation)
@@ -217,7 +207,6 @@ def expected_regret(
     contribute zero under every paradigm; unsampled groups follow the
     fair-coin convention.
     """
-    validate_problem(problem)
     check_allocation(problem, allocation)
     check_scenario(problem, truth)
     rule = paradigm_rule(paradigm)
@@ -250,7 +239,6 @@ def expected_regret(
 
 
 def _check_all_sampled(problem: DesignProblem, allocation: Allocation) -> None:
-    validate_problem(problem)
     check_allocation(problem, allocation)
     if any(n == 0 for n in allocation.counts):
         raise ValidationError("adversarial profiles are undefined for unsampled groups")
@@ -309,21 +297,22 @@ def joint_adversarial_tau(
     w = problem.weights
     total = allocation.total
     G = problem.n_groups
-    sf = normal_sf(t_dagger)
     dens = normal_pdf(t_dagger)
-    if dens == 0.0:
-        raise ValidationError(
-            f"t_dagger={t_dagger} is so extreme the normal density underflows; "
-            "the stationary profile is unbounded there"
-        )
+    ratio = normal_sf(t_dagger) / dens if dens else math.inf
     inv_w = sum(1.0 / x for x in w)
     scale = math.sqrt(2.0 * sum(hg * hg * s for hg, s in zip(h, problem.var_sums)))
     tau = tuple(
         scale
         / (hg * math.sqrt(total))
-        * (sf / dens + (t_dagger / wg - G * sf / (wg * dens)) / inv_w)
+        * (ratio + (t_dagger / wg - G * ratio / wg) / inv_w)
         for hg, wg in zip(h, w)
     )
+    # Deep in the left tail Phi_c/phi, or its multiple G/w_g, leaves float range.
+    if not all(map(math.isfinite, tau)):
+        raise ValidationError(
+            f"t_dagger={t_dagger} is so extreme the normal density underflows; "
+            "the stationary profile is unbounded there"
+        )
     return _design_scenario(problem, tau)
 
 

@@ -55,11 +55,9 @@ from .model import (
     TruthScenario,
     ValidationError,
     _as_int,
-    _check_counts,
     _check_scenario_values,
     check_allocation,
     check_scenario,
-    validate_problem,
 )
 from .regret import _standard_error, paradigm_rule
 
@@ -135,12 +133,10 @@ def run_trial(truth: TruthScenario, allocation: Allocation, seed: int) -> TrialD
     Identical seeds give bit-identical data; ``seed`` is an integer taken
     mod 2**64, as ``SimConfig.master_seed`` is.  The first n_g/2 units of
     each group are the treated ones; outcomes are i.i.d. within arms, so the
-    ordering is distributionally irrelevant.  The allocation and the
-    scenario get the per-instance checks of ``check_allocation`` and
-    ``check_scenario`` (ValidationError), with the allocation's length as
-    the group count.
+    ordering is distributionally irrelevant.  The scenario gets the
+    per-instance checks of ``check_scenario`` (ValidationError), with the
+    allocation's length as the group count.
     """
-    _check_counts(allocation)
     _check_scenario_values(truth, len(allocation.counts))
     rng = _philox_rng(_as_int("seed", seed), 0)
     outcomes: list[np.ndarray] = []
@@ -367,7 +363,6 @@ def monte_carlo_regret(
     estimator-level shortcut; ``workers`` runs chunks on a thread pool.
     Results are bit-identical across worker counts and levels' own reruns.
     """
-    validate_problem(problem)
     check_allocation(problem, allocation)
     check_scenario(problem, truth)
     paradigm_rule(paradigm)  # rejects a non-Paradigm before any draw

@@ -23,9 +23,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Bracket for the root of t*pdf(t) - sf(t); the root is unique and ~0.75.
 _THRESHOLD_BRACKET = (0.5, 1.0)
-# A bracket with a NaN end meets neither stopping test of ``bisect_root``;
-# this step cap is what ends it.
-_BISECT_MAX_ITER = 200
 
 
 def normal_pdf(x: float) -> float:
@@ -65,20 +62,30 @@ def normal_quantile(p: float) -> float:
 def bisect_root(f: Callable[[float], float], lo: float, hi: float, tolerance: float) -> float:
     """Bracketed bisection: a root of ``f`` in [lo, hi] to within ``tolerance``.
 
-    ``f(lo)`` and ``f(hi)`` must differ in sign.  Deterministic and
+    ``f(lo)`` and ``f(hi)`` must differ in sign, and neither the ends nor
+    ``f`` at them may be NaN (ValueError).  Deterministic and
     derivative-free; converges unconditionally on a sign-change bracket.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
+    # A NaN end, or ends -inf and inf, leave no midpoint to bisect at.
+    if math.isnan(lo + hi):
+        raise ValueError(f"bracket [{lo}, {hi}] has no midpoint")
     flo = f(lo)
     fhi = f(hi)
+    if math.isnan(flo) or math.isnan(fhi):
+        raise ValueError(f"f is NaN at an end of bracket [{lo}, {hi}]")
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    for _ in range(_BISECT_MAX_ITER):
+    # The loop always ends.  With finite ends each step returns or moves one
+    # end strictly inward, and only finitely many floats lie between them.
+    # With an infinite end, mid equals that end and returns; a sum past float
+    # range makes mid infinite, and the step after that returns.
+    while True:
         mid = 0.5 * (lo + hi)
         if hi - lo <= tolerance or mid in (lo, hi):
             return mid
@@ -89,7 +96,6 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, tolerance: fl
             lo, flo = mid, fmid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

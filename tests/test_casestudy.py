@@ -290,8 +290,9 @@ class TestRequiredSampleSize:
 
     @pytest.mark.parametrize(
         "var_control, var_treated, weights",
-        [((1e308,), (1e308,), (1.0,)), ((1e308, 1e308), (0.0, 0.0), (0.5, 0.5)), ((1e308,), (0.0,), (1.0,))],
-        ids=["arms-overflow", "groups-overflow", "doubling-overflows"],
+        [((1e308,), (1e308,), (1.0,)), ((1e308, 1e308), (0.0, 0.0), (0.5, 0.5)), ((1e308,), (0.0,), (1.0,)),
+         ((1e307,), (1e307,), (1.0,))],
+        ids=["arms-overflow", "groups-overflow", "doubling-overflows", "quantile-scaling-overflows"],
     )
     def test_variances_beyond_float_range_are_named(self, var_control, var_treated, weights):
         spec = PowerSpec(-0.006, 0.9, 0.05, var_control, var_treated)

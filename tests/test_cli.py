@@ -143,6 +143,13 @@ class TestEvaluateCommand:
         assert code == 2
         assert "1 entries for 2 groups" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("paradigm", ["joint", "all"])
+    def test_all_zero_allocation_is_infinite_worst_case(self, paradigm):
+        code, text = run_cli(["evaluate", "--allocation", "0,0", "--paradigm", paradigm])
+        assert code == 0
+        rows = [line.split() for line in text.splitlines() if line.startswith("0.0")]
+        assert rows and all(row[4] == "inf" for row in rows)
+
     def test_rejects_odd_allocation(self, capsys):
         code, _ = run_cli(["evaluate", "--allocation", "9319,1"])
         assert code == 2

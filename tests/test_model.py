@@ -94,6 +94,19 @@ class TestValidateProblem:
             with pytest.raises(ValidationError, match=f"group 1: {name} must be a real number"):
                 validate_problem(problem)
 
+    @pytest.mark.parametrize(
+        "groups, match",
+        [
+            (None, "problem field groups must be a sequence of GroupSpec, got None"),
+            (GroupSpec("g0", 1.0, 1.0, 1.0), "problem field groups must be a sequence"),
+            ((GroupSpec("g0", 0.5, 1.0, 1.0), (0.5, 1.0, 1.0)), "group 1: expected a GroupSpec"),
+        ],
+        ids=["none", "bare-groupspec", "tuple-group"],
+    )
+    def test_groups_must_be_group_specs(self, groups, match):
+        with pytest.raises(ValidationError, match=match):
+            validate_problem(DesignProblem(budget=100, groups=groups))
+
     def test_validation_is_idempotent(self):
         problem = two_group_problem()
         once = validate_problem(problem)
@@ -114,6 +127,25 @@ class TestCheckAllocation:
     def test_rejects_negative_count(self):
         with pytest.raises(ValidationError, match="negative"):
             check_allocation(two_group_problem(), Allocation(counts=(-2, 40)))
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [((3,), "group 0: count 3 is odd; strata must balance 1:1"),
+         ((-2,), "group 0: count -2 is negative"),
+         ((2, 2, 5), "group 2: count 5 is odd")],
+        ids=["odd", "negative", "odd-and-wrong-length"],
+    )
+    def test_odd_or_negative_counts_rejected_at_construction(self, counts, match):
+        with pytest.raises(ValidationError, match=match):
+            Allocation(counts)
+
+    def test_non_integer_reported_before_a_negative_count(self):
+        with pytest.raises(ValidationError, match="integers, got 1.5"):
+            Allocation((-2, 1.5))
+
+    def test_validates_its_problem(self):
+        with pytest.raises(ValidationError, match="budget 3 cannot give"):
+            check_allocation(two_group_problem(budget=3), Allocation((0, 0)))
 
     def test_rejects_over_budget(self):
         with pytest.raises(ValidationError, match="exceeds budget"):
@@ -194,8 +226,11 @@ class TestScenario:
 
     @pytest.mark.parametrize(
         "value",
-        [None, "x", 0.5, [None, 1.0], ["x", 1.0], [10**400]],
-        ids=["none", "string", "scalar", "none-entry", "string-entry", "huge-int-entry"],
+        [None, "x", 0.5, [None, 1.0], ["x", 1.0], [10**400], "12", b"12"],
+        ids=[
+            "none", "string", "scalar", "none-entry", "string-entry", "huge-int-entry",
+            "digit-string", "bytes",
+        ],
     )
     @pytest.mark.parametrize("field", ["tau", "baseline", "var_control", "var_treated"])
     def test_non_numeric_field_raises_validation_error_naming_it(self, field, value):
@@ -203,6 +238,11 @@ class TestScenario:
         values[field] = value
         with pytest.raises(ValidationError, match=f"scenario field {field} must be a sequence"):
             TruthScenario(**values)
+
+    def test_check_scenario_validates_its_problem(self):
+        truth = TruthScenario(tau=(0.1,), baseline=(0.0,), var_control=(1.0,), var_treated=(1.0,))
+        with pytest.raises(ValidationError, match="sum to 1"):
+            check_scenario(DesignProblem(100, (GroupSpec("g0", 0.5, 1.0, 1.0),)), truth)
 
     def test_check_scenario_accepts_finite_values_whose_sum_overflows(self):
         problem = two_group_problem()

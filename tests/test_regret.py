@@ -102,6 +102,11 @@ class TestWorstCaseJoint:
                 assert worst_case_joint(case.problem, Allocation(counts)).value == math.inf
         assert worst_case_joint(covid_cases[0].problem, Allocation((9320, 0))).value == math.inf
 
+    def test_nothing_sampled_is_infinite_like_the_other_paradigms(self):
+        problem = make_problem((0.3, 0.7), (1.0, 2.0), 200)
+        for paradigm in PARADIGMS:
+            assert worst_case(problem, Allocation((0, 0)), paradigm).value == math.inf
+
     def test_matched_fractions_hand_value(self):
         problem = make_problem((0.5, 0.5), (2.0, 2.0), 100)
         summary = worst_case_joint(problem, Allocation((50, 50)))
@@ -165,6 +170,15 @@ class TestExpectedRegret:
             problem, Allocation((100, 0)), truth, Paradigm.SEPARATE_UTILITARIAN
         ).value
         assert value == pytest.approx(0.4 * 0.25 / 2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("tau", [(0.5, -0.1), (-0.5, 0.1)], ids=["positive", "negative"])
+    def test_nothing_sampled_pooled_is_a_fair_coin(self, tau):
+        problem = make_problem((0.3, 0.7), (1.0, 2.0), 200)
+        truth = design_truth(problem, tau)
+        value = expected_regret(
+            problem, Allocation((0, 0)), truth, Paradigm.JOINT_UTILITARIAN
+        ).value
+        assert value == pytest.approx(abs(0.3 * tau[0] + 0.7 * tau[1]) / 2.0, rel=1e-12)
 
     def test_sign_symmetry(self, covid_cases):
         for case in covid_cases:
@@ -315,6 +329,12 @@ class TestJointAdversarial:
         achieved = expected_regret(problem, allocation, truth, Paradigm.JOINT_UTILITARIAN).value
         bound = worst_case_joint(problem, allocation).value
         assert achieved == pytest.approx(bound, rel=1e-6)
+
+    @pytest.mark.parametrize("t_dagger", [-37.6, -38.0, -38.55])
+    def test_profile_beyond_float_range_is_a_validation_error(self, covid_cases, t_dagger):
+        # Phi_c/phi overflows here (or phi * w_g underflows) before phi itself is 0.
+        with pytest.raises(ValidationError, match="underflows"):
+            joint_adversarial_tau(covid_cases[0].problem, Allocation((6100, 3218)), t_dagger)
 
     def test_rejects_nonfinite_t(self):
         problem = make_problem((1.0,), (1.0,), 10)

@@ -126,6 +126,17 @@ class TestRunTrial:
             run_trial(truth, Allocation(counts), seed=1)
 
 
+class TestTrialData:
+    def test_outcomes_and_assignments_must_match_in_length(self):
+        with pytest.raises(ValidationError, match="group 0: outcomes and assignments differ"):
+            TrialData(outcomes=(np.zeros(4),), assignments=(np.array([1, 1, 0]),))
+
+    @pytest.mark.parametrize("w", [[1, 0, 1], [1, 1, 1, 0]], ids=["odd", "unbalanced"])
+    def test_treatment_must_be_balanced(self, w):
+        with pytest.raises(ValidationError, match="group 0: treatment is not 1:1 balanced"):
+            TrialData(outcomes=(np.zeros(len(w)),), assignments=(np.array(w),))
+
+
 class TestEstimators:
     def test_all_treated_one_control_zero(self):
         y = np.array([1.0, 1.0, 0.0, 0.0])

@@ -107,6 +107,22 @@ class TestBisectRoot:
         with pytest.raises(ValueError):
             bisect_root(lambda x: x, -1.0, 1.0, tolerance=0.0)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(math.nan, 1.0), (-1.0, math.nan), (-math.inf, math.inf)], ids=repr
+    )
+    def test_rejects_a_bracket_without_midpoint(self, lo, hi):
+        with pytest.raises(ValueError, match="no midpoint"):
+            bisect_root(lambda x: x, lo, hi, tolerance=1e-10)
+
+    @pytest.mark.parametrize("end", [-1.0, 1.0])
+    def test_rejects_nan_at_an_end(self, end):
+        with pytest.raises(ValueError, match="f is NaN at an end"):
+            bisect_root(lambda x: math.nan if x == end else x, -1.0, 1.0, tolerance=1e-10)
+
+    def test_returns_an_end_where_f_is_zero(self):
+        assert bisect_root(lambda x: x - 1.0, 1.0, 3.0, tolerance=1e-10) == 1.0
+        assert bisect_root(lambda x: x - 3.0, 1.0, 3.0, tolerance=1e-10) == 3.0
+
 
 class TestThresholdConstants:
     def test_values_against_independent_oracle(self):

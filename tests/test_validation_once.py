@@ -63,12 +63,12 @@ def problems(draw, n_groups):
 
 
 def allocations(n_groups):
-    """Even counts mostly; odd, negative and wrong-length ones too."""
+    """Allocation counts: even mostly; odd, negative and wrong-length ones too.
+    An odd or negative ``Allocation`` raises when it is built, so each call
+    builds its own."""
     count = st.one_of(st.integers(0, 100).map(lambda k: 2 * k), st.integers(-3, 201))
     length = st.sampled_from([n_groups, n_groups, n_groups, n_groups + 1])
-    return length.flatmap(lambda n: st.lists(count, min_size=n, max_size=n)).map(
-        lambda counts: Allocation(tuple(counts))
-    )
+    return length.flatmap(lambda n: st.lists(count, min_size=n, max_size=n)).map(tuple)
 
 
 def truths(n_groups):
@@ -96,18 +96,21 @@ def inputs(draw):
     return draw(problems(n_groups)), draw(allocations(n_groups)), draw(truths(n_groups))
 
 
-def entry_points(problem, allocation, truth):
-    """Every public call that validates, by name."""
-    calls = {"joint_mismatch": lambda: joint_mismatch(problem, allocation)}
+def entry_points(problem, counts, truth):
+    """Every public call that validates, by name; each builds its allocation
+    from ``counts``."""
+    calls = {"joint_mismatch": lambda: joint_mismatch(problem, Allocation(counts))}
     for p in PARADIGMS:
-        calls[f"worst_case[{p.name}]"] = lambda p=p: worst_case(problem, allocation, p)
+        calls[f"worst_case[{p.name}]"] = lambda p=p: worst_case(problem, Allocation(counts), p)
         calls[f"expected_regret[{p.name}]"] = lambda p=p: expected_regret(
-            problem, allocation, truth, p
+            problem, Allocation(counts), truth, p
         )
-    calls["adversarial_tau_separate"] = lambda: adversarial_tau_separate(problem, allocation)
+    calls["adversarial_tau_separate"] = lambda: adversarial_tau_separate(
+        problem, Allocation(counts)
+    )
     calls["allocate"] = lambda: allocate(problem, "minimax", redistribute=True)
     calls["monte_carlo_regret"] = lambda: monte_carlo_regret(
-        problem, allocation, truth, Paradigm.SEPARATE_UTILITARIAN,
+        problem, Allocation(counts), truth, Paradigm.SEPARATE_UTILITARIAN,
         SimConfig(replications=1, master_seed=0), level="estimator",
     )
     return calls
@@ -128,14 +131,14 @@ def fresh(instance):
 
 @given(inputs())
 def test_every_call_repeats_its_result_or_its_error(case):
-    problem, allocation, truth = case
-    shared = entry_points(problem, allocation, truth)
+    problem, counts, truth = case
+    shared = entry_points(problem, counts, truth)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name, call in shared.items():
             # Inputs never validated before give the reference outcome; the
             # shared inputs carry whatever earlier calls recorded on them.
-            expected = outcome(entry_points(fresh(problem), fresh(allocation), fresh(truth))[name])
+            expected = outcome(entry_points(fresh(problem), counts, fresh(truth))[name])
             assert outcome(call) == expected, name
             assert outcome(call) == expected, name
 
