@@ -123,21 +123,20 @@ def round_to_even_floor(shares: ContinuousAllocation) -> Allocation:
 
 def _greedy_redistribute(problem: DesignProblem, counts: list[int], target: Paradigm) -> list[int]:
     """Assign leftover pairs one at a time to the group whose extra pair
-    lowers the worst-case regret under ``target`` the most."""
+    lowers the worst-case regret under ``target`` the most.  O(G) term
+    updates per pair: a candidate swaps in its term at two more (``grown``),
+    and a pick recomputes one term."""
     rule = paradigm_rule(target)
     weights, var_sums = rule.group_weights(problem), problem.var_sums
-
-    def objective(c: list[int]) -> float:
-        return rule.combine(worst_case_terms(weights, var_sums, c))
-
+    terms = worst_case_terms(weights, var_sums, counts)
+    grown = worst_case_terms(weights, var_sums, [n + 2 for n in counts])
     leftover = problem.budget - sum(counts)
     while leftover >= 2:
-        current = objective(counts)
-        best_g, best_val = None, current
+        best_g, best_val = None, rule.combine(terms)
         for g in range(len(counts)):
-            counts[g] += 2
-            val = objective(counts)
-            counts[g] -= 2
+            kept, terms[g] = terms[g], grown[g]
+            val = rule.combine(terms)
+            terms[g] = kept
             if val < best_val:
                 best_g, best_val = g, val
         if best_g is None:
@@ -147,6 +146,10 @@ def _greedy_redistribute(problem: DesignProblem, counts: list[int], target: Para
             candidates = empty if empty else range(len(counts))
             best_g = max(candidates, key=lambda g: problem.groups[g].weight)
         counts[best_g] += 2
+        terms[best_g] = grown[best_g]
+        grown[best_g] = worst_case_terms(
+            (weights[best_g],), (var_sums[best_g],), (counts[best_g] + 2,)
+        )[0]
         leftover -= 2
     return counts
 

@@ -117,7 +117,11 @@ class Allocation:
 
     def __post_init__(self) -> None:
         coerced = []
-        for c in self.counts:
+        try:
+            counts = iter(self.counts)
+        except TypeError:  # None, a bare count
+            raise ValidationError(f"allocation counts must be a sequence, got {self.counts!r}") from None
+        for c in counts:
             # Booleans are not counts: Python's, and numpy's (dtype kind "b",
             # duck-typed so that this module needs no numpy).  A plain int
             # skips the lookups.
@@ -169,6 +173,17 @@ class TruthScenario:
                     f"scenario field {name} must be a sequence of real numbers, got {values!r}"
                 ) from None
             object.__setattr__(self, name, coerced)
+
+    @classmethod
+    def _from_floats(cls, tau, baseline, var_control, var_treated) -> "TruthScenario":
+        """The regret kernels' constructor: each field is already a tuple of
+        Python floats, so none is coerced again; ``check_scenario`` checks
+        the values on first use."""
+        truth = object.__new__(cls)
+        truth.__dict__.update(
+            tau=tau, baseline=baseline, var_control=var_control, var_treated=var_treated
+        )
+        return truth
 
     @cached_property
     def var_sums(self) -> tuple[float, ...]:

@@ -250,12 +250,12 @@ def _check_t_dagger(t_dagger) -> None:
 
 
 def _design_scenario(problem: DesignProblem, tau: tuple[float, ...]) -> TruthScenario:
-    """Effects ``tau`` on zero baselines with the design's own variances."""
-    return TruthScenario(
+    """Effects ``tau`` (floats) on zero baselines with the design's own variances."""
+    return TruthScenario._from_floats(
         tau=tau,
         baseline=(0.0,) * problem.n_groups,
-        var_control=tuple(g.var_control for g in problem.groups),
-        var_treated=tuple(g.var_treated for g in problem.groups),
+        var_control=tuple(float(g.var_control) for g in problem.groups),
+        var_treated=tuple(float(g.var_treated) for g in problem.groups),
     )
 
 
@@ -293,6 +293,7 @@ def joint_adversarial_tau(
     """
     _check_all_sampled(problem, allocation)
     _check_t_dagger(t_dagger)
+    t_dagger = float(t_dagger)  # a numpy scalar would make every tau one too
     h = sampling_fractions(allocation)
     w = problem.weights
     total = allocation.total

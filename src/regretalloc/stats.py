@@ -62,14 +62,14 @@ def normal_quantile(p: float) -> float:
 def bisect_root(f: Callable[[float], float], lo: float, hi: float, tolerance: float) -> float:
     """Bracketed bisection: a root of ``f`` in [lo, hi] to within ``tolerance``.
 
-    ``f(lo)`` and ``f(hi)`` must differ in sign, and neither the ends nor
-    ``f`` at them may be NaN (ValueError).  Deterministic and
+    ``f(lo)`` and ``f(hi)`` must differ in sign, the ends must be finite, and
+    ``f`` at them may not be NaN (ValueError).  Deterministic and
     derivative-free; converges unconditionally on a sign-change bracket.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    # A NaN end, or ends -inf and inf, leave no midpoint to bisect at.
-    if math.isnan(lo + hi):
+    # A NaN or infinite end leaves no midpoint to bisect at.
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bracket [{lo}, {hi}] has no midpoint")
     flo = f(lo)
     fhi = f(hi)
@@ -81,12 +81,11 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float, tolerance: fl
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    # The loop always ends.  With finite ends each step returns or moves one
-    # end strictly inward, and only finitely many floats lie between them.
-    # With an infinite end, mid equals that end and returns; a sum past float
-    # range makes mid infinite, and the step after that returns.
+    # The loop always ends.  Halving each end is exact (in the normal range),
+    # so mid stays in [lo, hi] where lo + hi would overflow; each step returns
+    # or moves one end strictly inward, and finitely many floats lie between.
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if hi - lo <= tolerance or mid in (lo, hi):
             return mid
         fmid = f(mid)

@@ -4,7 +4,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretalloc.allocate import (
@@ -25,10 +25,11 @@ from regretalloc.model import (
     Allocation,
     DesignProblem,
     GroupSpec,
+    Paradigm,
     ValidationError,
     check_allocation,
 )
-from regretalloc.regret import worst_case_separate
+from regretalloc.regret import paradigm_rule, worst_case_separate, worst_case_terms
 from regretalloc.stats import threshold_constants
 from reference_values import ORACLE_MINIMAX_SHARES_CASE1, ORACLE_NEYMAN_ALLOCATION, REF_ALLOCATIONS
 
@@ -270,6 +271,88 @@ class TestRedistribution:
         for scheme in (minimax_allocation, egalitarian_allocation, neyman_allocation):
             allocation = scheme(problem, redistribute=True)
             assert problem.budget - allocation.total < 2
+
+
+def full_rebuild_greedy(problem, counts, target):
+    """Reference greedy: rebuilds every group's worst-case term for each
+    candidate of each leftover pair, as the allocator once did."""
+    rule = paradigm_rule(target)
+    weights, var_sums = rule.group_weights(problem), problem.var_sums
+
+    def objective(c):
+        return rule.combine(worst_case_terms(weights, var_sums, c))
+
+    counts = list(counts)
+    leftover = problem.budget - sum(counts)
+    while leftover >= 2:
+        best_g, best_val = None, objective(counts)
+        for g in range(len(counts)):
+            counts[g] += 2
+            val = objective(counts)
+            counts[g] -= 2
+            if val < best_val:
+                best_g, best_val = g, val
+        if best_g is None:
+            empty = [g for g, n in enumerate(counts) if n == 0]
+            candidates = empty if empty else range(len(counts))
+            best_g = max(candidates, key=lambda g: problem.groups[g].weight)
+        counts[best_g] += 2
+        leftover -= 2
+    return tuple(counts)
+
+
+GREEDY_TARGETS = {
+    "minimax": Paradigm.SEPARATE_UTILITARIAN,
+    "egalitarian": Paradigm.SEPARATE_EGALITARIAN,
+}
+
+
+def greedy_matches_full_rebuild(problem, scheme):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateAllocationWarning)
+        floored = allocate(problem, scheme).counts
+        redistributed = allocate(problem, scheme, redistribute=True).counts
+    expected = full_rebuild_greedy(problem, floored, GREEDY_TARGETS[scheme])
+    assert redistributed == expected
+    return redistributed
+
+
+@st.composite
+def greedy_problems(draw):
+    """G from 1 to 12, budgets from 2G to 1e7 (odd ones too), and weights
+    down to 1e-6, so that some groups floor to zero."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    raw = draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=n, max_size=n))
+    weights = [r / sum(raw) for r in raw]
+    weights[-1] = 1.0 - sum(weights[:-1])
+    var_sums = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=n, max_size=n))
+    budget = draw(st.integers(min_value=2 * n, max_value=10**7))
+    return make_problem(weights, var_sums, budget)
+
+
+class TestGreedyEquivalence:
+    """One term update per candidate picks what a full rebuild picks."""
+
+    @settings(max_examples=200)
+    @given(greedy_problems(), st.sampled_from(sorted(GREEDY_TARGETS)))
+    def test_matches_the_full_rebuild(self, problem, scheme):
+        greedy_matches_full_rebuild(problem, scheme)
+
+    @pytest.mark.parametrize(
+        "weights, var_sums, budget, expected",
+        [
+            # Two unsampled groups keep He infinite: the empty group of
+            # larger weight gets the pair.
+            ((0.2, 0.5, 0.3), (100.0, 0.01, 0.01), 6, (4, 2, 0)),
+            # A max shared by both groups: no single pair lowers it, so the
+            # larger-weight group gets the pair.
+            ((0.4, 0.6), (1.0, 1.0), 6, (2, 4)),
+        ],
+        ids=["unsampled-groups", "shared-max"],
+    )
+    def test_flat_objective_fallback(self, weights, var_sums, budget, expected):
+        problem = make_problem(weights, var_sums, budget)
+        assert greedy_matches_full_rebuild(problem, "egalitarian") == expected
 
 
 SCHEMES = ("minimax", "proportional", "egalitarian", "neyman")

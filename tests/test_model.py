@@ -132,8 +132,10 @@ class TestCheckAllocation:
         "counts, match",
         [((3,), "group 0: count 3 is odd; strata must balance 1:1"),
          ((-2,), "group 0: count -2 is negative"),
-         ((2, 2, 5), "group 2: count 5 is odd")],
-        ids=["odd", "negative", "odd-and-wrong-length"],
+         ((2, 2, 5), "group 2: count 5 is odd"),
+         (None, "allocation counts must be a sequence, got None"),
+         (5, "allocation counts must be a sequence, got 5")],
+        ids=["odd", "negative", "odd-and-wrong-length", "none", "bare-count"],
     )
     def test_odd_or_negative_counts_rejected_at_construction(self, counts, match):
         with pytest.raises(ValidationError, match=match):

@@ -342,6 +342,44 @@ class TestJointAdversarial:
             joint_adversarial_tau(problem, Allocation((10,)), math.inf)
 
 
+class TestAdversarialProfilesAreScenarios:
+    """The adversarial profiles are built without the constructor's coercion;
+    they must still be the scenario the constructor would build."""
+
+    @pytest.mark.parametrize("kind", [int, float, np.float64], ids=lambda k: k.__name__)
+    def test_equal_to_a_constructed_scenario(self, kind):
+        groups = tuple(
+            GroupSpec(f"g{g}", w, kind(c), kind(t))
+            for g, (w, c, t) in enumerate(((0.3, 1, 2), (0.5, 3, 1), (0.2, 2, 5)))
+        )
+        problem = DesignProblem(budget=121, groups=groups)
+        allocation = Allocation((40, 50, 30))
+        profiles = [adversarial_tau_separate(problem, allocation)] + [
+            joint_adversarial_tau(problem, allocation, t) for t in (1.3, -2, np.float64(0.4))
+        ]
+        for truth in profiles:
+            reference = TruthScenario(
+                tau=truth.tau,
+                baseline=(0,) * 3,
+                var_control=tuple(g.var_control for g in groups),
+                var_treated=tuple(g.var_treated for g in groups),
+            )
+            assert truth == reference
+            assert hash(truth) == hash(reference)
+            assert repr(truth) == repr(reference)
+            for values in (truth.tau, truth.baseline, truth.var_control, truth.var_treated):
+                assert type(values) is tuple
+                assert [type(v) for v in values] == [float] * 3
+
+    def test_overflowed_profile_is_rejected_when_used(self):
+        problem = DesignProblem(budget=4, groups=(GroupSpec("g0", 1.0, 1e308, 1e308),))
+        allocation = Allocation((4,))
+        truth = adversarial_tau_separate(problem, allocation)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="tau must be finite"):
+                expected_regret(problem, allocation, truth, Paradigm.SEPARATE_UTILITARIAN)
+
+
 class TestJointRegretExpression:
     def test_matched_fractions_supremum(self):
         problem = make_problem((0.3, 0.7), (1.0, 2.5), 200)

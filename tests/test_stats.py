@@ -123,6 +123,23 @@ class TestBisectRoot:
         assert bisect_root(lambda x: x - 1.0, 1.0, 3.0, tolerance=1e-10) == 1.0
         assert bisect_root(lambda x: x - 3.0, 1.0, 3.0, tolerance=1e-10) == 3.0
 
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 5.0), (-5.0, math.inf)], ids=repr)
+    def test_rejects_an_infinite_end(self, lo, hi):
+        with pytest.raises(ValueError, match="no midpoint"):
+            bisect_root(lambda x: x - 1.0, lo, hi, tolerance=1e-10)
+
+    def test_stays_in_a_bracket_whose_sum_overflows(self):
+        root = bisect_root(lambda x: x - 1.2e308, 1e308, 1.5e308, tolerance=1e-10)
+        assert 1e308 <= root <= 1.5e308
+        assert root == pytest.approx(1.2e308, rel=1e-15)
+
+    def test_threshold_constants_are_bit_identical(self):
+        # Halving each end before adding changes no midpoint in the
+        # threshold bracket, so the constants keep every bit.
+        constants = threshold_constants()
+        assert constants.t_star.hex() == "0x1.80ead197f1000p-1"
+        assert constants.c0.hex() == "0x1.5c19dd4b1a3fcp-3"
+
 
 class TestThresholdConstants:
     def test_values_against_independent_oracle(self):
