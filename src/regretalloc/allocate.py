@@ -92,24 +92,28 @@ def _scheme(name: str) -> Scheme:
         ) from None
 
 
-def _continuous_shares(problem: DesignProblem, scheme: str) -> ContinuousAllocation:
-    """Budget-exhausting relaxation of a scheme:
+def _shares(problem: DesignProblem, scheme: str) -> tuple[float, ...]:
+    """Budget-exhausting relaxation of a scheme, as Python floats:
     share_g = raw_share_g * N / sum of raw shares."""
     raw_share = _scheme(scheme).raw_share
     validate_problem(problem)
     raw = [raw_share(g.weight, g.var_sum) for g in problem.groups]
     total = sum(raw)
-    shares = tuple(problem.budget * w / total for w in raw)
+    # Exact (Fraction or int) inputs stay exact up to this one rounding.
+    shares = tuple(float(problem.budget * w / total) for w in raw)
     if not math.isfinite(sum(shares)):
         raise ValidationError(f"{scheme} shares overflow: variances too large for float range")
-    return ContinuousAllocation(shares=shares)
+    return shares
 
 
 def _floor_even(x: float) -> int:
-    nearest = 2 * round(x / 2.0)
-    if abs(x - nearest) <= min(_EVEN_SNAP * max(1.0, abs(x)), _SNAP_CAP):
-        return int(nearest)
-    return 2 * math.floor(x / 2.0)
+    """2*floor(x/2), or the even integer above it when ``x`` is within the
+    snap tolerance below that integer."""
+    down = 2 * math.floor(x / 2.0)
+    gap = down + 2 - x
+    if gap <= _SNAP_CAP and gap <= _EVEN_SNAP * max(1.0, abs(x)):
+        return down + 2
+    return down
 
 
 def round_to_even_floor(shares: ContinuousAllocation) -> Allocation:
@@ -155,14 +159,10 @@ def _greedy_redistribute(problem: DesignProblem, counts: list[int], target: Para
 
 
 def _largest_remainder_redistribute(
-    problem: DesignProblem, counts: list[int], shares: ContinuousAllocation
+    problem: DesignProblem, counts: list[int], shares: tuple[float, ...]
 ) -> list[int]:
     leftover = problem.budget - sum(counts)
-    order = sorted(
-        range(len(counts)),
-        key=lambda g: shares.shares[g] - counts[g],
-        reverse=True,
-    )
+    order = sorted(range(len(counts)), key=lambda g: shares[g] - counts[g], reverse=True)
     i = 0
     while leftover >= 2:
         counts[order[i % len(order)]] += 2
@@ -172,17 +172,21 @@ def _largest_remainder_redistribute(
 
 
 def _allocate(problem: DesignProblem, scheme: str, redistribute: bool) -> Allocation:
-    # Every public entry point calls this directly, so the warning's
-    # stacklevel=3 names the code that called the entry point.
-    shares = _continuous_shares(problem, scheme)
-    counts = [_floor_even(s) for s in shares.shares]
+    """The one allocation path.  Every public entry point calls this
+    directly, so the warning's stacklevel=3 names the code that called the
+    entry point.  The result is built unchecked (``Allocation._from_counts``):
+    ``_floor_even`` of a finite float share >= 0 is an even int >= 0, and
+    redistribution only adds 2 to a count."""
+    shares = _shares(problem, scheme)
+    counts = [_floor_even(s) for s in shares]
     if redistribute:
         target = SCHEMES[scheme].greedy_target
         if target is None:
             counts = _largest_remainder_redistribute(problem, counts, shares)
         else:
             counts = _greedy_redistribute(problem, counts, target)
-    if sum(counts) > problem.budget:
+    allocation = Allocation._from_counts(tuple(counts))
+    if allocation.total > problem.budget:
         # Past about 1e10 the float shares themselves can sum above the budget.
         raise ValidationError(f"{scheme} shares too large to round within budget {problem.budget}")
     zero_groups = [g for g, n in enumerate(counts) if n == 0]
@@ -193,7 +197,7 @@ def _allocate(problem: DesignProblem, scheme: str, redistribute: bool) -> Alloca
             DegenerateAllocationWarning,
             stacklevel=3,
         )
-    return Allocation(counts=tuple(counts))
+    return allocation
 
 
 def allocate(problem: DesignProblem, scheme: str, redistribute: bool = False) -> Allocation:
@@ -204,22 +208,22 @@ def allocate(problem: DesignProblem, scheme: str, redistribute: bool = False) ->
 
 def continuous_minimax(problem: DesignProblem) -> ContinuousAllocation:
     """share_g proportional to (s0_g^2+s1_g^2)^(1/3) * w_g^(2/3)."""
-    return _continuous_shares(problem, "minimax")
+    return ContinuousAllocation(_shares(problem, "minimax"))
 
 
 def continuous_proportional(problem: DesignProblem) -> ContinuousAllocation:
     """share_g = w_g * N."""
-    return _continuous_shares(problem, "proportional")
+    return ContinuousAllocation(_shares(problem, "proportional"))
 
 
 def continuous_egalitarian(problem: DesignProblem) -> ContinuousAllocation:
     """share_g proportional to s0_g^2 + s1_g^2 (equal standard errors)."""
-    return _continuous_shares(problem, "egalitarian")
+    return ContinuousAllocation(_shares(problem, "egalitarian"))
 
 
 def continuous_neyman(problem: DesignProblem) -> ContinuousAllocation:
     """share_g proportional to w_g * sqrt(s0_g^2 + s1_g^2)."""
-    return _continuous_shares(problem, "neyman")
+    return ContinuousAllocation(_shares(problem, "neyman"))
 
 
 def minimax_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:

@@ -23,7 +23,9 @@ checks; equality, hashing and repr do not see the record.  Only success is
 recorded: an invalid input raises the same ``ValidationError`` on every
 call.  ``check_allocation`` and ``check_scenario`` start by validating their
 problem; the checks that pair an allocation or a scenario with it (group
-count, total within budget) run every time.
+count, total within budget) run every time.  ``Allocation.total`` and
+``TruthScenario.var_sums`` are stored the same way when the instance is
+built, so reading them computes nothing.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class DesignProblem:
 @dataclass(frozen=True)
 class Allocation:
     """Even, nonnegative per-group sample counts (ValidationError when built
-    otherwise); the sum may undershoot the budget."""
+    otherwise); the sum, ``total``, may undershoot the budget."""
 
     counts: tuple[int, ...]
 
@@ -142,11 +144,15 @@ class Allocation:
                 raise ValidationError(f"group {g}: count {n} is negative")
             if n % 2 != 0:
                 raise ValidationError(f"group {g}: count {n} is odd; strata must balance 1:1")
-        object.__setattr__(self, "counts", tuple(coerced))
+        self.__dict__.update(counts=tuple(coerced), total=sum(coerced))
 
-    @cached_property
-    def total(self) -> int:
-        return sum(self.counts)
+    @classmethod
+    def _from_counts(cls, counts: tuple[int, ...]) -> "Allocation":
+        """The allocators' constructor: ``counts`` is a tuple of even Python
+        ints >= 0 that the allocator just built, so none is checked again."""
+        allocation = object.__new__(cls)
+        allocation.__dict__.update(counts=counts, total=sum(counts))
+        return allocation
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,7 @@ class TruthScenario:
                     f"scenario field {name} must be a sequence of real numbers, got {values!r}"
                 ) from None
             object.__setattr__(self, name, coerced)
+        self.__dict__["var_sums"] = _var_sums(self.var_control, self.var_treated)
 
     @classmethod
     def _from_floats(cls, tau, baseline, var_control, var_treated) -> "TruthScenario":
@@ -181,13 +188,10 @@ class TruthScenario:
         the values on first use."""
         truth = object.__new__(cls)
         truth.__dict__.update(
-            tau=tau, baseline=baseline, var_control=var_control, var_treated=var_treated
+            tau=tau, baseline=baseline, var_control=var_control, var_treated=var_treated,
+            var_sums=_var_sums(var_control, var_treated),
         )
         return truth
-
-    @cached_property
-    def var_sums(self) -> tuple[float, ...]:
-        return tuple(c + t for c, t in zip(self.var_control, self.var_treated))
 
     def negated(self) -> "TruthScenario":
         """The sign-flipped scenario; expected regret is invariant to this."""
@@ -197,6 +201,11 @@ class TruthScenario:
             var_control=self.var_control,
             var_treated=self.var_treated,
         )
+
+
+def _var_sums(var_control, var_treated) -> tuple[float, ...]:
+    """Per group, the variance of the treated-minus-control contrast."""
+    return tuple(c + t for c, t in zip(var_control, var_treated))
 
 
 class Paradigm(enum.Enum):
@@ -216,6 +225,8 @@ def validate_problem(problem: DesignProblem) -> DesignProblem:
     failure is never recorded, so an invalid problem raises the same error
     on every call.
     """
+    if not isinstance(problem, DesignProblem):
+        raise ValidationError(f"problem must be a DesignProblem, got {problem!r}")
     if problem._checked:
         return problem
     groups = problem.groups
@@ -231,8 +242,14 @@ def validate_problem(problem: DesignProblem) -> DesignProblem:
         ):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValidationError(f"group {g}: {name} must be a real number, got {value!r}")
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ValidationError(f"group {g}: {name} must be positive, got {value}")
+            try:  # the kernels see float(value): 10**400 overflows, 1/10**400 is 0.0
+                as_float = float(value)
+            except OverflowError:
+                as_float = math.inf
+            if not (as_float > 0.0) or not math.isfinite(as_float):
+                raise ValidationError(
+                    f"group {g}: {name} must be positive and finite as a float, got {value}"
+                )
     total_weight = sum(g.weight for g in groups)
     if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
         raise ValidationError(
@@ -257,6 +274,8 @@ def check_allocation(problem: DesignProblem, allocation: Allocation) -> Allocati
     independently of any allocator; an ``Allocation`` is even and
     nonnegative from the moment it is built."""
     validate_problem(problem)
+    if not isinstance(allocation, Allocation):
+        raise ValidationError(f"allocation must be an Allocation, got {allocation!r}")
     counts = allocation.counts
     if len(counts) != problem.n_groups:
         raise ValidationError(
@@ -282,6 +301,8 @@ def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenari
 def _check_scenario_values(truth: TruthScenario, G: int) -> None:
     """Every field has ``G`` entries, and (once per scenario) the values are
     finite and the variances positive."""
+    if not isinstance(truth, TruthScenario):
+        raise ValidationError(f"truth must be a TruthScenario, got {truth!r}")
     checked = truth._checked
     for name, values in (
         ("tau", truth.tau),
@@ -294,7 +315,10 @@ def _check_scenario_values(truth: TruthScenario, G: int) -> None:
         if not checked and not all(map(math.isfinite, values)):
             raise ValidationError(f"scenario field {name} must be finite, got {values}")
     if not checked:
-        for g in range(G):
-            if truth.var_control[g] <= 0.0 or truth.var_treated[g] <= 0.0:
-                raise ValidationError(f"group {g}: scenario variances must be positive")
+        # min() runs in C; the groups are walked only to name the first bad
+        # one.  G = 0 (an empty allocation in ``run_trial``) has nothing to check.
+        if G and (min(truth.var_control) <= 0.0 or min(truth.var_treated) <= 0.0):
+            for g in range(G):
+                if truth.var_control[g] <= 0.0 or truth.var_treated[g] <= 0.0:
+                    raise ValidationError(f"group {g}: scenario variances must be positive")
         _record_pass(truth)

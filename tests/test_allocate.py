@@ -21,6 +21,7 @@ from regretalloc.allocate import (
     proportional_allocation,
     round_to_even_floor,
 )
+from regretalloc.allocate import _EVEN_SNAP, _SNAP_CAP, _floor_even
 from regretalloc.model import (
     Allocation,
     DesignProblem,
@@ -380,3 +381,56 @@ class TestLargeBudgets:
                 except ValidationError:
                     continue
             check_allocation(problem, allocation)
+
+
+def reference_floor_even(x):
+    """The even floor as it was before it took one pass: the nearest even
+    integer when ``x`` is within the snap tolerance of it, else 2*floor(x/2)."""
+    nearest = 2 * round(x / 2.0)
+    if abs(x - nearest) <= min(_EVEN_SNAP * max(1.0, abs(x)), _SNAP_CAP):
+        return int(nearest)
+    return 2 * math.floor(x / 2.0)
+
+
+# Shares within 1e-12 to 1e-5 of an even integer, on either side, straddle
+# the snap tolerance; the rest run up to 2**53.
+NEAR_EVEN = st.builds(
+    lambda k, offset, sign: 2.0 * k + sign * offset,
+    st.integers(min_value=0, max_value=2**52),
+    st.floats(min_value=1e-12, max_value=1e-5),
+    st.sampled_from([-1.0, 1.0]),
+)
+SHARES = st.one_of(
+    NEAR_EVEN,
+    st.floats(min_value=0.0, max_value=2.0**53),
+    st.integers(min_value=0, max_value=2**53).map(float),
+)
+
+
+class TestBuiltOnce:
+    """The allocators build their result without re-checking it; it must be
+    the allocation the checking constructor would build."""
+
+    @settings(max_examples=1000)
+    @given(st.one_of(SHARES, st.floats(min_value=-1e6, max_value=0.0)))
+    def test_floor_even_matches_the_reference(self, x):
+        assert _floor_even(x) == reference_floor_even(x)
+        assert type(_floor_even(x)) is int
+
+    @pytest.mark.parametrize("x", [2.0 - 1e-12, 1e9 - 5e-7, 1e9 - 2e-6, 2.0**53 - 2.0, 0.0])
+    def test_floor_even_at_the_snap_edges(self, x):
+        assert _floor_even(x) == reference_floor_even(x)
+
+    @settings(max_examples=100)
+    @given(greedy_problems())
+    def test_result_equals_a_checked_allocation(self, problem):
+        for scheme in SCHEMES:
+            for redistribute in (False, True):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateAllocationWarning)
+                    allocation = allocate(problem, scheme, redistribute=redistribute)
+                checked = Allocation(allocation.counts)
+                assert allocation == checked and hash(allocation) == hash(checked)
+                assert repr(allocation) == repr(checked)
+                assert allocation.total == checked.total == sum(allocation.counts)
+                assert all(type(n) is int for n in allocation.counts)

@@ -1,6 +1,7 @@
 """Domain types and validation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +108,26 @@ class TestValidateProblem:
         with pytest.raises(ValidationError, match=match):
             validate_problem(DesignProblem(budget=100, groups=groups))
 
+    @pytest.mark.parametrize(
+        "value", [10**400, Fraction(1, 10**400)], ids=["huge-int", "tiny-fraction"]
+    )
+    @pytest.mark.parametrize(
+        "field, name", [(0, "weight"), (1, "control-arm variance"), (2, "treated-arm variance")]
+    )
+    def test_group_numbers_must_be_positive_finite_floats(self, value, field, name):
+        # float(10**400) overflows and float(Fraction(1, 10**400)) is 0.0.
+        specs = [[0.5, 1.0, 1.0], [0.5, 1.0, 1.0]]
+        specs[1][field] = value
+        groups = tuple(GroupSpec(f"g{i}", *spec) for i, spec in enumerate(specs))
+        problem = DesignProblem(budget=100, groups=groups)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=f"group 1: {name} must be positive and"):
+                validate_problem(problem)
+
+    def test_problem_must_be_a_design_problem(self):
+        with pytest.raises(ValidationError, match="problem must be a DesignProblem, got None"):
+            validate_problem(None)
+
     def test_validation_is_idempotent(self):
         problem = two_group_problem()
         once = validate_problem(problem)
@@ -119,6 +140,10 @@ class TestCheckAllocation:
         problem = two_group_problem()
         allocation = Allocation(counts=(60, 40))
         assert check_allocation(problem, allocation) == allocation
+
+    def test_rejects_a_plain_list(self):
+        with pytest.raises(ValidationError, match=r"allocation must be an Allocation, got \[50"):
+            check_allocation(two_group_problem(), [50, 50])
 
     def test_rejects_odd_count(self):
         with pytest.raises(ValidationError, match="odd"):
@@ -214,6 +239,23 @@ class TestScenario:
         with pytest.raises(ValidationError, match="group 1"):
             check_scenario(problem, truth)
 
+    @pytest.mark.parametrize(
+        "var_control, var_treated",
+        [((1.0, 1.0, 0.0), (1.0, -1.0, 1.0)), ((1.0, -2.0, 1.0), (1.0, 1.0, 0.0))],
+        ids=["treated-first", "control-first"],
+    )
+    def test_nonpositive_variance_names_the_first_bad_group(self, var_control, var_treated):
+        groups = tuple(GroupSpec(f"g{g}", w, 1.0, 1.0) for g, w in enumerate((0.5, 0.25, 0.25)))
+        problem = DesignProblem(100, groups)
+        truth = TruthScenario((0.1,) * 3, (0.0,) * 3, var_control, var_treated)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="group 1: scenario variances must be"):
+                check_scenario(problem, truth)
+
+    def test_check_scenario_rejects_a_non_scenario(self):
+        with pytest.raises(ValidationError, match="truth must be a TruthScenario, got None"):
+            check_scenario(two_group_problem(), None)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
     @pytest.mark.parametrize("field", ["tau", "baseline", "var_control", "var_treated"])
     def test_check_scenario_rejects_non_finite(self, field, value):
@@ -302,3 +344,25 @@ class TestCachedTuples:
         read.weights, read.var_sums
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh) == before
+
+
+class TestStoredWhenBuilt:
+    """``Allocation.total`` and ``TruthScenario.var_sums`` are stored when the
+    instance is built, by every constructor, and stay out of equality,
+    hashing and repr."""
+
+    def test_allocation_total_is_stored(self):
+        allocation = Allocation((np.int64(4), 6))
+        assert allocation.__dict__["total"] == 10
+        assert type(allocation.total) is int
+        assert repr(allocation) == "Allocation(counts=(4, 6))"
+        assert Allocation._from_counts((4, 6)) == allocation
+
+    def test_scenario_var_sums_are_stored_by_both_constructors(self):
+        fields = ((0.1, -0.2), (0.0, 0.0), (0.1, 0.3), (0.2, 0.4))
+        built, from_floats = TruthScenario(*fields), TruthScenario._from_floats(*fields)
+        for truth in (built, from_floats):
+            assert truth.__dict__["var_sums"] == (0.1 + 0.2, 0.3 + 0.4)
+        assert built.var_sums == from_floats.var_sums
+        assert built == from_floats and hash(built) == hash(from_floats)
+        assert built.negated().var_sums == built.var_sums

@@ -437,3 +437,27 @@ class TestDispatch:
             worst_case(problem, allocation, Paradigm.SEPARATE_EGALITARIAN).value
             == worst_case_egalitarian(problem, allocation).value
         )
+
+
+class TestWrongTypedArguments:
+    """An argument of the wrong type raises ValidationError naming it, not an
+    AttributeError from deep inside a kernel."""
+
+    PROBLEM = make_problem((0.5, 0.5), (2.0, 2.0), 100)
+    ALLOCATION = Allocation((50, 50))
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda p, a: worst_case_separate(p, (50, 50)), "allocation must be an Allocation"),
+            (lambda p, a: worst_case_separate(None, a), "problem must be a DesignProblem"),
+            (
+                lambda p, a: expected_regret(p, a, None, Paradigm.SEPARATE_UTILITARIAN),
+                "truth must be a TruthScenario",
+            ),
+        ],
+        ids=["tuple-allocation", "none-problem", "none-truth"],
+    )
+    def test_raises_validation_error_naming_the_argument(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call(self.PROBLEM, self.ALLOCATION)

@@ -125,6 +125,11 @@ class TestRunTrial:
         with pytest.raises(ValidationError, match=match):
             run_trial(truth, Allocation(counts), seed=1)
 
+    def test_empty_allocation_draws_nothing(self):
+        # No groups: the scenario's variance check has no minimum to take.
+        data = run_trial(TruthScenario((), (), (), ()), Allocation(()), seed=1)
+        assert data.outcomes == () and data.assignments == ()
+
 
 class TestTrialData:
     def test_outcomes_and_assignments_must_match_in_length(self):

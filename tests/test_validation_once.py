@@ -37,7 +37,8 @@ from regretalloc.simulate import SimConfig, monte_carlo_regret
 
 PARADIGMS = tuple(Paradigm)
 BAD_NUMBERS = st.sampled_from(
-    [0.0, -1.0, float("nan"), float("inf"), float("-inf"), "1", None]
+    [0.0, -1.0, float("nan"), float("inf"), float("-inf"), "1", None,
+     10**400, Fraction(1, 10**400)]
 )
 BAD_BUDGETS = st.sampled_from([float("nan"), 100.5, "100", None, True, 1, 2**53 + 2])
 
