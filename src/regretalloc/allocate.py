@@ -24,7 +24,8 @@ worst case (via ``regret.worst_case_terms``) for minimax and egalitarian,
 by largest remainder for proportional and Neyman.  The ``continuous_*`` and
 ``*_allocation`` functions are one-line wrappers over that path.
 
-All functions are pure; inputs are validated via ``model.validate_problem``.
+All functions are pure; a ``DesignProblem`` is checked when it is built, and
+``model.validate_problem`` checks that a problem is one.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ def round_to_even_floor(shares: ContinuousAllocation) -> Allocation:
     Guarantees share_g - 2 < n_g <= share_g (up to the even-snap tolerance),
     so no group loses more than one treated/control pair to rounding.
     """
+    if not isinstance(shares, ContinuousAllocation):
+        raise ValidationError(f"shares must be a ContinuousAllocation, got {shares!r}")
     return Allocation(counts=tuple(_floor_even(s) for s in shares.shares))
 
 

@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .model import DesignProblem, GroupSpec, TruthScenario, validate_problem
+from .model import DesignProblem, GroupSpec, TruthScenario
 from .stats import normal_quantile
 
 
@@ -353,7 +353,7 @@ def build_case_study(config: ScenarioConfig) -> tuple[CaseStudyCase, ...]:
             )
             for g in range(len(config.weights))
         )
-        problem = validate_problem(DesignProblem(budget=config.budget, groups=groups))
+        problem = DesignProblem(budget=config.budget, groups=groups)
         truth = composite_moments(IncidenceSpec(**config.reported, beta=beta))
         power = PowerSpec(
             detectable_effect=config.detectable_effect,

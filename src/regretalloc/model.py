@@ -15,17 +15,12 @@ Conventions
 All types are immutable values; they carry no behavior beyond validation and
 may be shared freely across threads.
 
-Problems and scenarios are validated once per instance.  ``validate_problem``,
-and the part of ``check_scenario`` that depends on the scenario alone,
-record a pass on the frozen instance (in its ``__dict__``, outside the
-dataclass fields, like the cached ``weights``), so later calls skip those
-checks; equality, hashing and repr do not see the record.  Only success is
-recorded: an invalid input raises the same ``ValidationError`` on every
-call.  ``check_allocation`` and ``check_scenario`` start by validating their
-problem; the checks that pair an allocation or a scenario with it (group
-count, total within budget) run every time.  ``Allocation.total`` and
-``TruthScenario.var_sums`` are stored the same way when the instance is
-built, so reading them computes nothing.
+Every value is checked when it is built, and what it derives (a problem's
+float ``weights`` and ``var_sums``, say) is stored then, in ``__dict__``
+outside the dataclass fields, unseen by equality, hashing and repr.  A
+``TruthScenario`` with a non-finite value or a non-positive variance can be
+built, but stores that fault, and every check raises it.  The validators
+then check only types and how two values pair, and write to nothing.
 """
 
 from __future__ import annotations
@@ -34,12 +29,12 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 WEIGHT_SUM_TOL = 1e-9
 # Allocators scale float shares by the budget; past 2**53 a float no longer
 # holds every integer (and past ~1.8e308 none at all).
 MAX_BUDGET = 2**53
+_SCENARIO_FIELDS = ("tau", "baseline", "var_control", "var_treated")
 
 
 class ValidationError(ValueError):
@@ -52,12 +47,6 @@ def _as_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _record_pass(instance) -> None:
-    # A frozen dataclass refuses setattr; the record shadows the class-level
-    # ``_checked = False`` from the instance ``__dict__``.
-    instance.__dict__["_checked"] = True
 
 
 @dataclass(frozen=True)
@@ -77,12 +66,11 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class DesignProblem:
-    """A total participant budget plus the ordered list of strata."""
+    """A total participant budget plus the ordered list of strata
+    (ValidationError naming the group or the budget when built otherwise)."""
 
     budget: int
     groups: tuple[GroupSpec, ...]
-
-    _checked = False  # not a field: set by ``validate_problem`` on success
 
     def __post_init__(self) -> None:
         try:
@@ -91,23 +79,53 @@ class DesignProblem:
             raise ValidationError(
                 f"problem field groups must be a sequence of GroupSpec, got {self.groups!r}"
             ) from None
-        object.__setattr__(self, "groups", groups)
+        if len(groups) < 1:
+            raise ValidationError("a design problem needs at least one group")
+        for g, spec in enumerate(groups):
+            if not isinstance(spec, GroupSpec):
+                raise ValidationError(f"group {g}: expected a GroupSpec, got {spec!r}")
+            for name, value in (
+                ("weight", spec.weight),
+                ("control-arm variance", spec.var_control),
+                ("treated-arm variance", spec.var_treated),
+            ):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValidationError(f"group {g}: {name} must be a real number, got {value!r}")
+                try:  # the kernels see float(value): 10**400 overflows, 1/10**400 is 0.0
+                    as_float = float(value)
+                except OverflowError:
+                    as_float = math.inf
+                if not (as_float > 0.0) or not math.isfinite(as_float):
+                    raise ValidationError(
+                        f"group {g}: {name} must be positive and finite as a float, got {value}"
+                    )
+        total_weight = sum(g.weight for g in groups)
+        if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
+            raise ValidationError(
+                f"group weights must sum to 1 within {WEIGHT_SUM_TOL:g}; got {total_weight!r}"
+            )
+        # Counts are integers, so a fractional or NaN budget has no meaning.
+        budget = _as_int("budget", self.budget)
+        if budget < 2 * len(groups):
+            raise ValidationError(
+                f"budget {budget} cannot give each of {len(groups)} groups "
+                "one treated/control pair"
+            )
+        if budget > MAX_BUDGET:
+            raise ValidationError(f"budget {budget} exceeds 2**53, the float-exact limit")
+        # Python floats, so the regret kernels' per-group terms are floats
+        # too; a numpy float64 converts without changing its value.
+        self.__dict__.update(
+            groups=groups,
+            weights=tuple(float(g.weight) for g in groups),
+            var_control=tuple(float(g.var_control) for g in groups),
+            var_treated=tuple(float(g.var_treated) for g in groups),
+            var_sums=tuple(float(g.var_sum) for g in groups),
+        )
 
     @property
     def n_groups(self) -> int:
         return len(self.groups)
-
-    # Cached per instance (in ``__dict__``, outside the dataclass fields, so
-    # equality, hashing and repr are unchanged); the groups never change.
-    # Stored as Python floats, so the regret kernels' per-group terms are
-    # floats too; a numpy float64 converts without changing its value.
-    @cached_property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(float(g.weight) for g in self.groups)
-
-    @cached_property
-    def var_sums(self) -> tuple[float, ...]:
-        return tuple(float(g.var_sum) for g in self.groups)
 
 
 @dataclass(frozen=True)
@@ -165,10 +183,8 @@ class TruthScenario:
     var_control: tuple[float, ...]
     var_treated: tuple[float, ...]
 
-    _checked = False  # not a field: set by ``check_scenario`` on success
-
     def __post_init__(self) -> None:
-        for name in ("tau", "baseline", "var_control", "var_treated"):
+        for name in _SCENARIO_FIELDS:
             values = getattr(self, name)
             try:
                 if isinstance(values, (str, bytes)):  # would split per character
@@ -179,19 +195,35 @@ class TruthScenario:
                     f"scenario field {name} must be a sequence of real numbers, got {values!r}"
                 ) from None
             object.__setattr__(self, name, coerced)
-        self.__dict__["var_sums"] = _var_sums(self.var_control, self.var_treated)
+        self._seal()
 
     @classmethod
     def _from_floats(cls, tau, baseline, var_control, var_treated) -> "TruthScenario":
         """The regret kernels' constructor: each field is already a tuple of
-        Python floats, so none is coerced again; ``check_scenario`` checks
-        the values on first use."""
+        Python floats, so none is coerced again."""
         truth = object.__new__(cls)
-        truth.__dict__.update(
-            tau=tau, baseline=baseline, var_control=var_control, var_treated=var_treated,
-            var_sums=_var_sums(var_control, var_treated),
-        )
+        truth.__dict__.update(zip(_SCENARIO_FIELDS, (tau, baseline, var_control, var_treated)))
+        truth._seal()
         return truth
+
+    def _seal(self) -> None:
+        """Store ``var_sums`` and ``_fault``: the message every check raises
+        for a non-finite value or a non-positive variance, else None.  With
+        no class-level ``_fault``, a scenario built without this never passes."""
+        vc, vt = self.var_control, self.var_treated
+        fault = None
+        # C-level passes; the fields and groups are walked only to name the
+        # first bad one.  A sum is finite only if every value is; all() then
+        # settles a sum that overflowed.
+        values = self.tau + self.baseline + vc + vt
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            name = next(n for n in _SCENARIO_FIELDS if not all(map(math.isfinite, getattr(self, n))))
+            fault = f"scenario field {name} must be finite, got {getattr(self, name)}"
+        elif min(vc + vt, default=1.0) <= 0.0:
+            # Fields of unequal length may name no group: every check rejects their counts.
+            bad = [g for g, (c, t) in enumerate(zip(vc, vt)) if c <= 0.0 or t <= 0.0]
+            fault = f"group {bad[0]}: scenario variances must be positive" if bad else None
+        self.__dict__.update(var_sums=tuple(c + t for c, t in zip(vc, vt)), _fault=fault)
 
     def negated(self) -> "TruthScenario":
         """The sign-flipped scenario; expected regret is invariant to this."""
@@ -203,11 +235,6 @@ class TruthScenario:
         )
 
 
-def _var_sums(var_control, var_treated) -> tuple[float, ...]:
-    """Per group, the variance of the treated-minus-control contrast."""
-    return tuple(c + t for c, t in zip(var_control, var_treated))
-
-
 class Paradigm(enum.Enum):
     """How decisions are made and how group utilities are aggregated."""
 
@@ -217,59 +244,15 @@ class Paradigm(enum.Enum):
 
 
 def validate_problem(problem: DesignProblem) -> DesignProblem:
-    """Check all structural invariants and return the problem unchanged.
-
-    Raises ValidationError naming the offending group index for per-group
-    violations, or the budget.  The checks run once per instance: a pass is
-    recorded on the frozen problem and later calls return at once.  A
-    failure is never recorded, so an invalid problem raises the same error
-    on every call.
-    """
+    """The problem unchanged if it is a ``DesignProblem`` (checked when it
+    was built), else ValidationError."""
     if not isinstance(problem, DesignProblem):
         raise ValidationError(f"problem must be a DesignProblem, got {problem!r}")
-    if problem._checked:
-        return problem
-    groups = problem.groups
-    if len(groups) < 1:
-        raise ValidationError("a design problem needs at least one group")
-    for g, spec in enumerate(groups):
-        if not isinstance(spec, GroupSpec):
-            raise ValidationError(f"group {g}: expected a GroupSpec, got {spec!r}")
-        for name, value in (
-            ("weight", spec.weight),
-            ("control-arm variance", spec.var_control),
-            ("treated-arm variance", spec.var_treated),
-        ):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"group {g}: {name} must be a real number, got {value!r}")
-            try:  # the kernels see float(value): 10**400 overflows, 1/10**400 is 0.0
-                as_float = float(value)
-            except OverflowError:
-                as_float = math.inf
-            if not (as_float > 0.0) or not math.isfinite(as_float):
-                raise ValidationError(
-                    f"group {g}: {name} must be positive and finite as a float, got {value}"
-                )
-    total_weight = sum(g.weight for g in groups)
-    if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(
-            f"group weights must sum to 1 within {WEIGHT_SUM_TOL:g}; got {total_weight!r}"
-        )
-    # Counts are integers, so a fractional or NaN budget has no meaning.
-    budget = _as_int("budget", problem.budget)
-    if budget < 2 * len(groups):
-        raise ValidationError(
-            f"budget {budget} cannot give each of {len(groups)} groups "
-            "one treated/control pair"
-        )
-    if budget > MAX_BUDGET:
-        raise ValidationError(f"budget {budget} exceeds 2**53, the float-exact limit")
-    _record_pass(problem)
     return problem
 
 
 def check_allocation(problem: DesignProblem, allocation: Allocation) -> Allocation:
-    """Check an allocation against a problem: the problem is valid, and the
+    """Check an allocation against a problem: both have their types, and the
     allocation has one count per group and a total within the budget.  Usable
     independently of any allocator; an ``Allocation`` is even and
     nonnegative from the moment it is built."""
@@ -289,36 +272,22 @@ def check_allocation(problem: DesignProblem, allocation: Allocation) -> Allocati
 
 
 def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenario:
-    """Check a truth scenario against a problem: the problem is valid, and
-    the scenario has a matching group count, finite values and positive
-    variances.  The value checks run once per scenario; the group count,
-    which depends on the problem, is compared on every call."""
+    """Check a truth scenario against a problem: both have their types, the
+    scenario has a matching group count, and it was built without a fault
+    (a non-finite value or a non-positive variance)."""
     validate_problem(problem)
     _check_scenario_values(truth, problem.n_groups)
     return truth
 
 
 def _check_scenario_values(truth: TruthScenario, G: int) -> None:
-    """Every field has ``G`` entries, and (once per scenario) the values are
-    finite and the variances positive."""
+    """Every field has ``G`` entries, then the fault stored when the scenario
+    was built, if any, is raised."""
     if not isinstance(truth, TruthScenario):
         raise ValidationError(f"truth must be a TruthScenario, got {truth!r}")
-    checked = truth._checked
-    for name, values in (
-        ("tau", truth.tau),
-        ("baseline", truth.baseline),
-        ("var_control", truth.var_control),
-        ("var_treated", truth.var_treated),
-    ):
-        if len(values) != G:
-            raise ValidationError(f"scenario field {name} has {len(values)} entries for {G} groups")
-        if not checked and not all(map(math.isfinite, values)):
-            raise ValidationError(f"scenario field {name} must be finite, got {values}")
-    if not checked:
-        # min() runs in C; the groups are walked only to name the first bad
-        # one.  G = 0 (an empty allocation in ``run_trial``) has nothing to check.
-        if G and (min(truth.var_control) <= 0.0 or min(truth.var_treated) <= 0.0):
-            for g in range(G):
-                if truth.var_control[g] <= 0.0 or truth.var_treated[g] <= 0.0:
-                    raise ValidationError(f"group {g}: scenario variances must be positive")
-        _record_pass(truth)
+    for name in _SCENARIO_FIELDS:
+        n = len(getattr(truth, name))
+        if n != G:
+            raise ValidationError(f"scenario field {name} has {n} entries for {G} groups")
+    if truth._fault is not None:
+        raise ValidationError(truth._fault)

@@ -148,6 +148,8 @@ def worst_case_egalitarian(problem: DesignProblem, allocation: Allocation) -> Re
 
 def sampling_fractions(allocation: Allocation) -> tuple[float, ...]:
     """h_g = n_g / total sampled; requires a nonempty allocation."""
+    if not isinstance(allocation, Allocation):
+        raise ValidationError(f"allocation must be an Allocation, got {allocation!r}")
     total = allocation.total
     if total <= 0:
         raise ValidationError("pooled quantities need at least one sampled participant")
@@ -251,12 +253,8 @@ def _check_t_dagger(t_dagger) -> None:
 
 def _design_scenario(problem: DesignProblem, tau: tuple[float, ...]) -> TruthScenario:
     """Effects ``tau`` (floats) on zero baselines with the design's own variances."""
-    return TruthScenario._from_floats(
-        tau=tau,
-        baseline=(0.0,) * problem.n_groups,
-        var_control=tuple(float(g.var_control) for g in problem.groups),
-        var_treated=tuple(float(g.var_treated) for g in problem.groups),
-    )
+    zeros = (0.0,) * problem.n_groups
+    return TruthScenario._from_floats(tau, zeros, problem.var_control, problem.var_treated)
 
 
 def adversarial_tau_separate(problem: DesignProblem, allocation: Allocation) -> TruthScenario:

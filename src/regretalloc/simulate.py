@@ -134,9 +134,11 @@ def run_trial(truth: TruthScenario, allocation: Allocation, seed: int) -> TrialD
     mod 2**64, as ``SimConfig.master_seed`` is.  The first n_g/2 units of
     each group are the treated ones; outcomes are i.i.d. within arms, so the
     ordering is distributionally irrelevant.  The scenario gets the
-    per-instance checks of ``check_scenario`` (ValidationError), with the
-    allocation's length as the group count.
+    checks of ``check_scenario`` (ValidationError), with the allocation's
+    length as the group count.
     """
+    if not isinstance(allocation, Allocation):
+        raise ValidationError(f"allocation must be an Allocation, got {allocation!r}")
     _check_scenario_values(truth, len(allocation.counts))
     rng = _philox_rng(_as_int("seed", seed), 0)
     outcomes: list[np.ndarray] = []
@@ -153,6 +155,8 @@ def run_trial(truth: TruthScenario, allocation: Allocation, seed: int) -> TrialD
 
 def dm_group_estimates(data: TrialData) -> tuple[float, ...]:
     """Per-group mean-difference estimates; NaN flags an unsampled group."""
+    if not isinstance(data, TrialData):
+        raise ValidationError(f"data must be a TrialData, got {data!r}")
     return tuple(
         2.0 / n * diff if n else math.nan
         for n, diff in zip(data.group_sizes, _arm_differences(data))
@@ -165,6 +169,8 @@ def dm_pooled_estimate(data: TrialData) -> float:
 
     Equals the n-weighted average of the per-group estimates.
     """
+    if not isinstance(data, TrialData):
+        raise ValidationError(f"data must be a TrialData, got {data!r}")
     total = sum(data.group_sizes)
     if total == 0:
         raise ValidationError("pooled estimate needs at least one sampled participant")
@@ -200,7 +206,13 @@ def decide(
         raise ValidationError("joint decisions need the pooled estimate")
     if not rule.pooled and group_estimates is None:
         raise ValidationError("separate decisions need the per-group estimates")
-    values = np.asarray(pooled_estimate if rule.pooled else group_estimates, dtype=float)
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy Generator, got {rng!r}")
+    estimates = pooled_estimate if rule.pooled else group_estimates
+    try:
+        values = np.asarray(estimates, dtype=float)
+    except (TypeError, ValueError):  # "ab", a dict, ragged rows
+        raise ValidationError(f"estimates must be real numbers, got {estimates!r}") from None
     rows = values.reshape(-1, 1) if rule.pooled else np.atleast_2d(values)
     chosen = (rows >= 0.0).astype(np.int64)
     absent = np.isnan(rows)
@@ -245,8 +257,16 @@ def realized_regret(
     (sum_g w_g tau_g) * (best - chosen); egalitarian: the worst group's
     tau_g * (best_g - chosen_g).  Always nonnegative.  One trial's decisions
     give a float; a leading replication axis gives one per replication; any
-    other shape raises ValidationError.
+    other shape, a decision other than 0 or 1, or a scenario that fails
+    ``check_scenario`` raises ValidationError.
     """
+    check_scenario(problem, truth)
+    try:
+        binary = np.isin(decisions, (0, 1)).all()
+    except ValueError:  # ragged rows
+        binary = False
+    if not binary:
+        raise ValidationError(f"decisions must be 0 or 1, got {decisions!r}")
     # One weighted-sum or pooled column, or one per group for worst-off: either
     # way the row max is the realized regret.
     regrets = _regret_columns(truth, problem, decisions, paradigm).max(axis=1)
@@ -366,10 +386,14 @@ def monte_carlo_regret(
     check_allocation(problem, allocation)
     check_scenario(problem, truth)
     paradigm_rule(paradigm)  # rejects a non-Paradigm before any draw
+    if not isinstance(config, SimConfig):
+        raise ValidationError(f"config must be a SimConfig, got {config!r}")
     if level not in ("trial", "estimator"):
         raise ValidationError(f"unknown simulation level {level!r}")
     if workers is not None:
         workers = _as_int("workers", workers)
+        if workers < 1:
+            raise ValidationError(f"workers must be at least 1, got {workers}")
     reps = config.replications
     sizes = [min(CHUNK_SIZE, reps - start) for start in range(0, reps, CHUNK_SIZE)]
 

@@ -41,24 +41,20 @@ class TestValidateProblem:
         assert validate_problem(problem) == problem
 
     def test_weight_sum_violation(self):
-        problem = two_group_problem(weights=(0.6, 0.6))
         with pytest.raises(ValidationError, match="sum to 1"):
-            validate_problem(problem)
+            validate_problem(two_group_problem(weights=(0.6, 0.6)))
 
     def test_nonpositive_variance_names_group(self):
-        problem = two_group_problem(variances=((1.0, 1.0), (0.0, 1.0)))
         with pytest.raises(ValidationError, match="group 1"):
-            validate_problem(problem)
+            validate_problem(two_group_problem(variances=((1.0, 1.0), (0.0, 1.0))))
 
     def test_nonpositive_weight_names_group(self):
-        problem = two_group_problem(weights=(1.0, 0.0))
         with pytest.raises(ValidationError, match="group 1"):
-            validate_problem(problem)
+            validate_problem(two_group_problem(weights=(1.0, 0.0)))
 
     def test_budget_below_one_pair_per_group(self):
-        problem = two_group_problem(budget=3)
         with pytest.raises(ValidationError, match="budget"):
-            validate_problem(problem)
+            validate_problem(two_group_problem(budget=3))
 
     def test_empty_group_list(self):
         with pytest.raises(ValidationError):
@@ -74,10 +70,9 @@ class TestValidateProblem:
         "budget", [float("nan"), 100.5, 100.0, "100", None, True, np.float64(100)], ids=repr
     )
     def test_budget_must_be_an_integer(self, budget):
-        problem = two_group_problem(budget=budget)
         for _ in range(2):
             with pytest.raises(ValidationError, match="budget must be an integer"):
-                validate_problem(problem)
+                validate_problem(two_group_problem(budget=budget))
 
     def test_numpy_integer_budget_is_accepted(self):
         assert validate_problem(two_group_problem(budget=np.int64(100))).budget == 100
@@ -90,10 +85,9 @@ class TestValidateProblem:
         specs = [[0.5, 1.0, 1.0], [0.5, 1.0, 1.0]]
         specs[1][field] = value
         groups = tuple(GroupSpec(f"g{i}", *spec) for i, spec in enumerate(specs))
-        problem = DesignProblem(budget=100, groups=groups)
         for _ in range(2):
             with pytest.raises(ValidationError, match=f"group 1: {name} must be a real number"):
-                validate_problem(problem)
+                validate_problem(DesignProblem(budget=100, groups=groups))
 
     @pytest.mark.parametrize(
         "groups, match",
@@ -119,10 +113,9 @@ class TestValidateProblem:
         specs = [[0.5, 1.0, 1.0], [0.5, 1.0, 1.0]]
         specs[1][field] = value
         groups = tuple(GroupSpec(f"g{i}", *spec) for i, spec in enumerate(specs))
-        problem = DesignProblem(budget=100, groups=groups)
         for _ in range(2):
             with pytest.raises(ValidationError, match=f"group 1: {name} must be positive and"):
-                validate_problem(problem)
+                validate_problem(DesignProblem(budget=100, groups=groups))
 
     def test_problem_must_be_a_design_problem(self):
         with pytest.raises(ValidationError, match="problem must be a DesignProblem, got None"):
@@ -366,3 +359,36 @@ class TestStoredWhenBuilt:
         assert built.var_sums == from_floats.var_sums
         assert built == from_floats and hash(built) == hash(from_floats)
         assert built.negated().var_sums == built.var_sums
+
+    def test_problem_tuples_are_stored_as_floats(self):
+        p = two_group_problem(
+            weights=(Fraction(1, 4), np.float64(0.75)),
+            variances=((1, Fraction(1, 2)), (np.float64(0.25), 2)),
+        )
+        names = ("weights", "var_control", "var_treated", "var_sums")
+        stored = {name: p.__dict__[name] for name in names}
+        assert stored == {
+            "weights": (0.25, 0.75), "var_control": (1.0, 0.25),
+            "var_treated": (0.5, 2.0), "var_sums": (1.5, 2.25),
+        }
+        assert {type(v) for values in stored.values() for v in values} == {float}
+
+    @pytest.mark.parametrize(
+        "fields, fault",
+        [
+            (((0.1, 0.2), (0.0, 0.0), (1.0, 1.0), (1.0, 1.0)), None),
+            (((0.1, math.inf), (0.0, 0.0), (1.0, 1.0), (1.0, 1.0)), "scenario field tau must be finite"),
+            (((0.1, 0.2), (0.0, 0.0), (1.0, 1.0), (1.0, -1.0)), "group 1: scenario variances must be"),
+        ],
+        ids=["none", "infinite-tau", "negative-variance"],
+    )
+    def test_scenario_fault_is_stored_by_both_constructors(self, fields, fault):
+        for truth in (TruthScenario(*fields), TruthScenario._from_floats(*fields)):
+            if fault is None:
+                assert truth.__dict__["_fault"] is None
+                assert check_scenario(two_group_problem(), truth) is truth
+            else:
+                assert truth.__dict__["_fault"].startswith(fault)
+                for _ in range(2):
+                    with pytest.raises(ValidationError, match=fault):
+                        check_scenario(two_group_problem(), truth)

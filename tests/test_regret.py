@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from regretalloc import simulate
+from regretalloc.allocate import round_to_even_floor
 from regretalloc.model import (
     Allocation,
     DesignProblem,
@@ -19,6 +21,7 @@ from regretalloc.regret import (
     joint_adversarial_tau,
     joint_mismatch,
     joint_regret_expression,
+    sampling_fractions,
     worst_case,
     worst_case_egalitarian,
     worst_case_joint,
@@ -461,3 +464,24 @@ class TestWrongTypedArguments:
     def test_raises_validation_error_naming_the_argument(self, call, match):
         with pytest.raises(ValidationError, match=match):
             call(self.PROBLEM, self.ALLOCATION)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (
+                lambda p: simulate.run_trial(design_truth(p, (0.1, 0.1)), (2, 2), 1),
+                "allocation must be an Allocation, got \\(2, 2\\)",
+            ),
+            (lambda p: sampling_fractions((50, 50)), "allocation must be an Allocation"),
+            (
+                lambda p: round_to_even_floor((5.0, 3.0)),
+                "shares must be a ContinuousAllocation, got \\(5.0, 3.0\\)",
+            ),
+            (lambda p: simulate.dm_group_estimates(None), "data must be a TrialData, got None"),
+            (lambda p: simulate.dm_pooled_estimate(None), "data must be a TrialData, got None"),
+        ],
+        ids=["run_trial", "sampling_fractions", "round_to_even_floor", "dm_group", "dm_pooled"],
+    )
+    def test_entry_points_check_the_type_before_reading_an_attribute(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call(self.PROBLEM)

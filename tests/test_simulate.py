@@ -234,6 +234,23 @@ class TestDecide:
         with pytest.raises(ValidationError):
             decide(Paradigm.SEPARATE_UTILITARIAN)
 
+    @pytest.mark.parametrize(
+        "paradigm, estimates",
+        [
+            (Paradigm.SEPARATE_UTILITARIAN, {"group_estimates": "ab"}),
+            (Paradigm.SEPARATE_EGALITARIAN, {"group_estimates": [[0.1, 0.2], [0.3]]}),
+            (Paradigm.JOINT_UTILITARIAN, {"pooled_estimate": {"a": 1}}),
+        ],
+        ids=["string", "ragged", "dict"],
+    )
+    def test_non_numeric_estimates_raise_validation_error(self, paradigm, estimates):
+        with pytest.raises(ValidationError, match="estimates must be real numbers"):
+            decide(paradigm, **estimates)
+
+    def test_rng_must_be_a_generator(self):
+        with pytest.raises(ValidationError, match="rng must be a numpy Generator, got 'x'"):
+            decide(Paradigm.SEPARATE_UTILITARIAN, group_estimates=(math.nan,), rng="x")
+
 
 class TestRealizedRegret:
     problem = make_problem((0.5, 0.5), (1.0, 1.0), 100)
@@ -265,6 +282,32 @@ class TestRealizedRegret:
         for paradigm in (Paradigm.SEPARATE_UTILITARIAN, Paradigm.SEPARATE_EGALITARIAN):
             assert realized_regret(truth, self.problem, decisions, paradigm) >= 0.0
         assert realized_regret(truth, self.problem, decisions[0], Paradigm.JOINT_UTILITARIAN) >= 0.0
+
+    def test_rejects_a_scenario_of_another_group_count(self):
+        truth = design_truth(make_problem((0.25, 0.25, 0.5), (1.0,) * 3, 100), (1.0, -1.0, 0.5))
+        with pytest.raises(ValidationError, match="scenario field tau has 3 entries for 2 groups"):
+            realized_regret(truth, self.problem, (1, 0, 1), Paradigm.SEPARATE_UTILITARIAN)
+
+    def test_rejects_a_faulty_scenario(self):
+        truth = design_truth(self.problem, (math.nan, 1.0))
+        with pytest.raises(ValidationError, match="scenario field tau must be finite"):
+            realized_regret(truth, self.problem, (1, 1), Paradigm.SEPARATE_UTILITARIAN)
+
+    @pytest.mark.parametrize(
+        "paradigm, decisions",
+        [
+            (Paradigm.SEPARATE_UTILITARIAN, (0.5, 2)),
+            (Paradigm.SEPARATE_EGALITARIAN, ((1, 0), (1, -1))),
+            (Paradigm.JOINT_UTILITARIAN, 0.5),
+            (Paradigm.JOINT_UTILITARIAN, math.nan),
+            (Paradigm.SEPARATE_EGALITARIAN, ((1, 0), (1,))),
+        ],
+        ids=["half-and-two", "minus-one-row", "pooled-half", "pooled-nan", "ragged-rows"],
+    )
+    def test_rejects_decisions_other_than_0_or_1(self, paradigm, decisions):
+        truth = design_truth(self.problem, (1.0, -1.0))
+        with pytest.raises(ValidationError, match="decisions must be 0 or 1"):
+            realized_regret(truth, self.problem, decisions, paradigm)
 
 
 class TestMonteCarlo:
@@ -740,6 +783,22 @@ class TestBadInput:
     @pytest.mark.parametrize("workers", ["2", 2.5, True, np.True_], ids=repr)
     def test_monte_carlo_rejects_non_integer_workers(self, workers):
         with pytest.raises(ValidationError, match="workers must be an integer"):
+            monte_carlo_regret(
+                self.problem, Allocation((24, 36)), self.truth, Paradigm.SEPARATE_UTILITARIAN,
+                SimConfig(replications=10, master_seed=1), workers=workers,
+            )
+
+    @pytest.mark.parametrize("config", [None, (10, 1)], ids=repr)
+    def test_monte_carlo_rejects_a_config_that_is_not_a_sim_config(self, config):
+        with pytest.raises(ValidationError, match="config must be a SimConfig, got"):
+            monte_carlo_regret(
+                self.problem, Allocation((24, 36)), self.truth, Paradigm.SEPARATE_UTILITARIAN,
+                config,
+            )
+
+    @pytest.mark.parametrize("workers", [0, -1, np.int64(0)], ids=repr)
+    def test_monte_carlo_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValidationError, match="workers must be at least 1, got"):
             monte_carlo_regret(
                 self.problem, Allocation((24, 36)), self.truth, Paradigm.SEPARATE_UTILITARIAN,
                 SimConfig(replications=10, master_seed=1), workers=workers,
