@@ -15,10 +15,17 @@ Conventions
 All types are immutable values; they carry no behavior beyond validation and
 may be shared freely across threads.
 
-Every value is checked when it is built, and what it derives (a problem's
-float ``weights`` and ``var_sums``, say) is stored then, in ``__dict__``
-outside the dataclass fields, unseen by equality, hashing and repr.  A
-``TruthScenario`` with a non-finite value or a non-positive variance can be
+Every value is checked when it is built, and what it derives is stored
+then, in ``__dict__`` outside the dataclass fields, unseen by equality,
+hashing and repr:
+
+* a ``DesignProblem``: ``n_groups``, the float ``weights``, ``var_control``,
+  ``var_treated`` and ``var_sums``, and ``_inv_weight_sum``, sum_g 1/w_g;
+* an ``Allocation``: ``total``;
+* a ``TruthScenario``: ``var_sums``, ``_length``, the common length of its
+  fields (None when they differ), and ``_fault``.
+
+A ``TruthScenario`` with a non-finite value or a non-positive variance can be
 built, but stores that fault, and every check raises it.  The validators
 then check only types and how two values pair, and write to nothing.
 """
@@ -117,15 +124,13 @@ class DesignProblem:
         # too; a numpy float64 converts without changing its value.
         self.__dict__.update(
             groups=groups,
+            n_groups=len(groups),
             weights=tuple(float(g.weight) for g in groups),
+            _inv_weight_sum=sum(1.0 / float(g.weight) for g in groups),
             var_control=tuple(float(g.var_control) for g in groups),
             var_treated=tuple(float(g.var_treated) for g in groups),
             var_sums=tuple(float(g.var_sum) for g in groups),
         )
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
 
 
 @dataclass(frozen=True)
@@ -207,10 +212,11 @@ class TruthScenario:
         return truth
 
     def _seal(self) -> None:
-        """Store ``var_sums`` and ``_fault``: the message every check raises
-        for a non-finite value or a non-positive variance, else None.  With
-        no class-level ``_fault``, a scenario built without this never passes."""
+        """Store ``var_sums``, ``_length`` and ``_fault``: the message every
+        check raises for a non-finite value or a non-positive variance, else
+        None.  With no class-level ``_fault``, no unsealed scenario passes."""
         vc, vt = self.var_control, self.var_treated
+        length = len(vc) if len(self.tau) == len(self.baseline) == len(vc) == len(vt) else None
         fault = None
         # C-level passes; the fields and groups are walked only to name the
         # first bad one.  A sum is finite only if every value is; all() then
@@ -223,7 +229,9 @@ class TruthScenario:
             # Fields of unequal length may name no group: every check rejects their counts.
             bad = [g for g, (c, t) in enumerate(zip(vc, vt)) if c <= 0.0 or t <= 0.0]
             fault = f"group {bad[0]}: scenario variances must be positive" if bad else None
-        self.__dict__.update(var_sums=tuple(c + t for c, t in zip(vc, vt)), _fault=fault)
+        self.__dict__.update(
+            var_sums=tuple(c + t for c, t in zip(vc, vt)), _length=length, _fault=fault
+        )
 
     def negated(self) -> "TruthScenario":
         """The sign-flipped scenario; expected regret is invariant to this."""
@@ -285,9 +293,10 @@ def _check_scenario_values(truth: TruthScenario, G: int) -> None:
     was built, if any, is raised."""
     if not isinstance(truth, TruthScenario):
         raise ValidationError(f"truth must be a TruthScenario, got {truth!r}")
-    for name in _SCENARIO_FIELDS:
-        n = len(getattr(truth, name))
-        if n != G:
-            raise ValidationError(f"scenario field {name} has {n} entries for {G} groups")
+    if truth._length != G:  # the fields are walked only to name the first bad one
+        for name in _SCENARIO_FIELDS:
+            n = len(getattr(truth, name))
+            if n != G:
+                raise ValidationError(f"scenario field {name} has {n} entries for {G} groups")
     if truth._fault is not None:
         raise ValidationError(truth._fault)

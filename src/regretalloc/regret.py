@@ -22,6 +22,13 @@ estimate, so its decision is a fair coin and its expected regret
 contribution is |tau|/2.  (Worst-case regret over unbounded adversaries is
 infinite for such groups; expected regret under a fixed scenario is not.)
 
+Zero-standard-error convention: a standard error that underflows to 0 (a
+variance near the float minimum over a large count) means an exact estimate,
+so the sign rule decides on the true mean, as ``simulate.decide`` does on an
+estimator-level draw.  Each such group contributes 0; a pooled decision
+costs |sum_g w_g tau_g| when the sign rule on the sampling-weighted mean
+(>= 0 means treat) disagrees with the sign of that sum, and 0 otherwise.
+
 What differs between paradigms lives in one table, ``PARADIGMS``: the
 worst-case evaluator, whether the decision is pooled, and whether per-group
 regrets combine by a weighted sum or by the worst-off max.  ``allocate``,
@@ -36,6 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from math import erfc, sqrt
 from typing import Callable
 
 from .model import (
@@ -47,7 +55,9 @@ from .model import (
     check_allocation,
     check_scenario,
 )
-from .stats import normal_cdf, normal_pdf, normal_sf, threshold_constants
+from .stats import _SQRT2, normal_cdf, normal_pdf, normal_sf, threshold_constants
+
+_C0, _T_STAR = threshold_constants().c0, threshold_constants().t_star
 
 # A pooled decision is treated as weight-matched when the proportionality
 # mismatch statistic K is below this fraction of sum_g w_g/h_g.  Even-floor
@@ -93,33 +103,20 @@ def _check_regret(value: float) -> None:
         raise ValidationError(f"regret must be a nonnegative real or inf, got {value}")
 
 
-def _standard_error(var_sum: float, count: int) -> float:
-    """sqrt(2*(s0^2+s1^2)/n) with an explicit infinite limit at n = 0."""
-    if count == 0:
-        return math.inf
-    return math.sqrt(2.0 * var_sum / count)
-
-
 def _pooled_standard_error(h, var_sums, total: int) -> float:
     """sqrt(2 * sum_g h_g*(s0_g^2+s1_g^2) / total): the standard error of the
-    pooled mean difference under sampling fractions ``h``."""
-    return _standard_error(sum(hg * s for hg, s in zip(h, var_sums)), total)
-
-
-def _wrong_sign_probability(tau: float, se: float) -> float:
-    """P(sign decision disagrees with sign(tau)); 1/2 at infinite noise."""
-    if math.isinf(se):
-        return 0.5
-    return normal_sf(abs(tau) / se)
+    pooled mean difference under sampling fractions ``h``; ``total`` > 0.
+    An unsampled group adds nothing, even where its sum overflowed (0 * inf
+    would be NaN)."""
+    return sqrt(2.0 * sum(hg * s for hg, s in zip(h, var_sums) if hg) / total)
 
 
 def worst_case_terms(weights, var_sums, counts) -> list[float]:
     """Unvalidated kernel: w_g * c0 * sqrt(2*(s0_g^2+s1_g^2)/n_g) per group,
     inf where n_g = 0.  Summed under population weights they give H; their
     max under unit weights gives He."""
-    c0 = threshold_constants().c0
     return [
-        w * c0 * math.sqrt(2.0 * s / n) if n else math.inf
+        w * _C0 * sqrt(2.0 * s / n) if n else math.inf
         for w, s, n in zip(weights, var_sums, counts)
     ]
 
@@ -164,17 +161,17 @@ def joint_mismatch(problem: DesignProblem, allocation: Allocation) -> float:
     group is unsampled.
     """
     check_allocation(problem, allocation)
-    if any(n == 0 for n in allocation.counts):
+    if 0 in allocation.counts:
         return math.inf
-    return _mismatch_terms(problem.weights, sampling_fractions(allocation))[0]
+    return _mismatch_terms(problem, sampling_fractions(allocation))[0]
 
 
-def _mismatch_terms(w, h) -> tuple[float, float, float]:
-    """(K, sum_g w_g/h_g, F) for weights w and sampling fractions h."""
-    inv_w = sum(1.0 / x for x in w)
+def _mismatch_terms(problem: DesignProblem, h) -> tuple[float, float, float]:
+    """(K, sum_g w_g/h_g, F) for the problem's weights w and fractions h."""
+    inv_w = problem._inv_weight_sum
     inv_h = sum(1.0 / x for x in h)
-    scale = sum(wg / hg for wg, hg in zip(w, h))
-    return scale - len(w) * inv_h / inv_w, scale, inv_h / inv_w
+    scale = sum(wg / hg for wg, hg in zip(problem.weights, h))
+    return scale - problem.n_groups * inv_h / inv_w, scale, inv_h / inv_w
 
 
 def worst_case_joint(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
@@ -185,14 +182,13 @@ def worst_case_joint(problem: DesignProblem, allocation: Allocation) -> RegretSu
     evaluates F * c0 * sqrt(2 * sum_g h_g*(s0_g^2+s1_g^2) / total).
     """
     check_allocation(problem, allocation)
-    if any(n == 0 for n in allocation.counts):
+    if 0 in allocation.counts:
         return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, math.inf)
     h = sampling_fractions(allocation)
-    kappa, scale, factor = _mismatch_terms(problem.weights, h)
+    kappa, scale, factor = _mismatch_terms(problem, h)
     if abs(kappa) > KAPPA_TOL * scale:
         return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, math.inf)
-    c0 = threshold_constants().c0
-    value = factor * c0 * _pooled_standard_error(h, problem.var_sums, allocation.total)
+    value = factor * _C0 * _pooled_standard_error(h, problem.var_sums, allocation.total)
     return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, value)
 
 
@@ -207,7 +203,7 @@ def expected_regret(
     Standard errors come from the scenario's own variances (the truth may be
     noisier or quieter than the design assumptions).  Groups with tau = 0
     contribute zero under every paradigm; unsampled groups follow the
-    fair-coin convention.
+    fair-coin convention, and a zero standard error the exact-estimate one.
     """
     check_allocation(problem, allocation)
     check_scenario(problem, truth)
@@ -222,27 +218,31 @@ def expected_regret(
             return RegretSummary._from_floats(paradigm, abs(aggregate) / 2.0)
         h = sampling_fractions(allocation)
         tau_bar = sum(hg * t for hg, t in zip(h, truth.tau))
-        stat = tau_bar / _pooled_standard_error(h, truth.var_sums, allocation.total)
+        se = _pooled_standard_error(h, truth.var_sums, allocation.total)
         # Wrong decision: fail to treat when the aggregate effect is positive,
         # or treat when it is negative.
-        if aggregate > 0.0:
-            value = aggregate * normal_sf(stat)
+        if not se:
+            value = abs(aggregate) if (tau_bar >= 0.0) != (aggregate > 0.0) else 0.0
+        elif aggregate > 0.0:
+            value = aggregate * normal_sf(tau_bar / se)
         else:
-            value = -aggregate * normal_cdf(stat)
+            value = -aggregate * normal_cdf(tau_bar / se)
         return RegretSummary._from_floats(paradigm, value)
 
-    per_group = tuple(
-        w * (abs(t) * _wrong_sign_probability(t, _standard_error(s, n)))
+    # w * |tau| * P(wrong sign): Phi_c(|tau|/se), 1/2 unsampled, 0 when se = 0.
+    per_group = tuple([
+        w * (abs(t) * ((0.5 * erfc(abs(t) / se / _SQRT2) if (se := sqrt(2.0 * s / n)) else 0.0)
+                       if n else 0.5))
         for w, t, s, n in zip(
             rule.group_weights(problem), truth.tau, truth.var_sums, allocation.counts
         )
-    )
+    ])
     return RegretSummary._from_floats(paradigm, rule.combine(per_group), per_group)
 
 
 def _check_all_sampled(problem: DesignProblem, allocation: Allocation) -> None:
     check_allocation(problem, allocation)
-    if any(n == 0 for n in allocation.counts):
+    if 0 in allocation.counts:
         raise ValidationError("adversarial profiles are undefined for unsampled groups")
 
 
@@ -267,10 +267,9 @@ def adversarial_tau_separate(problem: DesignProblem, allocation: Allocation) -> 
     positive profile is returned.
     """
     _check_all_sampled(problem, allocation)
-    t_star = threshold_constants().t_star
     return _design_scenario(
         problem,
-        tuple(t_star * _standard_error(s, n) for s, n in zip(problem.var_sums, allocation.counts)),
+        tuple([_T_STAR * sqrt(2.0 * s / n) for s, n in zip(problem.var_sums, allocation.counts)]),
     )
 
 
@@ -298,7 +297,7 @@ def joint_adversarial_tau(
     G = problem.n_groups
     dens = normal_pdf(t_dagger)
     ratio = normal_sf(t_dagger) / dens if dens else math.inf
-    inv_w = sum(1.0 / x for x in w)
+    inv_w = problem._inv_weight_sum
     scale = math.sqrt(2.0 * sum(hg * hg * s for hg, s in zip(h, problem.var_sums)))
     tau = tuple(
         scale
@@ -330,7 +329,7 @@ def joint_regret_expression(
     _check_all_sampled(problem, allocation)
     _check_t_dagger(t_dagger)
     h = sampling_fractions(allocation)
-    kappa, _, factor = _mismatch_terms(problem.weights, h)
+    kappa, _, factor = _mismatch_terms(problem, h)
     sf = normal_sf(t_dagger)
     dens = normal_pdf(t_dagger)
     scale = _pooled_standard_error(h, problem.var_sums, allocation.total)

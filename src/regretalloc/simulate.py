@@ -59,7 +59,7 @@ from .model import (
     check_allocation,
     check_scenario,
 )
-from .regret import _standard_error, paradigm_rule
+from .regret import paradigm_rule
 
 CHUNK_SIZE = 8192
 _SEED_MASK = (1 << 64) - 1
@@ -200,6 +200,8 @@ def decide(
     closed forms), one ``rng.integers`` block per NaN column in column order,
     and defaults to treat otherwise.  A tuple or float in gives a tuple or
     int out; a leading replication axis gives an int64 array of that shape.
+    Strings, and a bare scalar given as per-group estimates, raise
+    ValidationError.
     """
     rule = paradigm_rule(paradigm)
     if rule.pooled and pooled_estimate is None:
@@ -210,9 +212,14 @@ def decide(
         raise ValidationError(f"rng must be a numpy Generator, got {rng!r}")
     estimates = pooled_estimate if rule.pooled else group_estimates
     try:
-        values = np.asarray(estimates, dtype=float)
+        values = np.asarray(estimates)
+        if values.dtype.kind in "SUV":  # a float conversion would parse "12" and b"-3"
+            raise TypeError
+        values = values.astype(float, copy=False)
     except (TypeError, ValueError):  # "ab", a dict, ragged rows
         raise ValidationError(f"estimates must be real numbers, got {estimates!r}") from None
+    if values.ndim == 0 and not rule.pooled:
+        raise ValidationError(f"separate decisions need one estimate per group, got {estimates!r}")
     rows = values.reshape(-1, 1) if rule.pooled else np.atleast_2d(values)
     chosen = (rows >= 0.0).astype(np.int64)
     absent = np.isnan(rows)
@@ -318,7 +325,7 @@ def _chunk_estimates(
             )
             estimates[:, g] = treated - control
         else:
-            se = _standard_error(truth.var_sums[g], n)
+            se = math.sqrt(2.0 * truth.var_sums[g] / n)
             estimates[:, g] = rng.normal(truth.tau[g], se, size=size)
     return estimates
 

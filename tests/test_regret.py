@@ -183,6 +183,20 @@ class TestExpectedRegret:
         ).value
         assert value == pytest.approx(abs(0.3 * tau[0] + 0.7 * tau[1]) / 2.0, rel=1e-12)
 
+    def test_pooled_standard_error_ignores_an_unsampled_groups_variance(self):
+        # var_control + var_treated overflows to inf in the unsampled group.
+        problem = make_problem((0.5, 0.5), (1.0, 1.0), 200)
+        values = [
+            expected_regret(
+                problem,
+                Allocation((0, 100)),
+                TruthScenario((0.3, 0.1), (0.0, 0.0), (v, 0.5), (v, 0.5)),
+                Paradigm.JOINT_UTILITARIAN,
+            ).value
+            for v in (1.7e308, 0.5)
+        ]
+        assert values[0] == values[1] > 0.0
+
     def test_sign_symmetry(self, covid_cases):
         for case in covid_cases:
             for scheme, counts in REF_EXPECTED_ALLOCATIONS[0.005].items():
@@ -231,6 +245,79 @@ class TestExpectedRegret:
             truth = design_truth(problem, (tau_bar, tau_bar))
             value = expected_regret(problem, allocation, truth, Paradigm.JOINT_UTILITARIAN).value
             assert value <= bound * (1 + 1e-12)
+
+
+class TestZeroStandardError:
+    """Variances of 1e-320 over 40,000+ units: sqrt(2*S/n) underflows to 0,
+    so the sign rule decides on the exact mean."""
+
+    TINY = 1e-320
+
+    def tiny_truth(self, tau):
+        return TruthScenario(
+            tau=tau,
+            baseline=(0.0,) * len(tau),
+            var_control=(self.TINY,) * len(tau),
+            var_treated=(self.TINY,) * len(tau),
+        )
+
+    @pytest.mark.parametrize("tau", [0.3, -0.3, 0.0])
+    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    def test_exact_estimate_has_no_regret(self, paradigm, tau):
+        problem = DesignProblem(200000, (GroupSpec("a", 1.0, 1.0, 1.0),))
+        result = expected_regret(problem, Allocation((200000,)), self.tiny_truth((tau,)), paradigm)
+        assert result.value == 0.0
+
+    @pytest.mark.parametrize(
+        "tau, regret",
+        [
+            # aggregate 0.25 > 0, sampling-weighted mean -0.2 < 0: not treated
+            ((1.0, -0.5), 0.25),
+            # aggregate 0.4 > 0, mean 0.04 >= 0: treated
+            ((1.0, -0.2), 0.0),
+            # aggregate -0.25 < 0, mean 0.2 >= 0: treated
+            ((-1.0, 0.5), 0.25),
+            # aggregate -0.25 < 0, mean -0.2 < 0: not treated
+            ((-1.0, 0.125), 0.0),
+        ],
+    )
+    def test_pooled_decision_follows_the_exact_sampling_weighted_mean(self, tau, regret):
+        problem = make_problem((0.5, 0.5), (1.0, 1.0), 200000)
+        allocation = Allocation((40000, 160000))
+        result = expected_regret(
+            problem, allocation, self.tiny_truth(tau), Paradigm.JOINT_UTILITARIAN
+        )
+        assert result.value == regret
+
+    def test_unsampled_group_still_contributes_half_tau(self):
+        problem = make_problem((0.4, 0.6), (1.0, 1.0), 200000)
+        truth = self.tiny_truth((0.5, -0.3))
+        result = expected_regret(
+            problem, Allocation((0, 200000)), truth, Paradigm.SEPARATE_UTILITARIAN
+        )
+        assert result.per_group == (0.4 * (0.5 * 0.5), 0.0)
+
+    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("tau", [(1.0, -0.5), (-1.0, 0.5), (1.0, -0.2)])
+    def test_agrees_with_estimator_level_monte_carlo(self, paradigm, tau):
+        problem = make_problem((0.5, 0.5), (1.0, 1.0), 200000)
+        allocation = Allocation((40000, 160000))
+        truth = self.tiny_truth(tau)
+        estimate = simulate.monte_carlo_regret(
+            problem, allocation, truth, paradigm, simulate.SimConfig(1000, 0), level="estimator"
+        )
+        assert estimate.mean == expected_regret(problem, allocation, truth, paradigm).value
+        assert estimate.std_error == 0.0
+
+    def test_adversarial_profile_round_trip(self):
+        problem = DesignProblem(
+            200000, (GroupSpec("a", 0.5, self.TINY, self.TINY), GroupSpec("b", 0.5, self.TINY, self.TINY))
+        )
+        allocation = Allocation((100000, 100000))
+        truth = adversarial_tau_separate(problem, allocation)
+        assert truth.tau == (0.0, 0.0)
+        achieved = expected_regret(problem, allocation, truth, Paradigm.SEPARATE_UTILITARIAN)
+        assert achieved.value == worst_case_separate(problem, allocation).value == 0.0
 
 
 class TestAdversarialSeparate:

@@ -251,6 +251,27 @@ class TestDecide:
         with pytest.raises(ValidationError, match="rng must be a numpy Generator, got 'x'"):
             decide(Paradigm.SEPARATE_UTILITARIAN, group_estimates=(math.nan,), rng="x")
 
+    @pytest.mark.parametrize(
+        "paradigm, estimates",
+        [
+            (Paradigm.SEPARATE_UTILITARIAN, {"group_estimates": "12"}),
+            (Paradigm.SEPARATE_EGALITARIAN, {"group_estimates": ["0.1", "-0.2"]}),
+            (Paradigm.SEPARATE_UTILITARIAN, {"group_estimates": np.array([b"1", b"2"])}),
+            (Paradigm.JOINT_UTILITARIAN, {"pooled_estimate": b"-3"}),
+            (Paradigm.JOINT_UTILITARIAN, {"pooled_estimate": np.str_("0.5")}),
+        ],
+        ids=["digit-string", "list-of-strings", "bytes-array", "bytes", "numpy-string"],
+    )
+    def test_string_estimates_are_not_parsed_as_numbers(self, paradigm, estimates):
+        with pytest.raises(ValidationError, match="estimates must be real numbers"):
+            decide(paradigm, **estimates)
+
+    @pytest.mark.parametrize("paradigm", [Paradigm.SEPARATE_UTILITARIAN, Paradigm.SEPARATE_EGALITARIAN])
+    @pytest.mark.parametrize("estimate", [0.5, -1, np.float64(0.5), np.array(0.5)])
+    def test_a_bare_scalar_is_not_per_group_estimates(self, paradigm, estimate):
+        with pytest.raises(ValidationError, match="one estimate per group"):
+            decide(paradigm, group_estimates=estimate)
+
 
 class TestRealizedRegret:
     problem = make_problem((0.5, 0.5), (1.0, 1.0), 100)

@@ -44,6 +44,13 @@ REPRODUCE_SHA256 = {
     "table4.csv": "00b60854f5ebbc1b8cc78667dc707b31bccb9ad72b2ce7f19b1be4ec32174b24",
     "table5.csv": "9deb2c470106575013d4f5d3eeb7882fde0926b21e9958781bf2ce4296da6fa9",
 }
+# ``reproduce --redistribute``: the greedy hands leftover pairs back out,
+# which changes only the tables that list allocations and their regrets.
+REPRODUCE_REDISTRIBUTE_SHA256 = {
+    **REPRODUCE_SHA256,
+    "table2.csv": "dc195cd44d069e9693784e189ae7c87fc29eb9810c41f0f2ff391e0cb3e68ce4",
+    "table5.csv": "ac7e37fc1542cf26d78af92e1665d379c1c4dcc98d535dd47daf9b963ad196eb",
+}
 # table5.csv of ``reproduce --reps 20000 --seed 0``: closed forms plus the
 # seeded Monte Carlo columns.
 TABLE5_REPS_20000_SEED_0_SHA256 = "9a92349825d816ef9ad964c48ad55b754a99cd81e19b81d6381673aca20645db"
@@ -78,6 +85,13 @@ class TestReproduceDigests:
         written = {p.name for p in tmp_path.iterdir()}
         assert written == set(REPRODUCE_SHA256)
         for name, digest in REPRODUCE_SHA256.items():
+            assert sha256(tmp_path / name) == digest, name
+
+    def test_redistribute_outputs_are_pinned(self, tmp_path):
+        assert main(["reproduce", "--out", str(tmp_path), "--redistribute"]) == 0
+        written = {p.name for p in tmp_path.iterdir()}
+        assert written == set(REPRODUCE_REDISTRIBUTE_SHA256)
+        for name, digest in REPRODUCE_REDISTRIBUTE_SHA256.items():
             assert sha256(tmp_path / name) == digest, name
 
     def test_monte_carlo_table5_is_pinned(self, tmp_path):
