@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Write one benchmark record: each workload's end-to-end metrics, every
+per-layer metric, and the setting they were measured in.
+
+    python3 scripts/bench_record.py OUT.json
+
+Runs ``perfbench/run.py --seed 1 --trace 0`` once for each workload that
+BENCHMARK.json declares, at its ``run_seconds``, then one ``--trace 1``
+design-sweep run, whose layer suite gives every per-layer metric.  Each
+run's metrics come from its last stdout line, the environment from its
+report under ``perfbench/.work/``.  Exits non-zero, and writes nothing, when
+a run fails or any of its checks is not ``correct``.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+TRACE_WORKLOAD = "design-sweep"
+# What of a run's environment the record keeps; load and commit vary per run.
+ENVIRONMENT_KEYS = ("nproc", "cpu_model", "python", "numpy", "src_sha256")
+
+
+class RecordError(Exception):
+    """A benchmark run failed, or did not pass its own checks."""
+
+
+def run_perfbench(workload: str, seconds: float, trace: int) -> tuple[dict, dict]:
+    """(last stdout line, written report) of one ``perfbench/run.py`` run."""
+    argv = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    print("running:", " ".join(argv[1:]), file=sys.stderr, flush=True)
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RecordError(
+            f"{workload} (trace {trace}) exited {done.returncode} without a result: "
+            f"{done.stderr.strip()}"
+        ) from None
+    report_path = ROOT / "perfbench" / ".work" / f"result-{workload}-seed{SEED}-trace{trace}.json"
+    return result, json.loads(report_path.read_text())
+
+
+def assemble(
+    runs: dict[str, tuple[dict, dict]], trace_run: tuple[dict, dict], environ
+) -> dict:
+    """The record of untraced ``runs`` (workload -> (result, report)) and the
+    traced design-sweep ``trace_run``; RecordError if any is not correct."""
+    labelled = [(workload, 0, run) for workload, run in runs.items()]
+    for workload, trace, (result, _) in labelled + [(TRACE_WORKLOAD, 1, trace_run)]:
+        if result.get("correct") is not True:
+            raise RecordError(
+                f"{workload} (trace {trace}): {result.get('failed')} of "
+                f"{result.get('attempted')} checked ops failed"
+            )
+    trace_result, trace_report = trace_run
+    environment = {key: trace_report["environment"][key] for key in ENVIRONMENT_KEYS}
+    # Without bytecode every subprocess compiles src/ again (~20 ms a start).
+    environment["PYTHONDONTWRITEBYTECODE"] = bool(environ.get("PYTHONDONTWRITEBYTECODE"))
+    return {
+        "seed": SEED,
+        "run_seconds": {workload: report["seconds"] for workload, (_, report) in runs.items()},
+        "end_to_end": {workload: result["metrics"] for workload, (result, _) in runs.items()},
+        "per_layer": trace_result["metrics"],
+        "environment": environment,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="the JSON file to write")
+    args = parser.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    try:
+        runs = {
+            spec["name"]: run_perfbench(spec["name"], seconds, trace=0)
+            for spec in bench["workloads"]
+        }
+        record = assemble(runs, run_perfbench(TRACE_WORKLOAD, seconds, trace=1), os.environ)
+    except RecordError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -101,7 +101,7 @@ def _shares(problem: DesignProblem, scheme: str) -> tuple[float, ...]:
     raw = [raw_share(g.weight, g.var_sum) for g in problem.groups]
     total = sum(raw)
     # Exact (Fraction or int) inputs stay exact up to this one rounding.
-    shares = tuple(float(problem.budget * w / total) for w in raw)
+    shares = tuple([float(problem.budget * w / total) for w in raw])
     if not math.isfinite(sum(shares)):
         raise ValidationError(f"{scheme} shares overflow: variances too large for float range")
     return shares
@@ -134,15 +134,16 @@ def _greedy_redistribute(problem: DesignProblem, counts: list[int], target: Para
     updates per pair: a candidate swaps in its term at two more (``grown``),
     and a pick recomputes one term."""
     rule = paradigm_rule(target)
+    combine = rule.combine
     weights, var_sums = rule.group_weights(problem), problem.var_sums
     terms = worst_case_terms(weights, var_sums, counts)
     grown = worst_case_terms(weights, var_sums, [n + 2 for n in counts])
     leftover = problem.budget - sum(counts)
     while leftover >= 2:
-        best_g, best_val = None, rule.combine(terms)
+        best_g, best_val = None, combine(terms)
         for g in range(len(counts)):
             kept, terms[g] = terms[g], grown[g]
-            val = rule.combine(terms)
+            val = combine(terms)
             terms[g] = kept
             if val < best_val:
                 best_g, best_val = g, val
@@ -192,8 +193,8 @@ def _allocate(problem: DesignProblem, scheme: str, redistribute: bool) -> Alloca
     if allocation.total > problem.budget:
         # Past about 1e10 the float shares themselves can sum above the budget.
         raise ValidationError(f"{scheme} shares too large to round within budget {problem.budget}")
-    zero_groups = [g for g, n in enumerate(counts) if n == 0]
-    if zero_groups:
+    if 0 in counts:
+        zero_groups = [g for g, n in enumerate(counts) if n == 0]
         warnings.warn(
             f"{scheme} allocation assigns zero samples to group(s) {zero_groups}; "
             "worst-case regret is infinite for unsampled groups",

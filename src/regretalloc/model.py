@@ -230,7 +230,7 @@ class TruthScenario:
             bad = [g for g, (c, t) in enumerate(zip(vc, vt)) if c <= 0.0 or t <= 0.0]
             fault = f"group {bad[0]}: scenario variances must be positive" if bad else None
         self.__dict__.update(
-            var_sums=tuple(c + t for c, t in zip(vc, vt)), _length=length, _fault=fault
+            var_sums=tuple([c + t for c, t in zip(vc, vt)]), _length=length, _fault=fault
         )
 
     def negated(self) -> "TruthScenario":
@@ -250,6 +250,10 @@ class Paradigm(enum.Enum):
     JOINT_UTILITARIAN = "joint-utilitarian"
     SEPARATE_EGALITARIAN = "separate-egalitarian"
 
+    # Members are singletons that compare by identity, so they hash by it
+    # too: Enum's own __hash__ is a Python-level call on every table lookup.
+    __hash__ = object.__hash__
+
 
 def validate_problem(problem: DesignProblem) -> DesignProblem:
     """The problem unchanged if it is a ``DesignProblem`` (checked when it
@@ -264,7 +268,8 @@ def check_allocation(problem: DesignProblem, allocation: Allocation) -> Allocati
     allocation has one count per group and a total within the budget.  Usable
     independently of any allocator; an ``Allocation`` is even and
     nonnegative from the moment it is built."""
-    validate_problem(problem)
+    if not isinstance(problem, DesignProblem):
+        validate_problem(problem)
     if not isinstance(allocation, Allocation):
         raise ValidationError(f"allocation must be an Allocation, got {allocation!r}")
     counts = allocation.counts
@@ -283,7 +288,8 @@ def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenari
     """Check a truth scenario against a problem: both have their types, the
     scenario has a matching group count, and it was built without a fault
     (a non-finite value or a non-positive variance)."""
-    validate_problem(problem)
+    if not isinstance(problem, DesignProblem):
+        validate_problem(problem)
     _check_scenario_values(truth, problem.n_groups)
     return truth
 

@@ -31,7 +31,8 @@ costs |sum_g w_g tau_g| when the sign rule on the sampling-weighted mean
 
 What differs between paradigms lives in one table, ``PARADIGMS``: the
 worst-case evaluator, whether the decision is pooled, and whether per-group
-regrets combine by a weighted sum or by the worst-off max.  ``allocate``,
+regrets combine by a weighted sum or by the worst-off max; ``combine`` is
+the builtin ``sum`` or ``max`` itself, held in the table.  ``allocate``,
 ``simulate`` and ``cli`` read it instead of branching on the paradigm.
 
 Infinities are explicit ``math.inf`` states, never overflow artifacts, and
@@ -44,7 +45,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from math import erfc, sqrt
-from typing import Callable
+from typing import Callable, Iterable
 
 from .model import (
     Allocation,
@@ -94,12 +95,12 @@ class RegretSummary:
         _check_regret(value)
         summary = object.__new__(cls)
         # Frozen: fill the fields the way the cached properties are stored.
-        summary.__dict__.update(paradigm=paradigm, value=value, per_group=per_group)
+        summary.__dict__.update({"paradigm": paradigm, "value": value, "per_group": per_group})
         return summary
 
 
 def _check_regret(value: float) -> None:
-    if math.isnan(value) or value < 0.0:
+    if not value >= 0.0:  # NaN too
         raise ValidationError(f"regret must be a nonnegative real or inf, got {value}")
 
 
@@ -108,7 +109,7 @@ def _pooled_standard_error(h, var_sums, total: int) -> float:
     pooled mean difference under sampling fractions ``h``; ``total`` > 0.
     An unsampled group adds nothing, even where its sum overflowed (0 * inf
     would be NaN)."""
-    return sqrt(2.0 * sum(hg * s for hg, s in zip(h, var_sums) if hg) / total)
+    return sqrt(2.0 * sum([hg * s for hg, s in zip(h, var_sums) if hg]) / total)
 
 
 def worst_case_terms(weights, var_sums, counts) -> list[float]:
@@ -150,7 +151,7 @@ def sampling_fractions(allocation: Allocation) -> tuple[float, ...]:
     total = allocation.total
     if total <= 0:
         raise ValidationError("pooled quantities need at least one sampled participant")
-    return tuple(n / total for n in allocation.counts)
+    return tuple([n / total for n in allocation.counts])
 
 
 def joint_mismatch(problem: DesignProblem, allocation: Allocation) -> float:
@@ -169,8 +170,8 @@ def joint_mismatch(problem: DesignProblem, allocation: Allocation) -> float:
 def _mismatch_terms(problem: DesignProblem, h) -> tuple[float, float, float]:
     """(K, sum_g w_g/h_g, F) for the problem's weights w and fractions h."""
     inv_w = problem._inv_weight_sum
-    inv_h = sum(1.0 / x for x in h)
-    scale = sum(wg / hg for wg, hg in zip(problem.weights, h))
+    inv_h = sum([1.0 / x for x in h])
+    scale = sum([wg / hg for wg, hg in zip(problem.weights, h)])
     return scale - problem.n_groups * inv_h / inv_w, scale, inv_h / inv_w
 
 
@@ -210,14 +211,14 @@ def expected_regret(
     rule = paradigm_rule(paradigm)
 
     if rule.pooled:
-        aggregate = sum(w * t for w, t in zip(problem.weights, truth.tau))
+        aggregate = sum([w * t for w, t in zip(problem.weights, truth.tau)])
         if aggregate == 0.0:
             return RegretSummary._from_floats(paradigm, 0.0)
         if allocation.total == 0:
             # Nothing sampled anywhere: the pooled decision is a fair coin.
             return RegretSummary._from_floats(paradigm, abs(aggregate) / 2.0)
         h = sampling_fractions(allocation)
-        tau_bar = sum(hg * t for hg, t in zip(h, truth.tau))
+        tau_bar = sum([hg * t for hg, t in zip(h, truth.tau)])
         se = _pooled_standard_error(h, truth.var_sums, allocation.total)
         # Wrong decision: fail to treat when the aggregate effect is positive,
         # or treat when it is negative.
@@ -231,10 +232,10 @@ def expected_regret(
 
     # w * |tau| * P(wrong sign): Phi_c(|tau|/se), 1/2 unsampled, 0 when se = 0.
     per_group = tuple([
-        w * (abs(t) * ((0.5 * erfc(abs(t) / se / _SQRT2) if (se := sqrt(2.0 * s / n)) else 0.0)
-                       if n else 0.5))
+        w * (t * ((0.5 * erfc(t / se / _SQRT2) if (se := sqrt(2.0 * s / n)) else 0.0)
+                  if n else 0.5))
         for w, t, s, n in zip(
-            rule.group_weights(problem), truth.tau, truth.var_sums, allocation.counts
+            rule.group_weights(problem), map(abs, truth.tau), truth.var_sums, allocation.counts
         )
     ])
     return RegretSummary._from_floats(paradigm, rule.combine(per_group), per_group)
@@ -362,15 +363,14 @@ class ParadigmRule:
     unweighted and combine by their max (in Monte Carlo, the max of the
     per-group means); otherwise they combine by a population-weighted sum
     per replication.  ``worst_case(problem, allocation)`` is the closed-form
-    worst case."""
+    worst case.  ``combine`` is the builtin that folds per-group regrets
+    into one: ``sum``, or ``max`` where ``worst_off``."""
 
     flag: str
     pooled: bool
     worst_off: bool
     worst_case: Callable[[DesignProblem, Allocation], RegretSummary]
-
-    def combine(self, per_group) -> float:
-        return max(per_group) if self.worst_off else sum(per_group)
+    combine: Callable[[Iterable[float]], float] = sum
 
     def group_weights(self, problem: DesignProblem) -> tuple[float, ...]:
         return (1.0,) * problem.n_groups if self.worst_off else problem.weights
@@ -386,6 +386,7 @@ PARADIGMS: dict[Paradigm, ParadigmRule] = {
     ),
     Paradigm.SEPARATE_EGALITARIAN: ParadigmRule(
         "egalitarian", pooled=False, worst_off=True, worst_case=worst_case_egalitarian,
+        combine=max,
     ),
 }
 

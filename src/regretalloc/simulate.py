@@ -43,6 +43,7 @@ the rare event's probability; pick ``replications`` accordingly.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -200,8 +201,8 @@ def decide(
     closed forms), one ``rng.integers`` block per NaN column in column order,
     and defaults to treat otherwise.  A tuple or float in gives a tuple or
     int out; a leading replication axis gives an int64 array of that shape.
-    Strings, and a bare scalar given as per-group estimates, raise
-    ValidationError.
+    Strings (also inside an object array), other non-numbers such as None,
+    and a bare scalar given as per-group estimates, raise ValidationError.
     """
     rule = paradigm_rule(paradigm)
     if rule.pooled and pooled_estimate is None:
@@ -213,7 +214,11 @@ def decide(
     estimates = pooled_estimate if rule.pooled else group_estimates
     try:
         values = np.asarray(estimates)
-        if values.dtype.kind in "SUV":  # a float conversion would parse "12" and b"-3"
+        # A float conversion would parse "12" and b"-3", and turn None into
+        # NaN (an unsampled group); only an object array is checked per element.
+        if values.dtype.kind in "SUV" or (
+            values.dtype.kind == "O" and not all(isinstance(v, numbers.Real) for v in values.flat)
+        ):
             raise TypeError
         values = values.astype(float, copy=False)
     except (TypeError, ValueError):  # "ab", a dict, ragged rows
@@ -294,9 +299,15 @@ def _tiled_row_means(
     """
     rows = max(1, _TILE_BYTES // (8 * half))
     means = np.empty(size)
+    # Every tile is drawn into one buffer, not a fresh array per tile.
+    # scale * z + loc is what ``rng.normal`` computes per value.
+    tile = np.empty((min(rows, size), half))
     for start in range(0, size, rows):
         stop = min(start + rows, size)
-        means[start:stop] = rng.normal(loc, scale, size=(stop - start, half)).mean(axis=1)
+        draws = rng.standard_normal(out=tile[: stop - start])
+        draws *= scale
+        draws += loc
+        draws.mean(axis=1, out=means[start:stop])
     return means
 
 

@@ -4,7 +4,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regretalloc.allocate import (
@@ -336,6 +336,9 @@ class TestGreedyEquivalence:
 
     @settings(max_examples=200)
     @given(greedy_problems(), st.sampled_from(sorted(GREEDY_TARGETS)))
+    # Four equal groups floor to (6, 6, 6, 6) with three pairs left: every
+    # egalitarian term ties at the max, so combine=max sees tied maxima.
+    @example(make_problem((0.25,) * 4, (1.0,) * 4, 30), "egalitarian")
     def test_matches_the_full_rebuild(self, problem, scheme):
         greedy_matches_full_rebuild(problem, scheme)
 

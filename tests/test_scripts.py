@@ -1,10 +1,15 @@
-"""Smoke tests: the research scripts run end to end on the bundled scenario."""
+"""Smoke tests: the research scripts run end to end on the bundled scenario;
+the benchmark record is assembled from fake runs, without the benchmark."""
 
+import importlib.util
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import regretalloc
 from regretalloc.cli import _case_allocations
@@ -45,3 +50,68 @@ def test_pooled_mismatch_demo_prints_every_scheme():
     assert lines[0].startswith("t_star = 0.7518")
     schemes = ("proportional", "minimax", "egalitarian", "neyman")
     assert [line.split()[0] for line in lines if line.startswith(schemes)] == list(schemes)
+
+
+def load_bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fake_run(workload, correct=True, metrics=None, seconds=20):
+    result = {
+        "correct": correct, "attempted": 10, "failed": 0 if correct else 3,
+        "metrics": metrics or {"work_per_s": {"value": 1.0, "unit": "1/s"}},
+    }
+    report = {
+        "workload": workload, "seconds": seconds,
+        "environment": {
+            "nproc": 2, "cpu_model": "cpu", "loadavg": [0.1, 0.2, 0.3], "python": "3.11.7",
+            "numpy": "2.4.6", "git_commit": "abc", "src_sha256": "f00", "seed": 1,
+        },
+    }
+    return result, report
+
+
+class TestBenchRecord:
+    def test_record_is_assembled_from_the_runs(self):
+        bench_record = load_bench_record()
+        runs = {
+            "design-sweep": fake_run(
+                "design-sweep", metrics={"work_per_s": {"value": 2.0, "unit": "1/s"}}
+            ),
+            "mc-trial": fake_run("mc-trial", seconds=8),
+        }
+        layers = {"allocate.minimax_us": {"value": 3.0, "unit": "us"}}
+        record = bench_record.assemble(
+            runs, fake_run("design-sweep", metrics=layers), {"PYTHONDONTWRITEBYTECODE": "1"}
+        )
+        assert record == {
+            "seed": 1,
+            "run_seconds": {"design-sweep": 20, "mc-trial": 8},
+            "end_to_end": {
+                "design-sweep": {"work_per_s": {"value": 2.0, "unit": "1/s"}},
+                "mc-trial": {"work_per_s": {"value": 1.0, "unit": "1/s"}},
+            },
+            "per_layer": layers,
+            "environment": {
+                "nproc": 2, "cpu_model": "cpu", "python": "3.11.7", "numpy": "2.4.6",
+                "src_sha256": "f00", "PYTHONDONTWRITEBYTECODE": True,
+            },
+        }
+        json.dumps(record)  # what the script writes
+
+    @pytest.mark.parametrize("environ", [{}, {"PYTHONDONTWRITEBYTECODE": ""}], ids=["unset", "empty"])
+    def test_an_empty_bytecode_flag_is_unset(self, environ):
+        bench_record = load_bench_record()
+        runs = {"mc-trial": fake_run("mc-trial")}
+        record = bench_record.assemble(runs, fake_run("design-sweep"), environ)
+        assert record["environment"]["PYTHONDONTWRITEBYTECODE"] is False
+
+    @pytest.mark.parametrize("failing", ["mc-trial", "trace"])
+    def test_a_run_that_is_not_correct_stops_the_record(self, failing):
+        bench_record = load_bench_record()
+        runs = {"mc-trial": fake_run("mc-trial", correct=failing != "mc-trial")}
+        with pytest.raises(bench_record.RecordError, match="3 of 10 checked ops failed"):
+            bench_record.assemble(runs, fake_run("design-sweep", correct=failing != "trace"), {})

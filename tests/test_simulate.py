@@ -240,8 +240,14 @@ class TestDecide:
             (Paradigm.SEPARATE_UTILITARIAN, {"group_estimates": "ab"}),
             (Paradigm.SEPARATE_EGALITARIAN, {"group_estimates": [[0.1, 0.2], [0.3]]}),
             (Paradigm.JOINT_UTILITARIAN, {"pooled_estimate": {"a": 1}}),
+            (
+                Paradigm.SEPARATE_UTILITARIAN,
+                {"group_estimates": np.array(["1", "-2"], dtype=object)},
+            ),
+            (Paradigm.SEPARATE_UTILITARIAN, {"group_estimates": [None, 1.0]}),
+            (Paradigm.JOINT_UTILITARIAN, {"pooled_estimate": np.array(None, dtype=object)}),
         ],
-        ids=["string", "ragged", "dict"],
+        ids=["string", "ragged", "dict", "object-array-of-strings", "none-in-list", "object-none"],
     )
     def test_non_numeric_estimates_raise_validation_error(self, paradigm, estimates):
         with pytest.raises(ValidationError, match="estimates must be real numbers"):

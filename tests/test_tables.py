@@ -1,7 +1,9 @@
 """The paradigm table, the scheme table, and byte-pinned reproduce outputs."""
 
+import copy
 import hashlib
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -55,7 +57,7 @@ REPRODUCE_REDISTRIBUTE_SHA256 = {
 # seeded Monte Carlo columns.
 TABLE5_REPS_20000_SEED_0_SHA256 = "9a92349825d816ef9ad964c48ad55b754a99cd81e19b81d6381673aca20645db"
 
-BOGUS_PARADIGMS = ["separate-utilitarian", None, 0, ["joint"]]
+BOGUS_PARADIGMS = ["separate-utilitarian", "SEPARATE_UTILITARIAN", None, 0, ["joint"]]
 
 
 def sha256(path):
@@ -108,6 +110,21 @@ class TestParadigmTable:
         assert list(PARADIGMS) == list(Paradigm)
         for paradigm in Paradigm:
             assert paradigm_rule(paradigm) is PARADIGMS[paradigm]
+
+    @pytest.mark.parametrize(
+        "copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_a_copied_member_finds_its_row(self, copy_of):
+        for paradigm in Paradigm:
+            copied = copy_of(paradigm)
+            assert copied is paradigm
+            assert hash(copied) == hash(paradigm)
+            assert paradigm_rule(copied) is PARADIGMS[paradigm]
+
+    def test_combine_is_the_builtin_sum_or_max(self):
+        for rule in PARADIGMS.values():
+            assert rule.combine is (max if rule.worst_off else sum)
 
     def test_flags_are_the_cli_names(self):
         assert [rule.flag for rule in PARADIGMS.values()] == ["separate", "joint", "egalitarian"]

@@ -240,6 +240,14 @@ class TestRegretSummary:
         with pytest.raises(ValidationError, match="nonnegative real or inf"):
             RegretSummary._from_floats(self.P, value, (1.0,))
 
+    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("per_group", [None, (0.25, 0.5)], ids=["scalar", "per-group"])
+    def test_both_constructors_give_equal_summaries_with_equal_hashes(self, paradigm, per_group):
+        public = RegretSummary(paradigm, 0.75, per_group)
+        kernel = RegretSummary._from_floats(paradigm, 0.75, per_group)
+        assert public == kernel
+        assert hash(public) == hash(kernel)
+
     @given(
         st.integers(1, 6).flatmap(
             lambda g: st.tuples(
