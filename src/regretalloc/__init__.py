@@ -16,20 +16,7 @@ the very objects in ``regretalloc.simulate``.
 
 from importlib import import_module as _import_module
 
-from .allocate import (
-    ContinuousAllocation,
-    DegenerateAllocationWarning,
-    allocate,
-    continuous_egalitarian,
-    continuous_minimax,
-    continuous_neyman,
-    continuous_proportional,
-    egalitarian_allocation,
-    minimax_allocation,
-    neyman_allocation,
-    proportional_allocation,
-    round_to_even_floor,
-)
+from .allocate import DegenerateAllocationWarning, allocate, shares
 from .casestudy import (
     CaseStudyCase,
     ConfigError,

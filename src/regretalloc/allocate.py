@@ -21,8 +21,7 @@ redistribute, and warn about unsampled groups.  Rounding can strand up to
 closed-form selection rules literally.  ``redistribute=True`` hands the
 leftover pairs back out: greedily by marginal reduction of the targeted
 worst case (via ``regret.worst_case_terms``) for minimax and egalitarian,
-by largest remainder for proportional and Neyman.  The ``continuous_*`` and
-``*_allocation`` functions are one-line wrappers over that path.
+by largest remainder for proportional and Neyman.
 
 All functions are pure; a ``DesignProblem`` is checked when it is built, and
 ``model.validate_problem`` checks that a problem is one.
@@ -48,20 +47,6 @@ _SNAP_CAP = 1e-6
 
 class DegenerateAllocationWarning(UserWarning):
     """Some group's rounded count is zero; its worst-case regret is infinite."""
-
-
-@dataclass(frozen=True)
-class ContinuousAllocation:
-    """Relaxed shares: positive reals summing exactly to the budget."""
-
-    shares: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shares", tuple(float(s) for s in self.shares))
-
-    @property
-    def total(self) -> float:
-        return sum(self.shares)
 
 
 @dataclass(frozen=True)
@@ -93,7 +78,7 @@ def _scheme(name: str) -> Scheme:
         ) from None
 
 
-def _shares(problem: DesignProblem, scheme: str) -> tuple[float, ...]:
+def shares(problem: DesignProblem, scheme: str) -> tuple[float, ...]:
     """Budget-exhausting relaxation of a scheme, as Python floats:
     share_g = raw_share_g * N / sum of raw shares."""
     raw_share = _scheme(scheme).raw_share
@@ -101,10 +86,10 @@ def _shares(problem: DesignProblem, scheme: str) -> tuple[float, ...]:
     raw = [raw_share(g.weight, g.var_sum) for g in problem.groups]
     total = sum(raw)
     # Exact (Fraction or int) inputs stay exact up to this one rounding.
-    shares = tuple([float(problem.budget * w / total) for w in raw])
-    if not math.isfinite(sum(shares)):
+    relaxed = tuple([float(problem.budget * w / total) for w in raw])
+    if not math.isfinite(sum(relaxed)):
         raise ValidationError(f"{scheme} shares overflow: variances too large for float range")
-    return shares
+    return relaxed
 
 
 def _floor_even(x: float) -> int:
@@ -115,17 +100,6 @@ def _floor_even(x: float) -> int:
     if gap <= _SNAP_CAP and gap <= _EVEN_SNAP * max(1.0, abs(x)):
         return down + 2
     return down
-
-
-def round_to_even_floor(shares: ContinuousAllocation) -> Allocation:
-    """Round every share down to an even integer: n_g = 2*floor(share_g/2).
-
-    Guarantees share_g - 2 < n_g <= share_g (up to the even-snap tolerance),
-    so no group loses more than one treated/control pair to rounding.
-    """
-    if not isinstance(shares, ContinuousAllocation):
-        raise ValidationError(f"shares must be a ContinuousAllocation, got {shares!r}")
-    return Allocation(counts=tuple(_floor_even(s) for s in shares.shares))
 
 
 def _greedy_redistribute(problem: DesignProblem, counts: list[int], target: Paradigm) -> list[int]:
@@ -163,10 +137,10 @@ def _greedy_redistribute(problem: DesignProblem, counts: list[int], target: Para
 
 
 def _largest_remainder_redistribute(
-    problem: DesignProblem, counts: list[int], shares: tuple[float, ...]
+    problem: DesignProblem, counts: list[int], relaxed: tuple[float, ...]
 ) -> list[int]:
     leftover = problem.budget - sum(counts)
-    order = sorted(range(len(counts)), key=lambda g: shares[g] - counts[g], reverse=True)
+    order = sorted(range(len(counts)), key=lambda g: relaxed[g] - counts[g], reverse=True)
     i = 0
     while leftover >= 2:
         counts[order[i % len(order)]] += 2
@@ -176,17 +150,19 @@ def _largest_remainder_redistribute(
 
 
 def _allocate(problem: DesignProblem, scheme: str, redistribute: bool) -> Allocation:
-    """The one allocation path.  Every public entry point calls this
-    directly, so the warning's stacklevel=3 names the code that called the
-    entry point.  The result is built unchecked (``Allocation._from_counts``):
+    """The one allocation path.  ``allocate`` and ``minimax_allocation`` call
+    this directly, so the warning's stacklevel=3 names the code that called
+    either one.  The result is built unchecked (``Allocation._from_counts``):
     ``_floor_even`` of a finite float share >= 0 is an even int >= 0, and
     redistribution only adds 2 to a count."""
-    shares = _shares(problem, scheme)
-    counts = [_floor_even(s) for s in shares]
+    if not isinstance(redistribute, bool):
+        raise ValidationError(f"redistribute must be a bool, got {redistribute!r}")
+    relaxed = shares(problem, scheme)
+    counts = [_floor_even(s) for s in relaxed]
     if redistribute:
         target = SCHEMES[scheme].greedy_target
         if target is None:
-            counts = _largest_remainder_redistribute(problem, counts, shares)
+            counts = _largest_remainder_redistribute(problem, counts, relaxed)
         else:
             counts = _greedy_redistribute(problem, counts, target)
     allocation = Allocation._from_counts(tuple(counts))
@@ -210,41 +186,7 @@ def allocate(problem: DesignProblem, scheme: str, redistribute: bool = False) ->
     return _allocate(problem, scheme, redistribute)
 
 
-def continuous_minimax(problem: DesignProblem) -> ContinuousAllocation:
-    """share_g proportional to (s0_g^2+s1_g^2)^(1/3) * w_g^(2/3)."""
-    return ContinuousAllocation(_shares(problem, "minimax"))
-
-
-def continuous_proportional(problem: DesignProblem) -> ContinuousAllocation:
-    """share_g = w_g * N."""
-    return ContinuousAllocation(_shares(problem, "proportional"))
-
-
-def continuous_egalitarian(problem: DesignProblem) -> ContinuousAllocation:
-    """share_g proportional to s0_g^2 + s1_g^2 (equal standard errors)."""
-    return ContinuousAllocation(_shares(problem, "egalitarian"))
-
-
-def continuous_neyman(problem: DesignProblem) -> ContinuousAllocation:
-    """share_g proportional to w_g * sqrt(s0_g^2 + s1_g^2)."""
-    return ContinuousAllocation(_shares(problem, "neyman"))
-
-
+# perfbench (layers.py, workloads.py) calls this name; it is not exported.
 def minimax_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
     """Even-floored minimax selection (redistribution lowers H)."""
     return _allocate(problem, "minimax", redistribute)
-
-
-def proportional_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
-    """Even floor of n_g = w_g * N (redistribution by largest remainder)."""
-    return _allocate(problem, "proportional", redistribute)
-
-
-def egalitarian_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
-    """Even-floored variance-proportional selection (redistribution lowers He)."""
-    return _allocate(problem, "egalitarian", redistribute)
-
-
-def neyman_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
-    """Even-floored classical Neyman reference allocation (largest remainder)."""
-    return _allocate(problem, "neyman", redistribute)

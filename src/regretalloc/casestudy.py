@@ -150,6 +150,8 @@ def composite_moments(spec: IncidenceSpec) -> TruthScenario:
     variance = p_covid*(1-p_covid) + beta^2 * p_ar*(1-p_ar); the treatment
     effect is the treated-minus-control mean and the baseline their average.
     """
+    if not isinstance(spec, IncidenceSpec):
+        raise ConfigError(f"spec must be an IncidenceSpec, got {spec!r}")
     beta = spec.beta
     beta_sq = _square(beta)
     tau, baseline, var0, var1 = [], [], [], []
@@ -204,6 +206,8 @@ def required_sample_size(spec: PowerSpec, weights: Sequence[float]) -> int:
     conventions (80% vs 90% power quantile) give materially different sizes;
     both are reported by the CLI rather than silently chosen.
     """
+    if not isinstance(spec, PowerSpec):
+        raise ConfigError(f"spec must be a PowerSpec, got {spec!r}")
     weights = _as_tuple(weights, "weights", _as_probability)
     if len(weights) != len(spec.var_control):
         raise ConfigError("weights and variance lists differ in length")
@@ -311,7 +315,11 @@ def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
 def load_config(path: str) -> ScenarioConfig:
     """Read and validate a scenario file.  A path that is missing or names a
     directory, and text that is not UTF-8 JSON or nests too deeply to parse,
-    become ConfigError naming ``path``."""
+    become ConfigError naming ``path``; so does a ``path`` that is not a
+    str or path object (an int would be opened, then closed, as a file
+    descriptor)."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"config path must be a str or path object, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -341,6 +349,8 @@ def build_case_study(config: ScenarioConfig) -> tuple[CaseStudyCase, ...]:
     also carries a PowerSpec over its own conservative variances so sample
     sizes under both quantile conventions can be reported.
     """
+    if not isinstance(config, ScenarioConfig):
+        raise ConfigError(f"config must be a ScenarioConfig, got {config!r}")
     cases = []
     for beta in config.beta_cases:
         noise = conservative_noise(config.design_covid_control, config.design_ar_treated, beta)

@@ -248,7 +248,11 @@ def _check_all_sampled(problem: DesignProblem, allocation: Allocation) -> None:
 
 
 def _check_t_dagger(t_dagger) -> None:
-    if not isinstance(t_dagger, numbers.Real) or not math.isfinite(t_dagger):
+    try:
+        finite = isinstance(t_dagger, numbers.Real) and math.isfinite(t_dagger)
+    except OverflowError:  # an int past float range
+        finite = False
+    if not finite:
         raise ValidationError(f"t_dagger must be a finite real number, got {t_dagger!r}")
 
 

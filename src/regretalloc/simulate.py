@@ -221,8 +221,10 @@ def decide(
         ):
             raise TypeError
         values = values.astype(float, copy=False)
-    except (TypeError, ValueError):  # "ab", a dict, ragged rows
-        raise ValidationError(f"estimates must be real numbers, got {estimates!r}") from None
+    except (TypeError, ValueError, OverflowError):  # "ab", a dict, ragged rows, 10**400
+        raise ValidationError(
+            f"estimates must be real numbers in float range, got {estimates!r}"
+        ) from None
     if values.ndim == 0 and not rule.pooled:
         raise ValidationError(f"separate decisions need one estimate per group, got {estimates!r}")
     rows = values.reshape(-1, 1) if rule.pooled else np.atleast_2d(values)
@@ -406,7 +408,7 @@ def monte_carlo_regret(
     paradigm_rule(paradigm)  # rejects a non-Paradigm before any draw
     if not isinstance(config, SimConfig):
         raise ValidationError(f"config must be a SimConfig, got {config!r}")
-    if level not in ("trial", "estimator"):
+    if not isinstance(level, str) or level not in ("trial", "estimator"):
         raise ValidationError(f"unknown simulation level {level!r}")
     if workers is not None:
         workers = _as_int("workers", workers)

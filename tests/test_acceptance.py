@@ -12,14 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from regretalloc.allocate import (
-    DegenerateAllocationWarning,
-    continuous_egalitarian,
-    continuous_minimax,
-    egalitarian_allocation,
-    minimax_allocation,
-    proportional_allocation,
-)
+from regretalloc.allocate import DegenerateAllocationWarning, allocate, shares
 from regretalloc.casestudy import required_sample_size
 from regretalloc.cli import main as cli_main
 from regretalloc.model import (
@@ -94,9 +87,9 @@ def test_criterion_2_case_study_allocations(covid_cases):
     failures = []
     for case, beta in zip(covid_cases, BETAS):
         computed = {
-            "minimax": minimax_allocation(case.problem).counts,
-            "proportional": proportional_allocation(case.problem).counts,
-            "egalitarian": egalitarian_allocation(case.problem).counts,
+            "minimax": allocate(case.problem, "minimax").counts,
+            "proportional": allocate(case.problem, "proportional").counts,
+            "egalitarian": allocate(case.problem, "egalitarian").counts,
         }
         for scheme, expected in REF_ALLOCATIONS[beta].items():
             got = computed[scheme]
@@ -304,9 +297,8 @@ def test_criterion_7_brute_force_optimality():
     instances = random_instances(20, rng)
     failures = []
 
-    def flooring_slack(problem, allocation, continuous):
+    def flooring_slack(problem, allocation, relaxed_counts):
         achieved = worst_case_separate(problem, allocation).value
-        relaxed_counts = continuous.shares
         c0 = threshold_constants().c0
         relaxed = c0 * sum(
             g.weight * math.sqrt(2.0 * g.var_sum / x)
@@ -321,13 +313,13 @@ def test_criterion_7_brute_force_optimality():
             problem = make_problem(weights, var_sums, N)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateAllocationWarning)
-                mm = minimax_allocation(problem)
-                eg = egalitarian_allocation(problem)
+                mm = allocate(problem, "minimax")
+                eg = allocate(problem, "egalitarian")
             # Separate-decision objective.
             achieved = worst_case_separate(problem, mm).value
             best = grid_minimum_separate(problem)
             gap = achieved / best - 1.0
-            slack = flooring_slack(problem, mm, continuous_minimax(problem))
+            slack = flooring_slack(problem, mm, shares(problem, "minimax"))
             if not (-1e-12 <= gap <= slack + 1e-12):
                 failures.append(f"minimax N={N}: gap {gap:.2e} slack {slack:.2e}")
             gaps_mm.append(gap)
@@ -338,7 +330,7 @@ def test_criterion_7_brute_force_optimality():
             c0 = threshold_constants().c0
             relaxed_value = c0 * max(
                 math.sqrt(2.0 * s / x)
-                for s, x in zip(problem.var_sums, continuous_egalitarian(problem).shares)
+                for s, x in zip(problem.var_sums, shares(problem, "egalitarian"))
             )
             slack_eg = achieved_eg / relaxed_value - 1.0
             if not (-1e-12 <= gap_eg <= slack_eg + 1e-12):
@@ -351,7 +343,7 @@ def test_criterion_7_brute_force_optimality():
     for k in (20, 27, 34, 41, 48, 55, 62, 69, 76, 80):
         a = k / 100.0
         problem = make_problem((a, 1.0 - a), (1.3, 2.9), 200)
-        proportional = proportional_allocation(problem)
+        proportional = allocate(problem, "proportional")
         achieved = worst_case_joint(problem, proportional).value
         best, argmin = grid_minimum_joint(problem)
         if not math.isfinite(achieved):

@@ -7,20 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regretalloc.allocate import (
-    ContinuousAllocation,
-    DegenerateAllocationWarning,
-    allocate,
-    continuous_egalitarian,
-    continuous_minimax,
-    continuous_neyman,
-    continuous_proportional,
-    egalitarian_allocation,
-    minimax_allocation,
-    neyman_allocation,
-    proportional_allocation,
-    round_to_even_floor,
-)
+from regretalloc.allocate import DegenerateAllocationWarning, allocate, shares
 from regretalloc.allocate import _EVEN_SNAP, _SNAP_CAP, _floor_even
 from regretalloc.model import (
     Allocation,
@@ -33,6 +20,8 @@ from regretalloc.model import (
 from regretalloc.regret import paradigm_rule, worst_case_separate, worst_case_terms
 from regretalloc.stats import threshold_constants
 from reference_values import ORACLE_MINIMAX_SHARES_CASE1, ORACLE_NEYMAN_ALLOCATION, REF_ALLOCATIONS
+
+SCHEMES = ("minimax", "proportional", "egalitarian", "neyman")
 
 
 def make_problem(weights, var_sums, budget):
@@ -75,50 +64,35 @@ def random_problems():
 class TestContinuousShares:
     def test_minimax_symmetric(self):
         problem = make_problem((0.5, 0.5), (2.0, 2.0), 100)
-        assert continuous_minimax(problem).shares == pytest.approx((50.0, 50.0))
+        assert shares(problem, "minimax") == pytest.approx((50.0, 50.0))
 
     def test_minimax_case_study_shares(self, covid_cases):
-        shares = continuous_minimax(covid_cases[0].problem).shares
-        assert shares == pytest.approx(ORACLE_MINIMAX_SHARES_CASE1, rel=1e-8)
+        relaxed = shares(covid_cases[0].problem, "minimax")
+        assert relaxed == pytest.approx(ORACLE_MINIMAX_SHARES_CASE1, rel=1e-8)
 
     def test_minimax_equal_variances_reduces_to_weight_power(self):
         problem = make_problem((0.83, 0.17), (1.0, 1.0), 9320)
-        shares = continuous_minimax(problem).shares
-        assert shares[0] / shares[1] == pytest.approx((0.83 / 0.17) ** (2.0 / 3.0), rel=1e-12)
+        relaxed = shares(problem, "minimax")
+        assert relaxed[0] / relaxed[1] == pytest.approx((0.83 / 0.17) ** (2.0 / 3.0), rel=1e-12)
 
     def test_shares_exhaust_budget(self, covid_cases):
-        for builder in (
-            continuous_minimax,
-            continuous_proportional,
-            continuous_egalitarian,
-            continuous_neyman,
-        ):
-            shares = builder(covid_cases[0].problem)
-            assert shares.total == pytest.approx(9320.0, rel=1e-12)
-            assert all(s > 0 for s in shares.shares)
+        for scheme in SCHEMES:
+            relaxed = shares(covid_cases[0].problem, scheme)
+            assert sum(relaxed) == pytest.approx(9320.0, rel=1e-12)
+            assert all(s > 0 for s in relaxed)
 
     def test_scale_invariance_of_shapes(self):
         base = make_problem((0.3, 0.7), (1.0, 3.0), 200)
         scaled = make_problem((0.3, 0.7), (7.0, 21.0), 200)
-        for builder in (
-            continuous_minimax,
-            continuous_proportional,
-            continuous_egalitarian,
-            continuous_neyman,
-        ):
-            assert builder(base).shares == pytest.approx(builder(scaled).shares, rel=1e-12)
+        for scheme in SCHEMES:
+            assert shares(base, scheme) == pytest.approx(shares(scaled, scheme), rel=1e-12)
 
     def test_permutation_equivariance(self):
         forward = make_problem((0.2, 0.3, 0.5), (1.0, 4.0, 2.0), 120)
         backward = make_problem((0.5, 0.3, 0.2), (2.0, 4.0, 1.0), 120)
-        for builder, scheme in (
-            (continuous_minimax, minimax_allocation),
-            (continuous_proportional, proportional_allocation),
-            (continuous_egalitarian, egalitarian_allocation),
-            (continuous_neyman, neyman_allocation),
-        ):
-            assert builder(forward).shares == pytest.approx(builder(backward).shares[::-1])
-            assert scheme(forward).counts == scheme(backward).counts[::-1]
+        for scheme in SCHEMES:
+            assert shares(forward, scheme) == pytest.approx(shares(backward, scheme)[::-1])
+            assert allocate(forward, scheme).counts == allocate(backward, scheme).counts[::-1]
 
     def test_minimax_minimizes_on_fine_grid(self):
         # G=2 oracle: the continuous shares minimize the separate worst case
@@ -135,33 +109,37 @@ class TestContinuousShares:
         step = 1e-3 * n
         grid = [step * k for k in range(1, 1000)]
         best = min(grid, key=objective)
-        share = continuous_minimax(problem).shares[0]
+        share = shares(problem, "minimax")[0]
         assert abs(best - share) <= step
 
     def test_egalitarian_balances_group_noise(self):
         problem = make_problem((0.2, 0.5, 0.3), (1.0, 5.0, 2.5), 170)
-        shares = continuous_egalitarian(problem).shares
-        levels = [math.sqrt(2.0 * s / x) for s, x in zip(problem.var_sums, shares)]
+        relaxed = shares(problem, "egalitarian")
+        levels = [math.sqrt(2.0 * s / x) for s, x in zip(problem.var_sums, relaxed)]
         assert max(levels) - min(levels) <= 1e-12 * max(levels)
+
+
+def floor_even_all(relaxed):
+    return tuple(_floor_even(s) for s in relaxed)
 
 
 class TestRoundToEvenFloor:
     def test_plain_flooring(self):
-        assert round_to_even_floor(ContinuousAllocation((5.9, 4.1))).counts == (4, 4)
+        assert floor_even_all((5.9, 4.1)) == (4, 4)
 
     def test_exact_even_is_fixed_point(self):
-        assert round_to_even_floor(ContinuousAllocation((6.0, 4.0))).counts == (6, 4)
+        assert floor_even_all((6.0, 4.0)) == (6, 4)
 
     def test_case_study_scale(self):
-        assert round_to_even_floor(ContinuousAllocation((6099.0, 3221.0))).counts == (6098, 3220)
+        assert floor_even_all((6099.0, 3221.0)) == (6098, 3220)
 
     def test_float_noise_near_even_snaps(self):
-        assert round_to_even_floor(ContinuousAllocation((40.0 - 1e-12, 12.0 + 1e-12))).counts == (40, 12)
+        assert floor_even_all((40.0 - 1e-12, 12.0 + 1e-12)) == (40, 12)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=6))
-    def test_bracket_property(self, shares):
-        counts = round_to_even_floor(ContinuousAllocation(tuple(shares))).counts
-        for share, n in zip(shares, counts):
+    def test_bracket_property(self, relaxed):
+        counts = floor_even_all(relaxed)
+        for share, n in zip(relaxed, counts):
             assert n % 2 == 0
             assert share - 2.0 < n <= share + 1e-6 * max(1.0, share)
 
@@ -169,55 +147,56 @@ class TestRoundToEvenFloor:
 class TestAllocators:
     def test_minimax_case_study(self, covid_cases):
         for case, expected in zip(covid_cases, (REF_ALLOCATIONS[0.005], REF_ALLOCATIONS[0.025])):
-            counts = minimax_allocation(case.problem).counts
+            counts = allocate(case.problem, "minimax").counts
             assert all(abs(c - e) <= 4 for c, e in zip(counts, expected["minimax"]))
 
     def test_minimax_exact_symmetric_divisible(self):
         problem = make_problem((0.25,) * 4, (1.0,) * 4, 80)
-        assert minimax_allocation(problem).counts == (20, 20, 20, 20)
+        assert allocate(problem, "minimax").counts == (20, 20, 20, 20)
 
     def test_minimax_hand_instance(self):
         # shares = (16.2446, 3.7554) -> even floor (16, 2)
         problem = make_problem((0.9, 0.1), (2.0, 2.0), 20)
-        assert minimax_allocation(problem).counts == (16, 2)
+        assert allocate(problem, "minimax").counts == (16, 2)
 
     def test_proportional_case_study(self, covid_cases):
         for case in covid_cases:
-            assert proportional_allocation(case.problem).counts == (7734, 1584)
+            assert allocate(case.problem, "proportional").counts == (7734, 1584)
 
     def test_proportional_even_weights(self):
-        assert proportional_allocation(make_problem((0.5, 0.5), (1.0, 1.0), 100)).counts == (50, 50)
+        problem = make_problem((0.5, 0.5), (1.0, 1.0), 100)
+        assert allocate(problem, "proportional").counts == (50, 50)
 
     def test_proportional_exact_divisibility(self):
         problem = make_problem((1 / 3, 1 / 3, 1 / 3), (1.0, 1.0, 1.0), 12)
-        assert proportional_allocation(problem).counts == (4, 4, 4)
+        assert allocate(problem, "proportional").counts == (4, 4, 4)
 
     def test_egalitarian_case_study(self, covid_cases):
         for case, expected in zip(covid_cases, (REF_ALLOCATIONS[0.005], REF_ALLOCATIONS[0.025])):
-            counts = egalitarian_allocation(case.problem).counts
+            counts = allocate(case.problem, "egalitarian").counts
             assert all(abs(c - e) <= 4 for c, e in zip(counts, expected["egalitarian"]))
 
     def test_egalitarian_equal_variances_splits_evenly(self):
         problem = make_problem((0.7, 0.2, 0.1), (3.0, 3.0, 3.0), 90)
-        assert egalitarian_allocation(problem).counts == (30, 30, 30)
+        assert allocate(problem, "egalitarian").counts == (30, 30, 30)
 
     def test_egalitarian_hand_instance(self):
         problem = make_problem((0.5, 0.5), (1.0, 3.0), 80)
-        assert egalitarian_allocation(problem).counts == (20, 60)
+        assert allocate(problem, "egalitarian").counts == (20, 60)
 
     def test_neyman_std_ratio(self):
         problem = make_problem((0.5, 0.5), (1.0, 4.0), 60)
-        assert neyman_allocation(problem).counts == (20, 40)
+        assert allocate(problem, "neyman").counts == (20, 40)
 
     def test_neyman_symmetric(self):
         problem = make_problem((0.5, 0.5), (2.0, 2.0), 100)
-        assert neyman_allocation(problem).counts == (50, 50)
+        assert allocate(problem, "neyman").counts == (50, 50)
 
     def test_neyman_case_study(self, covid_cases):
         for case, expected in zip(
             covid_cases, (ORACLE_NEYMAN_ALLOCATION[0.005], ORACLE_NEYMAN_ALLOCATION[0.025])
         ):
-            assert neyman_allocation(case.problem).counts == expected
+            assert allocate(case.problem, "neyman").counts == expected
 
     def test_dispatch_rejects_unknown_scheme(self, covid_cases):
         with pytest.raises(ValidationError, match="unknown allocation scheme"):
@@ -225,34 +204,27 @@ class TestAllocators:
 
     @given(random_problems())
     def test_all_outputs_even_within_budget_and_bracketed(self, problem):
-        for builder, scheme in (
-            (continuous_minimax, minimax_allocation),
-            (continuous_proportional, proportional_allocation),
-            (continuous_egalitarian, egalitarian_allocation),
-            (continuous_neyman, neyman_allocation),
-        ):
-            shares = builder(problem).shares
-            import warnings
-
+        for scheme in SCHEMES:
+            relaxed = shares(problem, scheme)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateAllocationWarning)
-                counts = scheme(problem).counts
+                counts = allocate(problem, scheme).counts
             assert sum(counts) <= problem.budget
-            for share, n in zip(shares, counts):
+            for share, n in zip(relaxed, counts):
                 assert n % 2 == 0
                 assert share - 2.0 < n <= share + 1e-6 * max(1.0, share)
 
     def test_zero_count_emits_warning(self):
         problem = make_problem((0.97, 0.03), (1.0, 1.0), 20)
         with pytest.warns(DegenerateAllocationWarning):
-            proportional_allocation(problem)
+            allocate(problem, "proportional")
 
 
 class TestRedistribution:
     def test_minimax_redistribute_uses_full_budget(self, covid_cases):
         problem = covid_cases[0].problem
-        floored = minimax_allocation(problem)
-        topped = minimax_allocation(problem, redistribute=True)
+        floored = allocate(problem, "minimax")
+        topped = allocate(problem, "minimax", redistribute=True)
         assert topped.total == 9320
         assert all(n % 2 == 0 for n in topped.counts)
         assert all(t >= f for t, f in zip(topped.counts, floored.counts))
@@ -263,14 +235,14 @@ class TestRedistribution:
 
     def test_proportional_redistribute_largest_remainder(self, covid_cases):
         # Continuous shares (7735.6, 1584.4): leftover pair goes to group 1.
-        assert proportional_allocation(
-            covid_cases[0].problem, redistribute=True
+        assert allocate(
+            covid_cases[0].problem, "proportional", redistribute=True
         ).counts == (7736, 1584)
 
     def test_redistribute_leaves_less_than_a_pair(self):
         problem = make_problem((0.41, 0.33, 0.26), (1.0, 2.0, 3.0), 101)
-        for scheme in (minimax_allocation, egalitarian_allocation, neyman_allocation):
-            allocation = scheme(problem, redistribute=True)
+        for scheme in ("minimax", "egalitarian", "neyman"):
+            allocation = allocate(problem, scheme, redistribute=True)
             assert problem.budget - allocation.total < 2
 
 
@@ -357,9 +329,6 @@ class TestGreedyEquivalence:
     def test_flat_objective_fallback(self, weights, var_sums, budget, expected):
         problem = make_problem(weights, var_sums, budget)
         assert greedy_matches_full_rebuild(problem, "egalitarian") == expected
-
-
-SCHEMES = ("minimax", "proportional", "egalitarian", "neyman")
 
 
 class TestLargeBudgets:

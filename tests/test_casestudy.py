@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from regretalloc import casestudy
-from regretalloc.allocate import egalitarian_allocation, minimax_allocation
+from regretalloc.allocate import allocate
 from regretalloc.casestudy import (
     ConfigError,
     IncidenceSpec,
@@ -423,6 +424,30 @@ class TestConfigParsing:
         path.write_text(json.dumps(bundled_config_document()))
         assert load_config(str(path)) == default_config()
 
+    def test_load_config_leaves_a_file_descriptor_open(self):
+        # The write end is closed first, so a read of the pipe ends at once.
+        read_end, write_end = os.pipe()
+        os.close(write_end)
+        try:
+            with pytest.raises(ConfigError, match="config path must be a str"):
+                load_config(read_end)
+            os.fstat(read_end)
+        finally:
+            os.close(read_end)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: build_case_study(None), "config must be a ScenarioConfig, got None"),
+            (lambda: composite_moments(None), "spec must be an IncidenceSpec, got None"),
+            (lambda: required_sample_size(None, (0.5, 0.5)), "spec must be a PowerSpec, got None"),
+        ],
+        ids=["build_case_study", "composite_moments", "required_sample_size"],
+    )
+    def test_none_spec_is_a_config_error(self, call, match):
+        with pytest.raises(ConfigError, match=match):
+            call()
+
     def test_load_config_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -446,7 +471,7 @@ class TestConfigParsing:
         broken["beta_cases"] = [beta]
         with pytest.raises(ValidationError):
             for case in build_case_study(parse_config(broken)):
-                egalitarian_allocation(case.problem)
+                allocate(case.problem, "egalitarian")
 
     @pytest.mark.parametrize("effect", [1e-300, 1e-160, 1e308, -1e308])
     def test_sample_size_out_of_float_range_is_a_config_error(self, effect):
@@ -509,4 +534,4 @@ class TestBuildCaseStudy:
         }
         cases = build_case_study(parse_config(json.loads(json.dumps(config))))
         assert len(cases) == 1
-        assert minimax_allocation(cases[0].problem).counts == (100,)
+        assert allocate(cases[0].problem, "minimax").counts == (100,)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from regretalloc import simulate
-from regretalloc.allocate import round_to_even_floor
+from regretalloc.allocate import allocate, minimax_allocation, shares
 from regretalloc.model import (
     Allocation,
     DesignProblem,
@@ -363,7 +363,9 @@ class TestAdversarialSeparate:
 
 
 class TestJointAdversarial:
-    @pytest.mark.parametrize("t_dagger", ["x", None, math.nan, math.inf], ids=repr)
+    @pytest.mark.parametrize(
+        "t_dagger", ["x", None, math.nan, math.inf, pytest.param(10**400, id="10**400")], ids=repr
+    )
     @pytest.mark.parametrize("function", [joint_adversarial_tau, joint_regret_expression])
     def test_t_dagger_must_be_a_finite_real(self, function, t_dagger):
         problem = make_problem((0.5, 0.5), (2.0, 2.0), 80)
@@ -545,8 +547,30 @@ class TestWrongTypedArguments:
                 lambda p, a: expected_regret(p, a, None, Paradigm.SEPARATE_UTILITARIAN),
                 "truth must be a TruthScenario",
             ),
+            (
+                lambda p, a: allocate(p, "minimax", redistribute="no"),
+                "redistribute must be a bool, got 'no'",
+            ),
+            (
+                lambda p, a: allocate(p, "neyman", redistribute=np.array([1.0, 2.0])),
+                "redistribute must be a bool",
+            ),
+            (
+                lambda p, a: minimax_allocation(p, redistribute=1),
+                "redistribute must be a bool, got 1",
+            ),
+            (
+                lambda p, a: simulate.monte_carlo_regret(
+                    p, a, design_truth(p, (0.1, 0.1)), Paradigm.SEPARATE_UTILITARIAN,
+                    simulate.SimConfig(100, 0), level=np.array([1, 2]),
+                ),
+                "unknown simulation level",
+            ),
         ],
-        ids=["tuple-allocation", "none-problem", "none-truth"],
+        ids=[
+            "tuple-allocation", "none-problem", "none-truth", "redistribute-str",
+            "redistribute-array", "redistribute-int", "level-array",
+        ],
     )
     def test_raises_validation_error_naming_the_argument(self, call, match):
         with pytest.raises(ValidationError, match=match):
@@ -560,14 +584,11 @@ class TestWrongTypedArguments:
                 "allocation must be an Allocation, got \\(2, 2\\)",
             ),
             (lambda p: sampling_fractions((50, 50)), "allocation must be an Allocation"),
-            (
-                lambda p: round_to_even_floor((5.0, 3.0)),
-                "shares must be a ContinuousAllocation, got \\(5.0, 3.0\\)",
-            ),
+            (lambda p: shares(None, "minimax"), "problem must be a DesignProblem, got None"),
             (lambda p: simulate.dm_group_estimates(None), "data must be a TrialData, got None"),
             (lambda p: simulate.dm_pooled_estimate(None), "data must be a TrialData, got None"),
         ],
-        ids=["run_trial", "sampling_fractions", "round_to_even_floor", "dm_group", "dm_pooled"],
+        ids=["run_trial", "sampling_fractions", "shares", "dm_group", "dm_pooled"],
     )
     def test_entry_points_check_the_type_before_reading_an_attribute(self, call, match):
         with pytest.raises(ValidationError, match=match):

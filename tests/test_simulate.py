@@ -246,8 +246,15 @@ class TestDecide:
             ),
             (Paradigm.SEPARATE_UTILITARIAN, {"group_estimates": [None, 1.0]}),
             (Paradigm.JOINT_UTILITARIAN, {"pooled_estimate": np.array(None, dtype=object)}),
+            # Integers past float range: OverflowError from the float conversion.
+            (Paradigm.SEPARATE_UTILITARIAN, {"group_estimates": 10**400}),
+            (Paradigm.SEPARATE_UTILITARIAN, {"group_estimates": [1.0, 10**400]}),
+            (Paradigm.JOINT_UTILITARIAN, {"pooled_estimate": 10**400}),
         ],
-        ids=["string", "ragged", "dict", "object-array-of-strings", "none-in-list", "object-none"],
+        ids=[
+            "string", "ragged", "dict", "object-array-of-strings", "none-in-list", "object-none",
+            "huge-int", "huge-int-in-list", "huge-int-pooled",
+        ],
     )
     def test_non_numeric_estimates_raise_validation_error(self, paradigm, estimates):
         with pytest.raises(ValidationError, match="estimates must be real numbers"):

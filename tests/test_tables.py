@@ -9,12 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from regretalloc.allocate import (
-    SCHEMES,
-    DegenerateAllocationWarning,
-    allocate,
-    proportional_allocation,
-)
+from regretalloc.allocate import SCHEMES, DegenerateAllocationWarning, allocate, minimax_allocation
 from regretalloc.cli import main
 from regretalloc.model import (
     Allocation,
@@ -207,7 +202,7 @@ class TestSchemeTable:
             budget=20, groups=(GroupSpec("a", 0.97, 1.0, 1.0), GroupSpec("b", 0.03, 1.0, 1.0))
         )
         for call in (
-            lambda: proportional_allocation(problem),
+            lambda: minimax_allocation(problem),
             lambda: allocate(problem, "proportional"),
         ):
             with warnings.catch_warnings(record=True) as caught:
