@@ -8,8 +8,10 @@ Runs ``perfbench/run.py --seed 1 --trace 0`` once for each workload that
 BENCHMARK.json declares, at its ``run_seconds``, then one ``--trace 1``
 design-sweep run, whose layer suite gives every per-layer metric.  Each
 run's metrics come from its last stdout line, the environment from its
-report under ``perfbench/.work/``.  Exits non-zero, and writes nothing, when
-a run fails or any of its checks is not ``correct``.
+report under ``perfbench/.work/``.  The record also holds ``src_lines``, the
+line count of ``src/regretalloc/*.py``, so that the size of the package is
+read from the same file as its speed.  Exits non-zero, and writes nothing,
+when a run fails or any of its checks is not ``correct``.
 """
 
 import argparse
@@ -20,6 +22,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "regretalloc"
 SEED = 1
 TRACE_WORKLOAD = "design-sweep"
 # What of a run's environment the record keeps; load and commit vary per run.
@@ -50,11 +53,18 @@ def run_perfbench(workload: str, seconds: float, trace: int) -> tuple[dict, dict
     return result, json.loads(report_path.read_text())
 
 
+def count_src_lines(package: Path = PACKAGE) -> int:
+    """Lines of the package's modules, as ``cat src/regretalloc/*.py | wc -l``
+    counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+
+
 def assemble(
-    runs: dict[str, tuple[dict, dict]], trace_run: tuple[dict, dict], environ
+    runs: dict[str, tuple[dict, dict]], trace_run: tuple[dict, dict], environ, src_lines: int
 ) -> dict:
-    """The record of untraced ``runs`` (workload -> (result, report)) and the
-    traced design-sweep ``trace_run``; RecordError if any is not correct."""
+    """The record of untraced ``runs`` (workload -> (result, report)), the
+    traced design-sweep ``trace_run`` and the package's ``src_lines``;
+    RecordError if any run is not correct."""
     labelled = [(workload, 0, run) for workload, run in runs.items()]
     for workload, trace, (result, _) in labelled + [(TRACE_WORKLOAD, 1, trace_run)]:
         if result.get("correct") is not True:
@@ -71,6 +81,7 @@ def assemble(
         "run_seconds": {workload: report["seconds"] for workload, (_, report) in runs.items()},
         "end_to_end": {workload: result["metrics"] for workload, (result, _) in runs.items()},
         "per_layer": trace_result["metrics"],
+        "src_lines": src_lines,
         "environment": environment,
     }
 
@@ -86,7 +97,8 @@ def main(argv: list[str] | None = None) -> int:
             spec["name"]: run_perfbench(spec["name"], seconds, trace=0)
             for spec in bench["workloads"]
         }
-        record = assemble(runs, run_perfbench(TRACE_WORKLOAD, seconds, trace=1), os.environ)
+        trace_run = run_perfbench(TRACE_WORKLOAD, seconds, trace=1)
+        record = assemble(runs, trace_run, os.environ, count_src_lines())
     except RecordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

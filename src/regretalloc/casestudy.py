@@ -172,23 +172,20 @@ def composite_moments(spec: IncidenceSpec) -> TruthScenario:
 
 def conservative_noise(
     covid_control: Sequence[float],
-    ar_treated: float | Sequence[float],
+    ar_treated: Sequence[float],
     beta: float,
 ) -> tuple[tuple[float, float], ...]:
     """Conservative per-group (s0^2, s1^2) from baseline severe-COVID rates
-    and the treated-arm adverse-reaction rate.
+    and treated-arm adverse-reaction rates, one of each per group.
 
     Each arm is assigned the worse observed component rate (control's COVID
     incidence, treated's reaction incidence), so the two arms' composite
     variances come out identical by construction.
     """
     covid_control = _as_tuple(covid_control, "covid_control", _as_probability)
-    if isinstance(ar_treated, numbers.Real):
-        ar = (_as_probability(ar_treated, "ar_treated"),) * len(covid_control)
-    else:
-        ar = _as_tuple(ar_treated, "ar_treated", _as_probability)
-        if len(ar) != len(covid_control):
-            raise ConfigError("ar_treated must be scalar or one entry per group")
+    ar = _as_tuple(ar_treated, "ar_treated", _as_probability)
+    if len(ar) != len(covid_control):
+        raise ConfigError("ar_treated must have one entry per group")
     beta_sq = _square(_as_nonnegative(beta, "beta"))
     out = []
     for cc, a in zip(covid_control, ar):

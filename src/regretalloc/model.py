@@ -143,6 +143,8 @@ class Allocation:
     def __post_init__(self) -> None:
         coerced = []
         try:
+            if isinstance(self.counts, bytes):  # would read as one count per byte
+                raise TypeError
             counts = iter(self.counts)
         except TypeError:  # None, a bare count
             raise ValidationError(f"allocation counts must be a sequence, got {self.counts!r}") from None
@@ -231,15 +233,6 @@ class TruthScenario:
             fault = f"group {bad[0]}: scenario variances must be positive" if bad else None
         self.__dict__.update(
             var_sums=tuple([c + t for c, t in zip(vc, vt)]), _length=length, _fault=fault
-        )
-
-    def negated(self) -> "TruthScenario":
-        """The sign-flipped scenario; expected regret is invariant to this."""
-        return TruthScenario(
-            tau=tuple(-t for t in self.tau),
-            baseline=self.baseline,
-            var_control=self.var_control,
-            var_treated=self.var_treated,
         )
 
 

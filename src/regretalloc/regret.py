@@ -81,9 +81,23 @@ class RegretSummary:
     per_group: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.paradigm, Paradigm):
+            raise ValidationError(f"paradigm must be a Paradigm, got {self.paradigm!r}")
+        if isinstance(self.value, bool) or not isinstance(self.value, numbers.Real):
+            raise ValidationError(f"regret must be a nonnegative real or inf, got {self.value!r}")
         _check_regret(self.value)
         if self.per_group is not None:
-            object.__setattr__(self, "per_group", tuple(float(v) for v in self.per_group))
+            try:
+                per_group = tuple(self.per_group)
+                if not all(isinstance(v, numbers.Real) for v in per_group):
+                    raise TypeError
+                per_group = tuple([float(v) for v in per_group])
+            except (TypeError, OverflowError):  # 1.5, "x", (None,), (10**400,)
+                raise ValidationError(
+                    f"per_group must be a sequence of real numbers in float range, "
+                    f"got {self.per_group!r}"
+                ) from None
+            object.__setattr__(self, "per_group", per_group)
 
     @classmethod
     def _from_floats(

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    MAX_BUDGET,
     Allocation,
     DesignProblem,
     Paradigm,
@@ -60,7 +61,7 @@ from .model import (
     check_allocation,
     check_scenario,
 )
-from .regret import paradigm_rule
+from .regret import paradigm_rule, sampling_fractions
 
 CHUNK_SIZE = 8192
 _SEED_MASK = (1 << 64) - 1
@@ -96,17 +97,36 @@ class MonteCarloEstimate:
 
 @dataclass(frozen=True)
 class TrialData:
-    """Observed outcomes and 0/1 assignments, one array pair per group."""
+    """Observed outcomes and 0/1 assignments, one 1-D numeric array pair per
+    group (lists become arrays), each group half 1s and half 0s;
+    ValidationError when built otherwise."""
 
     outcomes: tuple[np.ndarray, ...]
     assignments: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        for name in ("outcomes", "assignments"):
+            given = getattr(self, name)
+            try:  # lists become arrays; an array passes through unchanged
+                arrays = tuple(np.asarray(a) for a in given)
+                # Strings, objects and 0-d or 2-D arrays are not outcomes.
+                bad = any(a.ndim != 1 or a.dtype.kind not in "biuf" for a in arrays)
+            except (TypeError, ValueError):  # None, a bare number, ragged rows
+                bad = True
+            if bad:
+                raise ValidationError(
+                    f"{name} must be a sequence of 1-D numeric arrays, got {given!r}"
+                )
+            object.__setattr__(self, name, arrays)
+        if len(self.outcomes) != len(self.assignments):
+            raise ValidationError(
+                f"{len(self.outcomes)} outcome arrays for {len(self.assignments)} assignment arrays"
+            )
         for g, (y, w) in enumerate(zip(self.outcomes, self.assignments)):
             if y.shape != w.shape:
                 raise ValidationError(f"group {g}: outcomes and assignments differ in length")
             n = len(w)
-            if n % 2 != 0 or int(w.sum()) * 2 != n:
+            if not np.isin(w, (0, 1)).all() or n % 2 != 0 or int(w.sum()) * 2 != n:
                 raise ValidationError(f"group {g}: treatment is not 1:1 balanced")
 
     @property
@@ -136,10 +156,13 @@ def run_trial(truth: TruthScenario, allocation: Allocation, seed: int) -> TrialD
     each group are the treated ones; outcomes are i.i.d. within arms, so the
     ordering is distributionally irrelevant.  The scenario gets the
     checks of ``check_scenario`` (ValidationError), with the allocation's
-    length as the group count.
+    length as the group count, and the allocation's total may not pass
+    ``model.MAX_BUDGET``.
     """
     if not isinstance(allocation, Allocation):
         raise ValidationError(f"allocation must be an Allocation, got {allocation!r}")
+    if allocation.total > MAX_BUDGET:
+        raise ValidationError(f"allocation total {allocation.total} exceeds 2**53")
     _check_scenario_values(truth, len(allocation.counts))
     rng = _philox_rng(_as_int("seed", seed), 0)
     outcomes: list[np.ndarray] = []
@@ -343,14 +366,15 @@ def _chunk_estimates(
     return estimates
 
 
-def _pooled_estimates(estimates: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
-    """Per-replication pooled estimate: the count-weighted mean of the sampled
-    groups' estimates, NaN when nobody is sampled."""
-    counts = np.asarray(counts, dtype=float)
-    sampled = counts > 0
-    if not sampled.any():
+def _pooled_estimates(estimates: np.ndarray, allocation: Allocation) -> np.ndarray:
+    """Per-replication pooled estimate: the sampled groups' estimates weighted
+    by ``sampling_fractions``, as in the closed forms; NaN when nobody is
+    sampled."""
+    if allocation.total == 0:
         return np.full(len(estimates), np.nan)
-    return estimates[:, sampled] @ (counts[sampled] / counts.sum())
+    h = np.array(sampling_fractions(allocation))
+    sampled = h > 0.0
+    return estimates[:, sampled] @ h[sampled]
 
 
 def _check_nonnegative(regrets: np.ndarray) -> None:
@@ -374,7 +398,7 @@ def _chunk_stats(
     """
     rng = _philox_rng(master_seed, chunk_index)
     estimates = _chunk_estimates(truth, allocation, rng, size, level)
-    pooled = _pooled_estimates(estimates, allocation.counts)
+    pooled = _pooled_estimates(estimates, allocation)
     chosen = decide(paradigm, estimates, pooled, rng)
     regrets = _regret_columns(truth, problem, chosen, paradigm)
     return regrets.sum(axis=0), (regrets * regrets).sum(axis=0)
@@ -415,22 +439,26 @@ def monte_carlo_regret(
         if workers < 1:
             raise ValidationError(f"workers must be at least 1, got {workers}")
     reps = config.replications
-    sizes = [min(CHUNK_SIZE, reps - start) for start in range(0, reps, CHUNK_SIZE)]
+    chunks = -(-reps // CHUNK_SIZE)
 
     def job(c: int) -> tuple[np.ndarray, np.ndarray]:
         return _chunk_stats(
             problem, allocation, truth, paradigm,
-            config.master_seed, c, sizes[c], level,
+            config.master_seed, c, min(CHUNK_SIZE, reps - c * CHUNK_SIZE), level,
         )
 
-    if workers is not None and workers > 1 and len(sizes) > 1:
+    if workers is not None and workers > 1 and chunks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(job, range(len(sizes))))
+            partials = list(pool.map(job, range(chunks)))
     else:
-        partials = [job(c) for c in range(len(sizes))]
+        partials = [job(c) for c in range(chunks)]
 
     # Fixed-order reduction over chunk index keeps aggregation deterministic
-    # no matter which worker finished first.
+    # no matter which worker finished first.  The order is numpy's, not a
+    # left fold: np.sum over the stacked (k, 1) partials of a weighted-sum
+    # column sums pairwise once k >= 8, while the worst-off (k, G) partials
+    # are added row by row.  A left fold would move the last bits of the
+    # separate and joint estimates from 8 chunks on.
     sums = np.sum([p[0] for p in partials], axis=0)
     sums_sq = np.sum([p[1] for p in partials], axis=0)
     # One weighted-sum column, or the worst-off group's per-group mean.

@@ -105,16 +105,15 @@ class ThresholdConstants:
     c0: float
 
 
-def solve_threshold_constants(tolerance: float = 1e-12) -> ThresholdConstants:
-    """Solve t * phi(t) = Phi_c(t) on [0.5, 1.0] and return (t_star, c0).
+def solve_threshold_constants() -> ThresholdConstants:
+    """Solve t * phi(t) = Phi_c(t) on [0.5, 1.0] to within 1e-12 and return
+    (t_star, c0).
 
     The stationarity equation has a single root near 0.75; c0 is built from
     the root as t_star * Phi_c(t_star), which rounds to 0.17.
     """
     t_star = bisect_root(
-        lambda t: t * normal_pdf(t) - normal_sf(t),
-        *_THRESHOLD_BRACKET,
-        tolerance=tolerance,
+        lambda t: t * normal_pdf(t) - normal_sf(t), *_THRESHOLD_BRACKET, tolerance=1e-12
     )
     return ThresholdConstants(t_star=t_star, c0=t_star * normal_sf(t_star))
 

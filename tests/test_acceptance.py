@@ -70,7 +70,7 @@ def design_truth(problem, tau):
 
 
 def test_criterion_1_threshold_constants():
-    constants = solve_threshold_constants(tolerance=1e-12)
+    constants = solve_threshold_constants()
     ok = (
         abs(constants.t_star - 0.7517) <= 1e-3
         and abs(constants.c0 - 0.1700) <= 5e-4

@@ -147,53 +147,55 @@ class TestCompositeMoments:
 class TestConservativeNoise:
     @pytest.mark.parametrize("beta", [0.005, 0.025])
     def test_matches_reference(self, beta):
-        noise = conservative_noise((0.007, 0.025), 0.067, beta)
+        noise = conservative_noise((0.007, 0.025), (0.067, 0.067), beta)
         for g in range(2):
             level = math.sqrt(noise[g][0] + noise[g][1])
             assert abs(level - float(REF_DESIGN_NOISE_PCT[beta][g]) / 100.0) <= 0.05e-2
             assert level == pytest.approx(ORACLE_DESIGN_NOISE[beta][g], rel=1e-7)
 
     def test_arms_are_symmetric_by_construction(self):
-        noise = conservative_noise((0.007, 0.025), 0.067, 0.025)
+        noise = conservative_noise((0.007, 0.025), (0.067, 0.067), 0.025)
         for s0, s1 in noise:
             assert s0 == s1
 
     def test_zero_rates_give_zero_variance(self):
-        assert conservative_noise((0.0, 0.0), 0.0, 0.5) == ((0.0, 0.0), (0.0, 0.0))
+        assert conservative_noise((0.0, 0.0), (0.0, 0.0), 0.5) == ((0.0, 0.0), (0.0, 0.0))
 
-    def test_per_group_reaction_rates_accepted(self):
-        scalar = conservative_noise((0.01, 0.02), 0.05, 0.1)
-        vector = conservative_noise((0.01, 0.02), (0.05, 0.05), 0.1)
-        assert scalar == vector
-        with pytest.raises(ConfigError, match="one entry per group"):
+    def test_reaction_rates_are_one_per_group(self):
+        with pytest.raises(ConfigError, match="ar_treated must have one entry per group"):
             conservative_noise((0.01, 0.02), (0.05,), 0.1)
+        with pytest.raises(ConfigError, match="ar_treated: expected a list of numbers"):
+            conservative_noise((0.007, 0.025), 0.067, 0.005)
 
     def test_numpy_scalars_and_arrays_accepted(self):
-        assert conservative_noise((0.01, 0.02), np.float32(0.05), 0.1) == conservative_noise(
-            (0.01, 0.02), float(np.float32(0.05)), 0.1
+        rate = np.float32(0.05)
+        assert conservative_noise((0.01, 0.02), (rate, rate), 0.1) == conservative_noise(
+            (0.01, 0.02), (float(rate),) * 2, 0.1
         )
         from_arrays = conservative_noise(
             np.array([0.01, 0.02]), np.array([0.05, 0.05]), np.float64(0.1)
         )
-        assert from_arrays == conservative_noise((0.01, 0.02), 0.05, 0.1)
+        assert from_arrays == conservative_noise((0.01, 0.02), (0.05, 0.05), 0.1)
         assert all(type(v) is float for pair in from_arrays for v in pair)
 
     @pytest.mark.parametrize(
         "covid_control, ar_treated, beta, field",
         [
-            (("x", 0.02), 0.05, 0.1, r"covid_control\[0\]"),
-            ((0.01, None), 0.05, 0.1, r"covid_control\[1\]"),
-            ((0.01, True), 0.05, 0.1, r"covid_control\[1\]"),
-            (None, 0.05, 0.1, "covid_control"),
+            (("x", 0.02), (0.05, 0.05), 0.1, r"covid_control\[0\]"),
+            ((0.01, None), (0.05, 0.05), 0.1, r"covid_control\[1\]"),
+            ((0.01, True), (0.05, 0.05), 0.1, r"covid_control\[1\]"),
+            (None, (0.05, 0.05), 0.1, "covid_control"),
             ((0.01, 0.02), True, 0.1, "ar_treated"),
-            ((0.01, 0.02), 1.5, 0.1, "ar_treated"),
+            ((0.01, 0.02), (0.05, True), 0.1, r"ar_treated\[1\]"),
+            ((0.01, 0.02), (1.5, 0.05), 0.1, r"ar_treated\[0\]"),
             ((0.01, 0.02), (0.05, "0.05"), 0.1, r"ar_treated\[1\]"),
-            ((0.01, 0.02), 0.05, "x", "beta"),
-            ((0.01, 0.02), 0.05, -0.1, "beta"),
-            ((0.01, 0.02), 0.05, math.nan, "beta"),
+            ((0.01, 0.02), (0.05, 0.05), "x", "beta"),
+            ((0.01, 0.02), (0.05, 0.05), -0.1, "beta"),
+            ((0.01, 0.02), (0.05, 0.05), math.nan, "beta"),
         ],
         ids=["string-rate", "none-rate", "bool-rate", "none-list", "bool-scalar",
-             "scalar-above-one", "string-in-list", "string-beta", "negative-beta", "nan-beta"],
+             "bool-in-list", "rate-above-one", "string-in-list", "string-beta",
+             "negative-beta", "nan-beta"],
     )
     def test_bad_input_is_a_config_error_naming_it(self, covid_control, ar_treated, beta, field):
         with pytest.raises(ConfigError, match=field):
@@ -202,7 +204,7 @@ class TestConservativeNoise:
 
 class TestRequiredSampleSize:
     def make_spec(self, beta, power_quantile):
-        noise = conservative_noise((0.007, 0.025), 0.067, beta)
+        noise = conservative_noise((0.007, 0.025), (0.067, 0.067), beta)
         return PowerSpec(
             detectable_effect=-0.006,
             power_quantile=power_quantile,

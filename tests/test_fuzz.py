@@ -1,19 +1,37 @@
-"""Fuzzing the two ways bad input gets in: scenario config documents and CLI
-argument lists.  Whatever arrives, the library raises ConfigError or
-ValidationError and the CLI ends with exit status 0 or 2, never a traceback."""
+"""Fuzzing the ways bad input gets in: scenario config documents, CLI
+argument lists and the arguments of every public callable.  Whatever
+arrives, the library raises ConfigError or ValidationError and the CLI ends
+with exit status 0 or 2, never a traceback."""
 
 import contextlib
 import copy
+import dataclasses
 import io
+import itertools
 import json
+import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regretalloc.allocate import SCHEMES, allocate
+import regretalloc
+from regretalloc import (
+    Allocation,
+    DesignProblem,
+    GroupSpec,
+    IncidenceSpec,
+    Paradigm,
+    PowerSpec,
+    SimConfig,
+    TrialData,
+    TruthScenario,
+    default_config,
+)
+from regretalloc.allocate import SCHEMES, DegenerateAllocationWarning, allocate
 from regretalloc.casestudy import (
     ConfigError,
     build_case_study,
@@ -23,7 +41,7 @@ from regretalloc.casestudy import (
 from regretalloc.cli import main
 from regretalloc.model import ValidationError
 from regretalloc.regret import PARADIGMS, expected_regret, worst_case
-from reference_values import bundled_config_document
+from reference_values import BUNDLED_CONFIG_PATH, bundled_config_document
 
 # Numbers near the edges of what the parser and the arithmetic behind it
 # accept: zero and signs, float range limits, integers past 2**53 and past
@@ -198,3 +216,135 @@ def test_cli_argv_exits_0_or_2(fuzz_dir):
         assert code in (0, 2), (argv, code, sink.getvalue()[-500:])
 
     check()
+
+
+# Values that replace one or two arguments of a valid call: wrong types, edge
+# numbers, numpy scalars, arrays of every rank and of strings and objects,
+# ragged and wrong-length sequences, and mappings.
+BAD_ARGUMENTS = (
+    None, "x", b"x", 1.5, -1, True, 10**400, math.inf, -math.inf, math.nan,
+    np.float64(0.5), np.int64(3), np.bool_(True), np.array(0.5), np.array([0.5, 0.5]),
+    np.ones((2, 2)), np.array(["a", "b"]), np.array([None, 1.0], dtype=object),
+    [[1.0], [1.0, 2.0]], (1.0,), (1.0, 2.0, 3.0), {}, {"a": 1},
+)
+# Not fuzzed: ``regretalloc.stats`` (numeric kernels documented to raise
+# ValueError and TypeError), the exception and warning classes, and
+# ``Paradigm``, whose call is Enum's value lookup.
+EXEMPT = {"Paradigm"}
+# Arguments that are never replaced, because a large or special value makes
+# the call run away: a SimConfig's replication count sets how many chunks
+# ``monte_carlo_regret`` runs, and a text path such as /dev/stdin blocks
+# ``load_config``.  No value above is an Allocation, so the counts that
+# reach ``run_trial`` and ``monte_carlo_regret`` (which draw n_g outcomes
+# per replication) are always the small valid ones.
+FIXED = {("SimConfig", 0), ("load_config", 0)}
+
+
+def valid_calls():
+    """One or two valid positional argument tuples per public callable."""
+    problem = DesignProblem(20, (GroupSpec("a", 0.4, 1.0, 2.0), GroupSpec("b", 0.6, 0.5, 0.5)))
+    allocation = Allocation((8, 10))
+    truth = TruthScenario((0.3, -0.2), (0.0, 1.0), (1.0, 0.5), (2.0, 0.5))
+    fields = (truth.tau, truth.baseline, truth.var_control, truth.var_treated)
+    incidence = IncidenceSpec((0.001, 0.002), (0.003, 0.004), (0.1, 0.2), (0.02, 0.03), 0.005)
+    power = PowerSpec(-0.006, 0.9, 0.05, (0.007, 0.02), (0.007, 0.02))
+    config = default_config()
+    data = TrialData(
+        (np.array([1.0, 0.0]), np.array([2.0, 0.5, 0.0, 1.0])),
+        (np.array([1, 0]), np.array([1, 1, 0, 0])),
+    )
+    separate, joint, worst_off = Paradigm
+    rng = np.random.default_rng(0)
+    return {
+        "Allocation": [((8, 10),)],
+        "CaseStudyCase": [(0.005, problem, truth, power)],
+        "DesignProblem": [(20, problem.groups)],
+        "GroupSpec": [("a", 0.4, 1.0, 2.0)],
+        "IncidenceSpec": [dataclasses.astuple(incidence)],
+        "MonteCarloEstimate": [(0.1, 0.01, 10)],
+        "PowerSpec": [dataclasses.astuple(power)],
+        "RegretSummary": [(separate, 0.5, (0.25, 0.25))],
+        "ScenarioConfig": [tuple(getattr(config, f.name) for f in dataclasses.fields(config))],
+        "SimConfig": [(3, 7)],
+        "TrialData": [(data.outcomes, data.assignments)],
+        "TruthScenario": [fields],
+        "adversarial_tau_separate": [(problem, allocation)],
+        "allocate": [(problem, "minimax", True)],
+        "build_case_study": [(config,)],
+        "check_allocation": [(problem, allocation)],
+        "check_scenario": [(problem, truth)],
+        "composite_moments": [(incidence,)],
+        "conservative_noise": [((0.007, 0.025), (0.067, 0.067), 0.005)],
+        "decide": [(separate, (0.1, math.nan), None, rng), (joint, None, -0.1, rng)],
+        "default_config": [()],
+        "dm_group_estimates": [(data,)],
+        "dm_pooled_estimate": [(data,)],
+        "expected_regret": [(problem, allocation, truth, separate)],
+        "joint_adversarial_tau": [(problem, allocation, 0.7)],
+        "joint_mismatch": [(problem, allocation)],
+        "joint_regret_expression": [(problem, allocation, 0.7)],
+        "load_config": [(str(BUNDLED_CONFIG_PATH),)],
+        "monte_carlo_regret": [
+            (problem, allocation, truth, worst_off, SimConfig(3, 1), "trial", 2),
+            (problem, Allocation((8, 0)), truth, joint, SimConfig(5, 2), "estimator", None),
+        ],
+        "parse_config": [(bundled_config_document(),)],
+        "realized_regret": [(truth, problem, (1, 0), separate)],
+        "required_sample_size": [(power, (0.83, 0.17))],
+        "run_trial": [(truth, allocation, 5)],
+        "shares": [(problem, "neyman")],
+        "validate_problem": [(problem,)],
+        "worst_case": [(problem, allocation, joint)],
+        "worst_case_egalitarian": [(problem, allocation)],
+        "worst_case_joint": [(problem, allocation)],
+        "worst_case_separate": [(problem, allocation)],
+    }
+
+
+def public_callables():
+    """Every callable in ``dir(regretalloc)`` that the fuzz test covers,
+    the lazily served simulate names included."""
+    names = {}
+    for name in dir(regretalloc):
+        value = getattr(regretalloc, name)
+        if name.startswith("_") or not callable(value) or name in EXEMPT:
+            continue
+        if isinstance(value, type) and issubclass(value, BaseException):
+            continue
+        if value.__module__ != "regretalloc.stats":
+            names[name] = value
+    return names
+
+
+def replaced_calls(name, args):
+    """``args`` with one, then two, of its free arguments replaced by bad
+    values, in every combination."""
+    free = [i for i in range(len(args)) if (name, i) not in FIXED]
+    for positions in (*itertools.combinations(free, 1), *itertools.combinations(free, 2)):
+        for values in itertools.product(BAD_ARGUMENTS, repeat=len(positions)):
+            call = list(args)
+            for i, value in zip(positions, values):
+                call[i] = value
+            yield tuple(call)
+
+
+def test_every_public_callable_has_a_valid_call():
+    assert set(public_callables()) == set(valid_calls())
+    assert set(regretalloc._SIMULATE_EXPORTS) <= set(public_callables())
+
+
+@pytest.mark.parametrize("name", sorted(valid_calls()))
+def test_public_callables_raise_only_typed_errors(name):
+    function = public_callables()[name]
+    expected = ConfigError if function.__module__ == "regretalloc.casestudy" else ValidationError
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateAllocationWarning)
+        for args in valid_calls()[name]:
+            function(*args)
+            for call in replaced_calls(name, args):
+                try:
+                    function(*call)
+                except expected:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{name}{call!r} raised {exc!r}")

@@ -1,5 +1,6 @@
 """Domain types and validation."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -152,8 +153,10 @@ class TestCheckAllocation:
          ((-2,), "group 0: count -2 is negative"),
          ((2, 2, 5), "group 2: count 5 is odd"),
          (None, "allocation counts must be a sequence, got None"),
-         (5, "allocation counts must be a sequence, got 5")],
-        ids=["odd", "negative", "odd-and-wrong-length", "none", "bare-count"],
+         (5, "allocation counts must be a sequence, got 5"),
+         (b"\x02\x04", "allocation counts must be a sequence, got b"),
+         ("24", "allocation counts must be integers, got '2'")],
+        ids=["odd", "negative", "odd-and-wrong-length", "none", "bare-count", "bytes", "string"],
     )
     def test_odd_or_negative_counts_rejected_at_construction(self, counts, match):
         with pytest.raises(ValidationError, match=match):
@@ -289,15 +292,6 @@ class TestScenario:
         )
         assert check_scenario(problem, truth) == truth
 
-    def test_negated_flips_only_tau(self):
-        truth = TruthScenario(
-            tau=(0.1, -0.2), baseline=(0.3, 0.4),
-            var_control=(1.0, 2.0), var_treated=(3.0, 4.0),
-        )
-        flipped = truth.negated()
-        assert flipped.tau == (-0.1, 0.2)
-        assert flipped.baseline == truth.baseline
-        assert flipped.var_sums == truth.var_sums
 
 
 def test_paradigm_is_exhaustive():
@@ -358,7 +352,8 @@ class TestStoredWhenBuilt:
             assert truth.__dict__["var_sums"] == (0.1 + 0.2, 0.3 + 0.4)
         assert built.var_sums == from_floats.var_sums
         assert built == from_floats and hash(built) == hash(from_floats)
-        assert built.negated().var_sums == built.var_sums
+        flipped = dataclasses.replace(built, tau=tuple(-t for t in built.tau))
+        assert flipped.var_sums == built.var_sums
 
     def test_problem_tuples_are_stored_as_floats(self):
         p = two_group_problem(

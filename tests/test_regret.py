@@ -1,5 +1,6 @@
 """Closed-form worst-case and expected regret, adversarial scenarios."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -199,13 +200,12 @@ class TestExpectedRegret:
 
     def test_sign_symmetry(self, covid_cases):
         for case in covid_cases:
+            negated = dataclasses.replace(case.truth, tau=tuple(-t for t in case.truth.tau))
             for scheme, counts in REF_EXPECTED_ALLOCATIONS[0.005].items():
                 allocation = Allocation(counts)
                 for paradigm in PARADIGMS:
                     direct = expected_regret(case.problem, allocation, case.truth, paradigm).value
-                    flipped = expected_regret(
-                        case.problem, allocation, case.truth.negated(), paradigm
-                    ).value
+                    flipped = expected_regret(case.problem, allocation, negated, paradigm).value
                     assert direct == flipped
 
     def test_dominance_by_worst_case(self):

@@ -85,7 +85,7 @@ class TestBenchRecord:
         }
         layers = {"allocate.minimax_us": {"value": 3.0, "unit": "us"}}
         record = bench_record.assemble(
-            runs, fake_run("design-sweep", metrics=layers), {"PYTHONDONTWRITEBYTECODE": "1"}
+            runs, fake_run("design-sweep", metrics=layers), {"PYTHONDONTWRITEBYTECODE": "1"}, 2369
         )
         assert record == {
             "seed": 1,
@@ -95,6 +95,7 @@ class TestBenchRecord:
                 "mc-trial": {"work_per_s": {"value": 1.0, "unit": "1/s"}},
             },
             "per_layer": layers,
+            "src_lines": 2369,
             "environment": {
                 "nproc": 2, "cpu_model": "cpu", "python": "3.11.7", "numpy": "2.4.6",
                 "src_sha256": "f00", "PYTHONDONTWRITEBYTECODE": True,
@@ -106,7 +107,7 @@ class TestBenchRecord:
     def test_an_empty_bytecode_flag_is_unset(self, environ):
         bench_record = load_bench_record()
         runs = {"mc-trial": fake_run("mc-trial")}
-        record = bench_record.assemble(runs, fake_run("design-sweep"), environ)
+        record = bench_record.assemble(runs, fake_run("design-sweep"), environ, 1)
         assert record["environment"]["PYTHONDONTWRITEBYTECODE"] is False
 
     @pytest.mark.parametrize("failing", ["mc-trial", "trace"])
@@ -114,4 +115,17 @@ class TestBenchRecord:
         bench_record = load_bench_record()
         runs = {"mc-trial": fake_run("mc-trial", correct=failing != "mc-trial")}
         with pytest.raises(bench_record.RecordError, match="3 of 10 checked ops failed"):
-            bench_record.assemble(runs, fake_run("design-sweep", correct=failing != "trace"), {})
+            bench_record.assemble(
+                runs, fake_run("design-sweep", correct=failing != "trace"), {}, 1
+            )
+
+    def test_src_lines_count_as_wc_does(self, tmp_path):
+        bench_record = load_bench_record()
+        (tmp_path / "a.py").write_text("one\ntwo\nthree\n")
+        (tmp_path / "b.py").write_text("four\nfive")  # no final newline: wc -l counts 1
+        (tmp_path / "data.json").write_text("{}\n{}\n")
+        assert bench_record.count_src_lines(tmp_path) == 4
+        package = bench_record.count_src_lines()
+        assert package == sum(
+            len(path.read_bytes().splitlines()) for path in (SRC / "regretalloc").glob("*.py")
+        )

@@ -118,8 +118,11 @@ class TestRunTrial:
             (TruthScenario((math.nan,), (0.0,), (1.0,), (1.0,)), (2,), "tau must be finite"),
             (TruthScenario((0.1,), (0.0,), (1.0,), (1.0,)), (2, 2), "tau has 1 entries for 2"),
             (TruthScenario((0.1,), (0.0,), (1.0,), (1.0,)), (-2,), "count -2 is negative"),
+            (TruthScenario((0.1,), (0.0,), (1.0,), (1.0,)), (10**400,), r"exceeds 2\*\*53"),
+            (TruthScenario((0.1,), (0.0,), (1.0,), (1.0,)), (2**64,), r"exceeds 2\*\*53"),
         ],
-        ids=["negative-variance", "nan-tau", "group-count", "negative-count"],
+        ids=["negative-variance", "nan-tau", "group-count", "negative-count",
+             "total-past-float-range", "total-past-2**53"],
     )
     def test_inputs_pass_the_model_checks(self, truth, counts, match):
         with pytest.raises(ValidationError, match=match):
@@ -136,10 +139,37 @@ class TestTrialData:
         with pytest.raises(ValidationError, match="group 0: outcomes and assignments differ"):
             TrialData(outcomes=(np.zeros(4),), assignments=(np.array([1, 1, 0]),))
 
-    @pytest.mark.parametrize("w", [[1, 0, 1], [1, 1, 1, 0]], ids=["odd", "unbalanced"])
+    @pytest.mark.parametrize(
+        "w",
+        [[1, 0, 1], [1, 1, 1, 0], [0.5, 0.5], [-1, 3, 0, 0], [math.nan, 1.0]],
+        ids=["odd", "unbalanced", "halves", "not-0-or-1", "nan"],
+    )
     def test_treatment_must_be_balanced(self, w):
         with pytest.raises(ValidationError, match="group 0: treatment is not 1:1 balanced"):
             TrialData(outcomes=(np.zeros(len(w)),), assignments=(np.array(w),))
+
+    @pytest.mark.parametrize(
+        "outcomes, assignments, match",
+        [
+            (None, (np.array([1, 0]),), "outcomes must be a sequence of 1-D numeric arrays"),
+            ((np.zeros(2),), "10", "assignments must be a sequence of 1-D numeric arrays"),
+            ((np.array(["1", "0"]),), (np.array([1, 0]),), "outcomes must be a sequence"),
+            ((np.zeros((2, 2)),), (np.array([1, 0]),), "outcomes must be a sequence"),
+            ((np.zeros(2),), ([1, "0"],), "assignments must be a sequence"),
+            ((np.zeros(2),), ([[1, 0], [1]],), "assignments must be a sequence"),
+            ((np.zeros(2), np.zeros(2)), (np.array([1, 0]),), "2 outcome arrays for 1"),
+        ],
+        ids=["none", "string", "string-outcomes", "2-d", "mixed-list", "ragged", "group-count"],
+    )
+    def test_groups_must_be_paired_numeric_arrays(self, outcomes, assignments, match):
+        with pytest.raises(ValidationError, match=match):
+            TrialData(outcomes=outcomes, assignments=assignments)
+
+    def test_lists_become_arrays(self):
+        data = TrialData(outcomes=([3.0, 1.0],), assignments=([1, 0],))
+        assert all(isinstance(a, np.ndarray) for a in data.outcomes + data.assignments)
+        assert dm_group_estimates(data) == (2.0,)
+        assert dm_pooled_estimate(data) == 2.0
 
 
 class TestEstimators:
@@ -362,6 +392,22 @@ class TestMonteCarlo:
             config, workers=4,
         )
         assert lone == again == pooled
+
+    @pytest.mark.parametrize("level", ["trial", "estimator"])
+    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    def test_threads_agree_bit_for_bit_past_eight_chunks(self, paradigm, level):
+        # numpy sums 8 or more stacked (k, 1) partials pairwise, not as a left
+        # fold; the order is still fixed by chunk index, whoever finishes first.
+        config = SimConfig(replications=9 * CHUNK_SIZE - 5, master_seed=31)
+        serial, threaded = (
+            monte_carlo_regret(
+                self.problem, self.allocation, self.truth, paradigm, config, level, workers
+            )
+            for workers in (None, 3)
+        )
+        assert (serial.mean.hex(), serial.std_error.hex()) == (
+            threaded.mean.hex(), threaded.std_error.hex()
+        )
 
     def test_levels_agree_statistically(self):
         config = SimConfig(replications=20_000, master_seed=5)

@@ -143,7 +143,7 @@ class TestBisectRoot:
 
 class TestThresholdConstants:
     def test_values_against_independent_oracle(self):
-        constants = solve_threshold_constants(tolerance=1e-12)
+        constants = solve_threshold_constants()
         assert constants.t_star == pytest.approx(ORACLE_T_STAR, abs=1e-9)
         assert constants.c0 == pytest.approx(ORACLE_C0, abs=1e-9)
 
@@ -204,7 +204,3 @@ class TestThresholdConstants:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            solve_threshold_constants(tolerance=-1.0)

@@ -240,6 +240,25 @@ class TestRegretSummary:
         with pytest.raises(ValidationError, match="nonnegative real or inf"):
             RegretSummary._from_floats(self.P, value, (1.0,))
 
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((P, None), "regret must be a nonnegative real or inf"),
+            ((P, np.array([1.0, 2.0])), "regret must be a nonnegative real or inf"),
+            ((P, True), "regret must be a nonnegative real or inf"),
+            ((P, 0.5, "x"), "per_group must be a sequence of real numbers"),
+            ((P, 0.5, 1.5), "per_group must be a sequence of real numbers"),
+            ((P, 0.5, (10**400,)), "per_group must be a sequence of real numbers"),
+            ((P, 0.5, ("0.5",)), "per_group must be a sequence of real numbers"),
+            (("separate", 0.5), "paradigm must be a Paradigm"),
+        ],
+        ids=["none", "array", "bool", "string", "bare-number", "huge", "digit-string",
+             "paradigm-name"],
+    )
+    def test_public_constructor_rejects_bad_fields(self, args, match):
+        with pytest.raises(ValidationError, match=match):
+            RegretSummary(*args)
+
     @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
     @pytest.mark.parametrize("per_group", [None, (0.25, 0.5)], ids=["scalar", "per-group"])
     def test_both_constructors_give_equal_summaries_with_equal_hashes(self, paradigm, per_group):
