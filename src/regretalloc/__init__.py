@@ -25,7 +25,6 @@ from .casestudy import (
     ScenarioConfig,
     build_case_study,
     composite_moments,
-    conservative_noise,
     default_config,
     load_config,
     parse_config,
@@ -56,7 +55,6 @@ from .regret import (
 )
 from .stats import (
     ThresholdConstants,
-    bisect_root,
     normal_cdf,
     normal_pdf,
     normal_quantile,

@@ -11,12 +11,11 @@ population split (0.83 / 0.17).  Two betas are bundled: 0.005 (treatment
 benefits both groups under the reported rates) and 0.025 (treatment only
 benefits the older group).
 
-Design-time noise is a conservative Bernoulli approximation: the treated
-arm's severe-COVID incidence is assumed equal to the control arm's, and the
-control arm's adverse-reaction incidence equal to the treated arm's, which
-makes the two arms' composite variances identical.  Evaluation scenarios
-instead use the trial's reported incidence rates, converted to Gaussian
-moments under independence of the two components.
+Design-time noise is ``composite_moments`` at the worse observed rate of
+each component: control's severe-COVID rate and treated's adverse-reaction
+rate, put on both arms, so the two arms' composite variances are identical.
+Evaluation scenarios take ``composite_moments`` at the trial's reported
+rates instead.
 
 All rates are stored as fractions; percent formatting happens only at
 presentation time.  The bundled scenario is the file ``covid_trial.json``
@@ -170,30 +169,6 @@ def composite_moments(spec: IncidenceSpec) -> TruthScenario:
     )
 
 
-def conservative_noise(
-    covid_control: Sequence[float],
-    ar_treated: Sequence[float],
-    beta: float,
-) -> tuple[tuple[float, float], ...]:
-    """Conservative per-group (s0^2, s1^2) from baseline severe-COVID rates
-    and treated-arm adverse-reaction rates, one of each per group.
-
-    Each arm is assigned the worse observed component rate (control's COVID
-    incidence, treated's reaction incidence), so the two arms' composite
-    variances come out identical by construction.
-    """
-    covid_control = _as_tuple(covid_control, "covid_control", _as_probability)
-    ar = _as_tuple(ar_treated, "ar_treated", _as_probability)
-    if len(ar) != len(covid_control):
-        raise ConfigError("ar_treated must have one entry per group")
-    beta_sq = _square(_as_nonnegative(beta, "beta"))
-    out = []
-    for cc, a in zip(covid_control, ar):
-        var = _bernoulli_var(cc) + beta_sq * _bernoulli_var(a)
-        out.append((var, var))
-    return tuple(out)
-
-
 def required_sample_size(spec: PowerSpec, weights: Sequence[float]) -> int:
     """Total sample size for the two-sided-free one-sided test
     N = 2*(s0^2+s1^2) * (z_power - z_size)^2 / effect^2, with per-arm
@@ -229,9 +204,33 @@ def required_sample_size(spec: PowerSpec, weights: Sequence[float]) -> int:
 # Scenario configuration
 # ---------------------------------------------------------------------------
 
+def _as_label(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
+    return value
+
+
+def _per_group(values: Any, n_groups: int, field: str, check) -> tuple:
+    """``check(value, "groups[g].field")`` applied to each of ``n_groups``
+    entries of ``values``."""
+    try:
+        if isinstance(values, (str, bytes)):  # would split per character
+            raise TypeError
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or len(items) != n_groups:
+        raise ConfigError(
+            f"groups[*].{field}: expected one entry per weight ({n_groups}), got {values!r}"
+        )
+    return tuple(check(v, f"groups[{g}].{field}") for g, v in enumerate(items))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed and validated scenario configuration."""
+    """A validated scenario configuration.  Each field is checked when the
+    config is built, parsed or by hand, and a fault raises ConfigError
+    naming the field by its path in the config file."""
 
     weights: tuple[float, ...]
     budget: int
@@ -243,6 +242,40 @@ class ScenarioConfig:
     detectable_effect: float
     power_quantile: float
     size_quantile: float
+
+    def __post_init__(self) -> None:
+        weights = _as_tuple(self.weights, "weights", _as_probability)
+        beta_cases = _as_tuple(self.beta_cases, "beta_cases", _as_nonnegative)
+        budget, reported = self.budget, self.reported
+        for name, values in (("weights", weights), ("beta_cases", beta_cases)):
+            if not values:
+                raise ConfigError(f"{name}: expected a nonempty list")
+        if not isinstance(budget, int) or isinstance(budget, bool) or budget <= 0:
+            raise ConfigError(f"budget: expected a positive integer, got {budget!r}")
+        if not isinstance(reported, dict) or set(reported) != set(_RATE_FIELDS):
+            raise ConfigError(
+                f"groups[*].reported: expected a dict with keys {sorted(_RATE_FIELDS)}, "
+                f"got {reported!r}"
+            )
+        G = len(weights)
+        self.__dict__.update(
+            weights=weights,
+            labels=_per_group(self.labels, G, "label", _as_label),
+            design_covid_control=_per_group(
+                self.design_covid_control, G, "design.covid_control", _as_probability
+            ),
+            design_ar_treated=_per_group(
+                self.design_ar_treated, G, "design.ar_treated", _as_probability
+            ),
+            reported={
+                key: _per_group(reported[key], G, f"reported.{key}", _as_probability)
+                for key in _RATE_FIELDS
+            },
+            beta_cases=beta_cases,
+            detectable_effect=_as_nonzero(self.detectable_effect, "power.detectable_effect"),
+            power_quantile=_as_probability(self.power_quantile, "power.power_quantile"),
+            size_quantile=_as_probability(self.size_quantile, "power.size_quantile"),
+        )
 
 
 def _require_keys(obj: Any, keys: set[str], path: str) -> None:
@@ -259,53 +292,38 @@ def _require_keys(obj: Any, keys: set[str], path: str) -> None:
 
 def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
     """Validate a JSON-compatible scenario document; unknown keys rejected,
-    violations reported with their field path."""
+    violations reported with their field path.  This checks the document's
+    shape (objects, key sets and lists); ``ScenarioConfig`` checks the
+    values."""
     _require_keys(obj, {"weights", "budget", "groups", "beta_cases", "power"}, "config")
     weights = obj["weights"]
     if not isinstance(weights, list) or not weights:
         raise ConfigError("weights: expected a nonempty list")
-    weights = tuple(_as_probability(w, f"weights[{i}]") for i, w in enumerate(weights))
-    budget = obj["budget"]
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget <= 0:
-        raise ConfigError(f"budget: expected a positive integer, got {budget!r}")
     groups = obj["groups"]
     if not isinstance(groups, list) or len(groups) != len(weights):
         raise ConfigError(
             f"groups: expected a list with one entry per weight ({len(weights)})"
         )
-    labels, design_cc, design_ar = [], [], []
-    reported: dict[str, list[float]] = {key: [] for key in _RATE_FIELDS}
     for g, entry in enumerate(groups):
         path = f"groups[{g}]"
         _require_keys(entry, {"label", "design", "reported"}, path)
-        if not isinstance(entry["label"], str):
-            raise ConfigError(f"{path}.label: expected a string")
-        labels.append(entry["label"])
-        design = entry["design"]
-        _require_keys(design, {"covid_control", "ar_treated"}, f"{path}.design")
-        design_cc.append(_as_probability(design["covid_control"], f"{path}.design.covid_control"))
-        design_ar.append(_as_probability(design["ar_treated"], f"{path}.design.ar_treated"))
-        rep = entry["reported"]
-        _require_keys(rep, set(reported), f"{path}.reported")
-        for key in reported:
-            reported[key].append(_as_probability(rep[key], f"{path}.reported.{key}"))
-    beta_cases = obj["beta_cases"]
-    if not isinstance(beta_cases, list) or not beta_cases:
+        _require_keys(entry["design"], {"covid_control", "ar_treated"}, f"{path}.design")
+        _require_keys(entry["reported"], set(_RATE_FIELDS), f"{path}.reported")
+    if not isinstance(obj["beta_cases"], list) or not obj["beta_cases"]:
         raise ConfigError("beta_cases: expected a nonempty list")
-    beta_cases = tuple(_as_nonnegative(b, f"beta_cases[{i}]") for i, b in enumerate(beta_cases))
     power = obj["power"]
     _require_keys(power, {"detectable_effect", "power_quantile", "size_quantile"}, "power")
     return ScenarioConfig(
-        weights=weights,
-        budget=budget,
-        labels=tuple(labels),
-        design_covid_control=tuple(design_cc),
-        design_ar_treated=tuple(design_ar),
-        reported={k: tuple(v) for k, v in reported.items()},
-        beta_cases=beta_cases,
-        detectable_effect=_as_nonzero(power["detectable_effect"], "power.detectable_effect"),
-        power_quantile=_as_probability(power["power_quantile"], "power.power_quantile"),
-        size_quantile=_as_probability(power["size_quantile"], "power.size_quantile"),
+        weights=tuple(weights),
+        budget=obj["budget"],
+        labels=tuple(entry["label"] for entry in groups),
+        design_covid_control=tuple(entry["design"]["covid_control"] for entry in groups),
+        design_ar_treated=tuple(entry["design"]["ar_treated"] for entry in groups),
+        reported={key: tuple(entry["reported"][key] for entry in groups) for key in _RATE_FIELDS},
+        beta_cases=tuple(obj["beta_cases"]),
+        detectable_effect=power["detectable_effect"],
+        power_quantile=power["power_quantile"],
+        size_quantile=power["size_quantile"],
     )
 
 
@@ -329,7 +347,7 @@ def load_config(path: str) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class CaseStudyCase:
-    """One tradeoff case: a design problem built from conservative noise and
+    """One tradeoff case: a design problem built from the design rates and
     the evaluation scenario built from the reported incidence rates."""
 
     beta: float
@@ -341,33 +359,27 @@ class CaseStudyCase:
 def build_case_study(config: ScenarioConfig) -> tuple[CaseStudyCase, ...]:
     """Assemble one problem/truth pair per tradeoff weight in the config.
 
-    The design problem uses the fixed budget and the conservative variance
-    approximation; the truth scenario uses the reported rates.  Each case
-    also carries a PowerSpec over its own conservative variances so sample
-    sizes under both quantile conventions can be reported.
+    The design problem uses the fixed budget and the composite variances at
+    the design rates; the truth scenario uses the reported rates.  Each case
+    also carries a PowerSpec over its own design variances so sample sizes
+    under both quantile conventions can be reported.
     """
     if not isinstance(config, ScenarioConfig):
         raise ConfigError(f"config must be a ScenarioConfig, got {config!r}")
+    cc, ar = config.design_covid_control, config.design_ar_treated
     cases = []
     for beta in config.beta_cases:
-        noise = conservative_noise(config.design_covid_control, config.design_ar_treated, beta)
-        groups = tuple(
-            GroupSpec(
-                label=config.labels[g],
-                weight=config.weights[g],
-                var_control=noise[g][0],
-                var_treated=noise[g][1],
-            )
-            for g in range(len(config.weights))
-        )
-        problem = DesignProblem(budget=config.budget, groups=groups)
+        # The paper's conservative noise: control's COVID and treated's reaction rate on both arms.
+        design = composite_moments(IncidenceSpec(cc, cc, ar, ar, beta))
+        groups = map(GroupSpec, config.labels, config.weights, design.var_control, design.var_treated)
+        problem = DesignProblem(budget=config.budget, groups=tuple(groups))
         truth = composite_moments(IncidenceSpec(**config.reported, beta=beta))
         power = PowerSpec(
             detectable_effect=config.detectable_effect,
             power_quantile=config.power_quantile,
             size_quantile=config.size_quantile,
-            var_control=tuple(v[0] for v in noise),
-            var_treated=tuple(v[1] for v in noise),
+            var_control=design.var_control,
+            var_treated=design.var_treated,
         )
         cases.append(CaseStudyCase(beta=beta, problem=problem, truth=truth, power=power))
     return tuple(cases)

@@ -48,6 +48,19 @@ class ValidationError(ValueError):
     """An input violates a documented structural invariant."""
 
 
+def _is_bool(value) -> bool:
+    """A boolean, Python's or numpy's (dtype kind "b", duck-typed so that this
+    module needs no numpy): never a count or a real number here."""
+    return isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b"
+
+
+def _as_float(value) -> float:
+    """``float(value)``, or TypeError for a boolean; a float skips the lookups."""
+    if type(value) is not float and _is_bool(value):
+        raise TypeError
+    return float(value)
+
+
 def _as_int(name: str, value) -> int:
     """``value`` as a Python int; numpy integers (numbers.Integral, so no numpy
     import) convert, while bools and 1.5, 2.0, None, "3" raise ValidationError."""
@@ -149,14 +162,8 @@ class Allocation:
         except TypeError:  # None, a bare count
             raise ValidationError(f"allocation counts must be a sequence, got {self.counts!r}") from None
         for c in counts:
-            # Booleans are not counts: Python's, and numpy's (dtype kind "b",
-            # duck-typed so that this module needs no numpy).  A plain int
-            # skips the lookups.
-            is_bool = type(c) is not int and (
-                isinstance(c, bool) or getattr(getattr(c, "dtype", None), "kind", None) == "b"
-            )
-            try:
-                n = None if is_bool else int(c)
+            try:  # a plain int skips the bool lookups
+                n = None if type(c) is not int and _is_bool(c) else int(c)
             except (TypeError, ValueError, OverflowError):  # None, NaN, +-inf
                 n = None
             if n is None or n != c:
@@ -196,7 +203,7 @@ class TruthScenario:
             try:
                 if isinstance(values, (str, bytes)):  # would split per character
                     raise TypeError
-                coerced = tuple(float(v) for v in values)
+                coerced = tuple(_as_float(v) for v in values)
             except (TypeError, ValueError, OverflowError):  # None, "x", a bare scalar
                 raise ValidationError(
                     f"scenario field {name} must be a sequence of real numbers, got {values!r}"

@@ -53,6 +53,7 @@ from .model import (
     Paradigm,
     TruthScenario,
     ValidationError,
+    _is_bool,
     check_allocation,
     check_scenario,
 )
@@ -89,10 +90,10 @@ class RegretSummary:
         if self.per_group is not None:
             try:
                 per_group = tuple(self.per_group)
-                if not all(isinstance(v, numbers.Real) for v in per_group):
+                if not all(isinstance(v, numbers.Real) and not _is_bool(v) for v in per_group):
                     raise TypeError
                 per_group = tuple([float(v) for v in per_group])
-            except (TypeError, OverflowError):  # 1.5, "x", (None,), (10**400,)
+            except (TypeError, OverflowError):  # 1.5, "x", (None,), (True,), (10**400,)
                 raise ValidationError(
                     f"per_group must be a sequence of real numbers in float range, "
                     f"got {self.per_group!r}"
@@ -263,7 +264,11 @@ def _check_all_sampled(problem: DesignProblem, allocation: Allocation) -> None:
 
 def _check_t_dagger(t_dagger) -> None:
     try:
-        finite = isinstance(t_dagger, numbers.Real) and math.isfinite(t_dagger)
+        finite = (
+            isinstance(t_dagger, numbers.Real)
+            and not _is_bool(t_dagger)
+            and math.isfinite(t_dagger)
+        )
     except OverflowError:  # an int past float range
         finite = False
     if not finite:

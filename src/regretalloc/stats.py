@@ -1,5 +1,5 @@
-"""Standard-normal special functions, scalar root finding, and the threshold
-constants that scale every worst-case regret bound.
+"""Standard-normal special functions and the threshold constants that scale
+every worst-case regret bound.
 
 The decision problem for a single stratum reduces to maximizing t * Phi_c(t)
 over t >= 0, where Phi_c is the standard-normal survival function.  The
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -59,44 +58,6 @@ def normal_quantile(p: float) -> float:
     return z
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float, tolerance: float) -> float:
-    """Bracketed bisection: a root of ``f`` in [lo, hi] to within ``tolerance``.
-
-    ``f(lo)`` and ``f(hi)`` must differ in sign, the ends must be finite, and
-    ``f`` at them may not be NaN (ValueError).  Deterministic and
-    derivative-free; converges unconditionally on a sign-change bracket.
-    """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
-    # A NaN or infinite end leaves no midpoint to bisect at.
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"bracket [{lo}, {hi}] has no midpoint")
-    flo = f(lo)
-    fhi = f(hi)
-    if math.isnan(flo) or math.isnan(fhi):
-        raise ValueError(f"f is NaN at an end of bracket [{lo}, {hi}]")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    # The loop always ends.  Halving each end is exact (in the normal range),
-    # so mid stays in [lo, hi] where lo + hi would overflow; each step returns
-    # or moves one end strictly inward, and finitely many floats lie between.
-    while True:
-        mid = 0.5 * lo + 0.5 * hi
-        if hi - lo <= tolerance or mid in (lo, hi):
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-
-
 @dataclass(frozen=True)
 class ThresholdConstants:
     """The maximizer t_star of t * Phi_c(t) and the maximum value c0."""
@@ -112,9 +73,20 @@ def solve_threshold_constants() -> ThresholdConstants:
     The stationarity equation has a single root near 0.75; c0 is built from
     the root as t_star * Phi_c(t_star), which rounds to 0.17.
     """
-    t_star = bisect_root(
-        lambda t: t * normal_pdf(t) - normal_sf(t), *_THRESHOLD_BRACKET, tolerance=1e-12
-    )
+    # Bisection: f(t) = t*phi(t) - Phi_c(t) is negative at the bracket's low
+    # end and positive at its high end.  Halving each end is exact, and each
+    # step stops or moves one end strictly inward, so the loop ends.
+    lo, hi = _THRESHOLD_BRACKET
+    t_star = 0.5 * lo + 0.5 * hi
+    while hi - lo > 1e-12 and t_star not in (lo, hi):
+        f = t_star * normal_pdf(t_star) - normal_sf(t_star)
+        if f == 0.0:
+            break
+        if f < 0.0:
+            lo = t_star
+        else:
+            hi = t_star
+        t_star = 0.5 * lo + 0.5 * hi
     return ThresholdConstants(t_star=t_star, c0=t_star * normal_sf(t_star))
 
 

@@ -1,4 +1,4 @@
-"""Composite outcomes, conservative noise, power-based sizing, config parsing."""
+"""Composite outcomes, design noise, power-based sizing, config parsing."""
 
 import dataclasses
 import json
@@ -18,7 +18,6 @@ from regretalloc.casestudy import (
     PowerSpec,
     build_case_study,
     composite_moments,
-    conservative_noise,
     default_config,
     load_config,
     parse_config,
@@ -47,6 +46,15 @@ REPORTED = {
 
 def reported_spec(beta):
     return IncidenceSpec(beta=beta, **REPORTED)
+
+
+def design_noise(covid_control, ar_treated, beta):
+    """Per-group (s0^2, s1^2) at the design rates, as ``build_case_study``
+    takes them: control's COVID rate and treated's reaction rate on both arms."""
+    design = composite_moments(
+        IncidenceSpec(covid_control, covid_control, ar_treated, ar_treated, beta)
+    )
+    return tuple(zip(design.var_control, design.var_treated))
 
 
 class TestCompositeMoments:
@@ -147,64 +155,24 @@ class TestCompositeMoments:
 class TestConservativeNoise:
     @pytest.mark.parametrize("beta", [0.005, 0.025])
     def test_matches_reference(self, beta):
-        noise = conservative_noise((0.007, 0.025), (0.067, 0.067), beta)
+        noise = design_noise((0.007, 0.025), (0.067, 0.067), beta)
         for g in range(2):
             level = math.sqrt(noise[g][0] + noise[g][1])
             assert abs(level - float(REF_DESIGN_NOISE_PCT[beta][g]) / 100.0) <= 0.05e-2
             assert level == pytest.approx(ORACLE_DESIGN_NOISE[beta][g], rel=1e-7)
 
     def test_arms_are_symmetric_by_construction(self):
-        noise = conservative_noise((0.007, 0.025), (0.067, 0.067), 0.025)
+        noise = design_noise((0.007, 0.025), (0.067, 0.067), 0.025)
         for s0, s1 in noise:
             assert s0 == s1
 
     def test_zero_rates_give_zero_variance(self):
-        assert conservative_noise((0.0, 0.0), (0.0, 0.0), 0.5) == ((0.0, 0.0), (0.0, 0.0))
-
-    def test_reaction_rates_are_one_per_group(self):
-        with pytest.raises(ConfigError, match="ar_treated must have one entry per group"):
-            conservative_noise((0.01, 0.02), (0.05,), 0.1)
-        with pytest.raises(ConfigError, match="ar_treated: expected a list of numbers"):
-            conservative_noise((0.007, 0.025), 0.067, 0.005)
-
-    def test_numpy_scalars_and_arrays_accepted(self):
-        rate = np.float32(0.05)
-        assert conservative_noise((0.01, 0.02), (rate, rate), 0.1) == conservative_noise(
-            (0.01, 0.02), (float(rate),) * 2, 0.1
-        )
-        from_arrays = conservative_noise(
-            np.array([0.01, 0.02]), np.array([0.05, 0.05]), np.float64(0.1)
-        )
-        assert from_arrays == conservative_noise((0.01, 0.02), (0.05, 0.05), 0.1)
-        assert all(type(v) is float for pair in from_arrays for v in pair)
-
-    @pytest.mark.parametrize(
-        "covid_control, ar_treated, beta, field",
-        [
-            (("x", 0.02), (0.05, 0.05), 0.1, r"covid_control\[0\]"),
-            ((0.01, None), (0.05, 0.05), 0.1, r"covid_control\[1\]"),
-            ((0.01, True), (0.05, 0.05), 0.1, r"covid_control\[1\]"),
-            (None, (0.05, 0.05), 0.1, "covid_control"),
-            ((0.01, 0.02), True, 0.1, "ar_treated"),
-            ((0.01, 0.02), (0.05, True), 0.1, r"ar_treated\[1\]"),
-            ((0.01, 0.02), (1.5, 0.05), 0.1, r"ar_treated\[0\]"),
-            ((0.01, 0.02), (0.05, "0.05"), 0.1, r"ar_treated\[1\]"),
-            ((0.01, 0.02), (0.05, 0.05), "x", "beta"),
-            ((0.01, 0.02), (0.05, 0.05), -0.1, "beta"),
-            ((0.01, 0.02), (0.05, 0.05), math.nan, "beta"),
-        ],
-        ids=["string-rate", "none-rate", "bool-rate", "none-list", "bool-scalar",
-             "bool-in-list", "rate-above-one", "string-in-list", "string-beta",
-             "negative-beta", "nan-beta"],
-    )
-    def test_bad_input_is_a_config_error_naming_it(self, covid_control, ar_treated, beta, field):
-        with pytest.raises(ConfigError, match=field):
-            conservative_noise(covid_control, ar_treated, beta)
+        assert design_noise((0.0, 0.0), (0.0, 0.0), 0.5) == ((0.0, 0.0), (0.0, 0.0))
 
 
 class TestRequiredSampleSize:
     def make_spec(self, beta, power_quantile):
-        noise = conservative_noise((0.007, 0.025), (0.067, 0.067), beta)
+        noise = design_noise((0.007, 0.025), (0.067, 0.067), beta)
         return PowerSpec(
             detectable_effect=-0.006,
             power_quantile=power_quantile,
@@ -505,6 +473,54 @@ class TestConfigParsing:
         }[kind]
         with pytest.raises(ConfigError, match=re.escape(str(target))):
             load_config(str(target))
+
+
+class TestScenarioConfig:
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("weights", None, "weights: expected a list of numbers"),
+            ("weights", (), "weights: expected a nonempty list"),
+            ("budget", "x", "budget: expected a positive integer"),
+            ("labels", None, r"groups\[\*\]\.label: expected one entry per weight \(2\)"),
+            ("labels", (1, 2), r"groups\[0\]\.label: expected a string"),
+            ("labels", "ab", r"groups\[\*\]\.label"),
+            ("design_covid_control", (0.007, 1.5), r"groups\[1\]\.design\.covid_control"),
+            ("design_ar_treated", (0.067,), r"groups\[\*\]\.design\.ar_treated"),
+            ("reported", None, r"groups\[\*\]\.reported: expected a dict"),
+            ("reported", {"covid_treated": (0.0, 0.0)}, r"groups\[\*\]\.reported"),
+            ("beta_cases", None, "beta_cases: expected a list of numbers"),
+            ("beta_cases", (0.005, -1.0), r"beta_cases\[1\]"),
+            ("detectable_effect", 0.0, "power.detectable_effect"),
+            ("power_quantile", True, "power.power_quantile"),
+            ("size_quantile", math.nan, "power.size_quantile"),
+        ],
+        ids=["weights-none", "weights-empty", "budget-string", "labels-none", "labels-ints",
+             "labels-string", "design-rate-above-one", "design-too-short", "reported-none",
+             "reported-keys", "beta-cases-none", "beta-negative", "effect-zero", "quantile-bool",
+             "quantile-nan"],
+    )
+    def test_hand_built_config_is_checked_naming_the_field(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(default_config(), **{field: value})
+
+    def test_reported_rate_is_named_by_its_path(self):
+        config = default_config()
+        reported = dict(config.reported, ar_control=(0.0253, "x"))
+        with pytest.raises(ConfigError, match=r"groups\[1\]\.reported\.ar_control"):
+            dataclasses.replace(config, reported=reported)
+
+    def test_numpy_values_are_stored_as_python_values(self):
+        config = default_config()
+        built = dataclasses.replace(
+            config,
+            weights=np.array(config.weights),
+            design_ar_treated=np.array(config.design_ar_treated),
+            beta_cases=(np.float64(0.005), 0.025),
+        )
+        assert built == config
+        assert all(type(w) is float for w in built.weights + built.design_ar_treated)
+        assert build_case_study(built) == build_case_study(config)
 
 
 class TestBuildCaseStudy:

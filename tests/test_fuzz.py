@@ -1,7 +1,8 @@
 """Fuzzing the ways bad input gets in: scenario config documents, CLI
-argument lists and the arguments of every public callable.  Whatever
-arrives, the library raises ConfigError or ValidationError and the CLI ends
-with exit status 0 or 2, never a traceback."""
+argument lists, the arguments of every public callable and the fields of a
+hand-built ScenarioConfig.  Whatever arrives, the library raises ConfigError
+or ValidationError and the CLI ends with exit status 0 or 2, never a
+traceback."""
 
 import contextlib
 import copy
@@ -26,6 +27,7 @@ from regretalloc import (
     IncidenceSpec,
     Paradigm,
     PowerSpec,
+    ScenarioConfig,
     SimConfig,
     TrialData,
     TruthScenario,
@@ -274,7 +276,6 @@ def valid_calls():
         "check_allocation": [(problem, allocation)],
         "check_scenario": [(problem, truth)],
         "composite_moments": [(incidence,)],
-        "conservative_noise": [((0.007, 0.025), (0.067, 0.067), 0.005)],
         "decide": [(separate, (0.1, math.nan), None, rng), (joint, None, -0.1, rng)],
         "default_config": [()],
         "dm_group_estimates": [(data,)],
@@ -348,3 +349,21 @@ def test_public_callables_raise_only_typed_errors(name):
                     pass
                 except Exception as exc:
                     pytest.fail(f"{name}{call!r} raised {exc!r}")
+
+
+def test_scenario_config_fields_raise_only_config_errors():
+    """Every one and every two fields of the bundled config replaced by bad
+    values: building the config raises ConfigError, or ``build_case_study``
+    returns or raises ConfigError."""
+    for fields in replaced_calls("ScenarioConfig", valid_calls()["ScenarioConfig"][0]):
+        try:
+            config = ScenarioConfig(*fields)
+        except ConfigError:
+            continue
+        try:
+            build_case_study(config)
+        except ConfigError:
+            pass
+        except ValidationError as exc:
+            # A budget past 2**53 is left to DesignProblem's own check.
+            assert "exceeds 2**53" in str(exc), fields

@@ -266,10 +266,11 @@ class TestScenario:
 
     @pytest.mark.parametrize(
         "value",
-        [None, "x", 0.5, [None, 1.0], ["x", 1.0], [10**400], "12", b"12"],
+        [None, "x", 0.5, [None, 1.0], ["x", 1.0], [10**400], "12", b"12", [True],
+         [np.True_]],
         ids=[
             "none", "string", "scalar", "none-entry", "string-entry", "huge-int-entry",
-            "digit-string", "bytes",
+            "digit-string", "bytes", "bool-entry", "numpy-bool-entry",
         ],
     )
     @pytest.mark.parametrize("field", ["tau", "baseline", "var_control", "var_treated"])

@@ -364,7 +364,8 @@ class TestAdversarialSeparate:
 
 class TestJointAdversarial:
     @pytest.mark.parametrize(
-        "t_dagger", ["x", None, math.nan, math.inf, pytest.param(10**400, id="10**400")], ids=repr
+        "t_dagger", ["x", None, math.nan, math.inf, pytest.param(10**400, id="10**400"), True],
+        ids=repr,
     )
     @pytest.mark.parametrize("function", [joint_adversarial_tau, joint_regret_expression])
     def test_t_dagger_must_be_a_finite_real(self, function, t_dagger):

@@ -1,4 +1,4 @@
-"""Normal special functions, quantiles, root finding, threshold constants."""
+"""Normal special functions, quantiles, threshold constants."""
 
 import math
 import os
@@ -14,7 +14,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regretalloc.stats import (
-    bisect_root,
     normal_cdf,
     normal_pdf,
     normal_quantile,
@@ -94,45 +93,7 @@ class TestNormalQuantile:
             normal_quantile(p)
 
 
-class TestBisectRoot:
-    def test_finds_sqrt2(self):
-        root = bisect_root(lambda x: x * x - 2.0, 1.0, 2.0, tolerance=1e-13)
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    def test_requires_sign_change(self):
-        with pytest.raises(ValueError):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, tolerance=1e-10)
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            bisect_root(lambda x: x, -1.0, 1.0, tolerance=0.0)
-
-    @pytest.mark.parametrize(
-        "lo, hi", [(math.nan, 1.0), (-1.0, math.nan), (-math.inf, math.inf)], ids=repr
-    )
-    def test_rejects_a_bracket_without_midpoint(self, lo, hi):
-        with pytest.raises(ValueError, match="no midpoint"):
-            bisect_root(lambda x: x, lo, hi, tolerance=1e-10)
-
-    @pytest.mark.parametrize("end", [-1.0, 1.0])
-    def test_rejects_nan_at_an_end(self, end):
-        with pytest.raises(ValueError, match="f is NaN at an end"):
-            bisect_root(lambda x: math.nan if x == end else x, -1.0, 1.0, tolerance=1e-10)
-
-    def test_returns_an_end_where_f_is_zero(self):
-        assert bisect_root(lambda x: x - 1.0, 1.0, 3.0, tolerance=1e-10) == 1.0
-        assert bisect_root(lambda x: x - 3.0, 1.0, 3.0, tolerance=1e-10) == 3.0
-
-    @pytest.mark.parametrize("lo, hi", [(-math.inf, 5.0), (-5.0, math.inf)], ids=repr)
-    def test_rejects_an_infinite_end(self, lo, hi):
-        with pytest.raises(ValueError, match="no midpoint"):
-            bisect_root(lambda x: x - 1.0, lo, hi, tolerance=1e-10)
-
-    def test_stays_in_a_bracket_whose_sum_overflows(self):
-        root = bisect_root(lambda x: x - 1.2e308, 1e308, 1.5e308, tolerance=1e-10)
-        assert 1e308 <= root <= 1.5e308
-        assert root == pytest.approx(1.2e308, rel=1e-15)
-
+class TestThresholdConstants:
     def test_threshold_constants_are_bit_identical(self):
         # Halving each end before adding changes no midpoint in the
         # threshold bracket, so the constants keep every bit.
@@ -140,8 +101,6 @@ class TestBisectRoot:
         assert constants.t_star.hex() == "0x1.80ead197f1000p-1"
         assert constants.c0.hex() == "0x1.5c19dd4b1a3fcp-3"
 
-
-class TestThresholdConstants:
     def test_values_against_independent_oracle(self):
         constants = solve_threshold_constants()
         assert constants.t_star == pytest.approx(ORACLE_T_STAR, abs=1e-9)

@@ -250,10 +250,11 @@ class TestRegretSummary:
             ((P, 0.5, 1.5), "per_group must be a sequence of real numbers"),
             ((P, 0.5, (10**400,)), "per_group must be a sequence of real numbers"),
             ((P, 0.5, ("0.5",)), "per_group must be a sequence of real numbers"),
+            ((P, 0.5, (True, 0.5)), "per_group must be a sequence of real numbers"),
             (("separate", 0.5), "paradigm must be a Paradigm"),
         ],
         ids=["none", "array", "bool", "string", "bare-number", "huge", "digit-string",
-             "paradigm-name"],
+             "bool-entry", "paradigm-name"],
     )
     def test_public_constructor_rejects_bad_fields(self, args, match):
         with pytest.raises(ValidationError, match=match):
