@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .model import DesignProblem, GroupSpec, TruthScenario
+from .model import DesignProblem, GroupSpec, TruthScenario, ValidationError, _as_int, _as_real
 from .stats import normal_quantile
 
 
@@ -43,17 +42,15 @@ class ConfigError(ValueError):
 def _as_finite(
     value: Any, path: str, expected: str = "a finite number", accept=None
 ) -> float:
-    """A real number (not a bool) as a finite float for which ``accept``, if
-    given, holds; ConfigError naming ``path`` for anything else, including
-    NaN, +-Infinity and integers beyond float range.  JSON numbers and
-    Python or numpy scalars all pass through here."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            v = float(value)
-        except OverflowError:
-            v = math.inf
-        if math.isfinite(v) and (accept is None or accept(v)):
-            return v
+    """A real number (``model._as_real``) as a finite float for which
+    ``accept``, if given, holds; ConfigError naming ``path`` for anything
+    else, including NaN, +-Infinity and integers beyond float range."""
+    try:
+        v = _as_real(value)
+    except (TypeError, OverflowError):
+        v = math.nan
+    if math.isfinite(v) and (accept is None or accept(v)):
+        return v
     raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
@@ -70,6 +67,13 @@ def _as_nonnegative(value: Any, path: str) -> float:
 
 def _as_nonzero(value: Any, path: str) -> float:
     return _as_finite(value, path, "a finite nonzero number", lambda v: v != 0)
+
+
+def _as_quantile(value: Any, path: str) -> float:
+    v = _as_finite(value, path)
+    if not 0.0 < v < 1.0:
+        raise ConfigError(f"{path} must lie strictly in (0, 1), got {v}")
+    return v
 
 
 def _as_tuple(values: Any, name: str, check) -> tuple[float, ...]:
@@ -119,10 +123,7 @@ class PowerSpec:
             self, "detectable_effect", _as_nonzero(self.detectable_effect, "detectable effect")
         )
         for name in ("power_quantile", "size_quantile"):
-            p = _as_finite(getattr(self, name), name)
-            if not 0.0 < p < 1.0:
-                raise ConfigError(f"{name} must lie strictly in (0, 1), got {p}")
-            object.__setattr__(self, name, p)
+            object.__setattr__(self, name, _as_quantile(getattr(self, name), name))
         for name in ("var_control", "var_treated"):
             object.__setattr__(self, name, _as_tuple(getattr(self, name), name, _as_nonnegative))
         if len(self.var_control) != len(self.var_treated):
@@ -246,20 +247,25 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         weights = _as_tuple(self.weights, "weights", _as_probability)
         beta_cases = _as_tuple(self.beta_cases, "beta_cases", _as_nonnegative)
-        budget, reported = self.budget, self.reported
+        reported = self.reported
         for name, values in (("weights", weights), ("beta_cases", beta_cases)):
             if not values:
                 raise ConfigError(f"{name}: expected a nonempty list")
-        if not isinstance(budget, int) or isinstance(budget, bool) or budget <= 0:
-            raise ConfigError(f"budget: expected a positive integer, got {budget!r}")
+        G = len(weights)
+        try:
+            budget = _as_int("budget", self.budget)
+        except ValidationError:
+            budget = 0
+        if budget < 2 * G:  # DesignProblem needs a treated/control pair per group
+            raise ConfigError(f"budget: expected a positive integer >= {2 * G}, got {self.budget!r}")
         if not isinstance(reported, dict) or set(reported) != set(_RATE_FIELDS):
             raise ConfigError(
                 f"groups[*].reported: expected a dict with keys {sorted(_RATE_FIELDS)}, "
                 f"got {reported!r}"
             )
-        G = len(weights)
         self.__dict__.update(
             weights=weights,
+            budget=budget,
             labels=_per_group(self.labels, G, "label", _as_label),
             design_covid_control=_per_group(
                 self.design_covid_control, G, "design.covid_control", _as_probability
@@ -273,8 +279,8 @@ class ScenarioConfig:
             },
             beta_cases=beta_cases,
             detectable_effect=_as_nonzero(self.detectable_effect, "power.detectable_effect"),
-            power_quantile=_as_probability(self.power_quantile, "power.power_quantile"),
-            size_quantile=_as_probability(self.size_quantile, "power.size_quantile"),
+            power_quantile=_as_quantile(self.power_quantile, "power.power_quantile"),
+            size_quantile=_as_quantile(self.size_quantile, "power.size_quantile"),
         )
 
 

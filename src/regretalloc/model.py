@@ -54,9 +54,10 @@ def _is_bool(value) -> bool:
     return isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b"
 
 
-def _as_float(value) -> float:
-    """``float(value)``, or TypeError for a boolean; a float skips the lookups."""
-    if type(value) is not float and _is_bool(value):
+def _as_real(value) -> float:
+    """``float(value)`` for a Python or numpy real number other than a bool;
+    else TypeError (strings and bytes too), or OverflowError past float range."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise TypeError
     return float(value)
 
@@ -109,10 +110,12 @@ class DesignProblem:
                 ("control-arm variance", spec.var_control),
                 ("treated-arm variance", spec.var_treated),
             ):
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValidationError(f"group {g}: {name} must be a real number, got {value!r}")
                 try:  # the kernels see float(value): 10**400 overflows, 1/10**400 is 0.0
-                    as_float = float(value)
+                    as_float = _as_real(value)
+                except TypeError:
+                    raise ValidationError(
+                        f"group {g}: {name} must be a real number, got {value!r}"
+                    ) from None
                 except OverflowError:
                     as_float = math.inf
                 if not (as_float > 0.0) or not math.isfinite(as_float):
@@ -201,10 +204,10 @@ class TruthScenario:
         for name in _SCENARIO_FIELDS:
             values = getattr(self, name)
             try:
-                if isinstance(values, (str, bytes)):  # would split per character
+                if isinstance(values, bytes):  # would read as one number per byte
                     raise TypeError
-                coerced = tuple(_as_float(v) for v in values)
-            except (TypeError, ValueError, OverflowError):  # None, "x", a bare scalar
+                coerced = tuple(_as_real(v) for v in values)
+            except (TypeError, OverflowError):  # None, "x", a bare scalar, 10**400
                 raise ValidationError(
                     f"scenario field {name} must be a sequence of real numbers, got {values!r}"
                 ) from None

@@ -42,7 +42,6 @@ are absorbing in comparisons.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from math import erfc, sqrt
 from typing import Callable, Iterable
@@ -53,7 +52,7 @@ from .model import (
     Paradigm,
     TruthScenario,
     ValidationError,
-    _is_bool,
+    _as_real,
     check_allocation,
     check_scenario,
 )
@@ -84,15 +83,15 @@ class RegretSummary:
     def __post_init__(self) -> None:
         if not isinstance(self.paradigm, Paradigm):
             raise ValidationError(f"paradigm must be a Paradigm, got {self.paradigm!r}")
-        if isinstance(self.value, bool) or not isinstance(self.value, numbers.Real):
-            raise ValidationError(f"regret must be a nonnegative real or inf, got {self.value!r}")
-        _check_regret(self.value)
+        try:
+            _check_regret(_as_real(self.value))
+        except (TypeError, OverflowError):  # None, True, "0.5", 10**400
+            raise ValidationError(
+                f"regret must be a nonnegative real or inf, got {self.value!r}"
+            ) from None
         if self.per_group is not None:
             try:
-                per_group = tuple(self.per_group)
-                if not all(isinstance(v, numbers.Real) and not _is_bool(v) for v in per_group):
-                    raise TypeError
-                per_group = tuple([float(v) for v in per_group])
+                per_group = tuple([_as_real(v) for v in self.per_group])
             except (TypeError, OverflowError):  # 1.5, "x", (None,), (True,), (10**400,)
                 raise ValidationError(
                     f"per_group must be a sequence of real numbers in float range, "
@@ -264,12 +263,8 @@ def _check_all_sampled(problem: DesignProblem, allocation: Allocation) -> None:
 
 def _check_t_dagger(t_dagger) -> None:
     try:
-        finite = (
-            isinstance(t_dagger, numbers.Real)
-            and not _is_bool(t_dagger)
-            and math.isfinite(t_dagger)
-        )
-    except OverflowError:  # an int past float range
+        finite = math.isfinite(_as_real(t_dagger))
+    except (TypeError, OverflowError):  # not a real number, or an int past float range
         finite = False
     if not finite:
         raise ValidationError(f"t_dagger must be a finite real number, got {t_dagger!r}")

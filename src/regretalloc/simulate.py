@@ -43,7 +43,6 @@ the rare event's probability; pick ``replications`` accordingly.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -57,6 +56,7 @@ from .model import (
     TruthScenario,
     ValidationError,
     _as_int,
+    _as_real,
     _check_scenario_values,
     check_allocation,
     check_scenario,
@@ -88,11 +88,28 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Sample mean of realized regret with its standard error."""
+    """Sample mean of realized regret with its standard error (nonnegative
+    and finite) over ``replications`` >= 1; ValidationError naming the field
+    when built otherwise."""
 
     mean: float
     std_error: float
     replications: int
+
+    def __post_init__(self) -> None:
+        for name in ("mean", "std_error"):
+            value = getattr(self, name)
+            try:
+                as_float = _as_real(value)
+            except (TypeError, OverflowError):  # None, True, "0.5", 10**400
+                as_float = math.nan
+            if not 0.0 <= as_float < math.inf:  # NaN too
+                raise ValidationError(f"{name} must be nonnegative and finite, got {value!r}")
+            object.__setattr__(self, name, as_float)
+        replications = _as_int("replications", self.replications)
+        if replications < 1:
+            raise ValidationError(f"replications must be at least 1, got {replications}")
+        object.__setattr__(self, "replications", replications)
 
 
 @dataclass(frozen=True)
@@ -105,12 +122,13 @@ class TrialData:
     assignments: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        for name in ("outcomes", "assignments"):
+        # Outcomes are real numbers; assignments are 0/1 indicators, so booleans too.
+        for name, kinds in (("outcomes", "iuf"), ("assignments", "biuf")):
             given = getattr(self, name)
             try:  # lists become arrays; an array passes through unchanged
                 arrays = tuple(np.asarray(a) for a in given)
                 # Strings, objects and 0-d or 2-D arrays are not outcomes.
-                bad = any(a.ndim != 1 or a.dtype.kind not in "biuf" for a in arrays)
+                bad = any(a.ndim != 1 or a.dtype.kind not in kinds for a in arrays)
             except (TypeError, ValueError):  # None, a bare number, ragged rows
                 bad = True
             if bad:
@@ -224,8 +242,8 @@ def decide(
     closed forms), one ``rng.integers`` block per NaN column in column order,
     and defaults to treat otherwise.  A tuple or float in gives a tuple or
     int out; a leading replication axis gives an int64 array of that shape.
-    Strings (also inside an object array), other non-numbers such as None,
-    and a bare scalar given as per-group estimates, raise ValidationError.
+    Strings, booleans, None and other non-numbers (also inside an object
+    array), and a bare scalar given as per-group estimates, raise ValidationError.
     """
     rule = paradigm_rule(paradigm)
     if rule.pooled and pooled_estimate is None:
@@ -236,13 +254,12 @@ def decide(
         raise ValidationError(f"rng must be a numpy Generator, got {rng!r}")
     estimates = pooled_estimate if rule.pooled else group_estimates
     try:
-        values = np.asarray(estimates)
-        # A float conversion would parse "12" and b"-3", and turn None into
-        # NaN (an unsampled group); only an object array is checked per element.
-        if values.dtype.kind in "SUV" or (
-            values.dtype.kind == "O" and not all(isinstance(v, numbers.Real) for v in values.flat)
-        ):
-            raise TypeError
+        values = estimates
+        # A float conversion would parse "12", read True as 1 and None as NaN
+        # (an unsampled group): all but a numeric array is checked per value.
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+            items = np.asarray(values, dtype=object)
+            values = np.array([_as_real(v) for v in items.flat]).reshape(items.shape)
         values = values.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):  # "ab", a dict, ragged rows, 10**400
         raise ValidationError(

@@ -342,6 +342,16 @@ class TestLargeBudgets:
         check_allocation(problem, Allocation(counts))
         assert sum(counts) == (1_000_000_002 if redistribute else 1_000_000_000)
 
+    def test_shares_flooring_above_the_budget_raise(self):
+        # Neyman shares 7375513610449242.0 and 1631685644291750.0 floor to
+        # 2**53, one above the budget: float shares this large carry no
+        # fraction to round away.
+        problem = make_problem((0.83, 0.17), (1.2, 1.4), 2**53 - 1)
+        with pytest.raises(
+            ValidationError, match=f"neyman shares too large to round within budget {2**53 - 1}"
+        ):
+            allocate(problem, "neyman")
+
     @given(random_problems(), st.integers(min_value=8, max_value=2**53), st.booleans())
     def test_within_budget_or_validation_error(self, problem, budget, redistribute):
         problem = DesignProblem(budget=budget, groups=problem.groups)

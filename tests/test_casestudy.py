@@ -494,11 +494,14 @@ class TestScenarioConfig:
             ("detectable_effect", 0.0, "power.detectable_effect"),
             ("power_quantile", True, "power.power_quantile"),
             ("size_quantile", math.nan, "power.size_quantile"),
+            ("power_quantile", 0.0, r"power\.power_quantile must lie strictly in \(0, 1\), got 0\.0"),
+            ("size_quantile", 1, r"power\.size_quantile must lie strictly in \(0, 1\), got 1\.0"),
+            ("budget", 3, "budget: expected a positive integer >= 4, got 3"),
         ],
         ids=["weights-none", "weights-empty", "budget-string", "labels-none", "labels-ints",
              "labels-string", "design-rate-above-one", "design-too-short", "reported-none",
              "reported-keys", "beta-cases-none", "beta-negative", "effect-zero", "quantile-bool",
-             "quantile-nan"],
+             "quantile-nan", "quantile-zero", "quantile-one", "budget-under-a-pair-per-group"],
     )
     def test_hand_built_config_is_checked_naming_the_field(self, field, value, match):
         with pytest.raises(ConfigError, match=match):
@@ -521,6 +524,10 @@ class TestScenarioConfig:
         assert built == config
         assert all(type(w) is float for w in built.weights + built.design_ar_treated)
         assert build_case_study(built) == build_case_study(config)
+
+    def test_numpy_integer_budget_is_stored_as_an_int(self):
+        built = dataclasses.replace(default_config(), budget=np.int64(9320))
+        assert type(built.budget) is int and built == default_config()
 
 
 class TestBuildCaseStudy:

@@ -103,7 +103,7 @@ class TestAllocateCommand:
         path.write_text(json.dumps(config))
         code, _ = run_cli(["power", "--config", str(path)])
         assert code == 2
-        assert f"error: {field} must lie strictly in (0, 1), got {float(value)}\n" == (
+        assert f"error: power.{field} must lie strictly in (0, 1), got {float(value)}\n" == (
             capsys.readouterr().err
         )
 

@@ -25,13 +25,18 @@ from regretalloc import (
     DesignProblem,
     GroupSpec,
     IncidenceSpec,
+    MonteCarloEstimate,
     Paradigm,
     PowerSpec,
+    RegretSummary,
     ScenarioConfig,
     SimConfig,
     TrialData,
     TruthScenario,
+    decide,
     default_config,
+    joint_adversarial_tau,
+    joint_regret_expression,
 )
 from regretalloc.allocate import SCHEMES, DegenerateAllocationWarning, allocate
 from regretalloc.casestudy import (
@@ -367,3 +372,80 @@ def test_scenario_config_fields_raise_only_config_errors():
         except ValidationError as exc:
             # A budget past 2**53 is left to DesignProblem's own check.
             assert "exceeds 2**53" in str(exc), fields
+
+
+
+def real_number_inputs():
+    """Each real-number input of the library as ``(call, error)``: ``call(x)``
+    puts ``x`` in that one slot of an otherwise valid call, where 0.5 is
+    valid, and ``error`` is what a value that is not a real number raises."""
+    problem = DesignProblem(20, (GroupSpec("a", 0.5, 1.0, 2.0), GroupSpec("b", 0.5, 0.5, 0.5)))
+    allocation = Allocation((8, 10))
+    separate, joint, _ = Paradigm
+    config = default_config()
+
+    def put(value, x):
+        """``x`` in place of ``value``, or of its first entry."""
+        return (x, *value[1:]) if isinstance(value, tuple) else x
+
+    calls = {
+        "DesignProblem.weight": lambda x: DesignProblem(
+            20, (GroupSpec("a", x, 1.0, 2.0), problem.groups[1])
+        ),
+        "DesignProblem.var_control": lambda x: DesignProblem(
+            20, (GroupSpec("a", 0.5, x, 2.0), problem.groups[1])
+        ),
+        "DesignProblem.var_treated": lambda x: DesignProblem(
+            20, (GroupSpec("a", 0.5, 1.0, x), problem.groups[1])
+        ),
+        "RegretSummary.value": lambda x: RegretSummary(separate, x),
+        "RegretSummary.per_group": lambda x: RegretSummary(separate, 0.5, (x, 0.25)),
+        "joint_regret_expression.t_dagger": lambda x: joint_regret_expression(
+            problem, allocation, x
+        ),
+        "joint_adversarial_tau.t_dagger": lambda x: joint_adversarial_tau(problem, allocation, x),
+        "decide.group_estimates": lambda x: decide(separate, (x, -0.1)),
+        "decide.pooled_estimate": lambda x: decide(joint, None, x),
+        "MonteCarloEstimate.mean": lambda x: MonteCarloEstimate(x, 0.01, 10),
+        "MonteCarloEstimate.std_error": lambda x: MonteCarloEstimate(0.1, x, 10),
+        "required_sample_size.weights": lambda x: required_sample_size(
+            PowerSpec(-0.006, 0.9, 0.05, (0.007, 0.02), (0.007, 0.02)), (x, 0.5)
+        ),
+        "ScenarioConfig.reported": lambda x: dataclasses.replace(
+            config, reported={**config.reported, "ar_control": put((0.0253, 0.0248), x)}
+        ),
+    }
+    for cls, fields in (
+        (TruthScenario, {"tau": (0.3, -0.2), "baseline": (0.0, 1.0),
+                         "var_control": (1.0, 0.5), "var_treated": (2.0, 0.5)}),
+        (IncidenceSpec, {"covid_treated": (0.001, 0.002), "covid_control": (0.003, 0.004),
+                         "ar_treated": (0.1, 0.2), "ar_control": (0.02, 0.03), "beta": 0.005}),
+        (PowerSpec, {"detectable_effect": -0.006, "power_quantile": 0.9, "size_quantile": 0.05,
+                     "var_control": (0.007, 0.02), "var_treated": (0.007, 0.02)}),
+    ):
+        for name in fields:
+            calls[f"{cls.__name__}.{name}"] = (
+                lambda x, cls=cls, fields=fields, name=name:
+                cls(**{**fields, name: put(fields[name], x)})
+            )
+    for name in ("weights", "design_covid_control", "design_ar_treated", "beta_cases",
+                 "detectable_effect", "power_quantile", "size_quantile"):
+        calls[f"ScenarioConfig.{name}"] = lambda x, name=name: dataclasses.replace(
+            config, **{name: put(getattr(config, name), x)}
+        )
+    casestudy = {"IncidenceSpec", "PowerSpec", "ScenarioConfig", "required_sample_size"}
+    return {
+        name: (call, ConfigError if name.split(".")[0] in casestudy else ValidationError)
+        for name, call in calls.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(real_number_inputs()))
+def test_real_number_inputs_take_no_strings_bytes_or_booleans(name):
+    """One rule for what a number is: a Python or numpy int or float, never a
+    bool, str or bytes, whichever input it arrives at."""
+    call, error = real_number_inputs()[name]
+    call(np.float64(0.5))
+    for value in ("0.5", b"0.5", True, np.True_):
+        with pytest.raises(error):
+            call(value)

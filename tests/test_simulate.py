@@ -158,12 +158,18 @@ class TestTrialData:
             ((np.zeros(2),), ([1, "0"],), "assignments must be a sequence"),
             ((np.zeros(2),), ([[1, 0], [1]],), "assignments must be a sequence"),
             ((np.zeros(2), np.zeros(2)), (np.array([1, 0]),), "2 outcome arrays for 1"),
+            ((np.array([True, False]),), (np.array([1, 0]),), "outcomes must be a sequence"),
         ],
-        ids=["none", "string", "string-outcomes", "2-d", "mixed-list", "ragged", "group-count"],
+        ids=["none", "string", "string-outcomes", "2-d", "mixed-list", "ragged", "group-count",
+             "bool-outcomes"],
     )
     def test_groups_must_be_paired_numeric_arrays(self, outcomes, assignments, match):
         with pytest.raises(ValidationError, match=match):
             TrialData(outcomes=outcomes, assignments=assignments)
+
+    def test_boolean_assignments_are_indicators(self):
+        data = TrialData(outcomes=(np.array([3.0, 1.0]),), assignments=(np.array([True, False]),))
+        assert dm_group_estimates(data) == (2.0,)
 
     def test_lists_become_arrays(self):
         data = TrialData(outcomes=([3.0, 1.0],), assignments=([1, 0],))
@@ -847,6 +853,32 @@ class TestSeeds:
 class TestBadInput:
     problem = make_problem((0.4, 0.6), (1.5, 0.8), 60)
     truth = design_truth(problem, (0.35, -0.2))
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (("x", 0.1, 10), "mean must be nonnegative and finite, got 'x'"),
+            ((-0.1, 0.1, 10), "mean must be nonnegative and finite"),
+            ((math.inf, 0.1, 10), "mean must be nonnegative and finite"),
+            ((10**400, 0.1, 10), "mean must be nonnegative and finite"),
+            ((0.1, None, 10), "std_error must be nonnegative and finite, got None"),
+            ((0.1, True, 10), "std_error must be nonnegative and finite"),
+            ((0.1, math.nan, 10), "std_error must be nonnegative and finite"),
+            ((0.1, 0.01, 0), "replications must be at least 1, got 0"),
+            ((0.1, 0.01, 2.0), "replications must be an integer"),
+            ((0.1, 0.01, np.True_), "replications must be an integer"),
+        ],
+        ids=["string-mean", "negative-mean", "infinite-mean", "huge-mean", "none-se", "bool-se",
+             "nan-se", "zero-reps", "float-reps", "bool-reps"],
+    )
+    def test_monte_carlo_estimate_checks_its_fields(self, fields, match):
+        with pytest.raises(ValidationError, match=match):
+            MonteCarloEstimate(*fields)
+
+    def test_monte_carlo_estimate_stores_python_numbers(self):
+        estimate = MonteCarloEstimate(np.float64(0.25), 0, np.int64(3))
+        assert estimate == MonteCarloEstimate(0.25, 0.0, 3)
+        assert [type(v) for v in dataclasses.astuple(estimate)] == [float, float, int]
 
     @pytest.mark.parametrize("field", ["replications", "master_seed"])
     @pytest.mark.parametrize("value", [1.5, 2.0, None, True, np.True_, "3"], ids=repr)
