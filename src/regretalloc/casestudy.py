@@ -76,12 +76,20 @@ def _as_quantile(value: Any, path: str) -> float:
     return v
 
 
+def _items(values: Any) -> tuple | None:
+    """``values`` as a tuple; None if it is not iterable or is a str or
+    bytes, which would split per character or byte."""
+    try:
+        return None if isinstance(values, (str, bytes)) else tuple(values)
+    except TypeError:
+        return None
+
+
 def _as_tuple(values: Any, name: str, check) -> tuple[float, ...]:
     """``check(value, "name[g]")`` applied to each entry of ``values``."""
-    try:
-        items = tuple(values)
-    except TypeError:
-        raise ConfigError(f"{name}: expected a list of numbers, got {values!r}") from None
+    items = _items(values)
+    if items is None:
+        raise ConfigError(f"{name}: expected a list of numbers, got {values!r}")
     return tuple(check(v, f"{name}[{g}]") for g, v in enumerate(items))
 
 
@@ -135,8 +143,8 @@ def _bernoulli_var(p: float) -> float:
 
 
 def _square(x: float) -> float:
-    """``x**2``, or inf where that overflows; validation of the resulting
-    variances then rejects it as a ValidationError."""
+    """``x**2``, or inf where that overflows; ``DesignProblem`` then rejects
+    the resulting variance (a ConfigError from ``build_case_study``)."""
     try:
         return x**2
     except OverflowError:
@@ -214,12 +222,7 @@ def _as_label(value: Any, path: str) -> str:
 def _per_group(values: Any, n_groups: int, field: str, check) -> tuple:
     """``check(value, "groups[g].field")`` applied to each of ``n_groups``
     entries of ``values``."""
-    try:
-        if isinstance(values, (str, bytes)):  # would split per character
-            raise TypeError
-        items = tuple(values)
-    except TypeError:
-        items = None
+    items = _items(values)
     if items is None or len(items) != n_groups:
         raise ConfigError(
             f"groups[*].{field}: expected one entry per weight ({n_groups}), got {values!r}"
@@ -368,7 +371,8 @@ def build_case_study(config: ScenarioConfig) -> tuple[CaseStudyCase, ...]:
     The design problem uses the fixed budget and the composite variances at
     the design rates; the truth scenario uses the reported rates.  Each case
     also carries a PowerSpec over its own design variances so sample sizes
-    under both quantile conventions can be reported.
+    under both quantile conventions can be reported.  What ``DesignProblem``
+    refuses in the config is raised as a ConfigError with its message.
     """
     if not isinstance(config, ScenarioConfig):
         raise ConfigError(f"config must be a ScenarioConfig, got {config!r}")
@@ -378,7 +382,10 @@ def build_case_study(config: ScenarioConfig) -> tuple[CaseStudyCase, ...]:
         # The paper's conservative noise: control's COVID and treated's reaction rate on both arms.
         design = composite_moments(IncidenceSpec(cc, cc, ar, ar, beta))
         groups = map(GroupSpec, config.labels, config.weights, design.var_control, design.var_treated)
-        problem = DesignProblem(budget=config.budget, groups=tuple(groups))
+        try:
+            problem = DesignProblem(budget=config.budget, groups=tuple(groups))
+        except ValidationError as exc:  # weights off the simplex, a zero variance, budget > 2**53
+            raise ConfigError(str(exc)) from None
         truth = composite_moments(IncidenceSpec(**config.reported, beta=beta))
         power = PowerSpec(
             detectable_effect=config.detectable_effect,

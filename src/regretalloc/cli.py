@@ -213,6 +213,8 @@ def cmd_allocate(args: argparse.Namespace, out) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace, out) -> int:
+    if args.allocation is not None and args.redistribute:
+        raise ValidationError("--redistribute applies to --scheme, not to an explicit --allocation")
     cases = _cases(args)
     names = list(_PARADIGM_FLAGS) if args.paradigm == "all" else [args.paradigm]
     headers = ["beta", "counts", "paradigm", "worst case", "expected"]

@@ -29,11 +29,11 @@ estimator-level draw.  Each such group contributes 0; a pooled decision
 costs |sum_g w_g tau_g| when the sign rule on the sampling-weighted mean
 (>= 0 means treat) disagrees with the sign of that sum, and 0 otherwise.
 
-What differs between paradigms lives in one table, ``PARADIGMS``: the
-worst-case evaluator, whether the decision is pooled, and whether per-group
-regrets combine by a weighted sum or by the worst-off max; ``combine`` is
-the builtin ``sum`` or ``max`` itself, held in the table.  ``allocate``,
-``simulate`` and ``cli`` read it instead of branching on the paradigm.
+What differs between paradigms lives in one table of data, ``PARADIGMS``:
+whether the decision is pooled, and whether per-group regrets combine by a
+weighted sum or by the worst-off max (``combine``, the builtin ``sum`` or
+``max``).  ``worst_case``, ``expected_regret``, ``allocate``, ``simulate``
+and ``cli`` read it instead of branching on the paradigm.
 
 Infinities are explicit ``math.inf`` states, never overflow artifacts, and
 are absorbing in comparisons.
@@ -91,6 +91,8 @@ class RegretSummary:
             ) from None
         if self.per_group is not None:
             try:
+                if isinstance(self.per_group, (str, bytes)):  # b"ab" would read as (97, 98)
+                    raise TypeError
                 per_group = tuple([_as_real(v) for v in self.per_group])
             except (TypeError, OverflowError):  # 1.5, "x", (None,), (True,), (10**400,)
                 raise ValidationError(
@@ -136,28 +138,6 @@ def worst_case_terms(weights, var_sums, counts) -> list[float]:
     ]
 
 
-def _per_group_worst_case(
-    problem: DesignProblem, allocation: Allocation, paradigm: Paradigm
-) -> RegretSummary:
-    check_allocation(problem, allocation)
-    rule = PARADIGMS[paradigm]
-    per_group = tuple(
-        worst_case_terms(rule.group_weights(problem), problem.var_sums, allocation.counts)
-    )
-    return RegretSummary._from_floats(paradigm, rule.combine(per_group), per_group)
-
-
-def worst_case_separate(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
-    """H(n): worst-case regret with per-group decisions, weighted utility.
-    Infinite as soon as any group is unsampled."""
-    return _per_group_worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN)
-
-
-def worst_case_egalitarian(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
-    """He(n): worst-case regret of the worst-off group (unweighted)."""
-    return _per_group_worst_case(problem, allocation, Paradigm.SEPARATE_EGALITARIAN)
-
-
 def sampling_fractions(allocation: Allocation) -> tuple[float, ...]:
     """h_g = n_g / total sampled; requires a nonempty allocation."""
     if not isinstance(allocation, Allocation):
@@ -189,6 +169,32 @@ def _mismatch_terms(problem: DesignProblem, h) -> tuple[float, float, float]:
     return scale - problem.n_groups * inv_h / inv_w, scale, inv_h / inv_w
 
 
+def worst_case(problem: DesignProblem, allocation: Allocation, paradigm: Paradigm) -> RegretSummary:
+    """Worst-case regret under ``paradigm``: H, Hj or He, as the module
+    docstring and ``worst_case_separate``/``_joint``/``_egalitarian`` give it."""
+    rule = paradigm_rule(paradigm)
+    check_allocation(problem, allocation)
+    if not rule.pooled:
+        per_group = tuple(
+            worst_case_terms(rule.group_weights(problem), problem.var_sums, allocation.counts)
+        )
+        return RegretSummary._from_floats(paradigm, rule.combine(per_group), per_group)
+    if 0 in allocation.counts:
+        return RegretSummary._from_floats(paradigm, math.inf)
+    h = sampling_fractions(allocation)
+    kappa, scale, factor = _mismatch_terms(problem, h)
+    if abs(kappa) > KAPPA_TOL * scale:
+        return RegretSummary._from_floats(paradigm, math.inf)
+    value = factor * _C0 * _pooled_standard_error(h, problem.var_sums, allocation.total)
+    return RegretSummary._from_floats(paradigm, value)
+
+
+def worst_case_separate(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
+    """H(n): worst-case regret with per-group decisions, weighted utility.
+    Infinite as soon as any group is unsampled."""
+    return worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN)
+
+
 def worst_case_joint(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
     """Hj(n): worst-case regret of the pooled sign decision.
 
@@ -196,15 +202,12 @@ def worst_case_joint(problem: DesignProblem, allocation: Allocation) -> RegretSu
     statistic K exceeds ``KAPPA_TOL`` relative to sum_g w_g/h_g; otherwise
     evaluates F * c0 * sqrt(2 * sum_g h_g*(s0_g^2+s1_g^2) / total).
     """
-    check_allocation(problem, allocation)
-    if 0 in allocation.counts:
-        return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, math.inf)
-    h = sampling_fractions(allocation)
-    kappa, scale, factor = _mismatch_terms(problem, h)
-    if abs(kappa) > KAPPA_TOL * scale:
-        return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, math.inf)
-    value = factor * _C0 * _pooled_standard_error(h, problem.var_sums, allocation.total)
-    return RegretSummary._from_floats(Paradigm.JOINT_UTILITARIAN, value)
+    return worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN)
+
+
+def worst_case_egalitarian(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
+    """He(n): worst-case regret of the worst-off group (unweighted)."""
+    return worst_case(problem, allocation, Paradigm.SEPARATE_EGALITARIAN)
 
 
 def expected_regret(
@@ -363,11 +366,6 @@ def joint_regret_expression(
     return scale * (mismatch_term + factor * t_dagger * sf)
 
 
-def worst_case(problem: DesignProblem, allocation: Allocation, paradigm: Paradigm) -> RegretSummary:
-    """Dispatch the worst-case evaluation by paradigm."""
-    return paradigm_rule(paradigm).worst_case(problem, allocation)
-
-
 # ---------------------------------------------------------------------------
 # The paradigm table
 # ---------------------------------------------------------------------------
@@ -380,14 +378,12 @@ class ParadigmRule:
     estimate, covers every group.  ``worst_off``: per-group regrets are
     unweighted and combine by their max (in Monte Carlo, the max of the
     per-group means); otherwise they combine by a population-weighted sum
-    per replication.  ``worst_case(problem, allocation)`` is the closed-form
-    worst case.  ``combine`` is the builtin that folds per-group regrets
+    per replication.  ``combine`` is the builtin that folds per-group regrets
     into one: ``sum``, or ``max`` where ``worst_off``."""
 
     flag: str
     pooled: bool
     worst_off: bool
-    worst_case: Callable[[DesignProblem, Allocation], RegretSummary]
     combine: Callable[[Iterable[float]], float] = sum
 
     def group_weights(self, problem: DesignProblem) -> tuple[float, ...]:
@@ -396,15 +392,10 @@ class ParadigmRule:
 
 # Entries are in Paradigm order, which is the column order of every report.
 PARADIGMS: dict[Paradigm, ParadigmRule] = {
-    Paradigm.SEPARATE_UTILITARIAN: ParadigmRule(
-        "separate", pooled=False, worst_off=False, worst_case=worst_case_separate,
-    ),
-    Paradigm.JOINT_UTILITARIAN: ParadigmRule(
-        "joint", pooled=True, worst_off=False, worst_case=worst_case_joint,
-    ),
+    Paradigm.SEPARATE_UTILITARIAN: ParadigmRule("separate", pooled=False, worst_off=False),
+    Paradigm.JOINT_UTILITARIAN: ParadigmRule("joint", pooled=True, worst_off=False),
     Paradigm.SEPARATE_EGALITARIAN: ParadigmRule(
-        "egalitarian", pooled=False, worst_off=True, worst_case=worst_case_egalitarian,
-        combine=max,
+        "egalitarian", pooled=False, worst_off=True, combine=max
     ),
 }
 

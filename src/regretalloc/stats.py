@@ -79,10 +79,7 @@ def solve_threshold_constants() -> ThresholdConstants:
     lo, hi = _THRESHOLD_BRACKET
     t_star = 0.5 * lo + 0.5 * hi
     while hi - lo > 1e-12 and t_star not in (lo, hi):
-        f = t_star * normal_pdf(t_star) - normal_sf(t_star)
-        if f == 0.0:
-            break
-        if f < 0.0:
+        if t_star * normal_pdf(t_star) < normal_sf(t_star):
             lo = t_star
         else:
             hi = t_star

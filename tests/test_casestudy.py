@@ -118,11 +118,12 @@ class TestCompositeMoments:
             ("ar_treated", (None,), r"ar_treated\[0\]"),
             ("ar_control", (math.nan,), r"ar_control\[0\]"),
             ("ar_control", None, "ar_control"),
+            ("ar_control", b"\x00", "ar_control: expected a list of numbers"),
             ("beta", "x", "beta"),
             ("beta", True, "beta"),
             ("beta", -0.1, "beta"),
         ],
-        ids=["string-rate", "bool-rate", "none-rate", "nan-rate", "none-list",
+        ids=["string-rate", "bool-rate", "none-rate", "nan-rate", "none-list", "bytes-list",
              "string-beta", "bool-beta", "negative-beta"],
     )
     def test_bad_input_is_a_config_error_naming_it(self, field, value, match):
@@ -280,9 +281,11 @@ class TestRequiredSampleSize:
             ((-0.006, "x", 0.05, (0.1,), (0.1,)), "power_quantile"),
             ((-0.006, 0.9, 1.0, (0.1,), (0.1,)), "size_quantile"),
             ((-0.006, 0.9, 0.05, None, (0.1,)), "var_control"),
+            ((-0.006, 0.9, 0.05, b"\x01", (0.1,)), "var_control: expected a list of numbers"),
             ((-0.006, 0.9, 0.05, (0.1, 0.1), (0.1,)), "length"),
         ],
-        ids=["string-effect", "string-quantile", "quantile-one", "none-list", "ragged"],
+        ids=["string-effect", "string-quantile", "quantile-one", "none-list", "bytes-list",
+             "ragged"],
     )
     def test_bad_fields_are_config_errors(self, args, match):
         with pytest.raises(ConfigError, match=match):
@@ -328,6 +331,22 @@ class TestConfigParsing:
         broken = bundled_config_document()
         broken["groups"][0]["reported"]["ar_treated"] = 1.7
         with pytest.raises(ConfigError, match=r"groups\[0\].reported.ar_treated"):
+            parse_config(broken)
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("weights", "0.83", "weights: expected a nonempty list"),
+            ("weights", [], "weights: expected a nonempty list"),
+            ("beta_cases", 0.005, "beta_cases: expected a nonempty list"),
+            ("beta_cases", [], "beta_cases: expected a nonempty list"),
+        ],
+        ids=["weights-string", "weights-empty", "beta-cases-number", "beta-cases-empty"],
+    )
+    def test_top_level_list_must_be_a_nonempty_list(self, key, value, match):
+        broken = bundled_config_document()
+        broken[key] = value
+        with pytest.raises(ConfigError, match=match):
             parse_config(broken)
 
     def test_group_weight_count_mismatch(self):
@@ -433,13 +452,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(path))
 
-    @pytest.mark.parametrize("beta", [1e154, 1e308], ids=["square-finite", "square-overflows"])
-    def test_huge_beta_is_a_validation_error(self, beta):
-        # Variances past float range: the square overflows (1e308), or the
-        # egalitarian shares do (1e154).
+    @pytest.mark.parametrize(
+        "beta, error", [(1e154, ValidationError), (1e308, ConfigError)],
+        ids=["square-finite", "square-overflows"],
+    )
+    def test_huge_beta_is_a_validation_error(self, beta, error):
+        # Variances past float range: the square overflows (1e308), which
+        # build_case_study refuses, or the egalitarian shares do (1e154),
+        # which allocate refuses.
         broken = bundled_config_document()
         broken["beta_cases"] = [beta]
-        with pytest.raises(ValidationError):
+        with pytest.raises(error):
             for case in build_case_study(parse_config(broken)):
                 allocate(case.problem, "egalitarian")
 
@@ -480,6 +503,7 @@ class TestScenarioConfig:
         "field, value, match",
         [
             ("weights", None, "weights: expected a list of numbers"),
+            ("weights", b"\x01", "weights: expected a list of numbers"),
             ("weights", (), "weights: expected a nonempty list"),
             ("budget", "x", "budget: expected a positive integer"),
             ("labels", None, r"groups\[\*\]\.label: expected one entry per weight \(2\)"),
@@ -498,14 +522,33 @@ class TestScenarioConfig:
             ("size_quantile", 1, r"power\.size_quantile must lie strictly in \(0, 1\), got 1\.0"),
             ("budget", 3, "budget: expected a positive integer >= 4, got 3"),
         ],
-        ids=["weights-none", "weights-empty", "budget-string", "labels-none", "labels-ints",
-             "labels-string", "design-rate-above-one", "design-too-short", "reported-none",
-             "reported-keys", "beta-cases-none", "beta-negative", "effect-zero", "quantile-bool",
-             "quantile-nan", "quantile-zero", "quantile-one", "budget-under-a-pair-per-group"],
+        ids=["weights-none", "weights-bytes", "weights-empty", "budget-string", "labels-none",
+             "labels-ints", "labels-string", "design-rate-above-one", "design-too-short",
+             "reported-none", "reported-keys", "beta-cases-none", "beta-negative", "effect-zero",
+             "quantile-bool", "quantile-nan", "quantile-zero", "quantile-one",
+             "budget-under-a-pair-per-group"],
     )
     def test_hand_built_config_is_checked_naming_the_field(self, field, value, match):
         with pytest.raises(ConfigError, match=match):
             dataclasses.replace(default_config(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"weights": (0.5, 0.6)}, "group weights must sum to 1 within 1e-09; got 1.1"),
+            ({"weights": (1.0, 0.0)}, "group 1: weight must be positive"),
+            (
+                {"design_covid_control": (0.0, 0.0), "beta_cases": (0.0,)},
+                "group 0: control-arm variance must be positive",
+            ),
+            ({"budget": 2**53 + 2}, r"exceeds 2\*\*53"),
+        ],
+        ids=["weights-sum-past-one", "zero-weight", "zero-variance", "budget-past-2**53"],
+    )
+    def test_what_the_design_problem_refuses_is_a_config_error(self, changes, match):
+        config = dataclasses.replace(default_config(), **changes)
+        with pytest.raises(ConfigError, match=match):
+            build_case_study(config)
 
     def test_reported_rate_is_named_by_its_path(self):
         config = default_config()

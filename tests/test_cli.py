@@ -150,6 +150,13 @@ class TestEvaluateCommand:
         rows = [line.split() for line in text.splitlines() if line.startswith("0.0")]
         assert rows and all(row[4] == "inf" for row in rows)
 
+    def test_redistribute_with_explicit_allocation_exits_2(self, capsys):
+        code, text = run_cli(["evaluate", "--allocation", "6100,3218", "--redistribute"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --redistribute applies to --scheme, not to an explicit --allocation\n"
+        )
+
     def test_rejects_odd_allocation(self, capsys):
         code, _ = run_cli(["evaluate", "--allocation", "9319,1"])
         assert code == 2

@@ -567,10 +567,14 @@ class TestWrongTypedArguments:
                 ),
                 "unknown simulation level",
             ),
+            (
+                lambda p, a: sampling_fractions(Allocation((0, 0))),
+                "pooled quantities need at least one sampled participant",
+            ),
         ],
         ids=[
             "tuple-allocation", "none-problem", "none-truth", "redistribute-str",
-            "redistribute-array", "redistribute-int", "level-array",
+            "redistribute-array", "redistribute-int", "level-array", "nothing-sampled",
         ],
     )
     def test_raises_validation_error_naming_the_argument(self, call, match):

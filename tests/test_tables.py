@@ -25,6 +25,7 @@ from regretalloc.regret import (
     paradigm_rule,
     worst_case,
     worst_case_egalitarian,
+    worst_case_joint,
     worst_case_separate,
     worst_case_terms,
 )
@@ -130,10 +131,11 @@ class TestParadigmTable:
 
     def test_table_evaluator_matches_public_worst_case(self):
         problem, allocation = problem_and_allocation()
-        for paradigm, rule in PARADIGMS.items():
-            via_table = rule.worst_case(problem, allocation)
-            assert via_table == worst_case(problem, allocation, paradigm)
-            assert via_table.paradigm is paradigm
+        named = (worst_case_separate, worst_case_joint, worst_case_egalitarian)
+        for paradigm, named_worst_case in zip(PARADIGMS, named):
+            via_name = named_worst_case(problem, allocation)
+            assert via_name == worst_case(problem, allocation, paradigm)
+            assert via_name.paradigm is paradigm
 
     @pytest.mark.parametrize("bogus", BOGUS_PARADIGMS, ids=repr)
     def test_bogus_paradigm_rejected_everywhere(self, bogus):

@@ -251,10 +251,11 @@ class TestRegretSummary:
             ((P, 0.5, (10**400,)), "per_group must be a sequence of real numbers"),
             ((P, 0.5, ("0.5",)), "per_group must be a sequence of real numbers"),
             ((P, 0.5, (True, 0.5)), "per_group must be a sequence of real numbers"),
+            ((P, 0.5, b"ab"), "per_group must be a sequence of real numbers"),
             (("separate", 0.5), "paradigm must be a Paradigm"),
         ],
         ids=["none", "array", "bool", "string", "bare-number", "huge", "digit-string",
-             "bool-entry", "paradigm-name"],
+             "bool-entry", "bytes", "paradigm-name"],
     )
     def test_public_constructor_rejects_bad_fields(self, args, match):
         with pytest.raises(ValidationError, match=match):
