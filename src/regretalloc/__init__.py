@@ -71,13 +71,9 @@ _SIMULATE_EXPORTS = frozenset(
     (
         "MonteCarloEstimate",
         "SimConfig",
-        "TrialData",
         "decide",
-        "dm_group_estimates",
-        "dm_pooled_estimate",
         "monte_carlo_regret",
         "realized_regret",
-        "run_trial",
     )
 )
 

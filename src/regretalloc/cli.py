@@ -215,6 +215,7 @@ def cmd_allocate(args: argparse.Namespace, out) -> int:
 def cmd_evaluate(args: argparse.Namespace, out) -> int:
     if args.allocation is not None and args.redistribute:
         raise ValidationError("--redistribute applies to --scheme, not to an explicit --allocation")
+    explicit = None if args.allocation is None else _parse_allocation(args.allocation)
     cases = _cases(args)
     names = list(_PARADIGM_FLAGS) if args.paradigm == "all" else [args.paradigm]
     headers = ["beta", "counts", "paradigm", "worst case", "expected"]
@@ -226,12 +227,10 @@ def cmd_evaluate(args: argparse.Namespace, out) -> int:
         note="regret columns scaled by 1e4",
     )
     for case in cases:
-        if args.allocation is not None:
-            allocation = _parse_allocation(args.allocation)
+        if explicit is None:
+            allocation = build_allocation(case.problem, args.scheme, redistribute=args.redistribute)
         else:
-            allocation = build_allocation(
-                case.problem, args.scheme, redistribute=args.redistribute
-            )
+            allocation = explicit
         for name in names:
             paradigm = _PARADIGM_FLAGS[name]
             worst = regret_mod.worst_case(case.problem, allocation, paradigm).value

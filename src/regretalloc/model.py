@@ -293,15 +293,9 @@ def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenari
     (a non-finite value or a non-positive variance)."""
     if not isinstance(problem, DesignProblem):
         validate_problem(problem)
-    _check_scenario_values(truth, problem.n_groups)
-    return truth
-
-
-def _check_scenario_values(truth: TruthScenario, G: int) -> None:
-    """Every field has ``G`` entries, then the fault stored when the scenario
-    was built, if any, is raised."""
     if not isinstance(truth, TruthScenario):
         raise ValidationError(f"truth must be a TruthScenario, got {truth!r}")
+    G = problem.n_groups
     if truth._length != G:  # the fields are walked only to name the first bad one
         for name in _SCENARIO_FIELDS:
             n = len(getattr(truth, name))
@@ -309,3 +303,4 @@ def _check_scenario_values(truth: TruthScenario, G: int) -> None:
                 raise ValidationError(f"scenario field {name} has {n} entries for {G} groups")
     if truth._fault is not None:
         raise ValidationError(truth._fault)
+    return truth

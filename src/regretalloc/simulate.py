@@ -2,13 +2,13 @@
 
 Generates Gaussian trial data (control arm N(b - tau/2, s0^2), treated arm
 N(b + tau/2, s1^2)) and averages realized regret to cross-validate the
-closed forms in :mod:`regretalloc.regret`.  ``run_trial`` and the
-``dm_*`` estimators give one trial's estimates; the engine draws an (R, G)
-matrix of them per chunk and applies the same ``decide`` and the same
-regret kernel (behind ``realized_regret``) over the replication axis.  Every
-per-paradigm choice (a pooled or a per-group decision, a weighted sum or a
-worst-off max) is read from the paradigm table ``regret.PARADIGMS``; a
-value that is not a Paradigm raises ValidationError there.
+closed forms in :mod:`regretalloc.regret`.  The engine draws an (R, G)
+matrix of per-group mean-difference estimates per chunk and applies
+``decide`` and the regret kernel behind ``realized_regret`` over the
+replication axis.  Every per-paradigm choice (a pooled or a per-group
+decision, a weighted sum or a worst-off max) is read from the paradigm
+table ``regret.PARADIGMS``; a value that is not a Paradigm raises
+ValidationError there.
 
 Reproducibility contract
 ------------------------
@@ -49,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    MAX_BUDGET,
     Allocation,
     DesignProblem,
     Paradigm,
@@ -57,7 +56,6 @@ from .model import (
     ValidationError,
     _as_int,
     _as_real,
-    _check_scenario_values,
     check_allocation,
     check_scenario,
 )
@@ -112,46 +110,6 @@ class MonteCarloEstimate:
         object.__setattr__(self, "replications", replications)
 
 
-@dataclass(frozen=True)
-class TrialData:
-    """Observed outcomes and 0/1 assignments, one 1-D numeric array pair per
-    group (lists become arrays), each group half 1s and half 0s;
-    ValidationError when built otherwise."""
-
-    outcomes: tuple[np.ndarray, ...]
-    assignments: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        # Outcomes are real numbers; assignments are 0/1 indicators, so booleans too.
-        for name, kinds in (("outcomes", "iuf"), ("assignments", "biuf")):
-            given = getattr(self, name)
-            try:  # lists become arrays; an array passes through unchanged
-                arrays = tuple(np.asarray(a) for a in given)
-                # Strings, objects and 0-d or 2-D arrays are not outcomes.
-                bad = any(a.ndim != 1 or a.dtype.kind not in kinds for a in arrays)
-            except (TypeError, ValueError):  # None, a bare number, ragged rows
-                bad = True
-            if bad:
-                raise ValidationError(
-                    f"{name} must be a sequence of 1-D numeric arrays, got {given!r}"
-                )
-            object.__setattr__(self, name, arrays)
-        if len(self.outcomes) != len(self.assignments):
-            raise ValidationError(
-                f"{len(self.outcomes)} outcome arrays for {len(self.assignments)} assignment arrays"
-            )
-        for g, (y, w) in enumerate(zip(self.outcomes, self.assignments)):
-            if y.shape != w.shape:
-                raise ValidationError(f"group {g}: outcomes and assignments differ in length")
-            n = len(w)
-            if not np.isin(w, (0, 1)).all() or n % 2 != 0 or int(w.sum()) * 2 != n:
-                raise ValidationError(f"group {g}: treatment is not 1:1 balanced")
-
-    @property
-    def group_sizes(self) -> tuple[int, ...]:
-        return tuple(len(y) for y in self.outcomes)
-
-
 def _philox_rng(master_seed: int, stream: int) -> np.random.Generator:
     key = np.array([master_seed & _SEED_MASK, stream & _SEED_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -164,67 +122,6 @@ def _arms(truth: TruthScenario, g: int) -> tuple[tuple[float, float], tuple[floa
         (truth.baseline[g] + truth.tau[g] / 2.0, math.sqrt(truth.var_treated[g])),
         (truth.baseline[g] - truth.tau[g] / 2.0, math.sqrt(truth.var_control[g])),
     )
-
-
-def run_trial(truth: TruthScenario, allocation: Allocation, seed: int) -> TrialData:
-    """Draw one trial: n_g/2 control and n_g/2 treated outcomes per group.
-
-    Identical seeds give bit-identical data; ``seed`` is an integer taken
-    mod 2**64, as ``SimConfig.master_seed`` is.  The first n_g/2 units of
-    each group are the treated ones; outcomes are i.i.d. within arms, so the
-    ordering is distributionally irrelevant.  The scenario gets the
-    checks of ``check_scenario`` (ValidationError), with the allocation's
-    length as the group count, and the allocation's total may not pass
-    ``model.MAX_BUDGET``.
-    """
-    if not isinstance(allocation, Allocation):
-        raise ValidationError(f"allocation must be an Allocation, got {allocation!r}")
-    if allocation.total > MAX_BUDGET:
-        raise ValidationError(f"allocation total {allocation.total} exceeds 2**53")
-    _check_scenario_values(truth, len(allocation.counts))
-    rng = _philox_rng(_as_int("seed", seed), 0)
-    outcomes: list[np.ndarray] = []
-    assignments: list[np.ndarray] = []
-    for g, n in enumerate(allocation.counts):
-        half = n // 2
-        treated, control = (rng.normal(loc, sd, size=half) for loc, sd in _arms(truth, g))
-        outcomes.append(np.concatenate([treated, control]))
-        assignments.append(
-            np.concatenate([np.ones(half, dtype=np.int64), np.zeros(half, dtype=np.int64)])
-        )
-    return TrialData(outcomes=tuple(outcomes), assignments=tuple(assignments))
-
-
-def dm_group_estimates(data: TrialData) -> tuple[float, ...]:
-    """Per-group mean-difference estimates; NaN flags an unsampled group."""
-    if not isinstance(data, TrialData):
-        raise ValidationError(f"data must be a TrialData, got {data!r}")
-    return tuple(
-        2.0 / n * diff if n else math.nan
-        for n, diff in zip(data.group_sizes, _arm_differences(data))
-    )
-
-
-def dm_pooled_estimate(data: TrialData) -> float:
-    """Pooled mean difference over all sampled units:
-    (2/total) * (sum of treated outcomes - sum of control outcomes).
-
-    Equals the n-weighted average of the per-group estimates.
-    """
-    if not isinstance(data, TrialData):
-        raise ValidationError(f"data must be a TrialData, got {data!r}")
-    total = sum(data.group_sizes)
-    if total == 0:
-        raise ValidationError("pooled estimate needs at least one sampled participant")
-    return 2.0 / total * sum(_arm_differences(data))
-
-
-def _arm_differences(data: TrialData) -> list[float]:
-    """Per group: sum of treated outcomes minus sum of control outcomes."""
-    return [
-        float(y[w == 1].sum()) - float(y[w == 0].sum())
-        for y, w in zip(data.outcomes, data.assignments)
-    ]
 
 
 def decide(

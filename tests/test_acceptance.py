@@ -25,6 +25,7 @@ from regretalloc.model import (
 from regretalloc.regret import (
     adversarial_tau_separate,
     expected_regret,
+    sampling_fractions,
     worst_case_egalitarian,
     worst_case_joint,
     worst_case_separate,
@@ -441,14 +442,16 @@ def test_criterion_9_simulator_invariants():
         failures.append("parallel execution changed the estimate")
 
     # (b) realized regret nonnegative across replications (asserted inside the
-    # engine for every chunk; exercise the one-off API as well).
-    from regretalloc.simulate import decide, dm_group_estimates, dm_pooled_estimate, realized_regret, run_trial
+    # engine for every chunk; exercise the one-off API as well, on per-group
+    # estimates drawn from their sampling distribution N(tau_g, 2 S_g / n_g)).
+    from regretalloc.simulate import decide, realized_regret
 
+    se = np.sqrt(2.0 * np.array(truth.var_sums) / np.array(allocation.counts))
+    fractions = np.array(sampling_fractions(allocation))
     for seed in range(200):
-        data = run_trial(truth, allocation, seed=seed)
-        estimates = dm_group_estimates(data)
+        estimates = np.random.default_rng(seed).normal(truth.tau, se)
         separate = decide(Paradigm.SEPARATE_UTILITARIAN, group_estimates=estimates)
-        joint = decide(Paradigm.JOINT_UTILITARIAN, pooled_estimate=dm_pooled_estimate(data))
+        joint = decide(Paradigm.JOINT_UTILITARIAN, pooled_estimate=float(fractions @ estimates))
         for paradigm, decisions in (
             (Paradigm.SEPARATE_UTILITARIAN, separate),
             (Paradigm.SEPARATE_EGALITARIAN, separate),

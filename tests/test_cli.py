@@ -138,6 +138,14 @@ class TestEvaluateCommand:
         assert code == 2
         assert "allocation" in capsys.readouterr().err
 
+    def test_malformed_allocation_is_reported_before_the_config_is_read(self, capsys):
+        argv = ["evaluate", "--allocation", "6100,x", "--config", "/nowhere/missing.json"]
+        code, text = run_cli(argv)
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --allocation expects comma-separated integers, got '6100,x'\n"
+        )
+
     def test_rejects_wrong_length_allocation(self, capsys):
         code, _ = run_cli(["evaluate", "--allocation", "9320"])
         assert code == 2

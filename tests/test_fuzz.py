@@ -31,7 +31,6 @@ from regretalloc import (
     RegretSummary,
     ScenarioConfig,
     SimConfig,
-    TrialData,
     TruthScenario,
     decide,
     default_config,
@@ -242,8 +241,8 @@ EXEMPT = {"Paradigm"}
 # the call run away: a SimConfig's replication count sets how many chunks
 # ``monte_carlo_regret`` runs, and a text path such as /dev/stdin blocks
 # ``load_config``.  No value above is an Allocation, so the counts that
-# reach ``run_trial`` and ``monte_carlo_regret`` (which draw n_g outcomes
-# per replication) are always the small valid ones.
+# reach ``monte_carlo_regret`` (which draws n_g outcomes per replication)
+# are always the small valid ones.
 FIXED = {("SimConfig", 0), ("load_config", 0)}
 
 
@@ -256,10 +255,6 @@ def valid_calls():
     incidence = IncidenceSpec((0.001, 0.002), (0.003, 0.004), (0.1, 0.2), (0.02, 0.03), 0.005)
     power = PowerSpec(-0.006, 0.9, 0.05, (0.007, 0.02), (0.007, 0.02))
     config = default_config()
-    data = TrialData(
-        (np.array([1.0, 0.0]), np.array([2.0, 0.5, 0.0, 1.0])),
-        (np.array([1, 0]), np.array([1, 1, 0, 0])),
-    )
     separate, joint, worst_off = Paradigm
     rng = np.random.default_rng(0)
     return {
@@ -273,7 +268,6 @@ def valid_calls():
         "RegretSummary": [(separate, 0.5, (0.25, 0.25))],
         "ScenarioConfig": [tuple(getattr(config, f.name) for f in dataclasses.fields(config))],
         "SimConfig": [(3, 7)],
-        "TrialData": [(data.outcomes, data.assignments)],
         "TruthScenario": [fields],
         "adversarial_tau_separate": [(problem, allocation)],
         "allocate": [(problem, "minimax", True)],
@@ -283,8 +277,6 @@ def valid_calls():
         "composite_moments": [(incidence,)],
         "decide": [(separate, (0.1, math.nan), None, rng), (joint, None, -0.1, rng)],
         "default_config": [()],
-        "dm_group_estimates": [(data,)],
-        "dm_pooled_estimate": [(data,)],
         "expected_regret": [(problem, allocation, truth, separate)],
         "joint_adversarial_tau": [(problem, allocation, 0.7)],
         "joint_mismatch": [(problem, allocation)],
@@ -297,7 +289,6 @@ def valid_calls():
         "parse_config": [(bundled_config_document(),)],
         "realized_regret": [(truth, problem, (1, 0), separate)],
         "required_sample_size": [(power, (0.83, 0.17))],
-        "run_trial": [(truth, allocation, 5)],
         "shares": [(problem, "neyman")],
         "validate_problem": [(problem,)],
         "worst_case": [(problem, allocation, joint)],

@@ -584,16 +584,10 @@ class TestWrongTypedArguments:
     @pytest.mark.parametrize(
         "call, match",
         [
-            (
-                lambda p: simulate.run_trial(design_truth(p, (0.1, 0.1)), (2, 2), 1),
-                "allocation must be an Allocation, got \\(2, 2\\)",
-            ),
             (lambda p: sampling_fractions((50, 50)), "allocation must be an Allocation"),
             (lambda p: shares(None, "minimax"), "problem must be a DesignProblem, got None"),
-            (lambda p: simulate.dm_group_estimates(None), "data must be a TrialData, got None"),
-            (lambda p: simulate.dm_pooled_estimate(None), "data must be a TrialData, got None"),
         ],
-        ids=["run_trial", "sampling_fractions", "shares", "dm_group", "dm_pooled"],
+        ids=["sampling_fractions", "shares"],
     )
     def test_entry_points_check_the_type_before_reading_an_attribute(self, call, match):
         with pytest.raises(ValidationError, match=match):

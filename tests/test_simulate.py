@@ -1,4 +1,4 @@
-"""Trial simulator: determinism, estimators, decisions, Monte Carlo engine."""
+"""Trial simulator: the pinned stream, decisions, Monte Carlo engine."""
 
 import dataclasses
 import math
@@ -24,13 +24,9 @@ from regretalloc.simulate import (
     CHUNK_SIZE,
     MonteCarloEstimate,
     SimConfig,
-    TrialData,
     decide,
-    dm_group_estimates,
-    dm_pooled_estimate,
     monte_carlo_regret,
     realized_regret,
-    run_trial,
 )
 
 PARADIGMS = (
@@ -54,8 +50,10 @@ GOLDEN_FIRST_GROUP = (
     1.3049540845796286,
     0.5604548352484777,
 )
-GOLDEN_ESTIMATES = (-0.28378833156180683, 1.3140106479717604)
-GOLDEN_POOLED = 0.3553312602516201
+# The engine's one-row trial-level estimates on that stream at counts (6, 4),
+# and their pooled estimate.
+GOLDEN_ESTIMATES = (-0.2837883315618067, 1.3140106479717604)
+GOLDEN_POOLED = 0.35533126025162015
 
 
 def make_problem(weights, var_sums, budget):
@@ -75,173 +73,21 @@ def design_truth(problem, tau, baseline=None):
     )
 
 
-class TestRunTrial:
-    def test_identical_seed_identical_data(self):
-        a = run_trial(GOLDEN_TRUTH, Allocation((6, 4)), seed=7)
-        b = run_trial(GOLDEN_TRUTH, Allocation((6, 4)), seed=7)
-        for ya, yb in zip(a.outcomes, b.outcomes):
-            assert np.array_equal(ya, yb)
-        c = run_trial(GOLDEN_TRUTH, Allocation((6, 4)), seed=8)
-        assert not np.array_equal(a.outcomes[0], c.outcomes[0])
+class TestGoldenStream:
+    def test_first_draws(self):
+        rng = simulate._philox_rng(GOLDEN_SEED, 0)
+        tau, b = GOLDEN_TRUTH.tau[0], GOLDEN_TRUTH.baseline[0]
+        treated = rng.normal(b + tau / 2.0, math.sqrt(GOLDEN_TRUTH.var_treated[0]), size=3)
+        control = rng.normal(b - tau / 2.0, math.sqrt(GOLDEN_TRUTH.var_control[0]), size=3)
+        assert tuple(np.concatenate([treated, control]).tolist()) == GOLDEN_FIRST_GROUP
 
-    def test_golden_first_draws(self):
-        data = run_trial(GOLDEN_TRUTH, Allocation((6, 4)), seed=GOLDEN_SEED)
-        assert data.outcomes[0] == pytest.approx(GOLDEN_FIRST_GROUP, abs=0.0)
-        assert dm_group_estimates(data) == pytest.approx(GOLDEN_ESTIMATES, abs=0.0)
-        assert dm_pooled_estimate(data) == pytest.approx(GOLDEN_POOLED, abs=0.0)
-
-    def test_balance_within_each_group(self):
-        data = run_trial(GOLDEN_TRUTH, Allocation((10, 6)), seed=3)
-        for w, n in zip(data.assignments, (10, 6)):
-            assert int(w.sum()) == n // 2
-
-    def test_degenerate_variance_recovers_arm_means(self):
-        truth = TruthScenario(
-            tau=(0.4,), baseline=(1.0,), var_control=(1e-24,), var_treated=(1e-24,)
+    def test_engine_estimates(self):
+        allocation = Allocation((6, 4))
+        estimates = simulate._chunk_estimates(
+            GOLDEN_TRUTH, allocation, simulate._philox_rng(GOLDEN_SEED, 0), 1, "trial"
         )
-        data = run_trial(truth, Allocation((40,)), seed=11)
-        y, w = data.outcomes[0], data.assignments[0]
-        assert float(y[w == 1].mean()) == pytest.approx(1.2, abs=1e-9)
-        assert float(y[w == 0].mean()) == pytest.approx(0.8, abs=1e-9)
-
-    def test_odd_count_is_structural_error(self):
-        truth = TruthScenario(
-            tau=(0.1,), baseline=(0.0,), var_control=(1.0,), var_treated=(1.0,)
-        )
-        with pytest.raises(ValidationError, match="1:1"):
-            run_trial(truth, Allocation((5,)), seed=1)
-
-    @pytest.mark.parametrize(
-        "truth, counts, match",
-        [
-            (TruthScenario((0.1,), (0.0,), (-1.0,), (1.0,)), (2,), "variances must be positive"),
-            (TruthScenario((math.nan,), (0.0,), (1.0,), (1.0,)), (2,), "tau must be finite"),
-            (TruthScenario((0.1,), (0.0,), (1.0,), (1.0,)), (2, 2), "tau has 1 entries for 2"),
-            (TruthScenario((0.1,), (0.0,), (1.0,), (1.0,)), (-2,), "count -2 is negative"),
-            (TruthScenario((0.1,), (0.0,), (1.0,), (1.0,)), (10**400,), r"exceeds 2\*\*53"),
-            (TruthScenario((0.1,), (0.0,), (1.0,), (1.0,)), (2**64,), r"exceeds 2\*\*53"),
-        ],
-        ids=["negative-variance", "nan-tau", "group-count", "negative-count",
-             "total-past-float-range", "total-past-2**53"],
-    )
-    def test_inputs_pass_the_model_checks(self, truth, counts, match):
-        with pytest.raises(ValidationError, match=match):
-            run_trial(truth, Allocation(counts), seed=1)
-
-    def test_empty_allocation_draws_nothing(self):
-        # No groups: the scenario's variance check has no minimum to take.
-        data = run_trial(TruthScenario((), (), (), ()), Allocation(()), seed=1)
-        assert data.outcomes == () and data.assignments == ()
-
-
-class TestTrialData:
-    def test_outcomes_and_assignments_must_match_in_length(self):
-        with pytest.raises(ValidationError, match="group 0: outcomes and assignments differ"):
-            TrialData(outcomes=(np.zeros(4),), assignments=(np.array([1, 1, 0]),))
-
-    @pytest.mark.parametrize(
-        "w",
-        [[1, 0, 1], [1, 1, 1, 0], [0.5, 0.5], [-1, 3, 0, 0], [math.nan, 1.0]],
-        ids=["odd", "unbalanced", "halves", "not-0-or-1", "nan"],
-    )
-    def test_treatment_must_be_balanced(self, w):
-        with pytest.raises(ValidationError, match="group 0: treatment is not 1:1 balanced"):
-            TrialData(outcomes=(np.zeros(len(w)),), assignments=(np.array(w),))
-
-    @pytest.mark.parametrize(
-        "outcomes, assignments, match",
-        [
-            (None, (np.array([1, 0]),), "outcomes must be a sequence of 1-D numeric arrays"),
-            ((np.zeros(2),), "10", "assignments must be a sequence of 1-D numeric arrays"),
-            ((np.array(["1", "0"]),), (np.array([1, 0]),), "outcomes must be a sequence"),
-            ((np.zeros((2, 2)),), (np.array([1, 0]),), "outcomes must be a sequence"),
-            ((np.zeros(2),), ([1, "0"],), "assignments must be a sequence"),
-            ((np.zeros(2),), ([[1, 0], [1]],), "assignments must be a sequence"),
-            ((np.zeros(2), np.zeros(2)), (np.array([1, 0]),), "2 outcome arrays for 1"),
-            ((np.array([True, False]),), (np.array([1, 0]),), "outcomes must be a sequence"),
-        ],
-        ids=["none", "string", "string-outcomes", "2-d", "mixed-list", "ragged", "group-count",
-             "bool-outcomes"],
-    )
-    def test_groups_must_be_paired_numeric_arrays(self, outcomes, assignments, match):
-        with pytest.raises(ValidationError, match=match):
-            TrialData(outcomes=outcomes, assignments=assignments)
-
-    def test_boolean_assignments_are_indicators(self):
-        data = TrialData(outcomes=(np.array([3.0, 1.0]),), assignments=(np.array([True, False]),))
-        assert dm_group_estimates(data) == (2.0,)
-
-    def test_lists_become_arrays(self):
-        data = TrialData(outcomes=([3.0, 1.0],), assignments=([1, 0],))
-        assert all(isinstance(a, np.ndarray) for a in data.outcomes + data.assignments)
-        assert dm_group_estimates(data) == (2.0,)
-        assert dm_pooled_estimate(data) == 2.0
-
-
-class TestEstimators:
-    def test_all_treated_one_control_zero(self):
-        y = np.array([1.0, 1.0, 0.0, 0.0])
-        w = np.array([1, 1, 0, 0])
-        data = TrialData(outcomes=(y,), assignments=(w,))
-        assert dm_group_estimates(data) == (1.0,)
-
-    def test_equal_arms_give_zero(self):
-        y = np.array([2.0, 3.0, 2.0, 3.0])
-        w = np.array([1, 0, 0, 1])
-        data = TrialData(outcomes=(y,), assignments=(w,))
-        assert dm_group_estimates(data) == (0.0,)
-
-    def test_hand_four_unit_group(self):
-        y = np.array([2.0, 4.0, 1.0, 1.0])
-        w = np.array([1, 1, 0, 0])
-        data = TrialData(outcomes=(y,), assignments=(w,))
-        assert dm_group_estimates(data) == (2.0,)
-
-    def test_empty_group_flagged_nan(self):
-        data = TrialData(
-            outcomes=(np.array([1.0, 0.0]), np.array([])),
-            assignments=(np.array([1, 0]), np.array([])),
-        )
-        estimates = dm_group_estimates(data)
-        assert math.isnan(estimates[1])
-
-    def test_pooled_single_group_reduces(self):
-        y = np.array([2.0, 4.0, 1.0, 1.0])
-        w = np.array([1, 1, 0, 0])
-        data = TrialData(outcomes=(y,), assignments=(w,))
-        assert dm_pooled_estimate(data) == dm_group_estimates(data)[0]
-
-    def test_pooled_is_size_weighted_average(self):
-        # Group estimates (1, 3) at sizes (2, 6) pool to 0.25*1 + 0.75*3.
-        y0 = np.array([1.0, 0.0])
-        w0 = np.array([1, 0])
-        y1 = np.array([3.0, 3.0, 3.0, 0.0, 0.0, 0.0])
-        w1 = np.array([1, 1, 1, 0, 0, 0])
-        data = TrialData(outcomes=(y0, y1), assignments=(w0, w1))
-        assert dm_group_estimates(data) == (1.0, 3.0)
-        assert dm_pooled_estimate(data) == pytest.approx(2.5, rel=1e-15)
-
-    def test_pooled_all_zero_outcomes(self):
-        y = np.zeros(4)
-        w = np.array([1, 1, 0, 0])
-        data = TrialData(outcomes=(y,), assignments=(w,))
-        assert dm_pooled_estimate(data) == 0.0
-
-    def test_pooled_empty_is_domain_error(self):
-        data = TrialData(outcomes=(np.array([]),), assignments=(np.array([]),))
-        with pytest.raises(ValidationError):
-            dm_pooled_estimate(data)
-
-    def test_pooled_matches_weighted_groups_on_random_trials(self):
-        for seed in range(5):
-            data = run_trial(GOLDEN_TRUTH, Allocation((12, 8)), seed=seed)
-            groups = dm_group_estimates(data)
-            weighted = (12 * groups[0] + 8 * groups[1]) / 20
-            pooled = dm_pooled_estimate(data)
-            assert pooled == pytest.approx(weighted, rel=1e-12)
-            assert decide(Paradigm.JOINT_UTILITARIAN, pooled_estimate=pooled) == int(
-                weighted >= 0
-            )
+        assert tuple(estimates[0].tolist()) == GOLDEN_ESTIMATES
+        assert simulate._pooled_estimates(estimates, allocation).tolist() == [GOLDEN_POOLED]
 
 
 class TestDecide:
@@ -712,18 +558,6 @@ class TestOneDecisionPath:
     problem = make_problem((0.3, 0.5, 0.2), (1.5, 0.8, 2.0), 3000)
     truth = design_truth(problem, (0.05, -0.08, 0.004), baseline=(0.5, 1.5, -0.3))
 
-    @pytest.mark.parametrize("counts", [(20, 6, 2), (0, 40, 8), (12, 0, 0), (0, 0, 0)])
-    @pytest.mark.parametrize("seed", [0, 1, 20240817, -3])
-    def test_run_trial_estimates_match_engine_row(self, counts, seed):
-        allocation = Allocation(counts)
-        scalar = np.array(dm_group_estimates(run_trial(self.truth, allocation, seed)))
-        row = simulate._chunk_estimates(
-            self.truth, allocation, simulate._philox_rng(seed, 0), 1, "trial"
-        )[0]
-        assert np.array_equal(np.isnan(scalar), np.isnan(row))
-        sampled = ~np.isnan(row)
-        assert np.allclose(scalar[sampled], row[sampled], rtol=1e-12, atol=0.0)
-
     def random_estimates(self, reps=200):
         rng = np.random.default_rng(7)
         estimates = rng.normal(0.0, 1.0, size=(reps, 3))
@@ -839,15 +673,8 @@ class TestSeeds:
         assert type(config.master_seed) is int
 
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.int8(5), 2**64 + 5], ids=repr)
-    def test_run_trial_seed_follows_the_sim_config_rule(self, seed):
-        truth = design_truth(make_problem((1.0,), (1.0,), 8), (0.3,))
-        data, reference = (run_trial(truth, Allocation((4,)), s) for s in (seed, 5))
-        assert np.array_equal(data.outcomes[0], reference.outcomes[0])
-
-    def test_run_trial_negative_seed_is_taken_mod_2_64(self):
-        truth = design_truth(make_problem((1.0,), (1.0,), 8), (0.3,))
-        minus_one, top = (run_trial(truth, Allocation((4,)), s) for s in (-1, 2**64 - 1))
-        assert np.array_equal(minus_one.outcomes[0], top.outcomes[0])
+    def test_seed_is_taken_mod_2_64_whatever_its_integer_type(self, seed):
+        assert self.estimate(seed) == self.estimate(5)
 
 
 class TestBadInput:
@@ -886,11 +713,6 @@ class TestBadInput:
         kwargs = {"replications": 10, "master_seed": 1, field: value}
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             SimConfig(**kwargs)
-
-    @pytest.mark.parametrize("seed", [1.5, 2.0, None, True, np.True_, "3"], ids=repr)
-    def test_run_trial_rejects_non_integer_seeds(self, seed):
-        with pytest.raises(ValidationError, match="seed must be an integer"):
-            run_trial(self.truth, Allocation((4, 2)), seed)
 
     @pytest.mark.parametrize("workers", ["2", 2.5, True, np.True_], ids=repr)
     def test_monte_carlo_rejects_non_integer_workers(self, workers):
