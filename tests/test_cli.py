@@ -146,6 +146,24 @@ class TestEvaluateCommand:
             "error: --allocation expects comma-separated integers, got '6100,x'\n"
         )
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "--allocation expects comma-separated integers, got ''"),
+            ("6100.0,3300", "--allocation expects comma-separated integers, got '6100.0,3300'"),
+            ("6100;3300", "--allocation expects comma-separated integers, got '6100;3300'"),
+            ("6100,,3300", "--allocation expects comma-separated integers, got '6100,,3300'"),
+            ("6101,3300", "group 0: count 6101 is odd; strata must balance 1:1"),
+        ],
+        ids=["empty", "float", "semicolon", "empty-field", "odd-count"],
+    )
+    def test_every_malformed_allocation_is_reported_before_the_config_is_read(
+        self, capsys, text, message
+    ):
+        argv = ["evaluate", "--allocation", text, "--config", "/nowhere/missing.json"]
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_rejects_wrong_length_allocation(self, capsys):
         code, _ = run_cli(["evaluate", "--allocation", "9320"])
         assert code == 2

@@ -586,8 +586,33 @@ class TestWrongTypedArguments:
         [
             (lambda p: sampling_fractions((50, 50)), "allocation must be an Allocation"),
             (lambda p: shares(None, "minimax"), "problem must be a DesignProblem, got None"),
+            (
+                lambda p: simulate.monte_carlo_regret(
+                    p, (50, 50), design_truth(p, (0.1, 0.1)), Paradigm.SEPARATE_UTILITARIAN,
+                    simulate.SimConfig(10, 0),
+                ),
+                "allocation must be an Allocation, got \\(50, 50\\)",
+            ),
+            (
+                lambda p: simulate.monte_carlo_regret(
+                    p, Allocation((50, 50)), None, Paradigm.SEPARATE_UTILITARIAN,
+                    simulate.SimConfig(10, 0),
+                ),
+                "truth must be a TruthScenario, got None",
+            ),
+            (
+                lambda p: simulate.realized_regret(None, p, (1, 0), Paradigm.SEPARATE_UTILITARIAN),
+                "truth must be a TruthScenario, got None",
+            ),
+            (
+                lambda p: simulate.realized_regret(
+                    design_truth(p, (0.1, 0.1)), None, (1, 0), Paradigm.SEPARATE_UTILITARIAN
+                ),
+                "problem must be a DesignProblem, got None",
+            ),
         ],
-        ids=["sampling_fractions", "shares"],
+        ids=["sampling_fractions", "shares", "monte_carlo_allocation", "monte_carlo_truth",
+             "realized_regret_truth", "realized_regret_problem"],
     )
     def test_entry_points_check_the_type_before_reading_an_attribute(self, call, match):
         with pytest.raises(ValidationError, match=match):

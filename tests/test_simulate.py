@@ -90,6 +90,87 @@ class TestGoldenStream:
         assert simulate._pooled_estimates(estimates, allocation).tolist() == [GOLDEN_POOLED]
 
 
+class TestEngineRows:
+    """What one chunk's rows of per-group estimates hold, and how much of the
+    stream they spend."""
+
+    @staticmethod
+    def rows(truth, counts, seed, size, level="trial"):
+        return simulate._chunk_estimates(
+            truth, Allocation(counts), simulate._philox_rng(seed, 0), size, level
+        )
+
+    def test_identical_seed_identical_rows(self):
+        rows = self.rows(GOLDEN_TRUTH, (6, 4), 7, 5)
+        assert np.array_equal(rows, self.rows(GOLDEN_TRUTH, (6, 4), 7, 5))
+        assert not np.array_equal(rows, self.rows(GOLDEN_TRUTH, (6, 4), 8, 5))
+
+    @pytest.mark.parametrize("level", ["trial", "estimator"])
+    def test_degenerate_variance_recovers_tau(self, level):
+        truth = TruthScenario(
+            tau=(0.4,), baseline=(1.0,), var_control=(1e-24,), var_treated=(1e-24,)
+        )
+        rows = self.rows(truth, (40,), 11, 8, level)
+        assert rows == pytest.approx(np.full((8, 1), 0.4), abs=1e-9)
+
+    @pytest.mark.parametrize("level", ["trial", "estimator"])
+    def test_unsampled_group_is_nan(self, level):
+        rows = self.rows(GOLDEN_TRUTH, (0, 4), 3, 6, level)
+        assert np.isnan(rows[:, 0]).all() and not np.isnan(rows[:, 1]).any()
+
+    def test_empty_allocation_draws_nothing(self):
+        # No groups: the scenario's variance check has no minimum to take.
+        empty, allocation = TruthScenario((), (), (), ()), Allocation(())
+        rng = simulate._philox_rng(1, 0)
+        rows = simulate._chunk_estimates(empty, allocation, rng, 5, "trial")
+        assert rows.shape == (5, 0)
+        assert rng.random(4).tolist() == simulate._philox_rng(1, 0).random(4).tolist()
+        assert np.isnan(simulate._pooled_estimates(rows, allocation)).all()
+
+    @pytest.mark.parametrize("counts", [(10, 6), (2,), (0, 4), (40, 0, 8)])
+    def test_each_arm_draws_half_of_each_group(self, counts):
+        # n_g/2 treated and n_g/2 control values per row: the 1:1 balance.
+        G, size = len(counts), 3
+        truth = TruthScenario((0.1,) * G, (0.0,) * G, (1.0,) * G, (1.0,) * G)
+        rng = simulate._philox_rng(9, 0)
+        simulate._chunk_estimates(truth, Allocation(counts), rng, size, "trial")
+        reference = simulate._philox_rng(9, 0)
+        reference.standard_normal(size * sum(counts))
+        assert rng.random(4).tolist() == reference.random(4).tolist()
+
+
+class TestPooledEstimates:
+    def test_single_group_reduces(self):
+        pooled = simulate._pooled_estimates(np.array([[2.0], [-0.5]]), Allocation((4,)))
+        assert pooled.tolist() == [2.0, -0.5]
+
+    def test_is_size_weighted_average(self):
+        # Group estimates (1, 3) at sizes (2, 6) pool to 0.25*1 + 0.75*3.
+        pooled = simulate._pooled_estimates(np.array([[1.0, 3.0]]), Allocation((2, 6)))
+        assert pooled.tolist() == [2.5]
+
+    def test_unsampled_group_is_left_out(self):
+        rows = np.array([[1.0, np.nan, 3.0]])
+        assert simulate._pooled_estimates(rows, Allocation((2, 0, 6))).tolist() == [2.5]
+
+    def test_nobody_sampled_is_nan(self):
+        pooled = simulate._pooled_estimates(np.full((3, 2), np.nan), Allocation((0, 0)))
+        assert pooled.shape == (3,) and np.isnan(pooled).all()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_engine_rows_pool_by_group_size(self, seed):
+        allocation = Allocation((12, 8))
+        rows = simulate._chunk_estimates(
+            GOLDEN_TRUTH, allocation, simulate._philox_rng(seed, 0), 4, "trial"
+        )
+        weighted = (12 * rows[:, 0] + 8 * rows[:, 1]) / 20
+        pooled = simulate._pooled_estimates(rows, allocation)
+        assert pooled == pytest.approx(weighted, rel=1e-12)
+        assert np.array_equal(
+            decide(Paradigm.JOINT_UTILITARIAN, pooled_estimate=pooled), weighted >= 0.0
+        )
+
+
 class TestDecide:
     def test_separate_thresholds_each_group(self):
         assert decide(Paradigm.SEPARATE_UTILITARIAN, group_estimates=(0.2, -0.1)) == (1, 0)
@@ -210,6 +291,40 @@ class TestRealizedRegret:
             realized_regret(truth, self.problem, (1, 1), Paradigm.SEPARATE_UTILITARIAN)
 
     @pytest.mark.parametrize(
+        "paradigm, decisions, expected",
+        [
+            (Paradigm.SEPARATE_UTILITARIAN, (0, 0), 0.5),
+            (Paradigm.SEPARATE_UTILITARIAN, (1, 1), 0.75),
+            (Paradigm.SEPARATE_UTILITARIAN, (0, 1), 1.25),
+            (Paradigm.SEPARATE_EGALITARIAN, (0, 1), 2.0),
+            (Paradigm.SEPARATE_EGALITARIAN, (1, 1), 1.0),
+            (Paradigm.JOINT_UTILITARIAN, 1, 0.25),
+            (Paradigm.JOINT_UTILITARIAN, 0, 0.0),
+        ],
+        ids=["separate-miss-0", "separate-miss-1", "separate-miss-both", "egalitarian-worst",
+             "egalitarian-one", "joint-miss", "joint-right"],
+    )
+    def test_hand_values_with_unequal_weights(self, paradigm, decisions, expected):
+        # tau (2, -1) at weights (1/4, 3/4): treat group 0 only; pooled,
+        # w . tau = -1/4, so do not treat.
+        problem = make_problem((0.25, 0.75), (1.0, 1.0), 100)
+        truth = design_truth(problem, (2.0, -1.0))
+        assert realized_regret(truth, problem, decisions, paradigm) == expected
+
+    def test_boolean_and_list_decisions_are_indicators(self):
+        truth = design_truth(self.problem, (1.0, -1.0))
+        paradigm = Paradigm.SEPARATE_UTILITARIAN
+        reference = realized_regret(truth, self.problem, (0, 1), paradigm)
+        for decisions in ((False, True), np.array([False, True]), [0, 1]):
+            assert realized_regret(truth, self.problem, decisions, paradigm) == reference
+
+    def test_boolean_rows_are_indicators(self):
+        truth = design_truth(self.problem, (1.0, -2.0))
+        rows = np.array([[True, False], [False, True]])
+        batch = realized_regret(truth, self.problem, rows, Paradigm.SEPARATE_EGALITARIAN)
+        assert batch.tolist() == [0.0, 2.0]
+
+    @pytest.mark.parametrize(
         "paradigm, decisions",
         [
             (Paradigm.SEPARATE_UTILITARIAN, (0.5, 2)),
@@ -217,8 +332,14 @@ class TestRealizedRegret:
             (Paradigm.JOINT_UTILITARIAN, 0.5),
             (Paradigm.JOINT_UTILITARIAN, math.nan),
             (Paradigm.SEPARATE_EGALITARIAN, ((1, 0), (1,))),
+            (Paradigm.SEPARATE_UTILITARIAN, ("1", "0")),
+            (Paradigm.SEPARATE_UTILITARIAN, (None, 1)),
+            (Paradigm.JOINT_UTILITARIAN, "1"),
+            (Paradigm.JOINT_UTILITARIAN, -1),
+            (Paradigm.JOINT_UTILITARIAN, 2),
         ],
-        ids=["half-and-two", "minus-one-row", "pooled-half", "pooled-nan", "ragged-rows"],
+        ids=["half-and-two", "minus-one-row", "pooled-half", "pooled-nan", "ragged-rows",
+             "strings", "none", "pooled-string", "pooled-minus-one", "pooled-two"],
     )
     def test_rejects_decisions_other_than_0_or_1(self, paradigm, decisions):
         truth = design_truth(self.problem, (1.0, -1.0))
@@ -558,6 +679,24 @@ class TestOneDecisionPath:
     problem = make_problem((0.3, 0.5, 0.2), (1.5, 0.8, 2.0), 3000)
     truth = design_truth(problem, (0.05, -0.08, 0.004), baseline=(0.5, 1.5, -0.3))
 
+    @pytest.mark.parametrize("counts", [(20, 6, 2), (0, 40, 8), (12, 0, 0), (0, 0, 0)])
+    @pytest.mark.parametrize("seed", [0, 1, 20240817, -3])
+    def test_one_replication_is_the_scalar_api_on_the_engine_row(self, counts, seed):
+        # The engine's one row of chunk 0, decided and scored through the
+        # scalar one-trial forms (fair coins from the same stream), is the
+        # engine's one-replication estimate.
+        allocation = Allocation(counts)
+        for paradigm in PARADIGMS:
+            rng = simulate._philox_rng(seed, 0)
+            row = simulate._chunk_estimates(self.truth, allocation, rng, 1, "trial")
+            pooled = float(simulate._pooled_estimates(row, allocation)[0])
+            decisions = decide(paradigm, tuple(row[0].tolist()), pooled, rng)
+            scalar = realized_regret(self.truth, self.problem, decisions, paradigm)
+            engine = monte_carlo_regret(
+                self.problem, allocation, self.truth, paradigm, SimConfig(1, seed)
+            )
+            assert engine.mean == scalar
+
     def random_estimates(self, reps=200):
         rng = np.random.default_rng(7)
         estimates = rng.normal(0.0, 1.0, size=(reps, 3))
@@ -676,6 +815,12 @@ class TestSeeds:
     def test_seed_is_taken_mod_2_64_whatever_its_integer_type(self, seed):
         assert self.estimate(seed) == self.estimate(5)
 
+    @pytest.mark.parametrize(
+        "seed, residue", [(-3, 2**64 - 3), (-(2**63), 2**63), (-(2**64) - 5, 2**64 - 5)]
+    )
+    def test_negative_seed_is_taken_mod_2_64(self, seed, residue):
+        assert self.estimate(seed) == self.estimate(residue)
+
 
 class TestBadInput:
     problem = make_problem((0.4, 0.6), (1.5, 0.8), 60)
@@ -736,6 +881,33 @@ class TestBadInput:
             monte_carlo_regret(
                 self.problem, Allocation((24, 36)), self.truth, Paradigm.SEPARATE_UTILITARIAN,
                 SimConfig(replications=10, master_seed=1), workers=workers,
+            )
+
+    @pytest.mark.parametrize(
+        "truth, counts, match",
+        [
+            (TruthScenario((0.1, 0.1), (0.0, 0.0), (-1.0, 1.0), (1.0, 1.0)), (24, 36),
+             "group 0: scenario variances must be positive"),
+            (TruthScenario((0.1, 0.1), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), (24, 36),
+             "group 1: scenario variances must be positive"),
+            (TruthScenario((0.1,), (0.0,), (1.0,), (1.0,)), (24, 36),
+             "scenario field tau has 1 entries for 2 groups"),
+            (None, (24,), "allocation has 1 entries for 2 groups"),
+            (None, (-2, 36), "group 0: count -2 is negative"),
+            (None, (23, 36), "group 0: count 23 is odd"),
+            (None, (24, 38), "allocation total 62 exceeds budget 60"),
+            (None, (10**400, 0), "exceeds budget 60"),
+            (None, (2**64, 0), "exceeds budget 60"),
+        ],
+        ids=["negative-variance", "zero-variance", "group-count", "allocation-length",
+             "negative-count", "odd-count", "total-past-budget", "total-past-float-range",
+             "total-past-2**64"],
+    )
+    def test_monte_carlo_inputs_pass_the_model_checks(self, truth, counts, match):
+        with pytest.raises(ValidationError, match=match):
+            monte_carlo_regret(
+                self.problem, Allocation(counts), truth or self.truth,
+                Paradigm.SEPARATE_UTILITARIAN, SimConfig(replications=10, master_seed=1),
             )
 
     @pytest.mark.parametrize("counts", [(24, 36), (0, 0)])
