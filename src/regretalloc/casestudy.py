@@ -142,15 +142,6 @@ def _bernoulli_var(p: float) -> float:
     return p * (1.0 - p)
 
 
-def _square(x: float) -> float:
-    """``x**2``, or inf where that overflows; ``DesignProblem`` then rejects
-    the resulting variance (a ConfigError from ``build_case_study``)."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 def composite_moments(spec: IncidenceSpec) -> TruthScenario:
     """Gaussian moments of the composite outcome under independence.
 
@@ -161,7 +152,7 @@ def composite_moments(spec: IncidenceSpec) -> TruthScenario:
     if not isinstance(spec, IncidenceSpec):
         raise ConfigError(f"spec must be an IncidenceSpec, got {spec!r}")
     beta = spec.beta
-    beta_sq = _square(beta)
+    beta_sq = beta * beta
     tau, baseline, var0, var1 = [], [], [], []
     for g in range(len(spec.covid_treated)):
         mean_treated = spec.covid_treated[g] + beta * spec.ar_treated[g]

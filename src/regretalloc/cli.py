@@ -134,19 +134,16 @@ def _expected(case: CaseStudyCase, allocation: Allocation) -> list[float]:
     ]
 
 
-def monte_carlo_regret(*args, **kwargs):
-    """``simulate.monte_carlo_regret``, imported on the first ``--reps`` call
-    so that closed-form commands never load numpy."""
+def monte_carlo_regret(
+    args: argparse.Namespace, case: CaseStudyCase, allocation: Allocation, paradigm
+):
+    """Estimator-level Monte Carlo (mean, standard error) at ``--reps``/``--seed``.
+    The engine is imported on the first call, so closed-form commands never
+    load numpy."""
+    from .simulate import SimConfig
     from .simulate import monte_carlo_regret as run
 
-    return run(*args, **kwargs)
-
-
-def _monte_carlo(args: argparse.Namespace, case: CaseStudyCase, allocation: Allocation, paradigm):
-    """Estimator-level Monte Carlo (mean, standard error) at ``--reps``/``--seed``."""
-    from .simulate import SimConfig
-
-    estimate = monte_carlo_regret(
+    estimate = run(
         case.problem, allocation, case.truth, paradigm,
         SimConfig(replications=args.reps, master_seed=args.seed), level="estimator",
     )
@@ -245,7 +242,7 @@ def cmd_evaluate(args: argparse.Namespace, out) -> int:
                 _fmt_scaled(expected),
             ]
             if args.reps:
-                row += [_fmt_scaled(v) for v in _monte_carlo(args, case, allocation, paradigm)]
+                row += [_fmt_scaled(v) for v in monte_carlo_regret(args, case, allocation, paradigm)]
             table.add_row(row)
     print(table.render(), file=out)
     return 0
@@ -324,7 +321,7 @@ def cmd_reproduce(args: argparse.Namespace, out) -> int:
             row5 = keys + [_fmt_raw(v) for v in _expected(case, allocation)]
             if args.reps:
                 for paradigm in PARADIGMS:
-                    row5 += [_fmt_raw(v) for v in _monte_carlo(args, case, allocation, paradigm)]
+                    row5 += [_fmt_raw(v) for v in monte_carlo_regret(args, case, allocation, paradigm)]
             table5.add_row(row5)
 
     constants = threshold_constants()

@@ -15,13 +15,7 @@ import pytest
 from regretalloc.allocate import DegenerateAllocationWarning, allocate, shares
 from regretalloc.casestudy import required_sample_size
 from regretalloc.cli import main as cli_main
-from regretalloc.model import (
-    Allocation,
-    DesignProblem,
-    GroupSpec,
-    Paradigm,
-    TruthScenario,
-)
+from regretalloc.model import Allocation, Paradigm
 from regretalloc.regret import (
     adversarial_tau_separate,
     expected_regret,
@@ -32,6 +26,7 @@ from regretalloc.regret import (
 )
 from regretalloc.simulate import SimConfig, monte_carlo_regret
 from regretalloc.stats import normal_sf, solve_threshold_constants, threshold_constants
+from builders import design_truth, make_problem
 from reference_values import (
     REF_ALLOCATIONS,
     REF_BUDGET,
@@ -51,23 +46,6 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"[acceptance] {name}: {status}{suffix}")
     assert ok, f"{name}{suffix}"
-
-
-def make_problem(weights, var_sums, budget):
-    groups = tuple(
-        GroupSpec(label=f"g{i}", weight=w, var_control=s / 2.0, var_treated=s / 2.0)
-        for i, (w, s) in enumerate(zip(weights, var_sums))
-    )
-    return DesignProblem(budget=budget, groups=groups)
-
-
-def design_truth(problem, tau):
-    return TruthScenario(
-        tau=tuple(tau),
-        baseline=(0.0,) * problem.n_groups,
-        var_control=tuple(g.var_control for g in problem.groups),
-        var_treated=tuple(g.var_treated for g in problem.groups),
-    )
 
 
 def test_criterion_1_threshold_constants():

@@ -12,26 +12,16 @@ from regretalloc.allocate import _EVEN_SNAP, _SNAP_CAP, _floor_even
 from regretalloc.model import (
     Allocation,
     DesignProblem,
-    GroupSpec,
     Paradigm,
     ValidationError,
     check_allocation,
 )
 from regretalloc.regret import paradigm_rule, worst_case_separate, worst_case_terms
 from regretalloc.stats import threshold_constants
+from builders import make_problem
 from reference_values import ORACLE_MINIMAX_SHARES_CASE1, ORACLE_NEYMAN_ALLOCATION, REF_ALLOCATIONS
 
 SCHEMES = ("minimax", "proportional", "egalitarian", "neyman")
-
-
-def make_problem(weights, var_sums, budget):
-    """Problem with the given per-group contrast variances, split evenly
-    across arms."""
-    groups = tuple(
-        GroupSpec(label=f"g{i}", weight=w, var_control=s / 2.0, var_treated=s / 2.0)
-        for i, (w, s) in enumerate(zip(weights, var_sums))
-    )
-    return DesignProblem(budget=budget, groups=groups)
 
 
 def random_problems():

@@ -84,6 +84,14 @@ class TestCompositeMoments:
         assert truth.tau == (0.0,)
         assert truth.var_sums == (0.0,)
 
+    def test_beta_squared_is_the_correctly_rounded_product(self):
+        # beta * beta is correctly rounded; beta ** 2 goes through libm's pow,
+        # which is not, and reads this variance one ulp lower.
+        beta = 0.9477
+        truth = composite_moments(IncidenceSpec((0.01,), (0.02,), (0.3,), (0.1,), beta))
+        expected = 0.01 * (1 - 0.01) + (beta * beta) * (0.3 * (1 - 0.3))
+        assert truth.var_treated[0].hex() == expected.hex() == "0x1.968b93e65f16ap-3"
+
     def test_baseline_is_arm_average(self):
         truth = composite_moments(reported_spec(0.005))
         mean_treated = 0.0 + 0.005 * 0.1455

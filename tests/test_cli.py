@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from regretalloc import cli
 from regretalloc.cli import ReportTable, main
 from reference_values import (
     ORACLE_C0,
@@ -196,6 +197,37 @@ class TestEvaluateCommand:
         second = run_cli(argv)
         assert first == second
         assert "mc mean" in first[1]
+
+
+class TestMonteCarloHook:
+    """Every ``--reps`` cell goes through ``cli.monte_carlo_regret``, looked
+    up by its module-global name, so that wrapping the name sees them all."""
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            # 2 cases x 6 table5 rows x 3 paradigms.
+            (["reproduce", "--reps", "1000", "--seed", "0"], 36),
+            (["reproduce"], 0),
+            (["evaluate", "--scheme", "minimax", "--reps", "1000"], 6),
+            (["evaluate", "--scheme", "minimax", "--paradigm", "joint", "--reps", "1000"], 2),
+        ],
+        ids=["reproduce-reps", "reproduce-plain", "evaluate-all", "evaluate-joint"],
+    )
+    def test_every_cell_calls_the_module_global(self, monkeypatch, tmp_path, argv, calls):
+        seen = []
+        original = cli.monte_carlo_regret
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "monte_carlo_regret", counting)
+        if argv[0] == "reproduce":
+            argv = [*argv, "--out", str(tmp_path)]
+        code, _ = run_cli(argv)
+        assert code == 0
+        assert len(seen) == calls
 
 
 @pytest.fixture(scope="module")

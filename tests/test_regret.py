@@ -29,6 +29,7 @@ from regretalloc.regret import (
     worst_case_separate,
 )
 from regretalloc.stats import normal_pdf, normal_sf, threshold_constants
+from builders import design_truth, make_problem
 from reference_values import (
     ORACLE_ADVERSARIAL_TAU_G1,
     ORACLE_C0_OVER_5,
@@ -44,24 +45,6 @@ PARADIGMS = (
     Paradigm.JOINT_UTILITARIAN,
     Paradigm.SEPARATE_EGALITARIAN,
 )
-
-
-def make_problem(weights, var_sums, budget):
-    groups = tuple(
-        GroupSpec(label=f"g{i}", weight=w, var_control=s / 2.0, var_treated=s / 2.0)
-        for i, (w, s) in enumerate(zip(weights, var_sums))
-    )
-    return DesignProblem(budget=budget, groups=groups)
-
-
-def design_truth(problem, tau):
-    """Scenario with the problem's own variances (adversary moves tau only)."""
-    return TruthScenario(
-        tau=tuple(tau),
-        baseline=(0.0,) * problem.n_groups,
-        var_control=tuple(g.var_control for g in problem.groups),
-        var_treated=tuple(g.var_treated for g in problem.groups),
-    )
 
 
 class TestWorstCaseSeparate:

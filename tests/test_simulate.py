@@ -28,6 +28,7 @@ from regretalloc.simulate import (
     monte_carlo_regret,
     realized_regret,
 )
+from builders import design_truth, make_problem
 
 PARADIGMS = (
     Paradigm.SEPARATE_UTILITARIAN,
@@ -54,23 +55,6 @@ GOLDEN_FIRST_GROUP = (
 # and their pooled estimate.
 GOLDEN_ESTIMATES = (-0.2837883315618067, 1.3140106479717604)
 GOLDEN_POOLED = 0.35533126025162015
-
-
-def make_problem(weights, var_sums, budget):
-    groups = tuple(
-        GroupSpec(label=f"g{i}", weight=w, var_control=s / 2.0, var_treated=s / 2.0)
-        for i, (w, s) in enumerate(zip(weights, var_sums))
-    )
-    return DesignProblem(budget=budget, groups=groups)
-
-
-def design_truth(problem, tau, baseline=None):
-    return TruthScenario(
-        tau=tuple(tau),
-        baseline=tuple(baseline) if baseline else (0.0,) * problem.n_groups,
-        var_control=tuple(g.var_control for g in problem.groups),
-        var_treated=tuple(g.var_treated for g in problem.groups),
-    )
 
 
 class TestGoldenStream:

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from statistics import NormalDist
 
 import mpmath
 import pytest
@@ -81,6 +82,10 @@ class TestNormalQuantile:
         for p in (1e-9, 1e-4, 0.01, 0.3, 0.5, 0.77, 0.99, 1 - 1e-6):
             z = normal_quantile(p)
             assert abs(normal_cdf(z) - p) <= 1e-10
+
+    @pytest.mark.parametrize("p", [1e-12, 0.05, 0.2, 0.5, 0.8, 0.9, 1 - 1e-9])
+    def test_is_the_standard_library_inverse_cdf(self, p):
+        assert normal_quantile(p).hex() == NormalDist().inv_cdf(p).hex()
 
     def test_roundtrip_through_cdf(self):
         for i in range(-50, 51):
