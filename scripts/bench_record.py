@@ -2,7 +2,7 @@
 """Write one benchmark record: each workload's end-to-end metrics, every
 per-layer metric, and the setting they were measured in.
 
-    python3 scripts/bench_record.py OUT.json
+    python3 scripts/bench_record.py OUT.json [--compare BASE.json]
 
 Runs ``perfbench/run.py --seed 1 --trace 0`` once for each workload that
 BENCHMARK.json declares, at its ``run_seconds``, then one ``--trace 1``
@@ -12,6 +12,11 @@ report under ``perfbench/.work/``.  The record also holds ``src_lines``, the
 line count of ``src/regretalloc/*.py``, so that the size of the package is
 read from the same file as its speed.  Exits non-zero, and writes nothing,
 when a run fails or any of its checks is not ``correct``.
+
+With ``--compare BASE.json``, an earlier record, it then prints one row
+per workload and end-to-end metric: the BASE value, the new value, the
+relative change, and the metric's ``better`` direction and ``bound`` from
+BENCHMARK.json; a change worse than its bound is flagged ``WORSE``.
 """
 
 import argparse
@@ -86,11 +91,35 @@ def assemble(
     }
 
 
+def compare(base: dict, record: dict, end_to_end: list[dict]) -> list[str]:
+    """The rows that ``--compare`` prints for ``record`` against ``base``;
+    ``end_to_end`` is BENCHMARK.json's list of metric specs."""
+    rows = [
+        f"{'workload':<14} {'metric':<15} {'base':>12} {'new':>12} {'change':>8}  better  bound"
+    ]
+    for workload, metrics in record["end_to_end"].items():
+        for spec in end_to_end:
+            name, bound = spec["name"], spec["bound"]
+            old = base["end_to_end"].get(workload, {}).get(name, {}).get("value")
+            new = metrics[name]["value"]
+            if old:
+                change = (new - old) / old
+                worse = change > bound if spec["better"] == "lower" else -change > bound
+                cells = f"{old:>12.6g} {new:>12.6g} {change:>+8.1%}"
+            else:  # not in BASE, or zero
+                worse, cells = False, f"{'-':>12} {new:>12.6g} {'-':>8}"
+            flag = "  WORSE" if worse else ""
+            rows.append(f"{workload:<14} {name:<15} {cells}  {spec['better']:<6}  {bound}{flag}")
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="the JSON file to write")
+    parser.add_argument("--compare", type=Path, metavar="BASE.json", help="an earlier record")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    base = json.loads(args.compare.read_text()) if args.compare else None
     seconds = bench["run_seconds"]
     try:
         runs = {
@@ -103,6 +132,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     args.out.write_text(json.dumps(record, indent=2) + "\n")
+    if base is not None:
+        print("\n".join(compare(base, record, bench["end_to_end"])))
     return 0
 
 

@@ -7,29 +7,19 @@ utility, one pooled decision, and the worst-off-group objective), evaluates
 worst-case and scenario-specific expected regret in closed form, and
 cross-validates everything with a seeded Monte Carlo trial simulator.
 
-Only the Monte Carlo engine (``regretalloc.simulate``) uses numpy, and it is
-loaded on first use: ``import regretalloc`` and every closed-form function
-leave numpy unimported.  The simulate names exported here (``SimConfig``,
-``monte_carlo_regret`` and the others) are resolved on first access and are
-the very objects in ``regretalloc.simulate``.
+``import regretalloc`` loads only the closed forms (``model``, ``stats``,
+``regret`` and ``allocate``).  The Monte Carlo engine
+(``regretalloc.simulate``), the one module that uses numpy, and the case
+study (``regretalloc.casestudy``, with ``json``) are loaded on first use:
+their names exported here (``SimConfig``, ``monte_carlo_regret``,
+``default_config``, ``ConfigError`` and the others) are resolved on first
+access and are the very objects in those modules.  ``normal_quantile``
+loads the standard library's ``statistics`` on its first call.
 """
 
 from importlib import import_module as _import_module
 
 from .allocate import DegenerateAllocationWarning, allocate, shares
-from .casestudy import (
-    CaseStudyCase,
-    ConfigError,
-    IncidenceSpec,
-    PowerSpec,
-    ScenarioConfig,
-    build_case_study,
-    composite_moments,
-    default_config,
-    load_config,
-    parse_config,
-    required_sample_size,
-)
 from .model import (
     Allocation,
     DesignProblem,
@@ -65,26 +55,35 @@ from .stats import (
 
 __version__ = "0.1.0"
 
-# Public names of ``simulate``, the one module that needs numpy, served on
-# first access (PEP 562) so that closed-form users never pay for that import.
+# Names served on first access (PEP 562), by the module that defines them,
+# so that closed-form users never pay for numpy (``simulate``) or for the
+# case study and ``json`` (``casestudy``, which is also served as itself).
 _SIMULATE_EXPORTS = frozenset(
-    (
-        "MonteCarloEstimate",
-        "SimConfig",
-        "decide",
-        "monte_carlo_regret",
-        "realized_regret",
-    )
+    ("MonteCarloEstimate", "SimConfig", "decide", "monte_carlo_regret", "realized_regret")
 )
+_LAZY_EXPORTS = {
+    **dict.fromkeys(_SIMULATE_EXPORTS, "simulate"),
+    **dict.fromkeys(
+        (
+            "CaseStudyCase", "ConfigError", "IncidenceSpec", "PowerSpec", "ScenarioConfig",
+            "build_case_study", "casestudy", "composite_moments", "default_config",
+            "load_config", "parse_config", "required_sample_size",
+        ),
+        "casestudy",
+    ),
+}
 
 
 def __getattr__(name: str):
-    if name not in _SIMULATE_EXPORTS:
+    source = _LAZY_EXPORTS.get(name)
+    if source is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f"{__name__}.simulate"), name)
+    value = _import_module(f"{__name__}.{source}")
+    if name != source:
+        value = getattr(value, name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_SIMULATE_EXPORTS})
+    return sorted({*globals(), *_LAZY_EXPORTS})

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from .model import Allocation, DesignProblem, Paradigm, ValidationError, validate_problem
 from .regret import paradigm_rule, worst_case_terms

@@ -28,8 +28,8 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Sequence
 
 from .model import DesignProblem, GroupSpec, TruthScenario, ValidationError, _as_int, _as_real
 from .stats import normal_quantile
@@ -40,7 +40,7 @@ class ConfigError(ValueError):
 
 
 def _as_finite(
-    value: Any, path: str, expected: str = "a finite number", accept=None
+    value: object, path: str, expected: str = "a finite number", accept=None
 ) -> float:
     """A real number (``model._as_real``) as a finite float for which
     ``accept``, if given, holds; ConfigError naming ``path`` for anything
@@ -54,29 +54,29 @@ def _as_finite(
     raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
-def _as_probability(value: Any, path: str) -> float:
+def _as_probability(value: object, path: str) -> float:
     v = _as_finite(value, path)
     if not 0.0 <= v <= 1.0:
         raise ConfigError(f"{path}: expected a probability in [0, 1], got {v}")
     return v
 
 
-def _as_nonnegative(value: Any, path: str) -> float:
+def _as_nonnegative(value: object, path: str) -> float:
     return _as_finite(value, path, "a finite nonnegative number", lambda v: v >= 0)
 
 
-def _as_nonzero(value: Any, path: str) -> float:
+def _as_nonzero(value: object, path: str) -> float:
     return _as_finite(value, path, "a finite nonzero number", lambda v: v != 0)
 
 
-def _as_quantile(value: Any, path: str) -> float:
+def _as_quantile(value: object, path: str) -> float:
     v = _as_finite(value, path)
     if not 0.0 < v < 1.0:
         raise ConfigError(f"{path} must lie strictly in (0, 1), got {v}")
     return v
 
 
-def _items(values: Any) -> tuple | None:
+def _items(values: object) -> tuple | None:
     """``values`` as a tuple; None if it is not iterable or is a str or
     bytes, which would split per character or byte."""
     try:
@@ -85,7 +85,7 @@ def _items(values: Any) -> tuple | None:
         return None
 
 
-def _as_tuple(values: Any, name: str, check) -> tuple[float, ...]:
+def _as_tuple(values: object, name: str, check) -> tuple[float, ...]:
     """``check(value, "name[g]")`` applied to each entry of ``values``."""
     items = _items(values)
     if items is None:
@@ -204,13 +204,13 @@ def required_sample_size(spec: PowerSpec, weights: Sequence[float]) -> int:
 # Scenario configuration
 # ---------------------------------------------------------------------------
 
-def _as_label(value: Any, path: str) -> str:
+def _as_label(value: object, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{path}: expected a string")
     return value
 
 
-def _per_group(values: Any, n_groups: int, field: str, check) -> tuple:
+def _per_group(values: object, n_groups: int, field: str, check) -> tuple:
     """``check(value, "groups[g].field")`` applied to each of ``n_groups``
     entries of ``values``."""
     items = _items(values)
@@ -278,7 +278,7 @@ class ScenarioConfig:
         )
 
 
-def _require_keys(obj: Any, keys: set[str], path: str) -> None:
+def _require_keys(obj: object, keys: set[str], path: str) -> None:
     """``obj`` must be an object with exactly ``keys``."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -290,7 +290,7 @@ def _require_keys(obj: Any, keys: set[str], path: str) -> None:
         raise ConfigError(f"{path}: missing key(s) {sorted(missing)}")
 
 
-def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
+def parse_config(obj: dict[str, object]) -> ScenarioConfig:
     """Validate a JSON-compatible scenario document; unknown keys rejected,
     violations reported with their field path.  This checks the document's
     shape (objects, key sets and lists); ``ScenarioConfig`` checks the
@@ -328,8 +328,9 @@ def parse_config(obj: dict[str, Any]) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Read and validate a scenario file.  A path that is missing or names a
-    directory, and text that is not UTF-8 JSON or nests too deeply to parse,
+    """Read and validate a scenario file.  A path that is missing, names a
+    directory or holds a NUL byte, and text that is not UTF-8 JSON, nests
+    too deeply or holds an integer past Python's int/str digit limit,
     become ConfigError naming ``path``; so does a ``path`` that is not a
     str or path object (an int would be opened, then closed, as a file
     descriptor)."""
@@ -342,6 +343,8 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # a NUL in the path, or an integer too long to convert
+        raise ConfigError(f"{path}: cannot be read ({exc})") from exc
     return parse_config(obj)
 
 

@@ -42,9 +42,9 @@ are absorbing in comparisons.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import erfc, sqrt
-from typing import Callable, Iterable
 
 from .model import (
     Allocation,

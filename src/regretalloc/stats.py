@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -45,9 +44,12 @@ def normal_sf(x: float) -> float:
 
 def normal_quantile(p: float) -> float:
     """Inverse CDF: the z with Phi(z) = p, from ``NormalDist().inv_cdf``, within
-    about an ulp of the exact quantile.  Raises ValueError outside (0, 1)."""
+    about an ulp of the exact quantile.  Raises ValueError outside (0, 1).
+    The first call loads ``statistics``, which no other function needs."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie strictly in (0, 1), got {p}")
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf(p)
 
 

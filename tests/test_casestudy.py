@@ -505,6 +505,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(str(target))):
             load_config(str(target))
 
+    def test_integer_past_the_digit_limit_is_a_config_error_naming_the_path(self, tmp_path):
+        # 5,000 digits pass Python's default int/str limit of 4,300, which
+        # json.load meets as a plain ValueError.
+        path = tmp_path / "big.json"
+        text = BUNDLED_CONFIG_PATH.read_text(encoding="utf-8")
+        path.write_text(text.replace('"budget": 9320', '"budget": ' + "9" * 5000))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: cannot be read")) as info:
+            load_config(str(path))
+        assert "invalid JSON" not in str(info.value)
+
+    def test_path_with_a_nul_byte_is_a_config_error_naming_it(self):
+        with pytest.raises(ConfigError, match="a\x00b: cannot be read") as info:
+            load_config("a\0b")
+        assert "invalid JSON" not in str(info.value)
+
 
 class TestScenarioConfig:
     @pytest.mark.parametrize(

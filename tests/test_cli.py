@@ -94,6 +94,18 @@ class TestAllocateCommand:
         assert f"{tmp_path}: Is a directory" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["allocate", "power"])
+    def test_integer_past_the_digit_limit_exits_2_naming_path(self, tmp_path, capsys, command):
+        config = bundled_config_document()
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(config).replace('"budget": 9320', '"budget": ' + "9" * 5000))
+        argv = [command, "--config", str(path)] + ["--scheme", "minimax"] * (command == "allocate")
+        code, _ = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: cannot be read" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field, value", [("power_quantile", 1.0), ("size_quantile", 0)], ids=["one", "zero"]
     )

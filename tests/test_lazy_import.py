@@ -121,3 +121,102 @@ def test_every_public_simulate_function_and_class_is_exported():
         and value.__module__ == simulate.__name__
     }
     assert defined == regretalloc._SIMULATE_EXPORTS
+
+
+CASESTUDY_NAMES = [
+    "CaseStudyCase",
+    "ConfigError",
+    "IncidenceSpec",
+    "PowerSpec",
+    "ScenarioConfig",
+    "build_case_study",
+    "composite_moments",
+    "default_config",
+    "load_config",
+    "parse_config",
+    "required_sample_size",
+]
+CLOSED_FORM_MODULES = {
+    "regretalloc",
+    "regretalloc.allocate",
+    "regretalloc.model",
+    "regretalloc.regret",
+    "regretalloc.stats",
+}
+# The standard-library modules that the closed-form modules import are
+# loaded first, so that what they load themselves (``dataclasses`` loads
+# ``typing`` on some 3.13 releases) is not counted against the package.
+# The probe prints with ``print`` alone: ``json`` is one of the modules
+# that it checks for.
+BOUNDARY_PROBE = """
+import sys
+import __future__, collections.abc, dataclasses, enum, importlib, math, numbers, warnings
+before = set(sys.modules)
+import regretalloc
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+CASESTUDY_ATTRIBUTE_PROBE = """
+import sys
+import regretalloc
+listed = "casestudy" in dir(regretalloc)
+loaded = "regretalloc.casestudy" in sys.modules
+module = regretalloc.casestudy
+print(listed, loaded, module is sys.modules["regretalloc.casestudy"])
+"""
+QUANTILE_PROBE = """
+import sys
+import regretalloc
+before = "statistics" in sys.modules
+regretalloc.normal_quantile(0.975)
+print(before, "statistics" in sys.modules)
+"""
+
+
+def run_bare(source: str) -> str:
+    """Last stdout line of ``source`` in a fresh ``python -S``, which does
+    not run ``site`` (here ``site`` itself imports ``typing``)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", source], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_import_loads_only_the_closed_forms():
+    added = set(run_bare(BOUNDARY_PROBE).split())
+    assert added == CLOSED_FORM_MODULES
+    assert not added & {"json", "statistics", "fractions", "decimal", "typing", "numpy"}
+
+
+def test_casestudy_resolves_as_an_attribute_on_first_use():
+    assert run_bare(CASESTUDY_ATTRIBUTE_PROBE) == "True False True"
+
+
+def test_first_normal_quantile_call_loads_statistics():
+    assert run_bare(QUANTILE_PROBE) == "False True"
+
+
+@pytest.mark.parametrize("name", CASESTUDY_NAMES)
+def test_casestudy_names_are_the_casestudy_objects(name):
+    from regretalloc import casestudy
+
+    namespace = {}
+    exec(f"from regretalloc import {name}", namespace)
+    assert getattr(regretalloc, name) is getattr(casestudy, name)
+    assert namespace[name] is getattr(casestudy, name)
+    assert name in dir(regretalloc)
+
+
+def test_every_public_casestudy_function_and_class_is_exported():
+    from regretalloc import casestudy
+
+    defined = {
+        name
+        for name, value in vars(casestudy).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == casestudy.__name__
+    }
+    assert defined == set(CASESTUDY_NAMES)
+    assert "casestudy" in dir(regretalloc) and regretalloc.casestudy is casestudy

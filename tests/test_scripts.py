@@ -129,3 +129,50 @@ class TestBenchRecord:
         assert package == sum(
             len(path.read_bytes().splitlines()) for path in (SRC / "regretalloc").glob("*.py")
         )
+
+    def test_compare_flags_only_a_change_worse_than_its_bound(self):
+        bench_record = load_bench_record()
+        specs = [
+            {"name": "setup_s", "better": "lower", "bound": 0.25},
+            {"name": "work_per_s", "better": "higher", "bound": 0.25},
+        ]
+
+        def record(**workloads):
+            return {
+                "end_to_end": {
+                    workload: {"setup_s": {"value": setup}, "work_per_s": {"value": work}}
+                    for workload, (setup, work) in workloads.items()
+                }
+            }
+
+        base = record(a=(0.1, 100.0), b=(0.1, 100.0))
+        new = record(a=(0.13, 80.0), b=(0.05, 70.0), c=(0.2, 5.0))
+        header, *rows = bench_record.compare(base, new, specs)
+        assert header.split() == ["workload", "metric", "base", "new", "change", "better", "bound"]
+        assert [row.split() for row in rows] == [
+            ["a", "setup_s", "0.1", "0.13", "+30.0%", "lower", "0.25", "WORSE"],
+            ["a", "work_per_s", "100", "80", "-20.0%", "higher", "0.25"],
+            ["b", "setup_s", "0.1", "0.05", "-50.0%", "lower", "0.25"],
+            ["b", "work_per_s", "100", "70", "-30.0%", "higher", "0.25", "WORSE"],
+            ["c", "setup_s", "-", "0.2", "-", "lower", "0.25"],
+            ["c", "work_per_s", "-", "5", "-", "higher", "0.25"],
+        ]
+
+    def test_compare_prints_after_the_record_is_written(self, tmp_path, monkeypatch, capsys):
+        bench_record = load_bench_record()
+        metrics = {
+            name: {"value": 2.0, "unit": "x"}
+            for name in ("setup_s", "work_per_s", "latency_p50_ms", "peak_rss_mb")
+        }
+        monkeypatch.setattr(
+            bench_record, "run_perfbench",
+            lambda workload, seconds, trace: fake_run(workload, metrics=metrics),
+        )
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"end_to_end": {"mc-trial": {"setup_s": {"value": 1.0}}}}))
+        out = tmp_path / "out.json"
+        assert bench_record.main([str(out), "--compare", str(base)]) == 0
+        record = json.loads(out.read_text())
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 1 + 4 * len(record["end_to_end"]) == 13
+        assert "mc-trial       setup_s" in rows[5] and "+100.0%" in rows[5] and "WORSE" in rows[5]
