@@ -48,9 +48,9 @@ def normal_quantile(p: float) -> float:
     The first call loads ``statistics``, which no other function needs."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie strictly in (0, 1), got {p}")
-    from statistics import NormalDist
+    import statistics
 
-    return NormalDist().inv_cdf(p)
+    return statistics.NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)
