@@ -4,9 +4,12 @@ per-layer metric, and the setting they were measured in.
 
     python3 scripts/bench_record.py OUT.json [--compare BASE.json]
 
-Runs ``perfbench/run.py --seed 1 --trace 0`` once for each workload that
-BENCHMARK.json declares, at its ``run_seconds``, then one ``--trace 1``
-design-sweep run, whose layer suite gives every per-layer metric.  Each
+Runs ``perfbench/run.py --seed 1 --trace 0`` for each workload that
+BENCHMARK.json declares, at its ``run_seconds``, in ``RUNS`` rounds that each
+run every workload once, then one ``--trace 1`` design-sweep run, whose
+layer suite gives every per-layer metric.  Each end-to-end metric's
+``value`` is the median of its ``RUNS`` runs, which the record lists under
+``runs`` in round order, so that their spread can be read beside it.  Each
 run's metrics come from its last stdout line, the environment from its
 report under ``perfbench/.work/``.  The record also holds ``src_lines``, the
 line count of ``src/regretalloc/*.py``, so that the size of the package is
@@ -22,6 +25,7 @@ BENCHMARK.json; a change worse than its bound is flagged ``WORSE``.
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +33,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "regretalloc"
 SEED = 1
+# Untraced runs of each workload: one run on a loaded machine would set the record.
+RUNS = 3
 TRACE_WORKLOAD = "design-sweep"
 # What of a run's environment the record keeps; load and commit vary per run.
 ENVIRONMENT_KEYS = ("nproc", "cpu_model", "python", "numpy", "src_sha256")
@@ -65,26 +71,37 @@ def count_src_lines(package: Path = PACKAGE) -> int:
 
 
 def assemble(
-    runs: dict[str, tuple[dict, dict]], trace_run: tuple[dict, dict], environ, src_lines: int
+    rounds: list[dict[str, tuple[dict, dict]]], trace_run: tuple[dict, dict], environ,
+    src_lines: int,
 ) -> dict:
-    """The record of untraced ``runs`` (workload -> (result, report)), the
-    traced design-sweep ``trace_run`` and the package's ``src_lines``;
-    RecordError if any run is not correct."""
-    labelled = [(workload, 0, run) for workload, run in runs.items()]
-    for workload, trace, (result, _) in labelled + [(TRACE_WORKLOAD, 1, trace_run)]:
+    """The record of the ``rounds`` of untraced runs (each workload ->
+    (result, report)), the traced design-sweep ``trace_run`` and the
+    package's ``src_lines``; RecordError if any run is not correct."""
+    labelled = [
+        (f"{workload} (round {r})", run)
+        for r, runs in enumerate(rounds, 1) for workload, run in runs.items()
+    ]
+    for label, (result, _) in labelled + [(f"{TRACE_WORKLOAD} (trace 1)", trace_run)]:
         if result.get("correct") is not True:
             raise RecordError(
-                f"{workload} (trace {trace}): {result.get('failed')} of "
-                f"{result.get('attempted')} checked ops failed"
+                f"{label}: {result.get('failed')} of {result.get('attempted')} checked ops failed"
             )
+    end_to_end = {}
+    for workload, (result, _) in rounds[0].items():
+        end_to_end[workload] = {}
+        for name, metric in result["metrics"].items():
+            values = [runs[workload][0]["metrics"][name]["value"] for runs in rounds]
+            end_to_end[workload][name] = {
+                **metric, "value": statistics.median(values), "runs": values
+            }
     trace_result, trace_report = trace_run
     environment = {key: trace_report["environment"][key] for key in ENVIRONMENT_KEYS}
     # Without bytecode every subprocess compiles src/ again (~20 ms a start).
     environment["PYTHONDONTWRITEBYTECODE"] = bool(environ.get("PYTHONDONTWRITEBYTECODE"))
     return {
         "seed": SEED,
-        "run_seconds": {workload: report["seconds"] for workload, (_, report) in runs.items()},
-        "end_to_end": {workload: result["metrics"] for workload, (result, _) in runs.items()},
+        "run_seconds": {workload: run[1]["seconds"] for workload, run in rounds[0].items()},
+        "end_to_end": end_to_end,
         "per_layer": trace_result["metrics"],
         "src_lines": src_lines,
         "environment": environment,
@@ -122,12 +139,12 @@ def main(argv: list[str] | None = None) -> int:
     base = json.loads(args.compare.read_text()) if args.compare else None
     seconds = bench["run_seconds"]
     try:
-        runs = {
-            spec["name"]: run_perfbench(spec["name"], seconds, trace=0)
-            for spec in bench["workloads"]
-        }
+        rounds = [
+            {spec["name"]: run_perfbench(spec["name"], seconds, 0) for spec in bench["workloads"]}
+            for _ in range(RUNS)
+        ]
         trace_run = run_perfbench(TRACE_WORKLOAD, seconds, trace=1)
-        record = assemble(runs, trace_run, os.environ, count_src_lines())
+        record = assemble(rounds, trace_run, os.environ, count_src_lines())
     except RecordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -58,11 +58,11 @@ __version__ = "0.1.0"
 # Names served on first access (PEP 562), by the module that defines them,
 # so that closed-form users never pay for numpy (``simulate``) or for the
 # case study and ``json`` (``casestudy``, which is also served as itself).
-_SIMULATE_EXPORTS = frozenset(
-    ("MonteCarloEstimate", "SimConfig", "decide", "monte_carlo_regret", "realized_regret")
-)
 _LAZY_EXPORTS = {
-    **dict.fromkeys(_SIMULATE_EXPORTS, "simulate"),
+    **dict.fromkeys(
+        ("MonteCarloEstimate", "SimConfig", "decide", "monte_carlo_regret", "realized_regret"),
+        "simulate",
+    ),
     **dict.fromkeys(
         (
             "CaseStudyCase", "ConfigError", "IncidenceSpec", "PowerSpec", "ScenarioConfig",

@@ -112,8 +112,7 @@ def _greedy_redistribute(problem: DesignProblem, counts: list[int], target: Para
     weights, var_sums = rule.group_weights(problem), problem.var_sums
     terms = worst_case_terms(weights, var_sums, counts)
     grown = worst_case_terms(weights, var_sums, [n + 2 for n in counts])
-    leftover = problem.budget - sum(counts)
-    while leftover >= 2:
+    for _ in range((problem.budget - sum(counts)) // 2):
         best_g, best_val = None, combine(terms)
         for g in range(len(counts)):
             kept, terms[g] = terms[g], grown[g]
@@ -132,29 +131,25 @@ def _greedy_redistribute(problem: DesignProblem, counts: list[int], target: Para
         grown[best_g] = worst_case_terms(
             (weights[best_g],), (var_sums[best_g],), (counts[best_g] + 2,)
         )[0]
-        leftover -= 2
     return counts
 
 
 def _largest_remainder_redistribute(
     problem: DesignProblem, counts: list[int], relaxed: tuple[float, ...]
 ) -> list[int]:
-    leftover = problem.budget - sum(counts)
     order = sorted(range(len(counts)), key=lambda g: relaxed[g] - counts[g], reverse=True)
-    i = 0
-    while leftover >= 2:
+    # Near MAX_BUDGET the leftover can exceed one pair per group: wrap.
+    for i in range((problem.budget - sum(counts)) // 2):
         counts[order[i % len(order)]] += 2
-        leftover -= 2
-        i += 1
     return counts
 
 
-def _allocate(problem: DesignProblem, scheme: str, redistribute: bool) -> Allocation:
-    """The one allocation path.  ``allocate`` and ``minimax_allocation`` call
-    this directly, so the warning's stacklevel=3 names the code that called
-    either one.  The result is built unchecked (``Allocation._from_counts``):
-    ``_floor_even`` of a finite float share >= 0 is an even int >= 0, and
-    redistribution only adds 2 to a count."""
+def allocate(problem: DesignProblem, scheme: str, redistribute: bool = False) -> Allocation:
+    """Even-floored allocation of a named scheme, optionally redistributing
+    leftover pairs; raises ValidationError for unknown names.  The result is
+    built unchecked (``Allocation._from_counts``): ``_floor_even`` of a finite
+    float share >= 0 is an even int >= 0, and redistribution only adds 2 to a
+    count."""
     if not isinstance(redistribute, bool):
         raise ValidationError(f"redistribute must be a bool, got {redistribute!r}")
     relaxed = shares(problem, scheme)
@@ -175,18 +170,12 @@ def _allocate(problem: DesignProblem, scheme: str, redistribute: bool) -> Alloca
             f"{scheme} allocation assigns zero samples to group(s) {zero_groups}; "
             "worst-case regret is infinite for unsampled groups",
             DegenerateAllocationWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return allocation
-
-
-def allocate(problem: DesignProblem, scheme: str, redistribute: bool = False) -> Allocation:
-    """Even-floored allocation of a named scheme, optionally redistributing
-    leftover pairs; raises ValidationError for unknown names."""
-    return _allocate(problem, scheme, redistribute)
 
 
 # perfbench (layers.py, workloads.py) calls this name; it is not exported.
 def minimax_allocation(problem: DesignProblem, redistribute: bool = False) -> Allocation:
     """Even-floored minimax selection (redistribution lowers H)."""
-    return _allocate(problem, "minimax", redistribute)
+    return allocate(problem, "minimax", redistribute)

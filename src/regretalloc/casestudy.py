@@ -55,10 +55,7 @@ def _as_finite(
 
 
 def _as_probability(value: object, path: str) -> float:
-    v = _as_finite(value, path)
-    if not 0.0 <= v <= 1.0:
-        raise ConfigError(f"{path}: expected a probability in [0, 1], got {v}")
-    return v
+    return _as_finite(value, path, "a probability in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
 
 def _as_nonnegative(value: object, path: str) -> float:

@@ -89,14 +89,10 @@ class ReportTable:
 
 def _fmt_raw(value: float) -> str:
     """Locale-independent cell for CSV output; infinity as the token 'inf'."""
-    if math.isinf(value):
-        return "inf"
     return format(value, ".12g")
 
 
 def _fmt_scaled(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
     return format(value * _REGRET_SCALE, ".4g")
 
 
@@ -114,9 +110,9 @@ def _case_allocations(case: CaseStudyCase, redistribute: bool) -> list[tuple[str
         counts = [0] * problem.n_groups
         counts[g] = full
         rows.append((f"only {spec.label}", Allocation(counts=tuple(counts))))
-    for scheme in SCHEMES:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateAllocationWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateAllocationWarning)
+        for scheme in SCHEMES:
             rows.append((scheme, build_allocation(problem, scheme, redistribute=redistribute)))
     return rows
 
@@ -214,7 +210,6 @@ def cmd_evaluate(args: argparse.Namespace, out) -> int:
         raise ValidationError("--redistribute applies to --scheme, not to an explicit --allocation")
     explicit = None if args.allocation is None else _parse_allocation(args.allocation)
     cases = _cases(args)
-    names = list(_PARADIGM_FLAGS) if args.paradigm == "all" else [args.paradigm]
     headers = ["beta", "counts", "paradigm", "worst case", "expected"]
     if args.reps:
         headers += ["mc mean", "mc se"]
@@ -228,19 +223,12 @@ def cmd_evaluate(args: argparse.Namespace, out) -> int:
             allocation = build_allocation(case.problem, args.scheme, redistribute=args.redistribute)
         else:
             allocation = explicit
-        for name in names:
-            paradigm = _PARADIGM_FLAGS[name]
-            worst = regret_mod.worst_case(case.problem, allocation, paradigm).value
-            expected = regret_mod.expected_regret(
-                case.problem, allocation, case.truth, paradigm
-            ).value
-            row = [
-                _fmt_raw(case.beta),
-                _fmt_counts(allocation),
-                name,
-                _fmt_scaled(worst),
-                _fmt_scaled(expected),
-            ]
+        cells = zip(_worst_cases(case, allocation), _expected(case, allocation))
+        for (name, paradigm), (worst, expected) in zip(_PARADIGM_FLAGS.items(), cells):
+            if args.paradigm not in ("all", name):
+                continue
+            row = [_fmt_raw(case.beta), _fmt_counts(allocation), name]
+            row += [_fmt_scaled(worst), _fmt_scaled(expected)]
             if args.reps:
                 row += [_fmt_scaled(v) for v in monte_carlo_regret(args, case, allocation, paradigm)]
             table.add_row(row)

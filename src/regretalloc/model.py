@@ -159,7 +159,7 @@ class Allocation:
     def __post_init__(self) -> None:
         coerced = []
         try:
-            if isinstance(self.counts, bytes):  # would read as one count per byte
+            if isinstance(self.counts, (str, bytes)):  # would read per character or byte
                 raise TypeError
             counts = iter(self.counts)
         except TypeError:  # None, a bare count
@@ -204,7 +204,7 @@ class TruthScenario:
         for name in _SCENARIO_FIELDS:
             values = getattr(self, name)
             try:
-                if isinstance(values, bytes):  # would read as one number per byte
+                if isinstance(values, (str, bytes)):  # would read per character or byte
                     raise TypeError
                 coerced = tuple(_as_real(v) for v in values)
             except (TypeError, OverflowError):  # None, "x", a bare scalar, 10**400

@@ -106,11 +106,11 @@ class RegretSummary:
         cls, paradigm: Paradigm, value: float, per_group: tuple[float, ...] | None = None
     ) -> "RegretSummary":
         """The kernels' constructor: ``per_group`` is a tuple the kernel just
-        built from floats (the problem's cached weights and variance sums and
-        the scenario's fields are floats), so only ``value`` is checked."""
+        built from floats (the problem's weights and variance sums, stored at
+        build, and the scenario's fields), so only ``value`` is checked."""
         _check_regret(value)
         summary = object.__new__(cls)
-        # Frozen: fill the fields the way the cached properties are stored.
+        # Frozen: fill the fields directly, as DesignProblem does at build.
         summary.__dict__.update({"paradigm": paradigm, "value": value, "per_group": per_group})
         return summary
 
@@ -264,13 +264,15 @@ def _check_all_sampled(problem: DesignProblem, allocation: Allocation) -> None:
         raise ValidationError("adversarial profiles are undefined for unsampled groups")
 
 
-def _check_t_dagger(t_dagger) -> None:
+def _check_t_dagger(t_dagger) -> float:
+    """``t_dagger`` as a finite Python float (a numpy float32 keeps 7 digits)."""
     try:
-        finite = math.isfinite(_as_real(t_dagger))
+        value = _as_real(t_dagger)
     except (TypeError, OverflowError):  # not a real number, or an int past float range
-        finite = False
-    if not finite:
+        value = math.nan
+    if not math.isfinite(value):
         raise ValidationError(f"t_dagger must be a finite real number, got {t_dagger!r}")
+    return value
 
 
 def _design_scenario(problem: DesignProblem, tau: tuple[float, ...]) -> TruthScenario:
@@ -311,8 +313,7 @@ def joint_adversarial_tau(
     uses sum h^2*S while the pooled statistic uses sum h*S.)
     """
     _check_all_sampled(problem, allocation)
-    _check_t_dagger(t_dagger)
-    t_dagger = float(t_dagger)  # a numpy scalar would make every tau one too
+    t_dagger = _check_t_dagger(t_dagger)
     h = sampling_fractions(allocation)
     w = problem.weights
     total = allocation.total
@@ -349,7 +350,7 @@ def joint_regret_expression(
     K > 0 the expression diverges as t -> -infinity.
     """
     _check_all_sampled(problem, allocation)
-    _check_t_dagger(t_dagger)
+    t_dagger = _check_t_dagger(t_dagger)
     h = sampling_fractions(allocation)
     kappa, _, factor = _mismatch_terms(problem, h)
     sf = normal_sf(t_dagger)
@@ -358,9 +359,9 @@ def joint_regret_expression(
     if kappa == 0.0:
         mismatch_term = 0.0
     elif dens == 0.0:
-        # Density underflow deep in the tail: the mismatch term has already
-        # blown past float range; report the limit explicitly.
-        mismatch_term = math.copysign(math.inf, kappa)
+        # Density underflow deep in a tail: K*Phi_c^2/phi tends to 0 on the
+        # right, and on the left it has blown past float range.
+        mismatch_term = math.copysign(math.inf, kappa) if t_dagger < 0.0 else 0.0
     else:
         mismatch_term = kappa * sf * sf / dens
     return scale * (mismatch_term + factor * t_dagger * sf)

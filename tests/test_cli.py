@@ -200,6 +200,20 @@ class TestEvaluateCommand:
         code, _ = run_cli(["evaluate", "--allocation", "9319,1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "reps", [[], ["--reps", "2000", "--seed", "1"]], ids=["closed-form", "monte-carlo"]
+    )
+    def test_one_paradigm_prints_its_rows_of_all(self, reps):
+        def rows(paradigm):
+            code, text = run_cli(["evaluate", "--scheme", "minimax", "--paradigm", paradigm, *reps])
+            assert code == 0
+            return [line.split() for line in text.splitlines()[4:]]
+
+        every = rows("all")
+        assert len(every) == 6
+        for flag in cli._PARADIGM_FLAGS:
+            assert rows(flag) == [row for row in every if flag in row]
+
     def test_monte_carlo_runs_are_byte_identical(self):
         argv = [
             "evaluate", "--scheme", "minimax", "--paradigm", "separate",

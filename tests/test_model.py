@@ -155,8 +155,12 @@ class TestCheckAllocation:
          (None, "allocation counts must be a sequence, got None"),
          (5, "allocation counts must be a sequence, got 5"),
          (b"\x02\x04", "allocation counts must be a sequence, got b"),
-         ("24", "allocation counts must be integers, got '2'")],
-        ids=["odd", "negative", "odd-and-wrong-length", "none", "bare-count", "bytes", "string"],
+         ("24", "allocation counts must be a sequence, got '24'"),
+         ("", "allocation counts must be a sequence, got ''")],
+        ids=[
+            "odd", "negative", "odd-and-wrong-length", "none", "bare-count", "bytes", "string",
+            "empty-string",
+        ],
     )
     def test_odd_or_negative_counts_rejected_at_construction(self, counts, match):
         with pytest.raises(ValidationError, match=match):
@@ -267,10 +271,10 @@ class TestScenario:
     @pytest.mark.parametrize(
         "value",
         [None, "x", 0.5, [None, 1.0], ["x", 1.0], [10**400], "12", b"12", [True],
-         [np.True_]],
+         [np.True_], ""],
         ids=[
             "none", "string", "scalar", "none-entry", "string-entry", "huge-int-entry",
-            "digit-string", "bytes", "bool-entry", "numpy-bool-entry",
+            "digit-string", "bytes", "bool-entry", "numpy-bool-entry", "empty-string",
         ],
     )
     @pytest.mark.parametrize("field", ["tau", "baseline", "var_control", "var_treated"])

@@ -496,6 +496,30 @@ class TestJointRegretExpression:
         with pytest.raises(ValidationError, match="underflow"):
             joint_adversarial_tau(problem, mismatched, -40.0)
 
+    @staticmethod
+    def mismatched_instance():
+        problem = make_problem((0.3, 0.7), (2.0, 4.0), 100)
+        allocation = Allocation((50, 50))
+        assert joint_mismatch(problem, allocation) == pytest.approx(0.32, rel=1e-12)
+        return problem, allocation
+
+    @pytest.mark.parametrize("t_dagger", [38.5, 39.0, 40.0, 100.0, 1e300])
+    def test_right_tail_tends_to_zero_past_density_underflow(self, t_dagger):
+        problem, allocation = self.mismatched_instance()
+        assert joint_regret_expression(problem, allocation, t_dagger) == 0.0
+
+    @pytest.mark.parametrize("t_dagger", [-38.0, -1e300])
+    def test_left_tail_stays_infinite(self, t_dagger):
+        problem, allocation = self.mismatched_instance()
+        assert joint_regret_expression(problem, allocation, t_dagger) == math.inf
+
+    @pytest.mark.parametrize("t_dagger", [np.float32(0.4), np.float64(0.4)], ids=["f32", "f64"])
+    def test_numpy_t_dagger_gives_a_python_float(self, t_dagger):
+        problem, allocation = self.mismatched_instance()
+        value = joint_regret_expression(problem, allocation, t_dagger)
+        assert type(value) is float
+        assert value == joint_regret_expression(problem, allocation, float(t_dagger))
+
 
 class TestDispatch:
     def test_worst_case_dispatch_matches(self, covid_cases):

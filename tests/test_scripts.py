@@ -85,14 +85,15 @@ class TestBenchRecord:
         }
         layers = {"allocate.minimax_us": {"value": 3.0, "unit": "us"}}
         record = bench_record.assemble(
-            runs, fake_run("design-sweep", metrics=layers), {"PYTHONDONTWRITEBYTECODE": "1"}, 2369
+            [runs] * 3, fake_run("design-sweep", metrics=layers), {"PYTHONDONTWRITEBYTECODE": "1"},
+            2369,
         )
         assert record == {
             "seed": 1,
             "run_seconds": {"design-sweep": 20, "mc-trial": 8},
             "end_to_end": {
-                "design-sweep": {"work_per_s": {"value": 2.0, "unit": "1/s"}},
-                "mc-trial": {"work_per_s": {"value": 1.0, "unit": "1/s"}},
+                "design-sweep": {"work_per_s": {"value": 2.0, "unit": "1/s", "runs": [2.0] * 3}},
+                "mc-trial": {"work_per_s": {"value": 1.0, "unit": "1/s", "runs": [1.0] * 3}},
             },
             "per_layer": layers,
             "src_lines": 2369,
@@ -103,11 +104,40 @@ class TestBenchRecord:
         }
         json.dumps(record)  # what the script writes
 
+    def test_each_value_is_the_median_of_the_rounds(self):
+        bench_record = load_bench_record()
+        rounds = [
+            {"mc-trial": fake_run("mc-trial", metrics={"setup_s": {"value": v, "unit": "s"}})}
+            for v in (0.3, 0.1, 0.2)
+        ]
+        record = bench_record.assemble(rounds, fake_run("design-sweep"), {}, 1)
+        assert record["end_to_end"] == {
+            "mc-trial": {"setup_s": {"value": 0.2, "unit": "s", "runs": [0.3, 0.1, 0.2]}}
+        }
+
+    def test_a_run_that_fails_in_round_2_stops_the_record(self, tmp_path, monkeypatch, capsys):
+        bench_record = load_bench_record()
+        calls = []
+
+        def run(workload, seconds, trace):
+            calls.append((workload, trace))
+            return fake_run(workload, correct=len(calls) != 5)
+
+        monkeypatch.setattr(bench_record, "run_perfbench", run)
+        out = tmp_path / "out.json"
+        assert bench_record.main([str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: mc-trial (round 2): 3 of 10 checked ops failed\n"
+        )
+        rounds = [(w, 0) for w in ("design-sweep", "mc-trial", "reproduce-cli")] * 3
+        assert calls == rounds + [("design-sweep", 1)]
+
     @pytest.mark.parametrize("environ", [{}, {"PYTHONDONTWRITEBYTECODE": ""}], ids=["unset", "empty"])
     def test_an_empty_bytecode_flag_is_unset(self, environ):
         bench_record = load_bench_record()
         runs = {"mc-trial": fake_run("mc-trial")}
-        record = bench_record.assemble(runs, fake_run("design-sweep"), environ, 1)
+        record = bench_record.assemble([runs], fake_run("design-sweep"), environ, 1)
         assert record["environment"]["PYTHONDONTWRITEBYTECODE"] is False
 
     @pytest.mark.parametrize("failing", ["mc-trial", "trace"])
@@ -116,7 +146,7 @@ class TestBenchRecord:
         runs = {"mc-trial": fake_run("mc-trial", correct=failing != "mc-trial")}
         with pytest.raises(bench_record.RecordError, match="3 of 10 checked ops failed"):
             bench_record.assemble(
-                runs, fake_run("design-sweep", correct=failing != "trace"), {}, 1
+                [runs], fake_run("design-sweep", correct=failing != "trace"), {}, 1
             )
 
     def test_src_lines_count_as_wc_does(self, tmp_path):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from regretalloc.allocate import SCHEMES, DegenerateAllocationWarning, allocate, minimax_allocation
+from regretalloc.allocate import SCHEMES, DegenerateAllocationWarning, allocate
 from regretalloc.cli import main
 from regretalloc.model import (
     Allocation,
@@ -203,15 +203,11 @@ class TestSchemeTable:
         problem = DesignProblem(
             budget=20, groups=(GroupSpec("a", 0.97, 1.0, 1.0), GroupSpec("b", 0.03, 1.0, 1.0))
         )
-        for call in (
-            lambda: minimax_allocation(problem),
-            lambda: allocate(problem, "proportional"),
-        ):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", DegenerateAllocationWarning)
-                call()
-            assert len(caught) == 1
-            assert caught[0].filename == __file__
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegenerateAllocationWarning)
+            allocate(problem, "proportional")
+        assert len(caught) == 1
+        assert caught[0].filename == __file__
 
 
 def test_estimator_level_runs_for_every_table_entry():
