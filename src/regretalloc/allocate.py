@@ -19,9 +19,13 @@ budget, round each down to an even integer (``2*floor(x/2)``), optionally
 redistribute, and warn about unsampled groups.  Rounding can strand up to
 ``2*(G-1)`` participants; by default they stay unassigned, matching the
 closed-form selection rules literally.  ``redistribute=True`` hands the
-leftover pairs back out: greedily by marginal reduction of the targeted
-worst case (via ``regret.worst_case_terms``) for minimax and egalitarian,
-by largest remainder for proportional and Neyman.
+leftover pairs back out one at a time, each to the group of least key (the
+first on a tie): ``counts - shares`` for proportional and Neyman (largest
+remainder), minus one pair's drop in the group's term of H for minimax, and
+minus the group's term of He for egalitarian (terms from
+``regret.worst_case_terms``).  Minimax and egalitarian first give a pair to
+each unsampled group, heaviest first, and a He maximum that several groups
+share sends the pair to the heaviest group.
 
 All functions are pure; a ``DesignProblem`` is checked when it is built, and
 ``model.validate_problem`` checks that a problem is one.
@@ -52,8 +56,8 @@ class DegenerateAllocationWarning(UserWarning):
 @dataclass(frozen=True)
 class Scheme:
     """``raw_share(weight, var_sum)``: a group's unnormalized share.
-    ``greedy_target``: the paradigm whose worst case redistribution lowers
-    greedily; None redistributes by largest remainder."""
+    ``greedy_target``: the paradigm whose worst case each redistributed pair
+    lowers the most; None redistributes by largest remainder."""
 
     raw_share: Callable[[float, float], float]
     greedy_target: Paradigm | None
@@ -102,45 +106,39 @@ def _floor_even(x: float) -> int:
     return down
 
 
-def _greedy_redistribute(problem: DesignProblem, counts: list[int], target: Paradigm) -> list[int]:
-    """Assign leftover pairs one at a time to the group whose extra pair
-    lowers the worst-case regret under ``target`` the most.  O(G) term
-    updates per pair: a candidate swaps in its term at two more (``grown``),
-    and a pick recomputes one term."""
-    rule = paradigm_rule(target)
-    combine = rule.combine
-    weights, var_sums = rule.group_weights(problem), problem.var_sums
-    terms = worst_case_terms(weights, var_sums, counts)
-    grown = worst_case_terms(weights, var_sums, [n + 2 for n in counts])
-    for _ in range((problem.budget - sum(counts)) // 2):
-        best_g, best_val = None, combine(terms)
-        for g in range(len(counts)):
-            kept, terms[g] = terms[g], grown[g]
-            val = combine(terms)
-            terms[g] = kept
-            if val < best_val:
-                best_g, best_val = g, val
-        if best_g is None:
-            # Flat objective (e.g. several unsampled groups keep it infinite):
-            # fill empty groups first, then fall back to the largest group.
-            empty = [g for g, n in enumerate(counts) if n == 0]
-            candidates = empty if empty else range(len(counts))
-            best_g = max(candidates, key=lambda g: problem.groups[g].weight)
-        counts[best_g] += 2
-        terms[best_g] = grown[best_g]
-        grown[best_g] = worst_case_terms(
-            (weights[best_g],), (var_sums[best_g],), (counts[best_g] + 2,)
-        )[0]
-    return counts
-
-
-def _largest_remainder_redistribute(
-    problem: DesignProblem, counts: list[int], relaxed: tuple[float, ...]
+def _redistribute(
+    problem: DesignProblem, counts: list[int], relaxed: tuple[float, ...], target: Paradigm | None
 ) -> list[int]:
-    order = sorted(range(len(counts)), key=lambda g: relaxed[g] - counts[g], reverse=True)
-    # Near MAX_BUDGET the leftover can exceed one pair per group: wrap.
-    for i in range((problem.budget - sum(counts)) // 2):
-        counts[order[i % len(order)]] += 2
+    """Give each leftover pair to the group of least key (see the module
+    docstring), the first on a tie, and recompute only that group's key."""
+    pairs = (problem.budget - sum(counts)) // 2
+    worst_off = False
+    if target is None:
+        def key(g: int) -> float:
+            return counts[g] - relaxed[g]
+    else:
+        rule = paradigm_rule(target)
+        weights, var_sums, worst_off = rule.group_weights(problem), problem.var_sums, rule.worst_off
+        # While two groups are unsampled, no pair lowers H or He.
+        empty = [g for g, n in enumerate(counts) if n == 0]
+        for g in sorted(empty, key=lambda g: -problem.groups[g].weight)[: max(pairs, 0)]:
+            counts[g], pairs = 2, pairs - 1
+
+        def key(g: int) -> float:
+            n = counts[g]
+            term = worst_case_terms((weights[g],), (var_sums[g],), (n,))[0]
+            # One pair's drop in the term, without cancelling term(n) - term(n+2).
+            return -term if worst_off else -term * 2 / ((n + 2) * (1 + math.sqrt(n / (n + 2))))
+
+    keys = [key(g) for g in range(len(counts))]
+    for _ in range(pairs):
+        least = min(keys)
+        g = keys.index(least)
+        if worst_off and keys.count(least) > 1:
+            # No single pair lowers a shared max: the heaviest group gets it.
+            g = max(range(len(counts)), key=lambda h: problem.groups[h].weight)
+        counts[g] += 2
+        keys[g] = key(g)
     return counts
 
 
@@ -155,11 +153,7 @@ def allocate(problem: DesignProblem, scheme: str, redistribute: bool = False) ->
     relaxed = shares(problem, scheme)
     counts = [_floor_even(s) for s in relaxed]
     if redistribute:
-        target = SCHEMES[scheme].greedy_target
-        if target is None:
-            counts = _largest_remainder_redistribute(problem, counts, relaxed)
-        else:
-            counts = _greedy_redistribute(problem, counts, target)
+        counts = _redistribute(problem, counts, relaxed, SCHEMES[scheme].greedy_target)
     allocation = Allocation._from_counts(tuple(counts))
     if allocation.total > problem.budget:
         # Past about 1e10 the float shares themselves can sum above the budget.
