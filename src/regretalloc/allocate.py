@@ -18,14 +18,15 @@ One path serves every scheme: normalize the raw shares to exhaust the
 budget, round each down to an even integer (``2*floor(x/2)``), optionally
 redistribute, and warn about unsampled groups.  Rounding can strand up to
 ``2*(G-1)`` participants; by default they stay unassigned, matching the
-closed-form selection rules literally.  ``redistribute=True`` hands the
-leftover pairs back out one at a time, each to the group of least key (the
-first on a tie): ``counts - shares`` for proportional and Neyman (largest
-remainder), minus one pair's drop in the group's term of H for minimax, and
-minus the group's term of He for egalitarian (terms from
-``regret.worst_case_terms``).  Minimax and egalitarian first give a pair to
-each unsampled group, heaviest first, and a He maximum that several groups
-share sends the pair to the heaviest group.
+closed-form selection rules literally.  ``redistribute=True`` is greedy
+marginal allocation with single-pair exchanges (Fox 1966; Ibaraki & Katoh
+1988): each leftover pair goes to the group of largest gain, then a pair
+moves to that group from the group that loses least by giving one back,
+while the gain exceeds the loss; ties go to the first group.  The gain is
+``shares - counts`` for proportional and Neyman (largest remainder; no
+exchange fires), one pair's drop in the group's H term for minimax, and
+the group's He term for egalitarian (``regret.worst_case_terms``).  The
+last two reach the exact even-integer minimum of H or He.
 
 All functions are pure; a ``DesignProblem`` is checked when it is built, and
 ``model.validate_problem`` checks that a problem is one.
@@ -56,8 +57,8 @@ class DegenerateAllocationWarning(UserWarning):
 @dataclass(frozen=True)
 class Scheme:
     """``raw_share(weight, var_sum)``: a group's unnormalized share.
-    ``greedy_target``: the paradigm whose worst case each redistributed pair
-    lowers the most; None redistributes by largest remainder."""
+    ``greedy_target``: the paradigm whose worst case redistribution
+    minimizes; None redistributes by largest remainder."""
 
     raw_share: Callable[[float, float], float]
     greedy_target: Paradigm | None
@@ -109,36 +110,35 @@ def _floor_even(x: float) -> int:
 def _redistribute(
     problem: DesignProblem, counts: list[int], relaxed: tuple[float, ...], target: Paradigm | None
 ) -> list[int]:
-    """Give each leftover pair to the group of least key (see the module
-    docstring), the first on a tie, and recompute only that group's key."""
+    """Hand out the leftover pairs, then trade them (see the module
+    docstring); a group's cost is what its last pair gained."""
     pairs = (problem.budget - sum(counts)) // 2
-    worst_off = False
     if target is None:
-        def key(g: int) -> float:
-            return counts[g] - relaxed[g]
+        def gain(g: int, n: int) -> float:
+            return relaxed[g] - n
     else:
         rule = paradigm_rule(target)
         weights, var_sums, worst_off = rule.group_weights(problem), problem.var_sums, rule.worst_off
-        # While two groups are unsampled, no pair lowers H or He.
-        empty = [g for g, n in enumerate(counts) if n == 0]
-        for g in sorted(empty, key=lambda g: -problem.groups[g].weight)[: max(pairs, 0)]:
-            counts[g], pairs = 2, pairs - 1
 
-        def key(g: int) -> float:
-            n = counts[g]
+        def gain(g: int, n: int) -> float:
             term = worst_case_terms((weights[g],), (var_sums[g],), (n,))[0]
             # One pair's drop in the term, without cancelling term(n) - term(n+2).
-            return -term if worst_off else -term * 2 / ((n + 2) * (1 + math.sqrt(n / (n + 2))))
+            return term if worst_off else term * 2 / ((n + 2) * (1 + math.sqrt(n / (n + 2))))
 
-    keys = [key(g) for g in range(len(counts))]
-    for _ in range(pairs):
-        least = min(keys)
-        g = keys.index(least)
-        if worst_off and keys.count(least) > 1:
-            # No single pair lowers a shared max: the heaviest group gets it.
-            g = max(range(len(counts)), key=lambda h: problem.groups[h].weight)
-        counts[g] += 2
-        keys[g] = key(g)
+    gains = [gain(g, n) for g, n in enumerate(counts)]
+    costs = [gain(g, n - 2) if n else math.inf for g, n in enumerate(counts)]
+    while pairs >= 0:
+        j = gains.index(max(gains))
+        if pairs:
+            pairs -= 1
+        else:
+            i = costs.index(min(costs))
+            if not costs[i] < gains[j]:
+                break
+            counts[i] -= 2
+            gains[i], costs[i] = costs[i], gain(i, counts[i] - 2) if counts[i] else math.inf
+        counts[j] += 2
+        gains[j], costs[j] = gain(j, counts[j]), gains[j]
     return counts
 
 
@@ -146,8 +146,8 @@ def allocate(problem: DesignProblem, scheme: str, redistribute: bool = False) ->
     """Even-floored allocation of a named scheme, optionally redistributing
     leftover pairs; raises ValidationError for unknown names.  The result is
     built unchecked (``Allocation._from_counts``): ``_floor_even`` of a finite
-    float share >= 0 is an even int >= 0, and redistribution only adds 2 to a
-    count."""
+    float share >= 0 is an even int >= 0, and a redistribution move adds 2 to
+    a count or takes 2 only from a count of at least 2."""
     if not isinstance(redistribute, bool):
         raise ValidationError(f"redistribute must be a bool, got {redistribute!r}")
     relaxed = shares(problem, scheme)

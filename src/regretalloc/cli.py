@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("--scheme", required=True, choices=sorted(SCHEMES))
     p_alloc.add_argument(
         "--redistribute", action="store_true",
-        help="hand leftover even pairs back out instead of leaving them unassigned",
+        help="spend leftover pairs; minimax and egalitarian reach the exact even-integer optimum",
     )
     p_alloc.set_defaults(func=cmd_allocate)
 

@@ -1,6 +1,8 @@
 """Allocation schemes: closed-form shares, even-floor rounding, invariants."""
 
+import heapq
 import math
+import random
 import warnings
 
 import mpmath
@@ -17,7 +19,7 @@ from regretalloc.model import (
     ValidationError,
     check_allocation,
 )
-from regretalloc.regret import paradigm_rule, worst_case_separate, worst_case_terms
+from regretalloc.regret import paradigm_rule, worst_case, worst_case_separate, worst_case_terms
 from regretalloc.stats import threshold_constants
 from builders import make_problem
 from reference_values import ORACLE_MINIMAX_SHARES_CASE1, ORACLE_NEYMAN_ALLOCATION, REF_ALLOCATIONS
@@ -237,77 +239,6 @@ class TestRedistribution:
             assert problem.budget - allocation.total < 2
 
 
-def exact_objective(problem, counts, target):
-    """H summed at 50 digits from the float inputs; He, the max of the float
-    terms, is already exact."""
-    rule = paradigm_rule(target)
-    weights, var_sums = rule.group_weights(problem), problem.var_sums
-    if rule.worst_off:
-        return max(worst_case_terms(weights, var_sums, counts))
-    with mpmath.workdps(50):
-        c0 = mpmath.mpf(threshold_constants().c0)
-        return mpmath.fsum(
-            w * c0 * mpmath.sqrt(2 * mpmath.mpf(s) / n) if n else mpmath.inf
-            for w, s, n in zip(weights, var_sums, counts)
-        )
-
-
-def full_rebuild_greedy(problem, counts, target):
-    """Reference greedy in exact arithmetic: rebuilds the objective for every
-    candidate of every leftover pair, ties to the first group.  Also returns
-    whether a pick was ambiguous: its best two candidates' drops differ, but
-    by at most 1e-12 of a drop, so input rounding, not the rule, decided it."""
-    counts = list(counts)
-    ambiguous = False
-    with mpmath.workdps(50):
-        for _ in range((problem.budget - sum(counts)) // 2):
-            current = exact_objective(problem, counts, target)
-            values = []
-            for g in range(len(counts)):
-                counts[g] += 2
-                values.append(exact_objective(problem, counts, target))
-                counts[g] -= 2
-            best = min(values)
-            if best < current:
-                best_g = values.index(best)
-                drops = sorted((current - v for v in values), reverse=True)
-                if current < math.inf and len(drops) > 1:
-                    ambiguous |= 0 < drops[0] - drops[1] <= 1e-12 * drops[0]
-            else:
-                # Flat objective (e.g. several unsampled groups keep it
-                # infinite): fill empty groups first, then the largest group.
-                empty = [g for g, n in enumerate(counts) if n == 0]
-                candidates = empty if empty else range(len(counts))
-                best_g = max(candidates, key=lambda g: problem.groups[g].weight)
-            counts[best_g] += 2
-    return tuple(counts), ambiguous
-
-
-GREEDY_TARGETS = {
-    "minimax": Paradigm.SEPARATE_UTILITARIAN,
-    "egalitarian": Paradigm.SEPARATE_EGALITARIAN,
-}
-
-
-def greedy_matches_full_rebuild(problem, scheme):
-    """Counts equal the exact greedy's; where a pick was ambiguous, they
-    spend the same budget and reach its objective within 1e-12 relative."""
-    target = GREEDY_TARGETS[scheme]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateAllocationWarning)
-        floored = allocate(problem, scheme).counts
-        redistributed = allocate(problem, scheme, redistribute=True).counts
-    expected, ambiguous = full_rebuild_greedy(problem, floored, target)
-    if ambiguous:
-        assert sum(redistributed) == sum(expected)
-        got = exact_objective(problem, redistributed, target)
-        want = exact_objective(problem, expected, target)
-        assert abs(got - want) <= 1e-12 * want
-    else:
-        assert redistributed == expected
-    return redistributed
-
-
 @st.composite
 def greedy_problems(draw, max_budget=10**7):
     """G from 1 to 12, budgets from 2G to ``max_budget`` (odd ones too), and
@@ -321,15 +252,128 @@ def greedy_problems(draw, max_budget=10**7):
     return make_problem(weights, var_sums, budget)
 
 
-class TestGreedyEquivalence:
-    """One key update per pick picks what an exact full rebuild picks."""
+TARGETS = {
+    "minimax": Paradigm.SEPARATE_UTILITARIAN,
+    "egalitarian": Paradigm.SEPARATE_EGALITARIAN,
+}
+
+
+def redistributed(problem, scheme):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateAllocationWarning)
+        return allocate(problem, scheme, redistribute=True).counts
+
+
+def targeted(problem, scheme, counts):
+    """H for minimax, He for egalitarian, as ``worst_case`` computes them."""
+    return worst_case(problem, Allocation(tuple(counts)), TARGETS[scheme]).value
+
+
+def even_allocations(pairs, groups):
+    """Every split of ``pairs`` pairs over ``groups`` groups, as counts."""
+    if groups == 1:
+        yield (2 * pairs,)
+        return
+    for k in range(pairs + 1):
+        for rest in even_allocations(pairs - k, groups - 1):
+            yield (2 * k, *rest)
+
+
+def draw_groups(draw, n):
+    """Weights uniform on 0.01-1 then normalised; S log-uniform on 1e-3-10."""
+    raw = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n))
+    weights = [r / sum(raw) for r in raw]
+    weights[-1] = 1.0 - sum(weights[:-1])
+    exponents = draw(st.lists(st.floats(min_value=-3.0, max_value=1.0), min_size=n, max_size=n))
+    return weights, [10.0**e for e in exponents]
+
+
+@st.composite
+def exhaustive_problems(draw):
+    """G = 2 or 3 and budgets from 2G to 200 (120 at G = 3), odd ones too."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    weights, var_sums = draw_groups(draw, n)
+    budget = draw(st.integers(min_value=2 * n, max_value=200 if n == 2 else 120))
+    return make_problem(weights, var_sums, budget)
+
+
+@st.composite
+def certificate_problems(draw):
+    """G up to 1,000 and budgets from 2G to 1e7, odd ones too; weights down
+    to 1e-6 so that some groups floor to zero.  The groups come from a drawn
+    seed, which keeps a thousand of them cheap to draw."""
+    n = draw(st.integers(min_value=1, max_value=1000))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    raw = [rng.uniform(1e-6, 1.0) for _ in range(n)]
+    weights = [r / sum(raw) for r in raw]
+    weights[-1] = 1.0 - sum(weights[:-1])
+    var_sums = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(n)]
+    return make_problem(weights, var_sums, draw(st.integers(min_value=2 * n, max_value=10**7)))
+
+
+def certify_h(problem, counts):
+    """No move of one pair i -> j lowers H, summed at 50 digits, by more than
+    1e-12 of the drop.  H is separable and convex in pairs, so that makes
+    the counts optimal (Gross 1956)."""
+    assert min(counts) >= 2
+    weights = paradigm_rule(Paradigm.SEPARATE_UTILITARIAN).group_weights(problem)
+    with mpmath.workdps(50):
+        c0 = mpmath.mpf(threshold_constants().c0)
+
+        def term(g, n):
+            if not n:
+                return mpmath.inf
+            return weights[g] * c0 * mpmath.sqrt(2 * mpmath.mpf(problem.var_sums[g]) / n)
+
+        drops = [term(g, n) - term(g, n + 2) for g, n in enumerate(counts)]
+        losses = [term(g, n - 2) - term(g, n) for g, n in enumerate(counts)]
+        cheapest = heapq.nsmallest(2, range(len(counts)), key=losses.__getitem__)
+        for j, drop in enumerate(drops):
+            for i in cheapest:
+                if i != j:
+                    assert drop - losses[i] <= 1e-12 * drop
+                    break
+
+
+def certify_he(problem, counts):
+    """The smallest even counts that put every He term below the result's
+    max sum to more than the usable budget, so no allocation lowers it."""
+    weights = paradigm_rule(Paradigm.SEPARATE_EGALITARIAN).group_weights(problem)
+    c0 = threshold_constants().c0
+
+    def term(g, n):
+        return worst_case_terms((weights[g],), (problem.var_sums[g],), (n,))[0]
+
+    top = max(term(g, n) for g, n in enumerate(counts))
+    needed = 0
+    for g in range(len(counts)):
+        # term(n) < top iff n > 2 s (w c0 / top)^2; the loops fix float error.
+        n = max(2, 2 * math.floor(problem.var_sums[g] * (weights[g] * c0 / top) ** 2) - 2)
+        while n > 2 and term(g, n - 2) < top:
+            n -= 2
+        while term(g, n) >= top:
+            n += 2
+        needed += n
+    assert needed > 2 * (problem.budget // 2)
+
+
+class TestExactOptimum:
+    """``redistribute=True`` reaches the even-integer minimum of H (minimax)
+    or He (egalitarian) at the usable budget 2*floor(N/2)."""
 
     @settings(max_examples=200)
-    @given(greedy_problems(), st.sampled_from(sorted(GREEDY_TARGETS)))
-    # Four equal groups floor to (6, 6, 6, 6) with three pairs left: every
-    # egalitarian term ties at the max, so combine=max sees tied maxima.
-    @example(make_problem((0.25,) * 4, (1.0,) * 4, 30), "egalitarian")
-    # The exact greedy gives (4964436, 1244214); comparing float sums of H
+    @given(exhaustive_problems(), st.sampled_from(sorted(TARGETS)))
+    def test_matches_exhaustive_search(self, problem, scheme):
+        got = targeted(problem, scheme, redistributed(problem, scheme))
+        best = min(
+            targeted(problem, scheme, counts)
+            for counts in even_allocations(problem.budget // 2, problem.n_groups)
+        )
+        assert got <= best * (1 + 1e-12)
+
+    @settings(max_examples=100)
+    @given(certificate_problems(), st.sampled_from(sorted(TARGETS)))
+    # The exact optimum is (4964436, 1244214); comparing float sums of H
     # picks (4964438, 1244212).
     @example(
         make_problem(
@@ -339,28 +383,75 @@ class TestGreedyEquivalence:
         ),
         "minimax",
     )
-    # Four equal groups floor to 16 each with one pair left: an exact tie,
-    # so the first group gets it, (18, 16, 16, 16).  Comparing float sums
-    # of H lets summation order give it to the last group.
+    # Four equal groups floor to 16 each with one pair left: an exact tie.
     @example(make_problem((0.25,) * 4, (1.0,) * 4, 66), "minimax")
-    def test_matches_the_full_rebuild(self, problem, scheme):
-        greedy_matches_full_rebuild(problem, scheme)
+    def test_exchange_certificate(self, problem, scheme):
+        counts = redistributed(problem, scheme)
+        assert sum(counts) == 2 * (problem.budget // 2)
+        (certify_h if scheme == "minimax" else certify_he)(problem, counts)
 
     @pytest.mark.parametrize(
         "weights, var_sums, budget, expected",
         [
-            # Two unsampled groups keep He infinite: the empty group of
-            # larger weight gets the pair.
-            ((0.2, 0.5, 0.3), (100.0, 0.01, 0.01), 6, (4, 2, 0)),
-            # A max shared by both groups: no single pair lowers it, so the
-            # larger-weight group gets the pair.
-            ((0.4, 0.6), (1.0, 1.0), 6, (2, 4)),
+            # The floor is (4, 0, 0) with one pair left: it goes to group 1,
+            # then a pair moves from group 0 to group 2.
+            ((0.2, 0.5, 0.3), (100.0, 0.01, 0.01), 6, (2, 2, 2)),
+            # Both groups share the max at (2, 2): the first group's pair
+            # lowers the count at the max, and (2, 4) has the same He.
+            ((0.4, 0.6), (1.0, 1.0), 6, (4, 2)),
+            # README's budget-11 example: the floor plus the leftover pair,
+            # (10, 0), leaves He infinite; the trade fixes it.
+            ((0.5, 0.5), (10.0, 0.45), 11, (8, 2)),
         ],
-        ids=["unsampled-groups", "shared-max"],
+        ids=["unsampled-groups", "shared-max", "readme-budget-11"],
     )
-    def test_flat_objective_fallback(self, weights, var_sums, budget, expected):
-        problem = make_problem(weights, var_sums, budget)
-        assert greedy_matches_full_rebuild(problem, "egalitarian") == expected
+    def test_egalitarian_exact_answers(self, weights, var_sums, budget, expected):
+        assert redistributed(make_problem(weights, var_sums, budget), "egalitarian") == expected
+
+    def test_readme_budget_11_worst_off_regret(self):
+        problem = make_problem((0.5, 0.5), (10.0, 0.45), 11)
+        assert targeted(problem, "egalitarian", (8, 2)) == pytest.approx(0.2687, abs=5e-5)
+
+    def test_bundled_budget_13(self, covid_cases):
+        # The floor plus the leftover pairs, (2, 10), has He 0.020043: the
+        # optimum takes a pair back.
+        problem = DesignProblem(budget=13, groups=covid_cases[0].problem.groups)
+        counts = redistributed(problem, "egalitarian")
+        assert counts == (4, 8)
+        assert targeted(problem, "egalitarian", counts) == pytest.approx(0.018765, abs=5e-7)
+
+
+@st.composite
+def permuted_problems(draw):
+    """A problem with G from 2 to 6 and the same groups in a drawn order."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    weights, var_sums = draw_groups(draw, n)
+    budget = draw(st.integers(min_value=2 * n, max_value=10**6))
+    order = draw(st.permutations(range(n)))
+    return (
+        make_problem(weights, var_sums, budget),
+        make_problem([weights[g] for g in order], [var_sums[g] for g in order], budget),
+    )
+
+
+class TestInvariance:
+    def test_odd_budget_matches_the_even_one_below(self, covid_cases):
+        # Both budgets have the same usable budget.  Odd N from 9 to 39,997.
+        groups = covid_cases[0].problem.groups
+        for budget in range(9, 40_000, 4):
+            odd, even = (DesignProblem(budget=n, groups=groups) for n in (budget, budget - 1))
+            for scheme in TARGETS:
+                got = targeted(odd, scheme, redistributed(odd, scheme))
+                want = targeted(even, scheme, redistributed(even, scheme))
+                assert abs(got - want) <= 1e-12 * want, (budget, scheme)
+
+    @given(permuted_problems())
+    def test_group_order_leaves_the_targeted_worst_case(self, problems):
+        problem, permuted = problems
+        for scheme in TARGETS:
+            got = targeted(permuted, scheme, redistributed(permuted, scheme))
+            want = targeted(problem, scheme, redistributed(problem, scheme))
+            assert abs(got - want) <= 1e-12 * want
 
 
 def sort_and_cycle(problem, counts, relaxed):

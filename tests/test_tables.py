@@ -42,7 +42,7 @@ REPRODUCE_SHA256 = {
     "table4.csv": "00b60854f5ebbc1b8cc78667dc707b31bccb9ad72b2ce7f19b1be4ec32174b24",
     "table5.csv": "9deb2c470106575013d4f5d3eeb7882fde0926b21e9958781bf2ce4296da6fa9",
 }
-# ``reproduce --redistribute``: the greedy hands leftover pairs back out,
+# ``reproduce --redistribute``: redistribution spends the leftover pairs,
 # which changes only the tables that list allocations and their regrets.
 REPRODUCE_REDISTRIBUTE_SHA256 = {
     **REPRODUCE_SHA256,
