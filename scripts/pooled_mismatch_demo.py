@@ -17,11 +17,12 @@ import warnings
 
 from regretalloc import (
     DegenerateAllocationWarning,
+    Paradigm,
     allocate,
     joint_mismatch,
     joint_regret_expression,
     threshold_constants,
-    worst_case_joint,
+    worst_case,
 )
 from regretalloc.cli import _cases
 
@@ -48,7 +49,7 @@ def main() -> int:
                 ("proportional", "minimax", "egalitarian", "neyman")]
     for name, allocation in rows:
         kappa = joint_mismatch(problem, allocation)
-        worst = worst_case_joint(problem, allocation).value
+        worst = worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN).value
         cells = "".join(
             f"{joint_regret_expression(problem, allocation, t) * 1e4:>14.4g}"
             for t in T_GRID

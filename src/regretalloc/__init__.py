@@ -39,9 +39,6 @@ from .regret import (
     joint_mismatch,
     joint_regret_expression,
     worst_case,
-    worst_case_egalitarian,
-    worst_case_joint,
-    worst_case_separate,
 )
 from .stats import (
     ThresholdConstants,

@@ -17,16 +17,17 @@ a different objective:
 One path serves every scheme: normalize the raw shares to exhaust the
 budget, round each down to an even integer (``2*floor(x/2)``), optionally
 redistribute, and warn about unsampled groups.  Rounding can strand up to
-``2*(G-1)`` participants; by default they stay unassigned, matching the
-closed-form selection rules literally.  ``redistribute=True`` is greedy
-marginal allocation with single-pair exchanges (Fox 1966; Ibaraki & Katoh
-1988): each leftover pair goes to the group of largest gain, then a pair
-moves to that group from the group that loses least by giving one back,
-while the gain exceeds the loss; ties go to the first group.  The gain is
-``shares - counts`` for proportional and Neyman (largest remainder; no
-exchange fires), one pair's drop in the group's H term for minimax, and
-the group's He term for egalitarian (``regret.worst_case_terms``).  The
-last two reach the exact even-integer minimum of H or He.
+``2G - 2`` participants at an even budget and ``2G - 1`` at an odd one; by
+default they stay unassigned, matching the closed-form selection rules
+literally.  ``redistribute=True`` is greedy marginal allocation with
+single-pair exchanges (Fox 1966; Ibaraki & Katoh 1988): each leftover pair
+goes to the group of largest gain, then a pair moves to that group from
+the group that loses least by giving one back, while the gain exceeds the
+loss; ties go to the first group.  The gain is ``shares - counts`` for
+proportional and Neyman (largest remainder; no exchange fires), one pair's
+drop in the group's H term for minimax, and the group's He term for
+egalitarian (``regret.worst_case_terms``).  The last two reach the exact
+even-integer minimum of H or He.
 
 All functions are pure; a ``DesignProblem`` is checked when it is built, and
 ``model.validate_problem`` checks that a problem is one.

@@ -31,7 +31,9 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .model import DesignProblem, GroupSpec, TruthScenario, ValidationError, _as_int, _as_real
+from .model import (
+    DesignProblem, GroupSpec, TruthScenario, ValidationError, _as_float, _as_int, _items,
+)
 from .stats import normal_quantile
 
 
@@ -45,10 +47,7 @@ def _as_finite(
     """A real number (``model._as_real``) as a finite float for which
     ``accept``, if given, holds; ConfigError naming ``path`` for anything
     else, including NaN, +-Infinity and integers beyond float range."""
-    try:
-        v = _as_real(value)
-    except (TypeError, OverflowError):
-        v = math.nan
+    v = _as_float(value)
     if math.isfinite(v) and (accept is None or accept(v)):
         return v
     raise ConfigError(f"{path}: expected {expected}, got {value!r}")
@@ -73,20 +72,13 @@ def _as_quantile(value: object, path: str) -> float:
     return v
 
 
-def _items(values: object) -> tuple | None:
-    """``values`` as a tuple; None if it is not iterable or is a str or
-    bytes, which would split per character or byte."""
-    try:
-        return None if isinstance(values, (str, bytes)) else tuple(values)
-    except TypeError:
-        return None
-
-
 def _as_tuple(values: object, name: str, check) -> tuple[float, ...]:
-    """``check(value, "name[g]")`` applied to each entry of ``values``."""
-    items = _items(values)
-    if items is None:
-        raise ConfigError(f"{name}: expected a list of numbers, got {values!r}")
+    """``check(value, "name[g]")`` applied to each entry of ``values``
+    (``model._items``: a str or bytes is no list)."""
+    try:
+        items = _items(values)
+    except TypeError:
+        raise ConfigError(f"{name}: expected a list of numbers, got {values!r}") from None
     return tuple(check(v, f"{name}[{g}]") for g, v in enumerate(items))
 
 
@@ -210,11 +202,14 @@ def _as_label(value: object, path: str) -> str:
 def _per_group(values: object, n_groups: int, field: str, check) -> tuple:
     """``check(value, "groups[g].field")`` applied to each of ``n_groups``
     entries of ``values``."""
-    items = _items(values)
-    if items is None or len(items) != n_groups:
+    try:
+        items = _items(values)
+        if len(items) != n_groups:
+            raise TypeError
+    except TypeError:
         raise ConfigError(
             f"groups[*].{field}: expected one entry per weight ({n_groups}), got {values!r}"
-        )
+        ) from None
     return tuple(check(v, f"groups[{g}].{field}") for g, v in enumerate(items))
 
 

@@ -62,12 +62,33 @@ def _as_real(value) -> float:
     return float(value)
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as a Python int; numpy integers (numbers.Integral, so no numpy
-    import) convert, while bools and 1.5, 2.0, None, "3" raise ValidationError."""
+def _as_float(value) -> float:
+    """``_as_real(value)``, or NaN where that raises (None, True, "0.5",
+    10**400), for a caller whose finiteness check then rejects it."""
+    try:
+        return _as_real(value)
+    except (TypeError, OverflowError):
+        return math.nan
+
+
+def _items(values) -> tuple:
+    """``values`` as a tuple; TypeError if it is not iterable (None, a bare
+    number), or is a str or bytes, which would read per character or byte."""
+    if isinstance(values, (str, bytes)):
+        raise TypeError
+    return tuple(values)
+
+
+def _as_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a Python int of at least ``minimum``, if given; numpy
+    integers (numbers.Integral, so no numpy import) convert, while bools and
+    1.5, 2.0, None, "3" raise ValidationError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -159,10 +180,8 @@ class Allocation:
     def __post_init__(self) -> None:
         coerced = []
         try:
-            if isinstance(self.counts, (str, bytes)):  # would read per character or byte
-                raise TypeError
-            counts = iter(self.counts)
-        except TypeError:  # None, a bare count
+            counts = _items(self.counts)
+        except TypeError:  # None, a bare count, a str
             raise ValidationError(f"allocation counts must be a sequence, got {self.counts!r}") from None
         for c in counts:
             try:  # a plain int skips the bool lookups
@@ -204,9 +223,7 @@ class TruthScenario:
         for name in _SCENARIO_FIELDS:
             values = getattr(self, name)
             try:
-                if isinstance(values, (str, bytes)):  # would read per character or byte
-                    raise TypeError
-                coerced = tuple(_as_real(v) for v in values)
+                coerced = tuple(_as_real(v) for v in _items(values))
             except (TypeError, OverflowError):  # None, "x", a bare scalar, 10**400
                 raise ValidationError(
                     f"scenario field {name} must be a sequence of real numbers, got {values!r}"

@@ -52,7 +52,9 @@ from .model import (
     Paradigm,
     TruthScenario,
     ValidationError,
+    _as_float,
     _as_real,
+    _items,
     check_allocation,
     check_scenario,
 )
@@ -91,10 +93,8 @@ class RegretSummary:
             ) from None
         if self.per_group is not None:
             try:
-                if isinstance(self.per_group, (str, bytes)):  # b"ab" would read as (97, 98)
-                    raise TypeError
-                per_group = tuple([_as_real(v) for v in self.per_group])
-            except (TypeError, OverflowError):  # 1.5, "x", (None,), (True,), (10**400,)
+                per_group = tuple([_as_real(v) for v in _items(self.per_group)])
+            except (TypeError, OverflowError):  # 1.5, "x", b"ab", (None,), (True,), (10**400,)
                 raise ValidationError(
                     f"per_group must be a sequence of real numbers in float range, "
                     f"got {self.per_group!r}"
@@ -171,7 +171,9 @@ def _mismatch_terms(problem: DesignProblem, h) -> tuple[float, float, float]:
 
 def worst_case(problem: DesignProblem, allocation: Allocation, paradigm: Paradigm) -> RegretSummary:
     """Worst-case regret under ``paradigm``: H, Hj or He, as the module
-    docstring and ``worst_case_separate``/``_joint``/``_egalitarian`` give it."""
+    docstring gives them.  H and Hj are infinite as soon as a group is
+    unsampled; Hj also when the mismatch statistic K exceeds ``KAPPA_TOL``
+    relative to sum_g w_g/h_g."""
     rule = paradigm_rule(paradigm)
     check_allocation(problem, allocation)
     if not rule.pooled:
@@ -189,24 +191,12 @@ def worst_case(problem: DesignProblem, allocation: Allocation, paradigm: Paradig
     return RegretSummary._from_floats(paradigm, value)
 
 
-def worst_case_separate(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
-    """H(n): worst-case regret with per-group decisions, weighted utility.
-    Infinite as soon as any group is unsampled."""
+# perfbench (layers.py) calls these three names; they are not exported.
+def worst_case_separate(problem, allocation):
     return worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN)
-
-
-def worst_case_joint(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
-    """Hj(n): worst-case regret of the pooled sign decision.
-
-    Returns infinity when any group is unsampled or when the mismatch
-    statistic K exceeds ``KAPPA_TOL`` relative to sum_g w_g/h_g; otherwise
-    evaluates F * c0 * sqrt(2 * sum_g h_g*(s0_g^2+s1_g^2) / total).
-    """
+def worst_case_joint(problem, allocation):
     return worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN)
-
-
-def worst_case_egalitarian(problem: DesignProblem, allocation: Allocation) -> RegretSummary:
-    """He(n): worst-case regret of the worst-off group (unweighted)."""
+def worst_case_egalitarian(problem, allocation):
     return worst_case(problem, allocation, Paradigm.SEPARATE_EGALITARIAN)
 
 
@@ -266,10 +256,7 @@ def _check_all_sampled(problem: DesignProblem, allocation: Allocation) -> None:
 
 def _check_t_dagger(t_dagger) -> float:
     """``t_dagger`` as a finite Python float (a numpy float32 keeps 7 digits)."""
-    try:
-        value = _as_real(t_dagger)
-    except (TypeError, OverflowError):  # not a real number, or an int past float range
-        value = math.nan
+    value = _as_float(t_dagger)
     if not math.isfinite(value):
         raise ValidationError(f"t_dagger must be a finite real number, got {t_dagger!r}")
     return value
@@ -287,7 +274,7 @@ def adversarial_tau_separate(problem: DesignProblem, allocation: Allocation) -> 
 
     Requires every group sampled.  Plugging the result into
     ``expected_regret`` under the separate-utilitarian paradigm recovers
-    ``worst_case_separate`` exactly.  Signs are immaterial by symmetry; the
+    ``worst_case`` under it exactly.  Signs are immaterial by symmetry; the
     positive profile is returned.
     """
     _check_all_sampled(problem, allocation)

@@ -54,6 +54,7 @@ from .model import (
     Paradigm,
     TruthScenario,
     ValidationError,
+    _as_float,
     _as_int,
     _as_real,
     check_allocation,
@@ -76,12 +77,8 @@ class SimConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        for name in ("replications", "master_seed"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
-        if self.replications < 1:
-            raise ValidationError(
-                f"replications must be at least 1, got {self.replications}"
-            )
+        object.__setattr__(self, "replications", _as_int("replications", self.replications, 1))
+        object.__setattr__(self, "master_seed", _as_int("master_seed", self.master_seed))
 
 
 @dataclass(frozen=True)
@@ -97,17 +94,11 @@ class MonteCarloEstimate:
     def __post_init__(self) -> None:
         for name in ("mean", "std_error"):
             value = getattr(self, name)
-            try:
-                as_float = _as_real(value)
-            except (TypeError, OverflowError):  # None, True, "0.5", 10**400
-                as_float = math.nan
+            as_float = _as_float(value)
             if not 0.0 <= as_float < math.inf:  # NaN too
                 raise ValidationError(f"{name} must be nonnegative and finite, got {value!r}")
             object.__setattr__(self, name, as_float)
-        replications = _as_int("replications", self.replications)
-        if replications < 1:
-            raise ValidationError(f"replications must be at least 1, got {replications}")
-        object.__setattr__(self, "replications", replications)
+        object.__setattr__(self, "replications", _as_int("replications", self.replications, 1))
 
 
 def _philox_rng(master_seed: int, stream: int) -> np.random.Generator:
@@ -349,9 +340,7 @@ def monte_carlo_regret(
     if not isinstance(level, str) or level not in ("trial", "estimator"):
         raise ValidationError(f"unknown simulation level {level!r}")
     if workers is not None:
-        workers = _as_int("workers", workers)
-        if workers < 1:
-            raise ValidationError(f"workers must be at least 1, got {workers}")
+        workers = _as_int("workers", workers, 1)
     reps = config.replications
     chunks = -(-reps // CHUNK_SIZE)
 

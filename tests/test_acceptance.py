@@ -20,9 +20,7 @@ from regretalloc.regret import (
     adversarial_tau_separate,
     expected_regret,
     sampling_fractions,
-    worst_case_egalitarian,
-    worst_case_joint,
-    worst_case_separate,
+    worst_case,
 )
 from regretalloc.simulate import SimConfig, monte_carlo_regret
 from regretalloc.stats import normal_sf, solve_threshold_constants, threshold_constants
@@ -79,7 +77,6 @@ def test_criterion_2_case_study_allocations(covid_cases):
 
 def test_criterion_3_worst_case_table(covid_cases):
     failures = []
-    evaluators = (worst_case_separate, worst_case_joint, worst_case_egalitarian)
     for case, beta in zip(covid_cases, BETAS):
         full = 2 * (case.problem.budget // 2)
         rows = dict(REF_ALLOCATIONS[beta])
@@ -87,14 +84,14 @@ def test_criterion_3_worst_case_table(covid_cases):
         rows["only_2"] = (0, full)
         for scheme, refs in REF_WORST_CASE[beta].items():
             allocation = Allocation(rows[scheme])
-            for evaluate, ref in zip(evaluators, refs):
-                value = evaluate(case.problem, allocation).value
+            for paradigm, ref in zip(Paradigm, refs):
+                value = worst_case(case.problem, allocation, paradigm).value
                 if ref is None:
                     if value != math.inf:
-                        failures.append(f"beta={beta} {scheme} {evaluate.__name__}: expected inf")
+                        failures.append(f"beta={beta} {scheme} {paradigm.value}: expected inf")
                 elif not agrees_with_printed(value * 1e4, ref, rel=0.01):
                     failures.append(
-                        f"beta={beta} {scheme} {evaluate.__name__}: {value * 1e4:.4f} vs {ref}"
+                        f"beta={beta} {scheme} {paradigm.value}: {value * 1e4:.4f} vs {ref}"
                     )
     report(
         "criterion 3: worst-case regret table within 1% (inf cells infinite)",
@@ -277,7 +274,7 @@ def test_criterion_7_brute_force_optimality():
     failures = []
 
     def flooring_slack(problem, allocation, relaxed_counts):
-        achieved = worst_case_separate(problem, allocation).value
+        achieved = worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN).value
         c0 = threshold_constants().c0
         relaxed = c0 * sum(
             g.weight * math.sqrt(2.0 * g.var_sum / x)
@@ -295,7 +292,7 @@ def test_criterion_7_brute_force_optimality():
                 mm = allocate(problem, "minimax")
                 eg = allocate(problem, "egalitarian")
             # Separate-decision objective.
-            achieved = worst_case_separate(problem, mm).value
+            achieved = worst_case(problem, mm, Paradigm.SEPARATE_UTILITARIAN).value
             best = grid_minimum_separate(problem)
             gap = achieved / best - 1.0
             slack = flooring_slack(problem, mm, shares(problem, "minimax"))
@@ -303,7 +300,7 @@ def test_criterion_7_brute_force_optimality():
                 failures.append(f"minimax N={N}: gap {gap:.2e} slack {slack:.2e}")
             gaps_mm.append(gap)
             # Worst-off-group objective.
-            achieved_eg = worst_case_egalitarian(problem, eg).value
+            achieved_eg = worst_case(problem, eg, Paradigm.SEPARATE_EGALITARIAN).value
             best_eg = grid_minimum_egalitarian(problem)
             gap_eg = achieved_eg / best_eg - 1.0
             c0 = threshold_constants().c0
@@ -323,7 +320,7 @@ def test_criterion_7_brute_force_optimality():
         a = k / 100.0
         problem = make_problem((a, 1.0 - a), (1.3, 2.9), 200)
         proportional = allocate(problem, "proportional")
-        achieved = worst_case_joint(problem, proportional).value
+        achieved = worst_case(problem, proportional, Paradigm.JOINT_UTILITARIAN).value
         best, argmin = grid_minimum_joint(problem)
         if not math.isfinite(achieved):
             failures.append(f"joint k={k}: proportional reported infinite")
@@ -336,7 +333,7 @@ def test_criterion_7_brute_force_optimality():
         for _ in range(25):
             c1 = 2 * int(cell_rng.integers(1, 99))
             c2 = 2 * int(cell_rng.integers(1, (200 - c1) // 2 + 1))
-            value = worst_case_joint(problem, Allocation((c1, c2))).value
+            value = worst_case(problem, Allocation((c1, c2)), Paradigm.JOINT_UTILITARIAN).value
             h = c1 / (c1 + c2)
             kappa = (h - a) * (1 - 2 * a) / (h * (1 - h))
             scale = a / h + (1 - a) / (1 - h)
@@ -382,7 +379,7 @@ def test_criterion_8_adversarial_consistency():
         achieved = expected_regret(
             problem, allocation, truth, Paradigm.SEPARATE_UTILITARIAN
         ).value
-        bound = worst_case_separate(problem, allocation).value
+        bound = worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN).value
         if abs(achieved - bound) > 1e-10 * bound:
             failures.append(f"instance {i}: relative error {abs(achieved - bound) / bound:.2e}")
         # Per-group grid search: no effect profile does better, and the

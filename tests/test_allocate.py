@@ -19,7 +19,7 @@ from regretalloc.model import (
     ValidationError,
     check_allocation,
 )
-from regretalloc.regret import paradigm_rule, worst_case, worst_case_separate, worst_case_terms
+from regretalloc.regret import paradigm_rule, worst_case, worst_case_terms
 from regretalloc.stats import threshold_constants
 from builders import make_problem
 from reference_values import ORACLE_MINIMAX_SHARES_CASE1, ORACLE_NEYMAN_ALLOCATION, REF_ALLOCATIONS
@@ -222,8 +222,8 @@ class TestRedistribution:
         assert all(n % 2 == 0 for n in topped.counts)
         assert all(t >= f for t, f in zip(topped.counts, floored.counts))
         assert (
-            worst_case_separate(problem, topped).value
-            <= worst_case_separate(problem, floored).value
+            worst_case(problem, topped, Paradigm.SEPARATE_UTILITARIAN).value
+            <= worst_case(problem, floored, Paradigm.SEPARATE_UTILITARIAN).value
         )
 
     def test_proportional_redistribute_largest_remainder(self, covid_cases):
@@ -250,6 +250,28 @@ def greedy_problems(draw, max_budget=10**7):
     var_sums = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=n, max_size=n))
     budget = draw(st.integers(min_value=2 * n, max_value=max_budget))
     return make_problem(weights, var_sums, budget)
+
+
+class TestStrandedBound:
+    """Each even floor strands less than 2, and what is stranded has the
+    budget's parity: at most 2G - 2 at an even budget, 2G - 1 at an odd one."""
+
+    @given(greedy_problems())
+    def test_floor_strands_at_most_2g_minus_2_plus_the_odd_one(self, problem):
+        for scheme in SCHEMES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateAllocationWarning)
+                stranded = problem.budget - allocate(problem, scheme).total
+            assert 0 <= stranded <= 2 * problem.n_groups - 2 + problem.budget % 2
+
+    @pytest.mark.parametrize(
+        "weights, budget, counts", [((0.5, 0.5), 11, (4, 4)), ((1.0,), 9, (8,))]
+    )
+    def test_an_odd_budget_can_strand_2g_minus_1(self, weights, budget, counts):
+        problem = make_problem(weights, (1.0,) * len(weights), budget)
+        for scheme in SCHEMES:
+            assert allocate(problem, scheme).counts == counts
+            assert budget - sum(counts) == 2 * len(weights) - 1
 
 
 TARGETS = {

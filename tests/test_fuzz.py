@@ -291,10 +291,7 @@ def valid_calls():
         "required_sample_size": [(power, (0.83, 0.17))],
         "shares": [(problem, "neyman")],
         "validate_problem": [(problem,)],
-        "worst_case": [(problem, allocation, joint)],
-        "worst_case_egalitarian": [(problem, allocation)],
-        "worst_case_joint": [(problem, allocation)],
-        "worst_case_separate": [(problem, allocation)],
+        "worst_case": [(problem, allocation, paradigm) for paradigm in Paradigm],
     }
 
 

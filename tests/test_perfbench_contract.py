@@ -17,9 +17,20 @@ from pathlib import Path
 
 import pytest
 
+import regretalloc
 from regretalloc.allocate import DegenerateAllocationWarning
+from regretalloc.model import Allocation, DesignProblem, GroupSpec, Paradigm
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# Names that only the benchmark calls: each stays in its module, unexported,
+# until the benchmark moves to ``allocate(problem, "minimax")`` and
+# ``worst_case(problem, allocation, paradigm)``.
+SHIMS = {
+    "worst_case_separate": Paradigm.SEPARATE_UTILITARIAN,
+    "worst_case_joint": Paradigm.JOINT_UTILITARIAN,
+    "worst_case_egalitarian": Paradigm.SEPARATE_EGALITARIAN,
+}
+PERFBENCH_ONLY = {"allocate": {"minimax_allocation"}, "regret": set(SHIMS)}
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +95,24 @@ def test_every_name_the_benchmark_calls_exists(workloads):
             namespace = importlib.import_module(f"regretalloc.{module}")
             missing = {name for name in names if not hasattr(namespace, name)}
         assert not missing, f"regretalloc.{module} lacks {sorted(missing)}"
+
+
+def test_perfbench_only_names_are_called_defined_and_unexported(workloads):
+    calls = called_names(workloads.MODULES)
+    for module, names in PERFBENCH_ONLY.items():
+        assert names <= calls[module]
+        namespace = importlib.import_module(f"regretalloc.{module}")
+        assert all(callable(getattr(namespace, name, None)) for name in names)
+        assert not names & set(dir(regretalloc))
+
+
+def test_perfbench_only_names_forward_to_the_public_calls():
+    problem = DesignProblem(200, (GroupSpec("a", 0.7, 1.0, 2.0), GroupSpec("b", 0.3, 0.5, 0.5)))
+    allocate = importlib.import_module("regretalloc.allocate")
+    regret = importlib.import_module("regretalloc.regret")
+    minimax = allocate.minimax_allocation(problem)
+    assert minimax == regretalloc.allocate(problem, "minimax")
+    for allocation in (minimax, Allocation((140, 60))):  # the second is weight-matched
+        for name, paradigm in SHIMS.items():
+            expected = regretalloc.worst_case(problem, allocation, paradigm)
+            assert getattr(regret, name)(problem, allocation) == expected

@@ -24,9 +24,6 @@ from regretalloc.regret import (
     joint_regret_expression,
     sampling_fractions,
     worst_case,
-    worst_case_egalitarian,
-    worst_case_joint,
-    worst_case_separate,
 )
 from regretalloc.stats import normal_pdf, normal_sf, threshold_constants
 from builders import design_truth, make_problem
@@ -51,33 +48,37 @@ class TestWorstCaseSeparate:
     def test_case_study_values(self, covid_cases):
         for case, beta in zip(covid_cases, (0.005, 0.025)):
             for scheme, counts in REF_ALLOCATIONS[beta].items():
-                summary = worst_case_separate(case.problem, Allocation(counts))
+                summary = worst_case(
+                    case.problem, Allocation(counts), Paradigm.SEPARATE_UTILITARIAN
+                )
                 expected = ORACLE_WORST_CASE[beta][scheme][0]
                 assert summary.value * 1e4 == pytest.approx(expected, rel=1e-4)
 
     def test_unsampled_group_is_infinite(self, covid_cases):
         problem = covid_cases[0].problem
-        assert worst_case_separate(problem, Allocation((9320, 0))).value == math.inf
+        summary = worst_case(problem, Allocation((9320, 0)), Paradigm.SEPARATE_UTILITARIAN)
+        assert summary.value == math.inf
 
     def test_single_group_hand_value(self):
         problem = make_problem((1.0,), (2.0,), 8)
-        summary = worst_case_separate(problem, Allocation((8,)))
+        summary = worst_case(problem, Allocation((8,)), Paradigm.SEPARATE_UTILITARIAN)
         assert summary.value == pytest.approx(ORACLE_C0_OVER_SQRT2, abs=1e-9)
 
     def test_value_is_sum_of_per_group(self, covid_cases):
         problem = covid_cases[0].problem
-        summary = worst_case_separate(problem, Allocation((6100, 3218)))
+        summary = worst_case(problem, Allocation((6100, 3218)), Paradigm.SEPARATE_UTILITARIAN)
         assert summary.value == pytest.approx(sum(summary.per_group), rel=1e-15)
 
     def test_length_mismatch_is_structural_error(self, covid_cases):
         with pytest.raises(ValidationError):
-            worst_case_separate(covid_cases[0].problem, Allocation((6100,)))
+            worst_case(covid_cases[0].problem, Allocation((6100,)), Paradigm.SEPARATE_UTILITARIAN)
 
 
 class TestWorstCaseJoint:
     def test_proportional_is_finite_and_matches(self, covid_cases):
         for case, beta in zip(covid_cases, (0.005, 0.025)):
-            summary = worst_case_joint(case.problem, Allocation(REF_ALLOCATIONS[beta]["proportional"]))
+            allocation = Allocation(REF_ALLOCATIONS[beta]["proportional"])
+            summary = worst_case(case.problem, allocation, Paradigm.JOINT_UTILITARIAN)
             assert summary.value * 1e4 == pytest.approx(
                 ORACLE_WORST_CASE[beta]["proportional"][1], rel=1e-4
             )
@@ -86,8 +87,12 @@ class TestWorstCaseJoint:
         for case, beta in zip(covid_cases, (0.005, 0.025)):
             for scheme in ("minimax", "egalitarian"):
                 counts = REF_ALLOCATIONS[beta][scheme]
-                assert worst_case_joint(case.problem, Allocation(counts)).value == math.inf
-        assert worst_case_joint(covid_cases[0].problem, Allocation((9320, 0))).value == math.inf
+                summary = worst_case(case.problem, Allocation(counts), Paradigm.JOINT_UTILITARIAN)
+                assert summary.value == math.inf
+        summary = worst_case(
+            covid_cases[0].problem, Allocation((9320, 0)), Paradigm.JOINT_UTILITARIAN
+        )
+        assert summary.value == math.inf
 
     def test_nothing_sampled_is_infinite_like_the_other_paradigms(self):
         problem = make_problem((0.3, 0.7), (1.0, 2.0), 200)
@@ -96,7 +101,7 @@ class TestWorstCaseJoint:
 
     def test_matched_fractions_hand_value(self):
         problem = make_problem((0.5, 0.5), (2.0, 2.0), 100)
-        summary = worst_case_joint(problem, Allocation((50, 50)))
+        summary = worst_case(problem, Allocation((50, 50)), Paradigm.JOINT_UTILITARIAN)
         assert summary.value == pytest.approx(ORACLE_C0_OVER_5, abs=1e-9)
 
     def test_mismatch_statistic_zero_at_proportional(self):
@@ -106,8 +111,8 @@ class TestWorstCaseJoint:
 
     def test_sub_budget_proportional_is_finite_but_larger(self):
         problem = make_problem((0.3, 0.7), (1.0, 2.0), 200)
-        full = worst_case_joint(problem, Allocation((60, 140))).value
-        half = worst_case_joint(problem, Allocation((30, 70))).value
+        full = worst_case(problem, Allocation((60, 140)), Paradigm.JOINT_UTILITARIAN).value
+        half = worst_case(problem, Allocation((30, 70)), Paradigm.JOINT_UTILITARIAN).value
         assert math.isfinite(half)
         assert half == pytest.approx(full * math.sqrt(2.0), rel=1e-12)
 
@@ -116,16 +121,21 @@ class TestWorstCaseEgalitarian:
     def test_case_study_values(self, covid_cases):
         for case, beta in zip(covid_cases, (0.005, 0.025)):
             for scheme, counts in REF_ALLOCATIONS[beta].items():
-                summary = worst_case_egalitarian(case.problem, Allocation(counts))
+                summary = worst_case(
+                    case.problem, Allocation(counts), Paradigm.SEPARATE_EGALITARIAN
+                )
                 expected = ORACLE_WORST_CASE[beta][scheme][2]
                 assert summary.value * 1e4 == pytest.approx(expected, rel=1e-4)
 
     def test_value_is_max_of_per_group(self, covid_cases):
-        summary = worst_case_egalitarian(covid_cases[0].problem, Allocation((2068, 7250)))
+        allocation = Allocation((2068, 7250))
+        summary = worst_case(covid_cases[0].problem, allocation, Paradigm.SEPARATE_EGALITARIAN)
         assert summary.value == max(summary.per_group)
 
     def test_unsampled_group_is_infinite(self, covid_cases):
-        assert worst_case_egalitarian(covid_cases[0].problem, Allocation((0, 9320))).value == math.inf
+        allocation = Allocation((0, 9320))
+        summary = worst_case(covid_cases[0].problem, allocation, Paradigm.SEPARATE_EGALITARIAN)
+        assert summary.value == math.inf
 
 
 class TestExpectedRegret:
@@ -221,7 +231,7 @@ class TestExpectedRegret:
             k = int(rng.integers(20, 80))
             problem = make_problem((k / 100.0, 1 - k / 100.0), tuple(rng.uniform(0.2, 5.0, 2)), budget)
             allocation = Allocation((2 * k, budget - 2 * k))
-            bound = worst_case_joint(problem, allocation).value
+            bound = worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN).value
             assert math.isfinite(bound)
             scale = math.sqrt(2.0 * sum(h * s for h, s in zip((k / 100, 1 - k / 100), problem.var_sums)) / budget)
             tau_bar = float(rng.normal(0.0, 2.0)) * scale
@@ -300,7 +310,8 @@ class TestZeroStandardError:
         truth = adversarial_tau_separate(problem, allocation)
         assert truth.tau == (0.0, 0.0)
         achieved = expected_regret(problem, allocation, truth, Paradigm.SEPARATE_UTILITARIAN)
-        assert achieved.value == worst_case_separate(problem, allocation).value == 0.0
+        bound = worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN)
+        assert achieved.value == bound.value == 0.0
 
 
 class TestAdversarialSeparate:
@@ -319,14 +330,14 @@ class TestAdversarialSeparate:
         allocation = Allocation((6100, 3218))
         truth = adversarial_tau_separate(problem, allocation)
         achieved = expected_regret(problem, allocation, truth, Paradigm.SEPARATE_UTILITARIAN).value
-        bound = worst_case_separate(problem, allocation).value
+        bound = worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN).value
         assert abs(achieved - bound) <= 1e-10 * bound
 
     def test_grid_search_finds_no_higher_value(self):
         problem = make_problem((1.0,), (2.0,), 8)
         allocation = Allocation((8,))
         se = math.sqrt(2.0 * 2.0 / 8)
-        bound = worst_case_separate(problem, allocation).value
+        bound = worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN).value
         adv = adversarial_tau_separate(problem, allocation).tau[0]
         step = 5.0 * se / 2000
         grid = [step * k for k in range(2001)]
@@ -403,7 +414,7 @@ class TestJointAdversarial:
         t_star = threshold_constants().t_star
         truth = joint_adversarial_tau(problem, allocation, t_star / ratio)
         achieved = expected_regret(problem, allocation, truth, Paradigm.JOINT_UTILITARIAN).value
-        bound = worst_case_joint(problem, allocation).value
+        bound = worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN).value
         assert achieved == pytest.approx(bound, rel=1e-6)
 
     @pytest.mark.parametrize("t_dagger", [-37.6, -38.0, -38.55])
@@ -460,7 +471,7 @@ class TestJointRegretExpression:
     def test_matched_fractions_supremum(self):
         problem = make_problem((0.3, 0.7), (1.0, 2.5), 200)
         allocation = Allocation((60, 140))
-        bound = worst_case_joint(problem, allocation).value
+        bound = worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN).value
         t_star = threshold_constants().t_star
         assert joint_regret_expression(problem, allocation, t_star) == pytest.approx(
             bound, rel=1e-12
@@ -523,20 +534,22 @@ class TestJointRegretExpression:
 
 class TestDispatch:
     def test_worst_case_dispatch_matches(self, covid_cases):
+        # Each paradigm gets its own formula from the module docstring.
         problem = covid_cases[0].problem
         allocation = Allocation((7734, 1584))
-        assert (
-            worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN).value
-            == worst_case_separate(problem, allocation).value
-        )
-        assert (
-            worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN).value
-            == worst_case_joint(problem, allocation).value
-        )
-        assert (
-            worst_case(problem, allocation, Paradigm.SEPARATE_EGALITARIAN).value
-            == worst_case_egalitarian(problem, allocation).value
-        )
+        c0, total = threshold_constants().c0, allocation.total
+        se = [math.sqrt(2 * s / n) for s, n in zip(problem.var_sums, allocation.counts)]
+        h = [n / total for n in allocation.counts]
+        factor = sum(1 / x for x in h) / sum(1 / w for w in problem.weights)
+        pooled_se = math.sqrt(2 * sum(x * s for x, s in zip(h, problem.var_sums)) / total)
+        expected = {
+            Paradigm.SEPARATE_UTILITARIAN: c0 * sum(w * e for w, e in zip(problem.weights, se)),
+            Paradigm.JOINT_UTILITARIAN: factor * c0 * pooled_se,
+            Paradigm.SEPARATE_EGALITARIAN: c0 * max(se),
+        }
+        for paradigm, value in expected.items():
+            summary = worst_case(problem, allocation, paradigm)
+            assert summary.value == pytest.approx(value, rel=1e-12)
 
 
 class TestWrongTypedArguments:
@@ -549,8 +562,14 @@ class TestWrongTypedArguments:
     @pytest.mark.parametrize(
         "call, match",
         [
-            (lambda p, a: worst_case_separate(p, (50, 50)), "allocation must be an Allocation"),
-            (lambda p, a: worst_case_separate(None, a), "problem must be a DesignProblem"),
+            (
+                lambda p, a: worst_case(p, (50, 50), Paradigm.SEPARATE_UTILITARIAN),
+                "allocation must be an Allocation",
+            ),
+            (
+                lambda p, a: worst_case(None, a, Paradigm.SEPARATE_UTILITARIAN),
+                "problem must be a DesignProblem",
+            ),
             (
                 lambda p, a: expected_regret(p, a, None, Paradigm.SEPARATE_UTILITARIAN),
                 "truth must be a TruthScenario",

@@ -19,7 +19,7 @@ from regretalloc.model import (
     ValidationError,
 )
 from regretalloc import simulate
-from regretalloc.regret import expected_regret, worst_case_separate
+from regretalloc.regret import expected_regret, worst_case
 from regretalloc.simulate import (
     CHUNK_SIZE,
     MonteCarloEstimate,
@@ -411,7 +411,7 @@ class TestMonteCarlo:
     def test_single_group_adversarial_matches_bound(self):
         problem = make_problem((1.0,), (2.0,), 16)
         allocation = Allocation((16,))
-        bound = worst_case_separate(problem, allocation).value
+        bound = worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN).value
         t_star_scale = math.sqrt(2.0 * 2.0 / 16)
         from regretalloc.stats import threshold_constants
 

@@ -24,9 +24,6 @@ from regretalloc.regret import (
     expected_regret,
     paradigm_rule,
     worst_case,
-    worst_case_egalitarian,
-    worst_case_joint,
-    worst_case_separate,
     worst_case_terms,
 )
 from regretalloc.simulate import SimConfig, decide, monte_carlo_regret, realized_regret
@@ -130,12 +127,19 @@ class TestParadigmTable:
         assert [p for p, r in PARADIGMS.items() if r.worst_off] == [Paradigm.SEPARATE_EGALITARIAN]
 
     def test_table_evaluator_matches_public_worst_case(self):
+        # A separate paradigm's worst case is its row's combine over the
+        # kernel's terms under its row's weights; the pooled one has no terms.
         problem, allocation = problem_and_allocation()
-        named = (worst_case_separate, worst_case_joint, worst_case_egalitarian)
-        for paradigm, named_worst_case in zip(PARADIGMS, named):
-            via_name = named_worst_case(problem, allocation)
-            assert via_name == worst_case(problem, allocation, paradigm)
-            assert via_name.paradigm is paradigm
+        for paradigm, rule in PARADIGMS.items():
+            summary = worst_case(problem, allocation, paradigm)
+            assert summary.paradigm is paradigm
+            if rule.pooled:
+                assert summary.per_group is None
+                continue
+            weights = rule.group_weights(problem)
+            terms = worst_case_terms(weights, problem.var_sums, allocation.counts)
+            assert summary.per_group == tuple(terms)
+            assert summary.value == rule.combine(terms)
 
     @pytest.mark.parametrize("bogus", BOGUS_PARADIGMS, ids=repr)
     def test_bogus_paradigm_rejected_everywhere(self, bogus):
@@ -162,9 +166,9 @@ class TestWorstCaseKernel:
     def test_kernel_gives_h_and_he_bit_for_bit(self):
         problem, allocation = problem_and_allocation()
         terms = worst_case_terms(problem.weights, problem.var_sums, allocation.counts)
-        assert sum(terms) == worst_case_separate(problem, allocation).value
+        assert sum(terms) == worst_case(problem, allocation, Paradigm.SEPARATE_UTILITARIAN).value
         unit = worst_case_terms((1.0, 1.0), problem.var_sums, allocation.counts)
-        assert max(unit) == worst_case_egalitarian(problem, allocation).value
+        assert max(unit) == worst_case(problem, allocation, Paradigm.SEPARATE_EGALITARIAN).value
 
     def test_kernel_is_infinite_for_unsampled_groups(self):
         problem, _ = problem_and_allocation()
