@@ -5,7 +5,7 @@ engine for every case-study allocation and paradigm.
 Prints one line per (case, allocation, paradigm) with the closed form, the
 Monte Carlo mean +/- standard error, and the z-score of the difference.
 Allocations are the ones ``regretalloc reproduce`` tabulates, labelled as
-in its CSV output; paradigms come from the paradigm table.  Everything is
+in its CSV output; paradigms in ``Paradigm`` order.  Everything is
 seeded, so reruns are identical.
 
     python scripts/mc_crosscheck.py --reps 1000000 --seed 7
@@ -14,9 +14,8 @@ seeded, so reruns are identical.
 import argparse
 import sys
 
-from regretalloc import SimConfig, expected_regret, monte_carlo_regret
+from regretalloc import Paradigm, SimConfig, expected_regret, monte_carlo_regret
 from regretalloc.cli import _case_allocations, _cases
-from regretalloc.regret import PARADIGMS
 
 
 def main() -> int:
@@ -32,13 +31,13 @@ def main() -> int:
     for case in _cases(args):
         problem = case.problem
         for name, alloc in _case_allocations(case, redistribute=False):
-            for paradigm, rule in PARADIGMS.items():
+            for paradigm in Paradigm:
                 closed = expected_regret(problem, alloc, case.truth, paradigm).value
                 est = monte_carlo_regret(problem, alloc, case.truth, paradigm,
                                          sim, level=args.level)
                 z = abs(est.mean - closed) / est.std_error if est.std_error > 0 else 0.0
                 worst_z = max(worst_z, z)
-                print(f"beta={case.beta:<6} {name:<18} {rule.flag:<12} "
+                print(f"beta={case.beta:<6} {name:<18} {paradigm.flag:<12} "
                       f"closed={closed:.6e}  mc={est.mean:.6e} +/- {est.std_error:.1e}  z={z:5.2f}")
     print(f"\nworst |z| = {worst_z:.2f} over all cells "
           f"({'OK' if worst_z < 4 else 'INVESTIGATE'})")

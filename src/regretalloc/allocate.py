@@ -41,7 +41,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .model import Allocation, DesignProblem, Paradigm, ValidationError, validate_problem
-from .regret import paradigm_rule, worst_case_terms
+from .regret import worst_case_terms
 
 # Snap tolerance: continuous shares within this of an even integer are taken
 # as exactly even, so float noise cannot drop a pair (e.g. 0.2*200 -> 40).
@@ -118,8 +118,7 @@ def _redistribute(
         def gain(g: int, n: int) -> float:
             return relaxed[g] - n
     else:
-        rule = paradigm_rule(target)
-        weights, var_sums, worst_off = rule.group_weights(problem), problem.var_sums, rule.worst_off
+        weights, var_sums, worst_off = target.group_weights(problem), problem.var_sums, target.worst_off
 
         def gain(g: int, n: int) -> float:
             term = worst_case_terms((weights[g],), (var_sums[g],), (n,))[0]

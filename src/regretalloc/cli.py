@@ -43,12 +43,10 @@ from .casestudy import (
     load_config,
     required_sample_size,
 )
-from .model import Allocation, ValidationError
-from .regret import PARADIGMS
+from .model import Allocation, Paradigm, ValidationError
 from .stats import threshold_constants
 
 _REGRET_SCALE = 1e4
-_PARADIGM_FLAGS = {rule.flag: paradigm for paradigm, rule in PARADIGMS.items()}
 
 
 @dataclass
@@ -119,14 +117,14 @@ def _case_allocations(case: CaseStudyCase, redistribute: bool) -> list[tuple[str
 
 def _worst_cases(case: CaseStudyCase, allocation: Allocation) -> list[float]:
     """Worst-case regret under every paradigm, in table order."""
-    return [regret_mod.worst_case(case.problem, allocation, p).value for p in PARADIGMS]
+    return [regret_mod.worst_case(case.problem, allocation, p).value for p in Paradigm]
 
 
 def _expected(case: CaseStudyCase, allocation: Allocation) -> list[float]:
     """Expected regret under every paradigm, in table order."""
     return [
         regret_mod.expected_regret(case.problem, allocation, case.truth, p).value
-        for p in PARADIGMS
+        for p in Paradigm
     ]
 
 
@@ -192,7 +190,7 @@ def cmd_allocate(args: argparse.Namespace, out) -> int:
     cases = _cases(args)
     table = ReportTable(
         title=f"{args.scheme} allocation",
-        headers=["beta", "counts", "total", *(f"worst {f}" for f in _PARADIGM_FLAGS)],
+        headers=["beta", "counts", "total", *(f"worst {p.flag}" for p in Paradigm)],
         note="regret columns scaled by 1e4",
     )
     for case in cases:
@@ -224,10 +222,10 @@ def cmd_evaluate(args: argparse.Namespace, out) -> int:
         else:
             allocation = explicit
         cells = zip(_worst_cases(case, allocation), _expected(case, allocation))
-        for (name, paradigm), (worst, expected) in zip(_PARADIGM_FLAGS.items(), cells):
-            if args.paradigm not in ("all", name):
+        for paradigm, (worst, expected) in zip(Paradigm, cells):
+            if args.paradigm not in ("all", paradigm.flag):
                 continue
-            row = [_fmt_raw(case.beta), _fmt_counts(allocation), name]
+            row = [_fmt_raw(case.beta), _fmt_counts(allocation), paradigm.flag]
             row += [_fmt_scaled(worst), _fmt_scaled(expected)]
             if args.reps:
                 row += [_fmt_scaled(v) for v in monte_carlo_regret(args, case, allocation, paradigm)]
@@ -283,11 +281,11 @@ def cmd_reproduce(args: argparse.Namespace, out) -> int:
     table4 = ReportTable("evaluation scenario", ["beta", "group", "label", "tau", "noise"])
     row_keys = ["beta", "scheme", "counts", "total"]
     table2 = ReportTable(
-        "worst-case expected regret", row_keys + [f"worst_{f}" for f in _PARADIGM_FLAGS]
+        "worst-case expected regret", row_keys + [f"worst_{p.flag}" for p in Paradigm]
     )
-    headers5 = row_keys + [f"expected_{f}" for f in _PARADIGM_FLAGS]
+    headers5 = row_keys + [f"expected_{p.flag}" for p in Paradigm]
     if args.reps:
-        headers5 += [c for f in _PARADIGM_FLAGS for c in (f"mc_{f}", f"mc_{f}_se")]
+        headers5 += [c for p in Paradigm for c in (f"mc_{p.flag}", f"mc_{p.flag}_se")]
     table5 = ReportTable("expected regret under the reported rates", headers5)
 
     for case in cases:
@@ -308,7 +306,7 @@ def cmd_reproduce(args: argparse.Namespace, out) -> int:
             table2.add_row(keys + [_fmt_raw(v) for v in _worst_cases(case, allocation)])
             row5 = keys + [_fmt_raw(v) for v in _expected(case, allocation)]
             if args.reps:
-                for paradigm in PARADIGMS:
+                for paradigm in Paradigm:
                     row5 += [_fmt_raw(v) for v in monte_carlo_regret(args, case, allocation, paradigm)]
             table5.add_row(row5)
 
@@ -362,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_eval.add_mutually_exclusive_group(required=True)
     src.add_argument("--scheme", choices=sorted(SCHEMES))
     src.add_argument("--allocation", help="explicit comma-separated per-group counts, e.g. 6100,3218")
-    p_eval.add_argument("--paradigm", choices=[*_PARADIGM_FLAGS, "all"], default="all")
+    p_eval.add_argument("--paradigm", choices=[*(p.flag for p in Paradigm), "all"], default="all")
     p_eval.add_argument("--reps", type=int, default=0, help="Monte Carlo replications (0 disables)")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--redistribute", action="store_true")

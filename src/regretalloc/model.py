@@ -264,15 +264,29 @@ class TruthScenario:
 
 
 class Paradigm(enum.Enum):
-    """How decisions are made and how group utilities are aggregated."""
+    """How decisions are made and how group utilities are aggregated; each
+    member carries what differs between paradigms.  ``flag`` names the
+    paradigm in CLI options and CSV columns.  ``pooled``: one decision, from
+    the pooled estimate, covers every group.  ``worst_off``: per-group
+    regrets are unweighted and combine by their max (in Monte Carlo, the max
+    of the per-group means); otherwise they combine by a population-weighted
+    sum per replication.  ``combine`` is the builtin that folds per-group
+    regrets into one: ``sum``, or ``max`` where ``worst_off``.  Members are
+    in the column order of every report."""
 
-    SEPARATE_UTILITARIAN = "separate-utilitarian"
-    JOINT_UTILITARIAN = "joint-utilitarian"
-    SEPARATE_EGALITARIAN = "separate-egalitarian"
+    SEPARATE_UTILITARIAN = ("separate-utilitarian", "separate", False, False)
+    JOINT_UTILITARIAN = ("joint-utilitarian", "joint", True, False)
+    SEPARATE_EGALITARIAN = ("separate-egalitarian", "egalitarian", False, True)
 
-    # Members are singletons that compare by identity, so they hash by it
-    # too: Enum's own __hash__ is a Python-level call on every table lookup.
-    __hash__ = object.__hash__
+    def __new__(cls, value: str, flag: str, pooled: bool, worst_off: bool) -> "Paradigm":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.flag, member.pooled, member.worst_off = flag, pooled, worst_off
+        member.combine = max if worst_off else sum
+        return member
+
+    def group_weights(self, problem: DesignProblem) -> tuple[float, ...]:
+        return (1.0,) * problem.n_groups if self.worst_off else problem.weights
 
 
 def validate_problem(problem: DesignProblem) -> DesignProblem:
@@ -302,6 +316,13 @@ def check_allocation(problem: DesignProblem, allocation: Allocation) -> Allocati
             f"allocation total {allocation.total} exceeds budget {problem.budget}"
         )
     return allocation
+
+
+def check_paradigm(paradigm: Paradigm) -> Paradigm:
+    """The paradigm unchanged if it is a ``Paradigm`` member, else ValidationError."""
+    if not isinstance(paradigm, Paradigm):
+        raise ValidationError(f"unknown paradigm {paradigm!r}")
+    return paradigm
 
 
 def check_scenario(problem: DesignProblem, truth: TruthScenario) -> TruthScenario:

@@ -29,11 +29,11 @@ estimator-level draw.  Each such group contributes 0; a pooled decision
 costs |sum_g w_g tau_g| when the sign rule on the sampling-weighted mean
 (>= 0 means treat) disagrees with the sign of that sum, and 0 otherwise.
 
-What differs between paradigms lives in one table of data, ``PARADIGMS``:
-whether the decision is pooled, and whether per-group regrets combine by a
-weighted sum or by the worst-off max (``combine``, the builtin ``sum`` or
-``max``).  ``worst_case``, ``expected_regret``, ``allocate``, ``simulate``
-and ``cli`` read it instead of branching on the paradigm.
+What differs between paradigms is data on each ``Paradigm`` member: whether
+the decision is pooled, and whether per-group regrets combine by a weighted
+sum or by the worst-off max (``combine``, the builtin ``sum`` or ``max``).
+``worst_case``, ``expected_regret``, ``allocate``, ``simulate`` and ``cli``
+read it instead of branching on the paradigm.
 
 Infinities are explicit ``math.inf`` states, never overflow artifacts, and
 are absorbing in comparisons.
@@ -42,7 +42,6 @@ are absorbing in comparisons.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import erfc, sqrt
 
@@ -56,6 +55,7 @@ from .model import (
     _as_real,
     _items,
     check_allocation,
+    check_paradigm,
     check_scenario,
 )
 from .stats import _SQRT2, normal_cdf, normal_pdf, normal_sf, threshold_constants
@@ -174,13 +174,13 @@ def worst_case(problem: DesignProblem, allocation: Allocation, paradigm: Paradig
     docstring gives them.  H and Hj are infinite as soon as a group is
     unsampled; Hj also when the mismatch statistic K exceeds ``KAPPA_TOL``
     relative to sum_g w_g/h_g."""
-    rule = paradigm_rule(paradigm)
+    check_paradigm(paradigm)
     check_allocation(problem, allocation)
-    if not rule.pooled:
+    if not paradigm.pooled:
         per_group = tuple(
-            worst_case_terms(rule.group_weights(problem), problem.var_sums, allocation.counts)
+            worst_case_terms(paradigm.group_weights(problem), problem.var_sums, allocation.counts)
         )
-        return RegretSummary._from_floats(paradigm, rule.combine(per_group), per_group)
+        return RegretSummary._from_floats(paradigm, paradigm.combine(per_group), per_group)
     if 0 in allocation.counts:
         return RegretSummary._from_floats(paradigm, math.inf)
     h = sampling_fractions(allocation)
@@ -215,9 +215,9 @@ def expected_regret(
     """
     check_allocation(problem, allocation)
     check_scenario(problem, truth)
-    rule = paradigm_rule(paradigm)
+    check_paradigm(paradigm)
 
-    if rule.pooled:
+    if paradigm.pooled:
         aggregate = sum([w * t for w, t in zip(problem.weights, truth.tau)])
         if aggregate == 0.0:
             return RegretSummary._from_floats(paradigm, 0.0)
@@ -242,10 +242,10 @@ def expected_regret(
         w * (t * ((0.5 * erfc(t / se / _SQRT2) if (se := sqrt(2.0 * s / n)) else 0.0)
                   if n else 0.5))
         for w, t, s, n in zip(
-            rule.group_weights(problem), map(abs, truth.tau), truth.var_sums, allocation.counts
+            paradigm.group_weights(problem), map(abs, truth.tau), truth.var_sums, allocation.counts
         )
     ])
-    return RegretSummary._from_floats(paradigm, rule.combine(per_group), per_group)
+    return RegretSummary._from_floats(paradigm, paradigm.combine(per_group), per_group)
 
 
 def _check_all_sampled(problem: DesignProblem, allocation: Allocation) -> None:
@@ -350,47 +350,7 @@ def joint_regret_expression(
         # right, and on the left it has blown past float range.
         mismatch_term = math.copysign(math.inf, kappa) if t_dagger < 0.0 else 0.0
     else:
-        mismatch_term = kappa * sf * sf / dens
+        # Divide before the second factor: past t ~ 26.5 sf * sf underflows.
+        mismatch_term = kappa * sf / dens * sf
     return scale * (mismatch_term + factor * t_dagger * sf)
 
-
-# ---------------------------------------------------------------------------
-# The paradigm table
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParadigmRule:
-    """What differs between paradigms.  ``flag`` names the paradigm in CLI
-    options and CSV columns.  ``pooled``: one decision, from the pooled
-    estimate, covers every group.  ``worst_off``: per-group regrets are
-    unweighted and combine by their max (in Monte Carlo, the max of the
-    per-group means); otherwise they combine by a population-weighted sum
-    per replication.  ``combine`` is the builtin that folds per-group regrets
-    into one: ``sum``, or ``max`` where ``worst_off``."""
-
-    flag: str
-    pooled: bool
-    worst_off: bool
-    combine: Callable[[Iterable[float]], float] = sum
-
-    def group_weights(self, problem: DesignProblem) -> tuple[float, ...]:
-        return (1.0,) * problem.n_groups if self.worst_off else problem.weights
-
-
-# Entries are in Paradigm order, which is the column order of every report.
-PARADIGMS: dict[Paradigm, ParadigmRule] = {
-    Paradigm.SEPARATE_UTILITARIAN: ParadigmRule("separate", pooled=False, worst_off=False),
-    Paradigm.JOINT_UTILITARIAN: ParadigmRule("joint", pooled=True, worst_off=False),
-    Paradigm.SEPARATE_EGALITARIAN: ParadigmRule(
-        "egalitarian", pooled=False, worst_off=True, combine=max
-    ),
-}
-
-
-def paradigm_rule(paradigm: Paradigm) -> ParadigmRule:
-    """The table entry for ``paradigm``; ValidationError for a non-member."""
-    try:
-        return PARADIGMS[paradigm]
-    except (KeyError, TypeError):
-        raise ValidationError(f"unknown paradigm {paradigm!r}") from None

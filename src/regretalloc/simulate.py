@@ -6,9 +6,9 @@ closed forms in :mod:`regretalloc.regret`.  The engine draws an (R, G)
 matrix of per-group mean-difference estimates per chunk and applies
 ``decide`` and the regret kernel behind ``realized_regret`` over the
 replication axis.  Every per-paradigm choice (a pooled or a per-group
-decision, a weighted sum or a worst-off max) is read from the paradigm
-table ``regret.PARADIGMS``; a value that is not a Paradigm raises
-ValidationError there.
+decision, a weighted sum or a worst-off max) is read from the ``Paradigm``
+member itself; a value that is not a Paradigm raises ValidationError
+(``model.check_paradigm``).
 
 Reproducibility contract
 ------------------------
@@ -58,9 +58,10 @@ from .model import (
     _as_int,
     _as_real,
     check_allocation,
+    check_paradigm,
     check_scenario,
 )
-from .regret import paradigm_rule, sampling_fractions
+from .regret import sampling_fractions
 
 CHUNK_SIZE = 8192
 _SEED_MASK = (1 << 64) - 1
@@ -133,14 +134,14 @@ def decide(
     Strings, booleans, None and other non-numbers (also inside an object
     array), and a bare scalar given as per-group estimates, raise ValidationError.
     """
-    rule = paradigm_rule(paradigm)
-    if rule.pooled and pooled_estimate is None:
+    pooled = check_paradigm(paradigm).pooled
+    if pooled and pooled_estimate is None:
         raise ValidationError("joint decisions need the pooled estimate")
-    if not rule.pooled and group_estimates is None:
+    if not pooled and group_estimates is None:
         raise ValidationError("separate decisions need the per-group estimates")
     if rng is not None and not isinstance(rng, np.random.Generator):
         raise ValidationError(f"rng must be a numpy Generator, got {rng!r}")
-    estimates = pooled_estimate if rule.pooled else group_estimates
+    estimates = pooled_estimate if pooled else group_estimates
     try:
         values = estimates
         # A float conversion would parse "12", read True as 1 and None as NaN
@@ -153,16 +154,16 @@ def decide(
         raise ValidationError(
             f"estimates must be real numbers in float range, got {estimates!r}"
         ) from None
-    if values.ndim == 0 and not rule.pooled:
+    if values.ndim == 0 and not pooled:
         raise ValidationError(f"separate decisions need one estimate per group, got {estimates!r}")
-    rows = values.reshape(-1, 1) if rule.pooled else np.atleast_2d(values)
+    rows = values.reshape(-1, 1) if pooled else np.atleast_2d(values)
     chosen = (rows >= 0.0).astype(np.int64)
     absent = np.isnan(rows)
     for g in np.flatnonzero(absent.any(axis=0)):
         coins = rng.integers(0, 2, size=int(absent[:, g].sum())) if rng is not None else 1
         chosen[absent[:, g], g] = coins
-    if values.ndim == int(not rule.pooled):
-        return chosen.item() if rule.pooled else tuple(chosen[0].tolist())
+    if values.ndim == int(not pooled):
+        return chosen.item() if pooled else tuple(chosen[0].tolist())
     return chosen.reshape(values.shape)
 
 
@@ -172,17 +173,17 @@ def _regret_columns(
     """Regret effect * (best - chosen) of each replication row of
     ``decisions``, the effect being tau_g per group or w . tau pooled:
     (R, G) per group for worst-off, else one (R, 1) weighted-sum column."""
-    rule = paradigm_rule(paradigm)
+    pooled = check_paradigm(paradigm).pooled
     tau = np.asarray(truth.tau)
     weights = np.array(problem.weights)
-    effects = np.array([weights @ tau]) if rule.pooled else tau
-    trial = () if rule.pooled else tau.shape
+    effects = np.array([weights @ tau]) if pooled else tau
+    trial = () if pooled else tau.shape
     if np.shape(decisions) not in (trial, np.shape(decisions)[:1] + trial):
         raise ValidationError(f"decisions of shape {np.shape(decisions)} for {len(tau)} groups")
     chosen = np.reshape(decisions, (-1, len(effects)))
     regrets = effects * ((effects > 0.0).astype(np.int64) - chosen)
     _check_nonnegative(regrets)
-    if rule.pooled or rule.worst_off:
+    if pooled or paradigm.worst_off:
         return regrets
     return (regrets @ weights)[:, None]
 
@@ -212,7 +213,7 @@ def realized_regret(
     # One weighted-sum or pooled column, or one per group for worst-off: either
     # way the row max is the realized regret.
     regrets = _regret_columns(truth, problem, decisions, paradigm).max(axis=1)
-    if np.ndim(decisions) == int(not paradigm_rule(paradigm).pooled):
+    if np.ndim(decisions) == int(not paradigm.pooled):
         return float(regrets[0])
     return regrets
 
@@ -334,7 +335,7 @@ def monte_carlo_regret(
     """
     check_allocation(problem, allocation)
     check_scenario(problem, truth)
-    paradigm_rule(paradigm)  # rejects a non-Paradigm before any draw
+    check_paradigm(paradigm)  # before any draw
     if not isinstance(config, SimConfig):
         raise ValidationError(f"config must be a SimConfig, got {config!r}")
     if not isinstance(level, str) or level not in ("trial", "estimator"):

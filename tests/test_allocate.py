@@ -19,7 +19,7 @@ from regretalloc.model import (
     ValidationError,
     check_allocation,
 )
-from regretalloc.regret import paradigm_rule, worst_case, worst_case_terms
+from regretalloc.regret import worst_case, worst_case_terms
 from regretalloc.stats import threshold_constants
 from builders import make_problem
 from reference_values import ORACLE_MINIMAX_SHARES_CASE1, ORACLE_NEYMAN_ALLOCATION, REF_ALLOCATIONS
@@ -338,7 +338,7 @@ def certify_h(problem, counts):
     1e-12 of the drop.  H is separable and convex in pairs, so that makes
     the counts optimal (Gross 1956)."""
     assert min(counts) >= 2
-    weights = paradigm_rule(Paradigm.SEPARATE_UTILITARIAN).group_weights(problem)
+    weights = Paradigm.SEPARATE_UTILITARIAN.group_weights(problem)
     with mpmath.workdps(50):
         c0 = mpmath.mpf(threshold_constants().c0)
 
@@ -360,7 +360,7 @@ def certify_h(problem, counts):
 def certify_he(problem, counts):
     """The smallest even counts that put every He term below the result's
     max sum to more than the usable budget, so no allocation lowers it."""
-    weights = paradigm_rule(Paradigm.SEPARATE_EGALITARIAN).group_weights(problem)
+    weights = Paradigm.SEPARATE_EGALITARIAN.group_weights(problem)
     c0 = threshold_constants().c0
 
     def term(g, n):

@@ -9,6 +9,7 @@ import pytest
 
 from regretalloc import cli
 from regretalloc.cli import ReportTable, main
+from regretalloc.model import Paradigm
 from reference_values import (
     ORACLE_C0,
     REF_ALLOCATIONS,
@@ -211,8 +212,8 @@ class TestEvaluateCommand:
 
         every = rows("all")
         assert len(every) == 6
-        for flag in cli._PARADIGM_FLAGS:
-            assert rows(flag) == [row for row in every if flag in row]
+        for paradigm in Paradigm:
+            assert rows(paradigm.flag) == [row for row in every if paradigm.flag in row]
 
     def test_monte_carlo_runs_are_byte_identical(self):
         argv = [
@@ -359,6 +360,15 @@ class TestReproduceCommand:
         code, _ = run_cli(["reproduce", "--out", str(blocker / "sub")])
         assert code == 1
         assert "not writable" in capsys.readouterr().err
+
+    def test_write_error_after_the_probe_exits_1_without_traceback(self, tmp_path, capsys):
+        # The directory passes the write probe; the first CSV path is a directory.
+        (tmp_path / "table1.csv").mkdir()
+        code, _ = run_cli(["reproduce", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "table1.csv" in err
+        assert "Traceback" not in err
 
 
 class TestPowerCommand:

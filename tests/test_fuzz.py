@@ -45,8 +45,8 @@ from regretalloc.casestudy import (
     required_sample_size,
 )
 from regretalloc.cli import main
-from regretalloc.model import ValidationError
-from regretalloc.regret import PARADIGMS, expected_regret, worst_case
+from regretalloc.model import Paradigm, ValidationError
+from regretalloc.regret import expected_regret, worst_case
 from reference_values import BUNDLED_CONFIG_PATH, bundled_config_document
 
 # Numbers near the edges of what the parser and the arithmetic behind it
@@ -139,7 +139,7 @@ def test_config_documents_raise_only_typed_errors(doc):
             typed_errors_only(required_sample_size, case.power, config.weights)
             for scheme in SCHEMES:
                 allocation = typed_errors_only(allocate, case.problem, scheme, True)
-                for paradigm in PARADIGMS if allocation else ():
+                for paradigm in Paradigm if allocation else ():
                     typed_errors_only(worst_case, case.problem, allocation, paradigm)
                     typed_errors_only(
                         expected_regret, case.problem, allocation, case.truth, paradigm

@@ -8,6 +8,12 @@ the ``regret`` module docstring at 50 digits on the same float inputs, and
 paradigms.  For the pooled worst case the weights are the sampling
 fractions, so that K is within ``KAPPA_TOL`` and Hj is finite.
 
+The adversarial paths are checked the same way: ``adversarial_tau_separate``
+and the H it attains, and ``joint_adversarial_tau`` and
+``joint_regret_expression`` against their docstring formulas, with the
+weights left generic (K away from 0) and t_dagger where phi(t) is a normal
+float, |t| <= 37.5.
+
 Only exact values above 1e-300 are compared: below that the float result
 may lose digits to underflow, and it must only stay below 1e-300 too.
 """
@@ -20,11 +26,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretalloc.model import Allocation, DesignProblem, GroupSpec, Paradigm, TruthScenario
-from regretalloc.regret import PARADIGMS, expected_regret, worst_case
+from regretalloc.model import (
+    Allocation,
+    DesignProblem,
+    GroupSpec,
+    Paradigm,
+    TruthScenario,
+    ValidationError,
+)
+from regretalloc.regret import (
+    adversarial_tau_separate,
+    expected_regret,
+    joint_adversarial_tau,
+    joint_regret_expression,
+    worst_case,
+)
+from regretalloc.stats import threshold_constants
 
 DIGITS = 50
 TINY = 1e-300
+HUGE = 1e300
 EPS = sys.float_info.epsilon
 
 
@@ -87,11 +108,11 @@ def exact_terms(weights, var_control, var_treated, counts):
 def exact_worst_case(paradigm, weights, var_control, var_treated, counts):
     """H, Hj or He: c0 * sum_g w_g se_g, F * c0 * pooled se, c0 * max_g se_g."""
     w, s, h, total = exact_terms(weights, var_control, var_treated, counts)
-    if PARADIGMS[paradigm].pooled:
+    if paradigm.pooled:
         factor = mpmath.fsum(1 / x for x in h) / mpmath.fsum(1 / x for x in w)
         return factor * C0 * mpmath.sqrt(2 * mpmath.fsum(x * v for x, v in zip(h, s)) / total)
     se = [mpmath.sqrt(2 * v / n) for v, n in zip(s, counts)]
-    if PARADIGMS[paradigm].worst_off:
+    if paradigm.worst_off:
         return C0 * max(se)
     return C0 * mpmath.fsum(x * e for x, e in zip(w, se))
 
@@ -102,14 +123,14 @@ def exact_expected_regret(paradigm, weights, var_control, var_treated, counts, t
     chance that the sign of the sampling-weighted estimate is wrong."""
     w, s, h, total = exact_terms(weights, var_control, var_treated, counts)
     t = [mpmath.mpf(x) for x in tau]
-    if PARADIGMS[paradigm].pooled:
+    if paradigm.pooled:
         aggregate = mpmath.fsum(x * y for x, y in zip(w, t))
         z = mpmath.fsum(x * y for x, y in zip(h, t)) / mpmath.sqrt(
             2 * mpmath.fsum(x * v for x, v in zip(h, s)) / total
         )
         return aggregate * sf(z) if aggregate > 0 else -aggregate * sf(-z)
     terms = [abs(y) * sf(abs(y) / mpmath.sqrt(2 * v / n)) for y, v, n in zip(t, s, counts)]
-    if PARADIGMS[paradigm].worst_off:
+    if paradigm.worst_off:
         return max(terms)
     return mpmath.fsum(x * y for x, y in zip(w, terms))
 
@@ -155,7 +176,7 @@ EXPECTED_REGRET_TOL = 1e-12
 @settings(max_examples=100)
 @given(data=st.data())
 def test_worst_case_matches_the_oracle(paradigm, data):
-    inputs = data.draw(instances(matched=PARADIGMS[paradigm].pooled))
+    inputs = data.draw(instances(matched=paradigm.pooled))
     got = worst_case(*library_inputs(*inputs)[:2], paradigm).value
     with mpmath.workdps(DIGITS):
         error = relative_error(got, exact_worst_case(paradigm, *inputs[:4]))
@@ -170,6 +191,121 @@ def test_expected_regret_matches_the_oracle(paradigm, inputs):
     with mpmath.workdps(DIGITS):
         error = relative_error(got, exact_expected_regret(paradigm, *inputs))
         tolerance = EXPECTED_REGRET_TOL
-        if error is not None and PARADIGMS[paradigm].pooled:
+        if error is not None and paradigm.pooled:
             tolerance += pooled_rounding_bound(*inputs)
     assert error is None or error <= tolerance, (got, inputs)
+
+
+def exact_joint_expression(weights, var_control, var_treated, counts, t):
+    """``joint_regret_expression``'s docstring formula, se * (K * Phi_c(t)^2 /
+    phi(t) + F * t * Phi_c(t)), and its magnitude: the same sum over the
+    absolute value of every part, with K's two parts, sum_g w_g/h_g and G*F,
+    added.  Rounding the float inputs' K and the two terms moves the result
+    by a multiple of that magnitude, also where the parts cancel."""
+    w, s, h, total = exact_terms(weights, var_control, var_treated, counts)
+    t = mpmath.mpf(t)
+    scale = mpmath.fsum(x / y for x, y in zip(w, h))
+    factor = mpmath.fsum(1 / x for x in h) / mpmath.fsum(1 / x for x in w)
+    tail = sf(t) ** 2 / mpmath.npdf(t)
+    se = mpmath.sqrt(2 * mpmath.fsum(x * v for x, v in zip(h, s)) / total)
+    value = se * ((scale - len(counts) * factor) * tail + factor * t * sf(t))
+    magnitude = se * ((scale + len(counts) * factor) * tail + factor * abs(t) * sf(t))
+    return value, magnitude
+
+
+def exact_joint_profile(weights, var_control, var_treated, counts, t):
+    """``joint_adversarial_tau``'s docstring formula per group, and each
+    entry's magnitude, the same sum over the absolute value of every part."""
+    w, s, h, total = exact_terms(weights, var_control, var_treated, counts)
+    t = mpmath.mpf(t)
+    ratio = sf(t) / mpmath.npdf(t)
+    inv_w = mpmath.fsum(1 / x for x in w)
+    scale = mpmath.sqrt(2 * mpmath.fsum(x * x * v for x, v in zip(h, s)) / total)
+    G = len(counts)
+    return [
+        (
+            scale / x * (ratio + (t / y - G * ratio / y) / inv_w),
+            scale / x * (ratio + (abs(t) / y + G * ratio / y) / inv_w),
+        )
+        for x, y in zip(h, w)
+    ]
+
+
+def assert_within(got, exact, magnitude, tolerance):
+    """|got - exact| <= tolerance * magnitude (+ TINY, for underflow); an
+    infinite ``got`` only where |exact| is past HUGE, with its sign, and a
+    finite one only where exact is in float range."""
+    if math.isinf(got):
+        assert abs(exact) > HUGE and (got > 0) == (exact > 0), (got, exact)
+    else:
+        assert abs(exact) <= sys.float_info.max, (got, exact)
+        assert abs(mpmath.mpf(got) - exact) <= tolerance * magnitude + TINY, (got, exact)
+
+
+# Measured over 9,000 draws each (3 runs of 3,000 from ``instances`` and
+# T_DAGGER), as a fraction of the magnitude: 1.8e-13 for
+# ``joint_regret_expression`` and 4.6e-14 for ``joint_adversarial_tau``;
+# both grow as t^2 * eps, phi(t)'s relative error.  (The expression read
+# 7.8e-2 while it multiplied Phi_c(t) by itself before dividing by phi(t):
+# past t ~ 26.5 the square underflowed and took the K term with it.)  ``adversarial_tau_separate``, relative:
+# its profile 2.5e-16 against the library's t_star (solved only to 1e-12,
+# see ``stats``) and the H it attains 4.7e-16, where t_star's error does
+# not show, as t * Phi_c(t) is flat at its maximum.
+ADVERSARIAL_PATH_TOL = 1e-12
+SEPARATE_PROFILE_TOL = 2e-15
+T_DAGGER = st.floats(min_value=-37.5, max_value=37.5)
+
+
+@settings(max_examples=100)
+@given(inputs=instances(), t_dagger=T_DAGGER)
+def test_joint_regret_expression_matches_the_oracle(inputs, t_dagger):
+    got = joint_regret_expression(*library_inputs(*inputs)[:2], t_dagger)
+    with mpmath.workdps(DIGITS):
+        exact, magnitude = exact_joint_expression(*inputs[:4], t_dagger)
+        assert_within(got, exact, magnitude, ADVERSARIAL_PATH_TOL)
+
+
+def test_joint_regret_expression_keeps_its_mismatch_term_in_the_right_tail(covid_cases):
+    # The bundled beta = 0.005 case at its minimax allocation, where K = 0.51.
+    problem = covid_cases[0].problem
+    counts = (6100, 3218)
+    got = joint_regret_expression(problem, Allocation(counts), 30.0)
+    with mpmath.workdps(DIGITS):
+        exact, _ = exact_joint_expression(
+            problem.weights, problem.var_control, problem.var_treated, counts, 30.0
+        )
+        assert relative_error(got, exact) <= 1e-12
+
+
+@settings(max_examples=50)
+@given(inputs=instances(), t_dagger=T_DAGGER)
+def test_joint_adversarial_tau_matches_its_docstring(inputs, t_dagger):
+    try:
+        tau = joint_adversarial_tau(*library_inputs(*inputs)[:2], t_dagger).tau
+    except ValidationError:  # as documented: deep in the left tail a term leaves float range
+        tau = None
+    with mpmath.workdps(DIGITS):
+        exact = exact_joint_profile(*inputs[:4], t_dagger)
+        if tau is None:
+            ratio = sf(mpmath.mpf(t_dagger)) / mpmath.npdf(t_dagger)
+            largest = max(ratio * len(inputs[3]) / min(inputs[0]), *(m for _, m in exact))
+            assert largest > sys.float_info.max
+            return
+        for got, (value, magnitude) in zip(tau, exact):
+            assert_within(got, value, magnitude, ADVERSARIAL_PATH_TOL)
+
+
+@settings(max_examples=50)
+@given(inputs=instances())
+def test_adversarial_tau_separate_attains_the_separate_worst_case(inputs):
+    problem, allocation, _ = library_inputs(*inputs)
+    truth = adversarial_tau_separate(problem, allocation)
+    got = expected_regret(problem, allocation, truth, Paradigm.SEPARATE_UTILITARIAN).value
+    weights, var_control, var_treated, counts, _ = inputs
+    with mpmath.workdps(DIGITS):
+        _, s, _, _ = exact_terms(weights, var_control, var_treated, counts)
+        t_star = mpmath.mpf(threshold_constants().t_star)
+        for tau, v, n in zip(truth.tau, s, counts):
+            assert relative_error(tau, t_star * mpmath.sqrt(2 * v / n)) <= SEPARATE_PROFILE_TOL
+        exact = exact_worst_case(Paradigm.SEPARATE_UTILITARIAN, *inputs[:4])
+        assert relative_error(got, exact) <= SEPARATE_PROFILE_TOL

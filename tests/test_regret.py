@@ -37,12 +37,6 @@ from reference_values import (
     REF_EXPECTED_ALLOCATIONS,
 )
 
-PARADIGMS = (
-    Paradigm.SEPARATE_UTILITARIAN,
-    Paradigm.JOINT_UTILITARIAN,
-    Paradigm.SEPARATE_EGALITARIAN,
-)
-
 
 class TestWorstCaseSeparate:
     def test_case_study_values(self, covid_cases):
@@ -96,7 +90,7 @@ class TestWorstCaseJoint:
 
     def test_nothing_sampled_is_infinite_like_the_other_paradigms(self):
         problem = make_problem((0.3, 0.7), (1.0, 2.0), 200)
-        for paradigm in PARADIGMS:
+        for paradigm in Paradigm:
             assert worst_case(problem, Allocation((0, 0)), paradigm).value == math.inf
 
     def test_matched_fractions_hand_value(self):
@@ -143,7 +137,7 @@ class TestExpectedRegret:
         for case, beta in zip(covid_cases, (0.005, 0.025)):
             for scheme, counts in REF_EXPECTED_ALLOCATIONS[beta].items():
                 allocation = Allocation(counts)
-                for column, paradigm in enumerate(PARADIGMS):
+                for column, paradigm in enumerate(Paradigm):
                     value = expected_regret(case.problem, allocation, case.truth, paradigm).value
                     expected = ORACLE_EXPECTED[beta][scheme][
                         {0: 0, 1: 1, 2: 2}[column]
@@ -155,7 +149,7 @@ class TestExpectedRegret:
     def test_zero_effect_means_zero_regret(self, covid_cases):
         problem = covid_cases[0].problem
         truth = design_truth(problem, (0.0, 0.0))
-        for paradigm in PARADIGMS:
+        for paradigm in Paradigm:
             assert expected_regret(problem, Allocation((6100, 3218)), truth, paradigm).value == 0.0
 
     def test_unsampled_group_contributes_half_tau(self):
@@ -196,7 +190,7 @@ class TestExpectedRegret:
             negated = dataclasses.replace(case.truth, tau=tuple(-t for t in case.truth.tau))
             for scheme, counts in REF_EXPECTED_ALLOCATIONS[0.005].items():
                 allocation = Allocation(counts)
-                for paradigm in PARADIGMS:
+                for paradigm in Paradigm:
                     direct = expected_regret(case.problem, allocation, case.truth, paradigm).value
                     flipped = expected_regret(case.problem, allocation, negated, paradigm).value
                     assert direct == flipped
@@ -255,7 +249,7 @@ class TestZeroStandardError:
         )
 
     @pytest.mark.parametrize("tau", [0.3, -0.3, 0.0])
-    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("paradigm", Paradigm, ids=lambda p: p.name)
     def test_exact_estimate_has_no_regret(self, paradigm, tau):
         problem = DesignProblem(200000, (GroupSpec("a", 1.0, 1.0, 1.0),))
         result = expected_regret(problem, Allocation((200000,)), self.tiny_truth((tau,)), paradigm)
@@ -290,7 +284,7 @@ class TestZeroStandardError:
         )
         assert result.per_group == (0.4 * (0.5 * 0.5), 0.0)
 
-    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("paradigm", Paradigm, ids=lambda p: p.name)
     @pytest.mark.parametrize("tau", [(1.0, -0.5), (-1.0, 0.5), (1.0, -0.2)])
     def test_agrees_with_estimator_level_monte_carlo(self, paradigm, tau):
         problem = make_problem((0.5, 0.5), (1.0, 1.0), 200000)

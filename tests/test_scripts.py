@@ -13,7 +13,7 @@ import pytest
 
 import regretalloc
 from regretalloc.cli import _case_allocations
-from regretalloc.regret import PARADIGMS
+from regretalloc.model import Paradigm
 
 SRC = Path(regretalloc.__file__).resolve().parents[1]
 SCRIPTS = SRC.parent / "scripts"
@@ -33,10 +33,10 @@ def test_mc_crosscheck_covers_every_cell(covid_cases):
     lines = run_script("mc_crosscheck.py", "--seed", "0")
     cells = [line for line in lines if line.startswith("beta=")]
     expected = [
-        (case.beta, name, rule.flag)
+        (case.beta, name, paradigm.flag)
         for case in covid_cases
         for name, _ in _case_allocations(case, redistribute=False)
-        for rule in PARADIGMS.values()
+        for paradigm in Paradigm
     ]
     assert len(cells) == len(expected) == 36
     for line, (beta, name, flag) in zip(cells, expected):

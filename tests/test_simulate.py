@@ -30,12 +30,6 @@ from regretalloc.simulate import (
 )
 from builders import design_truth, make_problem
 
-PARADIGMS = (
-    Paradigm.SEPARATE_UTILITARIAN,
-    Paradigm.JOINT_UTILITARIAN,
-    Paradigm.SEPARATE_EGALITARIAN,
-)
-
 # First draws of the pinned Gaussian stream (Philox keyed by (seed, 0), group-
 # major treated-then-control order).  A change here means the sampling
 # algorithm or seed derivation changed and recorded results are stale.
@@ -351,7 +345,7 @@ class TestMonteCarlo:
         assert lone == again == pooled
 
     @pytest.mark.parametrize("level", ["trial", "estimator"])
-    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("paradigm", Paradigm, ids=lambda p: p.name)
     def test_threads_agree_bit_for_bit_past_eight_chunks(self, paradigm, level):
         # numpy sums 8 or more stacked (k, 1) partials pairwise, not as a left
         # fold; the order is still fixed by chunk index, whoever finishes first.
@@ -368,7 +362,7 @@ class TestMonteCarlo:
 
     def test_levels_agree_statistically(self):
         config = SimConfig(replications=20_000, master_seed=5)
-        for paradigm in PARADIGMS:
+        for paradigm in Paradigm:
             trial = monte_carlo_regret(
                 self.problem, self.allocation, self.truth, paradigm, config, level="trial"
             )
@@ -380,7 +374,7 @@ class TestMonteCarlo:
 
     def test_matches_closed_form(self):
         config = SimConfig(replications=100_000, master_seed=12)
-        for paradigm in PARADIGMS:
+        for paradigm in Paradigm:
             closed = expected_regret(self.problem, self.allocation, self.truth, paradigm).value
             estimate = monte_carlo_regret(
                 self.problem, self.allocation, self.truth, paradigm, config, level="trial"
@@ -484,7 +478,7 @@ class TestMonteCarlo:
             allocation = Allocation(tuple(counts))
             aggregate = abs(float(np.dot(weights, tau)))
             scale = max(aggregate, max((abs(t) for t in tau), default=0.0), 1e-300)
-            for paradigm in PARADIGMS:
+            for paradigm in Paradigm:
                 closed = expected_regret(problem, allocation, truth, paradigm).value
                 estimate = monte_carlo_regret(
                     problem, allocation, truth, paradigm,
@@ -590,7 +584,7 @@ class TestTiledTrialDraws:
         assert tile_rows(WIDE_N) == 1
         assert 1000 % tile_rows(2000) != 0 and tile_rows(2000) < 1000
 
-    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("paradigm", Paradigm, ids=lambda p: p.name)
     def test_pinned_trial_level_results(self, paradigm):
         estimate = monte_carlo_regret(
             PINNED_PROBLEM, PINNED_ALLOCATION, PINNED_TRUTH, paradigm,
@@ -670,7 +664,7 @@ class TestOneDecisionPath:
         # scalar one-trial forms (fair coins from the same stream), is the
         # engine's one-replication estimate.
         allocation = Allocation(counts)
-        for paradigm in PARADIGMS:
+        for paradigm in Paradigm:
             rng = simulate._philox_rng(seed, 0)
             row = simulate._chunk_estimates(self.truth, allocation, rng, 1, "trial")
             pooled = float(simulate._pooled_estimates(row, allocation)[0])
@@ -732,7 +726,7 @@ class TestOneDecisionPath:
         value = realized_regret(self.truth, self.problem, decisions, Paradigm.SEPARATE_UTILITARIAN)
         assert type(value) is float
 
-    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("paradigm", Paradigm, ids=lambda p: p.name)
     def test_batched_regret_matches_scalar_and_reference(self, paradigm):
         rng = np.random.default_rng(11)
         problem = make_problem((0.25, 0.45, 0.3), (1.0, 1.0, 1.0), 100)

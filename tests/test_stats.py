@@ -58,10 +58,10 @@ class TestNormalCdf:
             assert abs(normal_cdf(x) + normal_sf(x) - 1.0) <= 1e-12
 
     def test_matches_independent_oracle_on_grid(self):
-        mpmath.mp.dps = 30
         for i in range(-60, 61):
             x = i / 4.0
-            exact = float(mpmath.erfc(-mpmath.mpf(x) / mpmath.sqrt(2)) / 2)
+            with mpmath.workdps(30):
+                exact = float(mpmath.erfc(-mpmath.mpf(x) / mpmath.sqrt(2)) / 2)
             assert normal_cdf(x) == pytest.approx(exact, rel=1e-12, abs=1e-300)
 
     @given(st.floats(min_value=-30, max_value=30), st.floats(min_value=0, max_value=5))

@@ -1,4 +1,4 @@
-"""The paradigm table, the scheme table, and byte-pinned reproduce outputs."""
+"""The paradigm members, the scheme table, and byte-pinned reproduce outputs."""
 
 import copy
 import hashlib
@@ -18,14 +18,9 @@ from regretalloc.model import (
     Paradigm,
     TruthScenario,
     ValidationError,
+    check_paradigm,
 )
-from regretalloc.regret import (
-    PARADIGMS,
-    expected_regret,
-    paradigm_rule,
-    worst_case,
-    worst_case_terms,
-)
+from regretalloc.regret import expected_regret, worst_case, worst_case_terms
 from regretalloc.simulate import SimConfig, decide, monte_carlo_regret, realized_regret
 
 # sha256 of every file ``regretalloc reproduce`` writes for the bundled
@@ -50,7 +45,7 @@ REPRODUCE_REDISTRIBUTE_SHA256 = {
 # seeded Monte Carlo columns.
 TABLE5_REPS_20000_SEED_0_SHA256 = "9a92349825d816ef9ad964c48ad55b754a99cd81e19b81d6381673aca20645db"
 
-BOGUS_PARADIGMS = ["separate-utilitarian", "SEPARATE_UTILITARIAN", None, 0, ["joint"]]
+NOT_A_PARADIGM = ["separate-utilitarian", "SEPARATE_UTILITARIAN", None, 0, ["joint"]]
 
 
 def sha256(path):
@@ -98,55 +93,62 @@ class TestReproduceDigests:
                 assert sha256(tmp_path / name) == digest, name
 
 
+def member_rule(paradigm):
+    return paradigm.value, paradigm.flag, paradigm.pooled, paradigm.worst_off, paradigm.combine
+
+
 class TestParadigmTable:
-    def test_every_member_has_an_entry_in_member_order(self):
-        assert list(PARADIGMS) == list(Paradigm)
+    def test_members_are_in_report_order_and_look_up_by_value(self):
+        assert [p.value for p in Paradigm] == [
+            "separate-utilitarian", "joint-utilitarian", "separate-egalitarian"
+        ]
         for paradigm in Paradigm:
-            assert paradigm_rule(paradigm) is PARADIGMS[paradigm]
+            assert Paradigm(paradigm.value) is paradigm
+            assert check_paradigm(paradigm) is paradigm
 
     @pytest.mark.parametrize(
         "copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, copy.copy],
         ids=["pickle", "deepcopy", "copy"],
     )
-    def test_a_copied_member_finds_its_row(self, copy_of):
+    def test_a_copied_member_is_the_member(self, copy_of):
         for paradigm in Paradigm:
             copied = copy_of(paradigm)
             assert copied is paradigm
             assert hash(copied) == hash(paradigm)
-            assert paradigm_rule(copied) is PARADIGMS[paradigm]
+            assert member_rule(copied) == member_rule(paradigm)
 
     def test_combine_is_the_builtin_sum_or_max(self):
-        for rule in PARADIGMS.values():
-            assert rule.combine is (max if rule.worst_off else sum)
+        for paradigm in Paradigm:
+            assert paradigm.combine is (max if paradigm.worst_off else sum)
 
     def test_flags_are_the_cli_names(self):
-        assert [rule.flag for rule in PARADIGMS.values()] == ["separate", "joint", "egalitarian"]
+        assert [p.flag for p in Paradigm] == ["separate", "joint", "egalitarian"]
 
     def test_exactly_one_pooled_and_one_worst_off_paradigm(self):
-        assert [p for p, r in PARADIGMS.items() if r.pooled] == [Paradigm.JOINT_UTILITARIAN]
-        assert [p for p, r in PARADIGMS.items() if r.worst_off] == [Paradigm.SEPARATE_EGALITARIAN]
+        assert [p for p in Paradigm if p.pooled] == [Paradigm.JOINT_UTILITARIAN]
+        assert [p for p in Paradigm if p.worst_off] == [Paradigm.SEPARATE_EGALITARIAN]
 
-    def test_table_evaluator_matches_public_worst_case(self):
-        # A separate paradigm's worst case is its row's combine over the
-        # kernel's terms under its row's weights; the pooled one has no terms.
+    def test_member_rule_matches_public_worst_case(self):
+        # A separate paradigm's worst case is its combine over the kernel's
+        # terms under its group weights; the pooled one has no terms.
         problem, allocation = problem_and_allocation()
-        for paradigm, rule in PARADIGMS.items():
+        for paradigm in Paradigm:
             summary = worst_case(problem, allocation, paradigm)
             assert summary.paradigm is paradigm
-            if rule.pooled:
+            if paradigm.pooled:
                 assert summary.per_group is None
                 continue
-            weights = rule.group_weights(problem)
+            weights = paradigm.group_weights(problem)
             terms = worst_case_terms(weights, problem.var_sums, allocation.counts)
             assert summary.per_group == tuple(terms)
-            assert summary.value == rule.combine(terms)
+            assert summary.value == paradigm.combine(terms)
 
-    @pytest.mark.parametrize("bogus", BOGUS_PARADIGMS, ids=repr)
+    @pytest.mark.parametrize("bogus", NOT_A_PARADIGM, ids=repr)
     def test_bogus_paradigm_rejected_everywhere(self, bogus):
         problem, allocation = problem_and_allocation()
         truth = problem_truth(problem)
         with pytest.raises(ValidationError, match="unknown paradigm"):
-            paradigm_rule(bogus)
+            check_paradigm(bogus)
         with pytest.raises(ValidationError, match="unknown paradigm"):
             decide(bogus, group_estimates=(0.1, -0.1), pooled_estimate=0.1)
         with pytest.raises(ValidationError, match="unknown paradigm"):
@@ -217,7 +219,7 @@ class TestSchemeTable:
 def test_estimator_level_runs_for_every_table_entry():
     problem, allocation = problem_and_allocation()
     truth = problem_truth(problem)
-    for paradigm in PARADIGMS:
+    for paradigm in Paradigm:
         estimate = monte_carlo_regret(
             problem, allocation, truth, paradigm, SimConfig(replications=20000, master_seed=3),
             level="estimator",

@@ -35,7 +35,6 @@ from regretalloc.regret import (
 )
 from regretalloc.simulate import SimConfig, monte_carlo_regret
 
-PARADIGMS = tuple(Paradigm)
 BAD_NUMBERS = st.sampled_from(
     [0.0, -1.0, float("nan"), float("inf"), float("-inf"), "1", None,
      10**400, Fraction(1, 10**400)]
@@ -102,7 +101,7 @@ def entry_points(problem, allocation, truth):
     """Every public call that validates, by name; each takes its problem and
     allocation from ``problem()`` and ``allocation()``."""
     calls = {"joint_mismatch": lambda: joint_mismatch(problem(), allocation())}
-    for p in PARADIGMS:
+    for p in Paradigm:
         calls[f"worst_case[{p.name}]"] = lambda p=p: worst_case(problem(), allocation(), p)
         calls[f"expected_regret[{p.name}]"] = lambda p=p: expected_regret(
             problem(), allocation(), truth, p
@@ -261,7 +260,7 @@ class TestRegretSummary:
         with pytest.raises(ValidationError, match=match):
             RegretSummary(*args)
 
-    @pytest.mark.parametrize("paradigm", PARADIGMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("paradigm", Paradigm, ids=lambda p: p.name)
     @pytest.mark.parametrize("per_group", [None, (0.25, 0.5)], ids=["scalar", "per-group"])
     def test_both_constructors_give_equal_summaries_with_equal_hashes(self, paradigm, per_group):
         public = RegretSummary(paradigm, 0.75, per_group)
@@ -293,7 +292,7 @@ class TestRegretSummary:
         )
         allocation = Allocation(tuple(2 * k for k in pairs))
         truth = TruthScenario(tau, (0.0,) * len(tau), variances, variances)
-        for p in PARADIGMS:
+        for p in Paradigm:
             for summary in (
                 worst_case(problem, allocation, p),
                 expected_regret(problem, allocation, truth, p),
