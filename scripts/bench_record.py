@@ -19,7 +19,9 @@ when a run fails or any of its checks is not ``correct``.
 With ``--compare BASE.json``, an earlier record, it then prints one row
 per workload and end-to-end metric: the BASE value, the new value, the
 relative change, and the metric's ``better`` direction and ``bound`` from
-BENCHMARK.json; a change worse than its bound is flagged ``WORSE``.
+BENCHMARK.json; a change worse than its bound is flagged ``WORSE``.  A last
+row gives ``src_lines`` the same way, without a direction or bound, and
+``-`` where BASE has none.
 """
 
 import argparse
@@ -127,6 +129,11 @@ def compare(base: dict, record: dict, end_to_end: list[dict]) -> list[str]:
                 worse, cells = False, f"{'-':>12} {new:>12.6g} {'-':>8}"
             flag = "  WORSE" if worse else ""
             rows.append(f"{workload:<14} {name:<15} {cells}  {spec['better']:<6}  {bound}{flag}")
+    old, new = base.get("src_lines"), record["src_lines"]
+    if old:
+        rows.append(f"{'src_lines':<30} {old:>12} {new:>12} {(new - old) / old:>+8.1%}")
+    else:  # records before BENCH_22 have no count
+        rows.append(f"{'src_lines':<30} {'-':>12} {new:>12} {'-':>8}")
     return rows
 
 

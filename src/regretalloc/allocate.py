@@ -89,10 +89,9 @@ def shares(problem: DesignProblem, scheme: str) -> tuple[float, ...]:
     share_g = raw_share_g * N / sum of raw shares."""
     raw_share = _scheme(scheme).raw_share
     validate_problem(problem)
-    raw = [raw_share(g.weight, g.var_sum) for g in problem.groups]
+    raw = [raw_share(w, s) for w, s in zip(problem.weights, problem.var_sums)]
     total = sum(raw)
-    # Exact (Fraction or int) inputs stay exact up to this one rounding.
-    relaxed = tuple([float(problem.budget * w / total) for w in raw])
+    relaxed = tuple([problem.budget * w / total for w in raw])
     if not math.isfinite(sum(relaxed)):
         raise ValidationError(f"{scheme} shares overflow: variances too large for float range")
     return relaxed

@@ -291,16 +291,10 @@ def cmd_reproduce(args: argparse.Namespace, out) -> int:
     for case in cases:
         beta_cell = _fmt_raw(case.beta)
         for g, spec in enumerate(case.problem.groups):
-            table1.add_row([beta_cell, str(g + 1), spec.label, _fmt_raw(math.sqrt(spec.var_sum))])
-            table4.add_row(
-                [
-                    beta_cell,
-                    str(g + 1),
-                    spec.label,
-                    _fmt_raw(case.truth.tau[g]),
-                    _fmt_raw(math.sqrt(case.truth.var_sums[g])),
-                ]
-            )
+            keys = [beta_cell, str(g + 1), spec.label]
+            table1.add_row(keys + [_fmt_raw(math.sqrt(case.problem.var_sums[g]))])
+            noise = _fmt_raw(math.sqrt(case.truth.var_sums[g]))
+            table4.add_row(keys + [_fmt_raw(case.truth.tau[g]), noise])
         for name, allocation in _case_allocations(case, args.redistribute):
             keys = [beta_cell, name, _fmt_counts(allocation), str(allocation.total)]
             table2.add_row(keys + [_fmt_raw(v) for v in _worst_cases(case, allocation)])

@@ -15,8 +15,11 @@ Conventions
 All types are immutable values; they carry no behavior beyond validation and
 may be shared freely across threads.
 
-Every value is checked when it is built, and what it derives is stored
-then, in ``__dict__`` outside the dataclass fields, unseen by equality,
+Every value is checked when it is built and stores the Python ``int`` or
+``float`` it checked (a ``DesignProblem`` its ``budget``), so that all later
+arithmetic reads one set of numbers; only the weight-sum check reads the
+caller's weights, in their own precision.  What a value derives is stored
+then too, in ``__dict__`` outside the dataclass fields, unseen by equality,
 hashing and repr:
 
 * a ``DesignProblem``: ``n_groups``, the float ``weights``, ``var_control``,
@@ -123,6 +126,7 @@ class DesignProblem:
             ) from None
         if len(groups) < 1:
             raise ValidationError("a design problem needs at least one group")
+        floats = []  # each group's weight and arm variances, in turn
         for g, spec in enumerate(groups):
             if not isinstance(spec, GroupSpec):
                 raise ValidationError(f"group {g}: expected a GroupSpec, got {spec!r}")
@@ -143,6 +147,9 @@ class DesignProblem:
                     raise ValidationError(
                         f"group {g}: {name} must be positive and finite as a float, got {value}"
                     )
+                floats.append(as_float)
+        # In the caller's precision: float32 weights that sum to 1 in float32
+        # need not in float64.
         total_weight = sum(g.weight for g in groups)
         if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(
@@ -157,16 +164,18 @@ class DesignProblem:
             )
         if budget > MAX_BUDGET:
             raise ValidationError(f"budget {budget} exceeds 2**53, the float-exact limit")
-        # Python floats, so the regret kernels' per-group terms are floats
-        # too; a numpy float64 converts without changing its value.
+        # Every later computation reads these Python numbers, never the
+        # caller's objects; a numpy float64 converts without changing its value.
+        weights, var_control, var_treated = (tuple(floats[k::3]) for k in range(3))
         self.__dict__.update(
+            budget=budget,
             groups=groups,
             n_groups=len(groups),
-            weights=tuple(float(g.weight) for g in groups),
-            _inv_weight_sum=sum(1.0 / float(g.weight) for g in groups),
-            var_control=tuple(float(g.var_control) for g in groups),
-            var_treated=tuple(float(g.var_treated) for g in groups),
-            var_sums=tuple(float(g.var_sum) for g in groups),
+            weights=weights,
+            _inv_weight_sum=sum([1.0 / w for w in weights]),
+            var_control=var_control,
+            var_treated=var_treated,
+            var_sums=tuple([c + t for c, t in zip(var_control, var_treated)]),
         )
 
 

@@ -36,7 +36,8 @@ sum or by the worst-off max (``combine``, the builtin ``sum`` or ``max``).
 read it instead of branching on the paradigm.
 
 Infinities are explicit ``math.inf`` states, never overflow artifacts, and
-are absorbing in comparisons.
+are absorbing in comparisons.  A standard error sqrt(2*S/n) is computed as
+sqrt(S / (n * 0.5)), the same rounded quotient, where 2.0 * S overflows.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .model import (
     check_paradigm,
     check_scenario,
 )
-from .stats import _SQRT2, normal_cdf, normal_pdf, normal_sf, threshold_constants
+from .stats import _SQRT2, normal_pdf, normal_sf, threshold_constants
 
 _C0, _T_STAR = threshold_constants().c0, threshold_constants().t_star
 
@@ -85,12 +86,10 @@ class RegretSummary:
     def __post_init__(self) -> None:
         if not isinstance(self.paradigm, Paradigm):
             raise ValidationError(f"paradigm must be a Paradigm, got {self.paradigm!r}")
-        try:
-            _check_regret(_as_real(self.value))
-        except (TypeError, OverflowError):  # None, True, "0.5", 10**400
-            raise ValidationError(
-                f"regret must be a nonnegative real or inf, got {self.value!r}"
-            ) from None
+        value = _as_float(self.value)  # NaN for None, True, "0.5", 10**400
+        if not value >= 0.0:
+            raise ValidationError(f"regret must be a nonnegative real or inf, got {self.value!r}")
+        object.__setattr__(self, "value", value)
         if self.per_group is not None:
             try:
                 per_group = tuple([_as_real(v) for v in _items(self.per_group)])
@@ -125,7 +124,7 @@ def _pooled_standard_error(h, var_sums, total: int) -> float:
     pooled mean difference under sampling fractions ``h``; ``total`` > 0.
     An unsampled group adds nothing, even where its sum overflowed (0 * inf
     would be NaN)."""
-    return sqrt(2.0 * sum([hg * s for hg, s in zip(h, var_sums) if hg]) / total)
+    return sqrt(sum([hg * s for hg, s in zip(h, var_sums) if hg]) / (total * 0.5))
 
 
 def worst_case_terms(weights, var_sums, counts) -> list[float]:
@@ -133,7 +132,7 @@ def worst_case_terms(weights, var_sums, counts) -> list[float]:
     inf where n_g = 0.  Summed under population weights they give H; their
     max under unit weights gives He."""
     return [
-        w * _C0 * sqrt(2.0 * s / n) if n else math.inf
+        w * _C0 * sqrt(s / (n * 0.5)) if n else math.inf
         for w, s, n in zip(weights, var_sums, counts)
     ]
 
@@ -231,15 +230,13 @@ def expected_regret(
         # or treat when it is negative.
         if not se:
             value = abs(aggregate) if (tau_bar >= 0.0) != (aggregate > 0.0) else 0.0
-        elif aggregate > 0.0:
-            value = aggregate * normal_sf(tau_bar / se)
         else:
-            value = -aggregate * normal_cdf(tau_bar / se)
+            value = abs(aggregate) * normal_sf(tau_bar / se if aggregate > 0.0 else -tau_bar / se)
         return RegretSummary._from_floats(paradigm, value)
 
     # w * |tau| * P(wrong sign): Phi_c(|tau|/se), 1/2 unsampled, 0 when se = 0.
     per_group = tuple([
-        w * (t * ((0.5 * erfc(t / se / _SQRT2) if (se := sqrt(2.0 * s / n)) else 0.0)
+        w * (t * ((0.5 * erfc(t / se / _SQRT2) if (se := sqrt(s / (n * 0.5))) else 0.0)
                   if n else 0.5))
         for w, t, s, n in zip(
             paradigm.group_weights(problem), map(abs, truth.tau), truth.var_sums, allocation.counts
@@ -280,7 +277,7 @@ def adversarial_tau_separate(problem: DesignProblem, allocation: Allocation) -> 
     _check_all_sampled(problem, allocation)
     return _design_scenario(
         problem,
-        tuple([_T_STAR * sqrt(2.0 * s / n) for s, n in zip(problem.var_sums, allocation.counts)]),
+        tuple([_T_STAR * sqrt(s / (n * 0.5)) for s, n in zip(problem.var_sums, allocation.counts)]),
     )
 
 

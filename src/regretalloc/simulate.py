@@ -267,7 +267,7 @@ def _chunk_estimates(
             )
             estimates[:, g] = treated - control
         else:
-            se = math.sqrt(2.0 * truth.var_sums[g] / n)
+            se = math.sqrt(truth.var_sums[g] / (n * 0.5))
             estimates[:, g] = rng.normal(truth.tau[g], se, size=size)
     return estimates
 

@@ -62,8 +62,8 @@ class ThresholdConstants:
 
 
 def solve_threshold_constants() -> ThresholdConstants:
-    """Solve t * phi(t) = Phi_c(t) on [0.5, 1.0] to within 1e-12 and return
-    (t_star, c0).
+    """Solve t * phi(t) = Phi_c(t) on [0.5, 1.0] by bisection down to two
+    adjacent floats and return (t_star, c0).
 
     The stationarity equation has a single root near 0.75; c0 is built from
     the root as t_star * Phi_c(t_star), which rounds to 0.17.
@@ -73,7 +73,7 @@ def solve_threshold_constants() -> ThresholdConstants:
     # step stops or moves one end strictly inward, so the loop ends.
     lo, hi = _THRESHOLD_BRACKET
     t_star = 0.5 * lo + 0.5 * hi
-    while hi - lo > 1e-12 and t_star not in (lo, hi):
+    while t_star not in (lo, hi):
         if t_star * normal_pdf(t_star) < normal_sf(t_star):
             lo = t_star
         else:

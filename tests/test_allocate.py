@@ -6,6 +6,7 @@ import random
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from regretalloc.allocate import _EVEN_SNAP, _SNAP_CAP, _floor_even
 from regretalloc.model import (
     Allocation,
     DesignProblem,
+    GroupSpec,
     Paradigm,
     ValidationError,
     check_allocation,
@@ -527,6 +529,18 @@ class TestLargeBudgets:
         ):
             allocate(problem, "neyman")
 
+    def test_a_numpy_budget_does_not_wrap_the_leftover_pairs(self):
+        # These proportional shares floor to more than the budget.  Read as a
+        # numpy uint64, budget - sum(counts) once wrapped past zero, and the
+        # redistribution loop ran on.
+        groups = (
+            GroupSpec("a", 0.521902077373233, 0.005171080563124847, 0.4921659525110956),
+            GroupSpec("b", 0.4780979226267671, 0.0008603342092331915, 0.009337573098374463),
+        )
+        problem = DesignProblem(np.uint64(7627730077289459), groups)
+        with pytest.raises(ValidationError, match="proportional shares too large to round"):
+            allocate(problem, "proportional", redistribute=True)
+
     @given(random_problems(), st.integers(min_value=8, max_value=2**53), st.booleans())
     def test_within_budget_or_validation_error(self, problem, budget, redistribute):
         problem = DesignProblem(budget=budget, groups=problem.groups)
@@ -591,3 +605,47 @@ class TestBuiltOnce:
                 assert repr(allocation) == repr(checked)
                 assert allocation.total == checked.total == sum(allocation.counts)
                 assert all(type(n) is int for n in allocation.counts)
+
+
+@st.composite
+def float32_problems(draw):
+    """A problem built from float32 numbers and the same problem built from
+    their Python floats: dyadic weights, which sum to 1 exactly in either
+    precision, and float32 arm variances."""
+    G = draw(st.integers(min_value=1, max_value=6))
+    cuts = sorted(draw(st.sets(st.integers(1, 1023), min_size=G - 1, max_size=G - 1)))
+    weights = [(b - a) / 1024 for a, b in zip([0, *cuts], [*cuts, 1024])]
+    variances = draw(
+        st.lists(st.floats(2.0**-20, 2.0**10, width=32), min_size=2 * G, max_size=2 * G)
+    )
+    budget = draw(st.integers(min_value=2 * G, max_value=10**7))
+
+    def build(real):
+        return DesignProblem(budget, tuple(
+            GroupSpec(f"g{g}", real(w), real(variances[2 * g]), real(variances[2 * g + 1]))
+            for g, w in enumerate(weights)
+        ))
+
+    return build(np.float32), build(float)
+
+
+class TestOneSetOfNumbers:
+    """Shares, allocations and regrets read the numbers a problem stored when
+    it was built, so two equal problems give equal results."""
+
+    @settings(max_examples=100)
+    @given(float32_problems())
+    def test_float32_inputs_compute_as_their_python_floats(self, problems):
+        narrow, wide = problems
+        assert narrow == wide and narrow.var_sums == wide.var_sums
+        for scheme in SCHEMES:
+            assert shares(narrow, scheme) == shares(wide, scheme)
+            for redistribute in (False, True):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateAllocationWarning)
+                    allocation = allocate(narrow, scheme, redistribute=redistribute)
+                    assert allocation == allocate(wide, scheme, redistribute=redistribute)
+                for paradigm in Paradigm:
+                    assert worst_case(narrow, allocation, paradigm) == worst_case(
+                        wide, allocation, paradigm
+                    )

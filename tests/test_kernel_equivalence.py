@@ -7,9 +7,11 @@ they replaced (a standard error, a wrong-sign probability, a survival
 function, the threshold constants read per call, sum(1/w) rebuilt per call),
 run on the same interpreter, so a reordered operation shows as a different
 ``float.hex()``.  Inputs where a standard error underflows to 0 are left
-out: the helper chain divides by it.  One change is copied into the
+out: the helper chain divides by it.  Two changes are copied into the
 reference: the pooled standard error skips unsampled groups, whose
-overflowed variance sum made it NaN (0 * inf).
+overflowed variance sum made it NaN (0 * inf), and a standard error is
+sqrt(S / (n * 0.5)), the quotient sqrt(2.0 * S / n) rounded the same way
+without 2.0 * S overflowing.
 """
 
 import math
@@ -44,7 +46,7 @@ from regretalloc.stats import normal_cdf, normal_sf, threshold_constants
 def ref_standard_error(var_sum, count):
     if count == 0:
         return math.inf
-    return math.sqrt(2.0 * var_sum / count)
+    return math.sqrt(var_sum / (count * 0.5))
 
 
 def ref_pooled_standard_error(h, var_sums, total):
@@ -89,7 +91,7 @@ def ref_worst_case(weights, var_sums, counts, paradigm):
             return math.inf, None
         return factor * c0 * ref_pooled_standard_error(h, var_sums, sum(counts)), None
     per_group = tuple(
-        w * c0 * math.sqrt(2.0 * s / n) if n else math.inf
+        w * c0 * math.sqrt(s / (n * 0.5)) if n else math.inf
         for w, s, n in zip(ref_group_weights(weights, paradigm), var_sums, counts)
     )
     return ref_combine(per_group, paradigm), per_group

@@ -12,7 +12,8 @@ The adversarial paths are checked the same way: ``adversarial_tau_separate``
 and the H it attains, and ``joint_adversarial_tau`` and
 ``joint_regret_expression`` against their docstring formulas, with the
 weights left generic (K away from 0) and t_dagger where phi(t) is a normal
-float, |t| <= 37.5.
+float, |t| <= 37.5.  One fixed case puts a group's variance sum at 1e308,
+where 2.0 * S overflows but every result is in float range.
 
 Only exact values above 1e-300 are compared: below that the float result
 may lose digits to underflow, and it must only stay below 1e-300 too.
@@ -41,7 +42,6 @@ from regretalloc.regret import (
     joint_regret_expression,
     worst_case,
 )
-from regretalloc.stats import threshold_constants
 
 DIGITS = 50
 TINY = 1e-300
@@ -247,10 +247,10 @@ def assert_within(got, exact, magnitude, tolerance):
 # ``joint_regret_expression`` and 4.6e-14 for ``joint_adversarial_tau``;
 # both grow as t^2 * eps, phi(t)'s relative error.  (The expression read
 # 7.8e-2 while it multiplied Phi_c(t) by itself before dividing by phi(t):
-# past t ~ 26.5 the square underflowed and took the K term with it.)  ``adversarial_tau_separate``, relative:
-# its profile 2.5e-16 against the library's t_star (solved only to 1e-12,
-# see ``stats``) and the H it attains 4.7e-16, where t_star's error does
-# not show, as t * Phi_c(t) is flat at its maximum.
+# past t ~ 26.5 the square underflowed and took the K term with it.)
+# ``adversarial_tau_separate``, relative: its profile against the 50-digit
+# t_star and the H it attains, each within a few ulps (the profile read
+# 5.8e-13 while ``stats`` stopped its bisection at a 1e-12 bracket).
 ADVERSARIAL_PATH_TOL = 1e-12
 SEPARATE_PROFILE_TOL = 2e-15
 T_DAGGER = st.floats(min_value=-37.5, max_value=37.5)
@@ -304,8 +304,26 @@ def test_adversarial_tau_separate_attains_the_separate_worst_case(inputs):
     weights, var_control, var_treated, counts, _ = inputs
     with mpmath.workdps(DIGITS):
         _, s, _, _ = exact_terms(weights, var_control, var_treated, counts)
-        t_star = mpmath.mpf(threshold_constants().t_star)
         for tau, v, n in zip(truth.tau, s, counts):
-            assert relative_error(tau, t_star * mpmath.sqrt(2 * v / n)) <= SEPARATE_PROFILE_TOL
+            assert relative_error(tau, T_STAR * mpmath.sqrt(2 * v / n)) <= SEPARATE_PROFILE_TOL
         exact = exact_worst_case(Paradigm.SEPARATE_UTILITARIAN, *inputs[:4])
         assert relative_error(got, exact) <= SEPARATE_PROFILE_TOL
+
+
+@pytest.mark.parametrize("paradigm", list(Paradigm), ids=lambda p: p.value)
+def test_closed_forms_near_the_top_of_float_range(paradigm):
+    # S = 1e308 in group 0: 2.0 * S overflows, while every standard error,
+    # worst case and effect is far inside float range.  The weights are the
+    # sampling fractions, so Hj is finite too.
+    inputs = ([0.25, 0.75], [5e307, 0.5], [5e307, 0.5], [2, 6], [1.0, -2e153])
+    problem, allocation, truth = library_inputs(*inputs)
+    worst = worst_case(problem, allocation, paradigm).value
+    expected = expected_regret(problem, allocation, truth, paradigm).value
+    profile = adversarial_tau_separate(problem, allocation).tau
+    with mpmath.workdps(DIGITS):
+        assert relative_error(worst, exact_worst_case(paradigm, *inputs[:4])) <= WORST_CASE_TOL
+        exact = exact_expected_regret(paradigm, *inputs)
+        assert relative_error(expected, exact) <= EXPECTED_REGRET_TOL
+        _, s, _, _ = exact_terms(*inputs[:4])
+        for tau, v, n in zip(profile, s, inputs[3]):
+            assert relative_error(tau, T_STAR * mpmath.sqrt(2 * v / n)) <= SEPARATE_PROFILE_TOL

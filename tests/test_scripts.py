@@ -167,16 +167,17 @@ class TestBenchRecord:
             {"name": "work_per_s", "better": "higher", "bound": 0.25},
         ]
 
-        def record(**workloads):
+        def record(src_lines, **workloads):
             return {
                 "end_to_end": {
                     workload: {"setup_s": {"value": setup}, "work_per_s": {"value": work}}
                     for workload, (setup, work) in workloads.items()
-                }
+                },
+                "src_lines": src_lines,
             }
 
-        base = record(a=(0.1, 100.0), b=(0.1, 100.0))
-        new = record(a=(0.13, 80.0), b=(0.05, 70.0), c=(0.2, 5.0))
+        base = record(2000, a=(0.1, 100.0), b=(0.1, 100.0))
+        new = record(1990, a=(0.13, 80.0), b=(0.05, 70.0), c=(0.2, 5.0))
         header, *rows = bench_record.compare(base, new, specs)
         assert header.split() == ["workload", "metric", "base", "new", "change", "better", "bound"]
         assert [row.split() for row in rows] == [
@@ -186,7 +187,10 @@ class TestBenchRecord:
             ["b", "work_per_s", "100", "70", "-30.0%", "higher", "0.25", "WORSE"],
             ["c", "setup_s", "-", "0.2", "-", "lower", "0.25"],
             ["c", "work_per_s", "-", "5", "-", "higher", "0.25"],
+            ["src_lines", "2000", "1990", "-0.5%"],
         ]
+        del base["src_lines"]  # as in BENCH_15, made before records counted lines
+        assert bench_record.compare(base, new, specs)[-1].split() == ["src_lines", "-", "1990", "-"]
 
     def test_compare_prints_after_the_record_is_written(self, tmp_path, monkeypatch, capsys):
         bench_record = load_bench_record()
@@ -204,5 +208,6 @@ class TestBenchRecord:
         assert bench_record.main([str(out), "--compare", str(base)]) == 0
         record = json.loads(out.read_text())
         rows = capsys.readouterr().out.splitlines()
-        assert len(rows) == 1 + 4 * len(record["end_to_end"]) == 13
+        assert len(rows) == 1 + 4 * len(record["end_to_end"]) + 1 == 14
         assert "mc-trial       setup_s" in rows[5] and "+100.0%" in rows[5] and "WORSE" in rows[5]
+        assert rows[-1].split() == ["src_lines", "-", str(record["src_lines"]), "-"]

@@ -103,13 +103,20 @@ class TestThresholdConstants:
         # Halving each end before adding changes no midpoint in the
         # threshold bracket, so the constants keep every bit.
         constants = threshold_constants()
-        assert constants.t_star.hex() == "0x1.80ead197f1000p-1"
+        assert constants.t_star.hex() == "0x1.80ead197f00b4p-1"
         assert constants.c0.hex() == "0x1.5c19dd4b1a3fcp-3"
 
     def test_values_against_independent_oracle(self):
         constants = solve_threshold_constants()
         assert constants.t_star == pytest.approx(ORACLE_T_STAR, abs=1e-9)
         assert constants.c0 == pytest.approx(ORACLE_C0, abs=1e-9)
+        # The bisection runs down to two adjacent floats, so t_star is within
+        # an ulp of the 50-digit root.
+        with mpmath.workdps(50):
+            root = mpmath.findroot(
+                lambda t: t * mpmath.npdf(t) - mpmath.erfc(t / mpmath.sqrt(2)) / 2, 0.75
+            )
+            assert abs(constants.t_star - root) <= math.ulp(constants.t_star)
 
     def test_bracketing_invariants(self):
         constants = threshold_constants()

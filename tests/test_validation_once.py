@@ -15,6 +15,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from regretalloc.allocate import allocate
+from regretalloc.casestudy import IncidenceSpec, PowerSpec, default_config
 from regretalloc.model import (
     Allocation,
     DesignProblem,
@@ -33,7 +34,7 @@ from regretalloc.regret import (
     joint_mismatch,
     worst_case,
 )
-from regretalloc.simulate import SimConfig, monte_carlo_regret
+from regretalloc.simulate import MonteCarloEstimate, SimConfig, monte_carlo_regret
 
 BAD_NUMBERS = st.sampled_from(
     [0.0, -1.0, float("nan"), float("inf"), float("-inf"), "1", None,
@@ -303,3 +304,59 @@ class TestRegretSummary:
                 if summary.per_group is not None:
                     assert type(summary.per_group) is tuple
                     assert [type(v) for v in summary.per_group] == [float] * len(raw)
+
+
+def stored_leaves(value):
+    """The scalars inside ``value``, through tuples and dict values."""
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in stored_leaves(item)]
+    return [value]
+
+
+@pytest.mark.parametrize(
+    "integer, real", [(np.int64, np.float32), (np.uint64, Fraction)], ids=["float32", "fraction"]
+)
+def test_every_checked_value_stores_python_numbers(integer, real):
+    """Each value stores the Python int or float it checked, in its fields
+    and in what it derives, whatever numbers it was built from; only a
+    problem's ``groups`` are the caller's own."""
+    built = [
+        DesignProblem(
+            integer(40),
+            (
+                GroupSpec("a", real(0.25), real(0.5), integer(2)),
+                GroupSpec("b", real(0.75), integer(1), real(0.25)),
+            ),
+        ),
+        Allocation((integer(4), integer(6))),
+        TruthScenario(
+            (real(-0.5), integer(1)), (integer(0), real(0.25)),
+            (real(0.5), integer(1)), (integer(2), real(0.25)),
+        ),
+        RegretSummary(Paradigm.SEPARATE_UTILITARIAN, real(0.5), (real(0.25), integer(1))),
+        SimConfig(integer(10), integer(3)),
+        MonteCarloEstimate(real(0.5), real(0.25), integer(10)),
+        IncidenceSpec(
+            (real(0.25), integer(0)), (real(0.5), integer(1)),
+            (real(0.25), integer(0)), (real(0.5), integer(0)), real(0.5),
+        ),
+        PowerSpec(real(-0.5), real(0.75), real(0.25), (real(0.5),), (integer(1),)),
+        dataclasses.replace(
+            default_config(), weights=(real(0.75), real(0.25)), budget=integer(40),
+            beta_cases=(real(0.5), integer(0)), detectable_effect=real(-0.5),
+        ),
+    ]
+    not_python = [
+        (type(value).__name__, name)
+        for value in built
+        for name, stored in vars(value).items()
+        if name != "groups"
+        and any(
+            type(x) not in (int, float)
+            for x in stored_leaves(stored)
+            if not isinstance(x, (str, Paradigm, type(None)))
+        )
+    ]
+    assert not_python == []
