@@ -35,9 +35,7 @@ from .regret import (
     RegretSummary,
     adversarial_tau_separate,
     expected_regret,
-    joint_adversarial_tau,
     joint_mismatch,
-    joint_regret_expression,
     worst_case,
 )
 from .stats import (

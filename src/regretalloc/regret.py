@@ -59,15 +59,15 @@ from .model import (
     check_paradigm,
     check_scenario,
 )
-from .stats import _SQRT2, normal_pdf, normal_sf, threshold_constants
+from .stats import _SQRT2, normal_sf, threshold_constants
 
 _C0, _T_STAR = threshold_constants().c0, threshold_constants().t_star
 
-# A pooled decision is treated as weight-matched when the proportionality
-# mismatch statistic K is below this fraction of sum_g w_g/h_g.  Even-floor
-# rounding of an exactly proportional selection perturbs K by O(1/total),
-# around 1e-5 for the bundled case study; genuinely non-proportional
-# selections sit orders of magnitude above this threshold.
+# A pooled decision is treated as weight-matched when every sampling fraction
+# h_g is within this relative distance of its weight: |h_g/w_g - 1| <= tol.
+# Even-floor rounding of an exactly proportional selection moves h_g by
+# O(1/total); the bundled case study's proportional allocation sits at
+# 3.8e-5, and its redistributed one, at 2.5e-4, has an infinite Hj.
 KAPPA_TOL = 1e-4
 
 
@@ -98,6 +98,10 @@ class RegretSummary:
                     f"per_group must be a sequence of real numbers in float range, "
                     f"got {self.per_group!r}"
                 ) from None
+            if not all([v >= 0.0 for v in per_group]):  # NaN too
+                raise ValidationError(
+                    f"per_group entries must be nonnegative reals or inf, got {self.per_group!r}"
+                )
             object.__setattr__(self, "per_group", per_group)
 
     @classmethod
@@ -148,31 +152,27 @@ def sampling_fractions(allocation: Allocation) -> tuple[float, ...]:
 
 
 def joint_mismatch(problem: DesignProblem, allocation: Allocation) -> float:
-    """K = sum_g w_g/h_g - G * (sum_g 1/w_g)^-1 * (sum_g 1/h_g).
+    """K = sum_g w_g/h_g - G * (sum_g 1/w_g)^-1 * (sum_g 1/h_g), the paper's
+    proportionality mismatch statistic.
 
-    Zero exactly when the sampling fractions are weight-proportional; the
-    pooled-decision worst case is finite only on that set.  Infinite when a
-    group is unsampled.
+    Zero where the sampling fractions h equal the weights w, but not only
+    there: under equal weights K is 0 for every h, and with G >= 3 it
+    vanishes along whole families of mismatched h.  So ``worst_case`` tests
+    the fractions themselves, not K.  Infinite when a group is unsampled.
     """
     check_allocation(problem, allocation)
     if 0 in allocation.counts:
         return math.inf
-    return _mismatch_terms(problem, sampling_fractions(allocation))[0]
-
-
-def _mismatch_terms(problem: DesignProblem, h) -> tuple[float, float, float]:
-    """(K, sum_g w_g/h_g, F) for the problem's weights w and fractions h."""
-    inv_w = problem._inv_weight_sum
-    inv_h = sum([1.0 / x for x in h])
+    h = sampling_fractions(allocation)
     scale = sum([wg / hg for wg, hg in zip(problem.weights, h)])
-    return scale - problem.n_groups * inv_h / inv_w, scale, inv_h / inv_w
+    return scale - problem.n_groups * sum([1.0 / x for x in h]) / problem._inv_weight_sum
 
 
 def worst_case(problem: DesignProblem, allocation: Allocation, paradigm: Paradigm) -> RegretSummary:
     """Worst-case regret under ``paradigm``: H, Hj or He, as the module
     docstring gives them.  H and Hj are infinite as soon as a group is
-    unsampled; Hj also when the mismatch statistic K exceeds ``KAPPA_TOL``
-    relative to sum_g w_g/h_g."""
+    unsampled; Hj also when some sampling fraction h_g is further than
+    ``KAPPA_TOL`` from its weight w_g, relative to w_g."""
     check_paradigm(paradigm)
     check_allocation(problem, allocation)
     if not paradigm.pooled:
@@ -183,9 +183,9 @@ def worst_case(problem: DesignProblem, allocation: Allocation, paradigm: Paradig
     if 0 in allocation.counts:
         return RegretSummary._from_floats(paradigm, math.inf)
     h = sampling_fractions(allocation)
-    kappa, scale, factor = _mismatch_terms(problem, h)
-    if abs(kappa) > KAPPA_TOL * scale:
+    if max([abs(hg / wg - 1.0) for hg, wg in zip(h, problem.weights)]) > KAPPA_TOL:
         return RegretSummary._from_floats(paradigm, math.inf)
+    factor = sum([1.0 / x for x in h]) / problem._inv_weight_sum
     value = factor * _C0 * _pooled_standard_error(h, problem.var_sums, allocation.total)
     return RegretSummary._from_floats(paradigm, value)
 
@@ -245,109 +245,21 @@ def expected_regret(
     return RegretSummary._from_floats(paradigm, paradigm.combine(per_group), per_group)
 
 
-def _check_all_sampled(problem: DesignProblem, allocation: Allocation) -> None:
-    check_allocation(problem, allocation)
-    if 0 in allocation.counts:
-        raise ValidationError("adversarial profiles are undefined for unsampled groups")
-
-
-def _check_t_dagger(t_dagger) -> float:
-    """``t_dagger`` as a finite Python float (a numpy float32 keeps 7 digits)."""
-    value = _as_float(t_dagger)
-    if not math.isfinite(value):
-        raise ValidationError(f"t_dagger must be a finite real number, got {t_dagger!r}")
-    return value
-
-
-def _design_scenario(problem: DesignProblem, tau: tuple[float, ...]) -> TruthScenario:
-    """Effects ``tau`` (floats) on zero baselines with the design's own variances."""
-    zeros = (0.0,) * problem.n_groups
-    return TruthScenario._from_floats(tau, zeros, problem.var_control, problem.var_treated)
-
-
 def adversarial_tau_separate(problem: DesignProblem, allocation: Allocation) -> TruthScenario:
     """The least-favorable effect profile for per-group sign decisions:
-    tau_g = t_star * sqrt(2*(s0_g^2+s1_g^2)/n_g).
+    tau_g = t_star * sqrt(2*(s0_g^2+s1_g^2)/n_g), on zero baselines with the
+    design's own variances.
 
     Requires every group sampled.  Plugging the result into
     ``expected_regret`` under the separate-utilitarian paradigm recovers
     ``worst_case`` under it exactly.  Signs are immaterial by symmetry; the
     positive profile is returned.
     """
-    _check_all_sampled(problem, allocation)
-    return _design_scenario(
-        problem,
-        tuple([_T_STAR * sqrt(s / (n * 0.5)) for s, n in zip(problem.var_sums, allocation.counts)]),
-    )
-
-
-def joint_adversarial_tau(
-    problem: DesignProblem, allocation: Allocation, t_dagger: float
-) -> TruthScenario:
-    """The stationary effect profile of the pooled-decision adversary at a
-    given value ``t_dagger`` of the standardized pooled mean.
-
-    tau_g = sqrt(2*sum_g' h_g'^2 * S_g') / (h_g * sqrt(total))
-            * { Phi_c(t)/phi(t) + (t/w_g - G*Phi_c(t)/(w_g*phi(t))) / sum_g' 1/w_g' }
-
-    The profile satisfies the stationarity system: the implied per-group
-    multipliers share a single Lagrange value, and the standardized
-    multipliers sum to ``t_dagger``.  (The statistic actually induced by the
-    profile is a rescaled t_dagger because the per-group standardization
-    uses sum h^2*S while the pooled statistic uses sum h*S.)
-    """
-    _check_all_sampled(problem, allocation)
-    t_dagger = _check_t_dagger(t_dagger)
-    h = sampling_fractions(allocation)
-    w = problem.weights
-    total = allocation.total
-    G = problem.n_groups
-    dens = normal_pdf(t_dagger)
-    ratio = normal_sf(t_dagger) / dens if dens else math.inf
-    inv_w = problem._inv_weight_sum
-    scale = math.sqrt(2.0 * sum(hg * hg * s for hg, s in zip(h, problem.var_sums)))
-    tau = tuple(
-        scale
-        / (hg * math.sqrt(total))
-        * (ratio + (t_dagger / wg - G * ratio / wg) / inv_w)
-        for hg, wg in zip(h, w)
-    )
-    # Deep in the left tail Phi_c/phi, or its multiple G/w_g, leaves float range.
-    if not all(map(math.isfinite, tau)):
-        raise ValidationError(
-            f"t_dagger={t_dagger} is so extreme the normal density underflows; "
-            "the stationary profile is unbounded there"
-        )
-    return _design_scenario(problem, tau)
-
-
-def joint_regret_expression(
-    problem: DesignProblem, allocation: Allocation, t_dagger: float
-) -> float:
-    """Expected pooled-decision regret along the stationary adversarial path,
-    as a function of ``t_dagger``:
-
-    sqrt(2*sum h*S / total) * { K * Phi_c(t)^2/phi(t) + F * t*Phi_c(t) }
-
-    with K the proportionality mismatch and F = (sum 1/w)^-1 (sum 1/h).
-    For K = 0 the supremum over t is the finite pooled worst case; for
-    K > 0 the expression diverges as t -> -infinity.
-    """
-    _check_all_sampled(problem, allocation)
-    t_dagger = _check_t_dagger(t_dagger)
-    h = sampling_fractions(allocation)
-    kappa, _, factor = _mismatch_terms(problem, h)
-    sf = normal_sf(t_dagger)
-    dens = normal_pdf(t_dagger)
-    scale = _pooled_standard_error(h, problem.var_sums, allocation.total)
-    if kappa == 0.0:
-        mismatch_term = 0.0
-    elif dens == 0.0:
-        # Density underflow deep in a tail: K*Phi_c^2/phi tends to 0 on the
-        # right, and on the left it has blown past float range.
-        mismatch_term = math.copysign(math.inf, kappa) if t_dagger < 0.0 else 0.0
-    else:
-        # Divide before the second factor: past t ~ 26.5 sf * sf underflows.
-        mismatch_term = kappa * sf / dens * sf
-    return scale * (mismatch_term + factor * t_dagger * sf)
-
+    check_allocation(problem, allocation)
+    if 0 in allocation.counts:
+        raise ValidationError("adversarial profiles are undefined for unsampled groups")
+    tau = tuple([
+        _T_STAR * sqrt(s / (n * 0.5)) for s, n in zip(problem.var_sums, allocation.counts)
+    ])
+    zeros = (0.0,) * problem.n_groups
+    return TruthScenario._from_floats(tau, zeros, problem.var_control, problem.var_treated)

@@ -34,8 +34,6 @@ from regretalloc import (
     TruthScenario,
     decide,
     default_config,
-    joint_adversarial_tau,
-    joint_regret_expression,
 )
 from regretalloc.allocate import SCHEMES, DegenerateAllocationWarning, allocate
 from regretalloc.casestudy import (
@@ -278,9 +276,7 @@ def valid_calls():
         "decide": [(separate, (0.1, math.nan), None, rng), (joint, None, -0.1, rng)],
         "default_config": [()],
         "expected_regret": [(problem, allocation, truth, separate)],
-        "joint_adversarial_tau": [(problem, allocation, 0.7)],
         "joint_mismatch": [(problem, allocation)],
-        "joint_regret_expression": [(problem, allocation, 0.7)],
         "load_config": [(str(BUNDLED_CONFIG_PATH),)],
         "monte_carlo_regret": [
             (problem, allocation, truth, worst_off, SimConfig(3, 1), "trial", 2),
@@ -386,10 +382,6 @@ def real_number_inputs():
         ),
         "RegretSummary.value": lambda x: RegretSummary(separate, x),
         "RegretSummary.per_group": lambda x: RegretSummary(separate, 0.5, (x, 0.25)),
-        "joint_regret_expression.t_dagger": lambda x: joint_regret_expression(
-            problem, allocation, x
-        ),
-        "joint_adversarial_tau.t_dagger": lambda x: joint_adversarial_tau(problem, allocation, x),
         "decide.group_estimates": lambda x: decide(separate, (x, -0.1)),
         "decide.pooled_estimate": lambda x: decide(joint, None, x),
         "MonteCarloEstimate.mean": lambda x: MonteCarloEstimate(x, 0.01, 10),

@@ -86,9 +86,9 @@ def ref_worst_case(weights, var_sums, counts, paradigm):
         if any(n == 0 for n in counts):
             return math.inf, None
         h = ref_fractions(counts)
-        kappa, scale, factor = ref_mismatch_terms(weights, h)
-        if abs(kappa) > KAPPA_TOL * scale:
+        if any(abs(hg / wg - 1.0) > KAPPA_TOL for hg, wg in zip(h, weights)):
             return math.inf, None
+        factor = ref_mismatch_terms(weights, h)[2]
         return factor * c0 * ref_pooled_standard_error(h, var_sums, sum(counts)), None
     per_group = tuple(
         w * c0 * math.sqrt(s / (n * 0.5)) if n else math.inf

@@ -6,14 +6,19 @@ effects |tau| 1e-6 to 10 of either sign.  mpmath evaluates each formula of
 the ``regret`` module docstring at 50 digits on the same float inputs, and
 ``worst_case`` and ``expected_regret`` must agree with it under all three
 paradigms.  For the pooled worst case the weights are the sampling
-fractions, so that K is within ``KAPPA_TOL`` and Hj is finite.
+fractions, so that they match within ``KAPPA_TOL`` and Hj is finite.
 
-The adversarial paths are checked the same way: ``adversarial_tau_separate``
-and the H it attains, and ``joint_adversarial_tau`` and
-``joint_regret_expression`` against their docstring formulas, with the
-weights left generic (K away from 0) and t_dagger where phi(t) is a normal
-float, |t| <= 37.5.  One fixed case puts a group's variance sum at 1e308,
-where 2.0 * S overflows but every result is in float range.
+``adversarial_tau_separate`` is checked the same way, with the H it attains.
+The paper's derivation of Hj lives here, at 50 digits, and no longer in
+the library: the pooled adversary's stationary effect profile and the
+expected regret along it, as functions of the standardized pooled mean t.
+Its multipliers are stationary; at matched weights the path peaks at t*
+with value Hj, and the profile rounded to floats attains it through
+``expected_regret``; where the fractions miss the weights (K != 0) the path
+is unbounded and ``worst_case`` is inf.  One fixed case puts a group's
+variance sum at 1e308, where 2.0 * S overflows but every result is in float
+range.  ``required_sample_size`` is checked against its formula on random
+power specs.
 
 Only exact values above 1e-300 are compared: below that the float result
 may lose digits to underflow, and it must only stay below 1e-300 too.
@@ -24,28 +29,26 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from regretalloc.casestudy import PowerSpec, required_sample_size
 from regretalloc.model import (
     Allocation,
     DesignProblem,
     GroupSpec,
     Paradigm,
     TruthScenario,
-    ValidationError,
 )
 from regretalloc.regret import (
+    KAPPA_TOL,
     adversarial_tau_separate,
     expected_regret,
-    joint_adversarial_tau,
-    joint_regret_expression,
     worst_case,
 )
 
 DIGITS = 50
 TINY = 1e-300
-HUGE = 1e300
 EPS = sys.float_info.epsilon
 
 
@@ -196,103 +199,123 @@ def test_expected_regret_matches_the_oracle(paradigm, inputs):
     assert error is None or error <= tolerance, (got, inputs)
 
 
+def exact_pooled_factors(weights, counts):
+    """(K, F): the mismatch statistic sum_g w_g/h_g - G * F and
+    F = (sum_g 1/w_g)^-1 * (sum_g 1/h_g), at the working precision."""
+    h = [mpmath.mpf(n) / sum(counts) for n in counts]
+    factor = mpmath.fsum(1 / x for x in h) / mpmath.fsum(1 / mpmath.mpf(x) for x in weights)
+    return mpmath.fsum(mpmath.mpf(x) / y for x, y in zip(weights, h)) - len(counts) * factor, factor
+
+
 def exact_joint_expression(weights, var_control, var_treated, counts, t):
-    """``joint_regret_expression``'s docstring formula, se * (K * Phi_c(t)^2 /
-    phi(t) + F * t * Phi_c(t)), and its magnitude: the same sum over the
-    absolute value of every part, with K's two parts, sum_g w_g/h_g and G*F,
-    added.  Rounding the float inputs' K and the two terms moves the result
-    by a multiple of that magnitude, also where the parts cancel."""
-    w, s, h, total = exact_terms(weights, var_control, var_treated, counts)
+    """The paper's pooled-decision regret along the adversary's stationary
+    path, at standardized pooled mean t: se * (K * Phi_c(t)^2 / phi(t) +
+    F * t * Phi_c(t)), with se the pooled standard error.  At K = 0 its
+    supremum over t is Hj, at t*; at K != 0 it is unbounded as t -> -inf."""
+    _, s, h, total = exact_terms(weights, var_control, var_treated, counts)
+    kappa, factor = exact_pooled_factors(weights, counts)
     t = mpmath.mpf(t)
-    scale = mpmath.fsum(x / y for x, y in zip(w, h))
-    factor = mpmath.fsum(1 / x for x in h) / mpmath.fsum(1 / x for x in w)
-    tail = sf(t) ** 2 / mpmath.npdf(t)
     se = mpmath.sqrt(2 * mpmath.fsum(x * v for x, v in zip(h, s)) / total)
-    value = se * ((scale - len(counts) * factor) * tail + factor * t * sf(t))
-    magnitude = se * ((scale + len(counts) * factor) * tail + factor * abs(t) * sf(t))
-    return value, magnitude
+    return se * (kappa * sf(t) ** 2 / mpmath.npdf(t) + factor * t * sf(t))
+
+
+def profile_scale(weights, var_control, var_treated, counts):
+    """sqrt(2 * sum_g h_g^2 S_g / total), the stationary profile's
+    standardization, and sqrt(sum_g h_g^2 S_g / sum_g h_g S_g), the factor
+    by which the pooled statistic the profile induces exceeds t."""
+    _, s, h, total = exact_terms(weights, var_control, var_treated, counts)
+    squares = mpmath.fsum(x * x * v for x, v in zip(h, s))
+    return mpmath.sqrt(2 * squares / total), mpmath.sqrt(
+        squares / mpmath.fsum(x * v for x, v in zip(h, s))
+    )
 
 
 def exact_joint_profile(weights, var_control, var_treated, counts, t):
-    """``joint_adversarial_tau``'s docstring formula per group, and each
-    entry's magnitude, the same sum over the absolute value of every part."""
-    w, s, h, total = exact_terms(weights, var_control, var_treated, counts)
+    """The stationary effect profile at t: tau_g = scale / h_g * (r + (t/w_g -
+    G*r/w_g) / sum_g' 1/w_g'), with r = Phi_c(t)/phi(t) and ``profile_scale``'s
+    scale."""
+    w, _, h, _ = exact_terms(weights, var_control, var_treated, counts)
+    scale, _ = profile_scale(weights, var_control, var_treated, counts)
     t = mpmath.mpf(t)
     ratio = sf(t) / mpmath.npdf(t)
     inv_w = mpmath.fsum(1 / x for x in w)
-    scale = mpmath.sqrt(2 * mpmath.fsum(x * x * v for x, v in zip(h, s)) / total)
     G = len(counts)
-    return [
-        (
-            scale / x * (ratio + (t / y - G * ratio / y) / inv_w),
-            scale / x * (ratio + (abs(t) / y + G * ratio / y) / inv_w),
-        )
-        for x, y in zip(h, w)
-    ]
+    return [scale / x * (ratio + (t / y - G * ratio / y) / inv_w) for x, y in zip(h, w)]
 
 
-def assert_within(got, exact, magnitude, tolerance):
-    """|got - exact| <= tolerance * magnitude (+ TINY, for underflow); an
-    infinite ``got`` only where |exact| is past HUGE, with its sign, and a
-    finite one only where exact is in float range."""
-    if math.isinf(got):
-        assert abs(exact) > HUGE and (got > 0) == (exact > 0), (got, exact)
-    else:
-        assert abs(exact) <= sys.float_info.max, (got, exact)
-        assert abs(mpmath.mpf(got) - exact) <= tolerance * magnitude + TINY, (got, exact)
-
-
-# Measured over 9,000 draws each (3 runs of 3,000 from ``instances`` and
-# T_DAGGER), as a fraction of the magnitude: 1.8e-13 for
-# ``joint_regret_expression`` and 4.6e-14 for ``joint_adversarial_tau``;
-# both grow as t^2 * eps, phi(t)'s relative error.  (The expression read
-# 7.8e-2 while it multiplied Phi_c(t) by itself before dividing by phi(t):
-# past t ~ 26.5 the square underflowed and took the K term with it.)
 # ``adversarial_tau_separate``, relative: its profile against the 50-digit
 # t_star and the H it attains, each within a few ulps (the profile read
 # 5.8e-13 while ``stats`` stopped its bisection at a 1e-12 bracket).
-ADVERSARIAL_PATH_TOL = 1e-12
+# The pooled profile, rounded to floats at matched weights: the expected
+# regret it gives against Hj read 5.8e-16 at most over 6,000 draws (2 runs
+# of 3,000).  Over 1,000 draws the pooled path's peak lay within 3.3e-16 of
+# t_star, and its value within 6.1e-16 of ``worst_case``'s Hj.
 SEPARATE_PROFILE_TOL = 2e-15
-T_DAGGER = st.floats(min_value=-37.5, max_value=37.5)
+POOLED_PROFILE_TOL = 2e-15
+PEAK_TOL = 1e-14
 
 
-@settings(max_examples=100)
-@given(inputs=instances(), t_dagger=T_DAGGER)
-def test_joint_regret_expression_matches_the_oracle(inputs, t_dagger):
-    got = joint_regret_expression(*library_inputs(*inputs)[:2], t_dagger)
+@settings(max_examples=20)
+@given(inputs=instances(matched=True))
+def test_the_pooled_path_peaks_at_t_star_with_value_hj(inputs):
+    got = worst_case(*library_inputs(*inputs)[:2], Paradigm.JOINT_UTILITARIAN).value
     with mpmath.workdps(DIGITS):
-        exact, magnitude = exact_joint_expression(*inputs[:4], t_dagger)
-        assert_within(got, exact, magnitude, ADVERSARIAL_PATH_TOL)
+        path = lambda t: exact_joint_expression(*inputs[:4], t)  # noqa: E731
+        peak = mpmath.findroot(lambda t: mpmath.diff(path, t), T_STAR)
+        assert abs(peak - T_STAR) <= PEAK_TOL, peak
+        assert mpmath.diff(path, peak, 2) < 0
+        assert relative_error(got, path(peak)) <= WORST_CASE_TOL, (got, inputs)
 
 
-def test_joint_regret_expression_keeps_its_mismatch_term_in_the_right_tail(covid_cases):
-    # The bundled beta = 0.005 case at its minimax allocation, where K = 0.51.
-    problem = covid_cases[0].problem
-    counts = (6100, 3218)
-    got = joint_regret_expression(problem, Allocation(counts), 30.0)
+@settings(max_examples=30)
+@given(inputs=instances(matched=True))
+def test_the_pooled_profile_attains_hj(inputs):
+    weights, var_control, var_treated, counts, _ = inputs
     with mpmath.workdps(DIGITS):
-        exact, _ = exact_joint_expression(
-            problem.weights, problem.var_control, problem.var_treated, counts, 30.0
-        )
-        assert relative_error(got, exact) <= 1e-12
-
-
-@settings(max_examples=50)
-@given(inputs=instances(), t_dagger=T_DAGGER)
-def test_joint_adversarial_tau_matches_its_docstring(inputs, t_dagger):
-    try:
-        tau = joint_adversarial_tau(*library_inputs(*inputs)[:2], t_dagger).tau
-    except ValidationError:  # as documented: deep in the left tail a term leaves float range
-        tau = None
+        _, rescaling = profile_scale(*inputs[:4])
+        tau = [float(x) for x in exact_joint_profile(*inputs[:4], T_STAR / rescaling)]
+        exact = exact_worst_case(Paradigm.JOINT_UTILITARIAN, *inputs[:4])
+    problem, allocation, truth = library_inputs(weights, var_control, var_treated, counts, tau)
+    got = expected_regret(problem, allocation, truth, Paradigm.JOINT_UTILITARIAN).value
     with mpmath.workdps(DIGITS):
-        exact = exact_joint_profile(*inputs[:4], t_dagger)
-        if tau is None:
-            ratio = sf(mpmath.mpf(t_dagger)) / mpmath.npdf(t_dagger)
-            largest = max(ratio * len(inputs[3]) / min(inputs[0]), *(m for _, m in exact))
-            assert largest > sys.float_info.max
-            return
-        for got, (value, magnitude) in zip(tau, exact):
-            assert_within(got, value, magnitude, ADVERSARIAL_PATH_TOL)
+        assert relative_error(got, exact) <= POOLED_PROFILE_TOL, (got, inputs)
+
+
+@settings(max_examples=30)
+@given(inputs=instances())
+def test_the_pooled_path_diverges_where_the_fractions_miss_the_weights(inputs):
+    weights, _, _, counts, _ = inputs
+    h = [n / sum(counts) for n in counts]
+    assume(max(abs(x / w - 1.0) for x, w in zip(h, weights)) > KAPPA_TOL)
+    with mpmath.workdps(DIGITS):
+        # K = 0 with mismatched fractions (equal weights, for one) leaves
+        # only the linear F * t term; test_regret pins Hj = inf there.
+        assume(exact_pooled_factors(weights, counts)[0] != 0)
+        sizes = [abs(exact_joint_expression(*inputs[:4], t)) for t in (-10, -20, -40, -80)]
+        # The K term grows as exp(t^2 / 2); F * t * Phi_c(t) only doubles.
+        assert all(later > 1e10 * earlier for earlier, later in zip(sizes, sizes[1:])), sizes
+    assert worst_case(*library_inputs(*inputs)[:2], Paradigm.JOINT_UTILITARIAN).value == math.inf
+
+
+@settings(max_examples=30)
+@given(inputs=instances(), t=st.floats(min_value=-37.5, max_value=37.5))
+def test_the_pooled_profile_is_stationary(inputs, t):
+    G = len(inputs[3])
+    with mpmath.workdps(DIGITS):
+        w, _, h, _ = exact_terms(*inputs[:4])
+        scale, _ = profile_scale(*inputs[:4])
+        multipliers = [x * y / scale for x, y in zip(h, exact_joint_profile(*inputs[:4], t))]
+        # Each bound is relative to the size of the parts that cancel: a
+        # multiplier's are at most G * Phi_c(t)/phi(t) + |t| in all.
+        density, tail = mpmath.npdf(t), sf(mpmath.mpf(t))
+        tolerance = mpmath.mpf(10) ** (10 - DIGITS)
+        # The standardized multipliers sum back to t ...
+        size = 2 * (G * tail / density + abs(t))
+        assert abs(mpmath.fsum(multipliers) - t) <= tolerance * size
+        # ... and every group implies the same Lagrange value.
+        lagrange = [x * m * density - x * tail for x, m in zip(w, multipliers)]
+        size = (G + 2) * tail + abs(t) * density
+        assert max(lagrange) - min(lagrange) <= tolerance * size
 
 
 @settings(max_examples=50)
@@ -327,3 +350,45 @@ def test_closed_forms_near_the_top_of_float_range(paradigm):
         _, s, _, _ = exact_terms(*inputs[:4])
         for tau, v, n in zip(profile, s, inputs[3]):
             assert relative_error(tau, T_STAR * mpmath.sqrt(2 * v / n)) <= SEPARATE_PROFILE_TOL
+
+
+def exact_required_sample_size(weights, var_control, var_treated, effect, power, size):
+    """N = 2 * ceil(r / 2), r = 2 * (sum_g w_g v0_g + sum_g w_g v1_g) *
+    (z_power - z_size)^2 / effect^2, with z = sqrt(2) * erfinv(2p - 1); and
+    r / 2 itself."""
+    w = [mpmath.mpf(x) for x in weights]
+    pooled = mpmath.fsum(x * mpmath.mpf(v) for x, v in zip(w, var_control)) + mpmath.fsum(
+        x * mpmath.mpf(v) for x, v in zip(w, var_treated)
+    )
+    z = [mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1) for p in (power, size)]
+    half = pooled * (z[0] - z[1]) ** 2 / mpmath.mpf(effect) ** 2
+    return 2 * int(mpmath.ceil(half)), half
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_required_sample_size_matches_the_oracle(data):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+
+    def log_uniform(low, high, size=n):
+        exponents = st.floats(min_value=math.log10(low), max_value=math.log10(high))
+        return [10.0**e for e in data.draw(st.lists(exponents, min_size=size, max_size=size))]
+
+    # No subnormal weights: 5e-324 times a variance underflows to 0, and N
+    # then reads 0 where the exact N is 2.
+    weight = st.floats(0.0, 1.0, allow_subnormal=False)
+    weights = data.draw(st.lists(weight, min_size=n, max_size=n))
+    var_control, var_treated = log_uniform(1e-6, 10.0), log_uniform(1e-6, 10.0)
+    effect = data.draw(st.sampled_from((-1.0, 1.0))) * log_uniform(1e-4, 1.0, 1)[0]
+    power = data.draw(st.floats(min_value=0.5, max_value=0.99))
+    size = data.draw(st.floats(min_value=0.01, max_value=0.2))
+    got = required_sample_size(PowerSpec(effect, power, size, var_control, var_treated), weights)
+    with mpmath.workdps(DIGITS):
+        exact, half = exact_required_sample_size(
+            weights, var_control, var_treated, effect, power, size
+        )
+        nearest = mpmath.nint(half)
+        if abs(half - nearest) <= 1e-12 * half:  # the float r may round to either side
+            assert got in (2 * int(nearest), 2 * int(nearest) + 2), (got, half)
+        else:
+            assert got == exact, (got, half)

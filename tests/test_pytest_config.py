@@ -1,12 +1,15 @@
 """The repository's pytest settings let a failing property test report
 itself: warnings are errors, yet a Hypothesis failure still prints its
-falsifying example and the tests after it still run."""
+falsifying example and the tests after it still run.  A test that hangs
+ends the run with its stack on stderr."""
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+TESTS = Path(__file__).resolve().parent
+PYPROJECT = TESTS.parent / "pyproject.toml"
 
 FAILING_PAIR = '''
 from hypothesis import given, strategies as st
@@ -33,3 +36,45 @@ def test_failing_property_reports_its_example_and_later_tests_run(tmp_path):
     assert "INTERNALERROR" not in out
     assert "Falsifying example" in out
     assert "1 failed, 1 passed" in out
+
+
+# The suite's own conftest, loaded under another name with a 1 s limit.
+GUARD_CONFTEST = f'''
+import importlib.util
+
+spec = importlib.util.spec_from_file_location("suite_conftest", {str(TESTS / "conftest.py")!r})
+guard = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(guard)
+guard.HANG_LIMIT_S = 1
+pytest_configure = guard.pytest_configure
+pytest_unconfigure = guard.pytest_unconfigure
+pytest_runtest_protocol = guard.pytest_runtest_protocol
+'''
+
+HANGING = '''
+import time
+
+
+def test_passes():
+    pass
+
+
+def test_hangs_forever():
+    while True:
+        time.sleep(0.1)
+'''
+
+
+def test_a_hanging_test_fails_the_run_and_names_itself(tmp_path):
+    (tmp_path / "conftest.py").write_text(GUARD_CONFTEST)
+    (tmp_path / "test_hang.py").write_text(HANGING)
+    start = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_hang.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert time.monotonic() - start < 30
+    assert result.returncode == 1
+    assert "Timeout" in result.stderr
+    assert "in test_hangs_forever" in result.stderr

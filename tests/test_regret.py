@@ -1,6 +1,7 @@
 """Closed-form worst-case and expected regret, adversarial scenarios."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -19,13 +20,11 @@ from regretalloc.model import (
 from regretalloc.regret import (
     adversarial_tau_separate,
     expected_regret,
-    joint_adversarial_tau,
     joint_mismatch,
-    joint_regret_expression,
     sampling_fractions,
     worst_case,
 )
-from regretalloc.stats import normal_pdf, normal_sf, threshold_constants
+from regretalloc.stats import threshold_constants
 from builders import design_truth, make_problem
 from reference_values import (
     ORACLE_ADVERSARIAL_TAU_G1,
@@ -102,6 +101,39 @@ class TestWorstCaseJoint:
         problem = make_problem((0.3, 0.7), (1.0, 2.0), 200)
         assert joint_mismatch(problem, Allocation((60, 140))) == pytest.approx(0.0, abs=1e-12)
         assert joint_mismatch(problem, Allocation((100, 100))) > 0.01
+
+    def test_equal_weights_do_not_make_every_allocation_finite(self):
+        # K is 0 for every allocation under equal weights, yet an adversary
+        # with tau = (A, -4A) gets 0.75 * A from (80, 20): no bound exists.
+        problem = make_problem((0.5, 0.5), (2.0, 2.0), 100)
+        allocation = Allocation((80, 20))
+        assert joint_mismatch(problem, allocation) == 0.0
+        truth = design_truth(problem, (100.0, -400.0))
+        assert expected_regret(problem, allocation, truth, Paradigm.JOINT_UTILITARIAN).value == 75.0
+        assert worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN).value == math.inf
+
+    def test_a_near_zero_mismatch_statistic_is_not_a_match(self):
+        # |K| is 9.1e-5 of sum_g w_g/h_g, but the fractions are far from the
+        # weights: tau = A * (h_2, -h_1, 0) gets 0.155 * A.
+        problem = make_problem((0.5, 0.3, 0.2), (2.0, 2.0, 2.0), 10**6)
+        allocation = Allocation((188000, 732000, 80000))
+        h = sampling_fractions(allocation)
+        scale = sum(w / x for w, x in zip(problem.weights, h))
+        assert abs(joint_mismatch(problem, allocation)) < 1e-4 * scale
+        truth = design_truth(problem, (100.0 * h[1], -100.0 * h[0], 0.0))
+        regret = expected_regret(problem, allocation, truth, Paradigm.JOINT_UTILITARIAN).value
+        assert regret == pytest.approx(15.48, rel=1e-9)
+        assert worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN).value == math.inf
+
+    @pytest.mark.parametrize("groups, budget", [(2, 40), (3, 24)])
+    def test_equal_weights_are_finite_only_at_equal_counts(self, groups, budget):
+        problem = make_problem((1.0 / groups,) * groups, (2.0,) * groups, budget)
+        evens = range(0, budget + 1, 2)
+        for counts in itertools.product(evens, repeat=groups):
+            if sum(counts) > budget:
+                continue
+            value = worst_case(problem, Allocation(counts), Paradigm.JOINT_UTILITARIAN).value
+            assert math.isfinite(value) == (counts[0] > 0 and len(set(counts)) == 1), counts
 
     def test_sub_budget_proportional_is_finite_but_larger(self):
         problem = make_problem((0.3, 0.7), (1.0, 2.0), 200)
@@ -350,82 +382,9 @@ class TestAdversarialSeparate:
             adversarial_tau_separate(covid_cases[0].problem, Allocation((9320, 0)))
 
 
-class TestJointAdversarial:
-    @pytest.mark.parametrize(
-        "t_dagger", ["x", None, math.nan, math.inf, pytest.param(10**400, id="10**400"), True],
-        ids=repr,
-    )
-    @pytest.mark.parametrize("function", [joint_adversarial_tau, joint_regret_expression])
-    def test_t_dagger_must_be_a_finite_real(self, function, t_dagger):
-        problem = make_problem((0.5, 0.5), (2.0, 2.0), 80)
-        with pytest.raises(ValidationError, match="t_dagger must be a finite real number"):
-            function(problem, Allocation((40, 40)), t_dagger)
-
-    def test_single_group_collapse(self):
-        problem = make_problem((1.0,), (3.0,), 50)
-        allocation = Allocation((50,))
-        for t_dagger in (-1.5, 0.3, 0.7517915246939992, 2.0):
-            truth = joint_adversarial_tau(problem, allocation, t_dagger)
-            assert truth.tau[0] == pytest.approx(
-                t_dagger * math.sqrt(2.0 * 3.0 / 50), rel=1e-12
-            )
-
-    def test_symmetric_groups_get_equal_tau(self):
-        problem = make_problem((0.5, 0.5), (2.0, 2.0), 80)
-        truth = joint_adversarial_tau(problem, Allocation((40, 40)), 1.3)
-        assert truth.tau[0] == pytest.approx(truth.tau[1], rel=1e-12)
-
-    def test_stationarity_conditions(self):
-        problem = make_problem((0.3, 0.5, 0.2), (1.0, 2.0, 4.0), 120)
-        allocation = Allocation((40, 50, 30))
-        h = [n / allocation.total for n in allocation.counts]
-        for t_dagger in (-0.8, 0.4, 1.1):
-            truth = joint_adversarial_tau(problem, allocation, t_dagger)
-            scale = math.sqrt(
-                2.0 * sum(hg * hg * s for hg, s in zip(h, problem.var_sums))
-            )
-            multipliers = [
-                tau * hg * math.sqrt(allocation.total) / scale
-                for tau, hg in zip(truth.tau, h)
-            ]
-            # The standardized multipliers sum back to t_dagger ...
-            assert sum(multipliers) == pytest.approx(t_dagger, rel=1e-10, abs=1e-12)
-            # ... and every group implies the same Lagrange value.
-            lagrange = [
-                m * w * normal_pdf(t_dagger) - w * normal_sf(t_dagger)
-                for m, w in zip(multipliers, problem.weights)
-            ]
-            assert max(lagrange) - min(lagrange) <= 1e-10 * max(1.0, abs(lagrange[0]))
-
-    def test_matched_fractions_achieve_joint_worst_case(self):
-        problem = make_problem((0.3, 0.7), (1.0, 2.5), 200)
-        allocation = Allocation((60, 140))
-        h = [0.3, 0.7]
-        ratio = math.sqrt(
-            sum(hg * hg * s for hg, s in zip(h, problem.var_sums))
-            / sum(hg * s for hg, s in zip(h, problem.var_sums))
-        )
-        t_star = threshold_constants().t_star
-        truth = joint_adversarial_tau(problem, allocation, t_star / ratio)
-        achieved = expected_regret(problem, allocation, truth, Paradigm.JOINT_UTILITARIAN).value
-        bound = worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN).value
-        assert achieved == pytest.approx(bound, rel=1e-6)
-
-    @pytest.mark.parametrize("t_dagger", [-37.6, -38.0, -38.55])
-    def test_profile_beyond_float_range_is_a_validation_error(self, covid_cases, t_dagger):
-        # Phi_c/phi overflows here (or phi * w_g underflows) before phi itself is 0.
-        with pytest.raises(ValidationError, match="underflows"):
-            joint_adversarial_tau(covid_cases[0].problem, Allocation((6100, 3218)), t_dagger)
-
-    def test_rejects_nonfinite_t(self):
-        problem = make_problem((1.0,), (1.0,), 10)
-        with pytest.raises(ValidationError):
-            joint_adversarial_tau(problem, Allocation((10,)), math.inf)
-
-
 class TestAdversarialProfilesAreScenarios:
-    """The adversarial profiles are built without the constructor's coercion;
-    they must still be the scenario the constructor would build."""
+    """The adversarial profile is built without the constructor's coercion;
+    it must still be the scenario the constructor would build."""
 
     @pytest.mark.parametrize("kind", [int, float, np.float64], ids=lambda k: k.__name__)
     def test_equal_to_a_constructed_scenario(self, kind):
@@ -434,23 +393,19 @@ class TestAdversarialProfilesAreScenarios:
             for g, (w, c, t) in enumerate(((0.3, 1, 2), (0.5, 3, 1), (0.2, 2, 5)))
         )
         problem = DesignProblem(budget=121, groups=groups)
-        allocation = Allocation((40, 50, 30))
-        profiles = [adversarial_tau_separate(problem, allocation)] + [
-            joint_adversarial_tau(problem, allocation, t) for t in (1.3, -2, np.float64(0.4))
-        ]
-        for truth in profiles:
-            reference = TruthScenario(
-                tau=truth.tau,
-                baseline=(0,) * 3,
-                var_control=tuple(g.var_control for g in groups),
-                var_treated=tuple(g.var_treated for g in groups),
-            )
-            assert truth == reference
-            assert hash(truth) == hash(reference)
-            assert repr(truth) == repr(reference)
-            for values in (truth.tau, truth.baseline, truth.var_control, truth.var_treated):
-                assert type(values) is tuple
-                assert [type(v) for v in values] == [float] * 3
+        truth = adversarial_tau_separate(problem, Allocation((40, 50, 30)))
+        reference = TruthScenario(
+            tau=truth.tau,
+            baseline=(0,) * 3,
+            var_control=tuple(g.var_control for g in groups),
+            var_treated=tuple(g.var_treated for g in groups),
+        )
+        assert truth == reference
+        assert hash(truth) == hash(reference)
+        assert repr(truth) == repr(reference)
+        for values in (truth.tau, truth.baseline, truth.var_control, truth.var_treated):
+            assert type(values) is tuple
+            assert [type(v) for v in values] == [float] * 3
 
     def test_overflowed_profile_is_rejected_when_used(self):
         problem = DesignProblem(budget=4, groups=(GroupSpec("g0", 1.0, 1e308, 1e308),))
@@ -459,71 +414,6 @@ class TestAdversarialProfilesAreScenarios:
         for _ in range(2):
             with pytest.raises(ValidationError, match="tau must be finite"):
                 expected_regret(problem, allocation, truth, Paradigm.SEPARATE_UTILITARIAN)
-
-
-class TestJointRegretExpression:
-    def test_matched_fractions_supremum(self):
-        problem = make_problem((0.3, 0.7), (1.0, 2.5), 200)
-        allocation = Allocation((60, 140))
-        bound = worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN).value
-        t_star = threshold_constants().t_star
-        assert joint_regret_expression(problem, allocation, t_star) == pytest.approx(
-            bound, rel=1e-12
-        )
-        grid = [-10.0 + 0.01 * k for k in range(2001)]
-        assert max(
-            joint_regret_expression(problem, allocation, t) for t in grid
-        ) <= bound * (1 + 1e-9)
-
-    def test_mismatch_diverges_in_left_tail(self, covid_cases):
-        problem = covid_cases[0].problem
-        allocation = Allocation((6100, 3218))
-        assert joint_mismatch(problem, allocation) > 0.0
-        at_tail = joint_regret_expression(problem, allocation, -8.0)
-        at_center = joint_regret_expression(problem, allocation, 0.0)
-        assert at_tail >= 10.0 * at_center
-
-    def test_symmetric_instance_at_t_star(self):
-        problem = make_problem((0.5, 0.5), (2.0, 2.0), 100)
-        allocation = Allocation((50, 50))
-        constants = threshold_constants()
-        scale = math.sqrt(2.0 * 2.0 / 100)
-        value = joint_regret_expression(problem, allocation, constants.t_star)
-        assert value == pytest.approx(scale * constants.c0, rel=1e-12)
-
-    def test_density_underflow_handled(self, covid_cases):
-        # Far enough left that the normal density is exactly zero in floats.
-        problem = covid_cases[0].problem
-        mismatched = Allocation((6100, 3218))
-        assert joint_regret_expression(problem, mismatched, -40.0) == math.inf
-        proportional = Allocation((7734, 1584))
-        assert math.isfinite(joint_regret_expression(problem, proportional, 2.0))
-        with pytest.raises(ValidationError, match="underflow"):
-            joint_adversarial_tau(problem, mismatched, -40.0)
-
-    @staticmethod
-    def mismatched_instance():
-        problem = make_problem((0.3, 0.7), (2.0, 4.0), 100)
-        allocation = Allocation((50, 50))
-        assert joint_mismatch(problem, allocation) == pytest.approx(0.32, rel=1e-12)
-        return problem, allocation
-
-    @pytest.mark.parametrize("t_dagger", [38.5, 39.0, 40.0, 100.0, 1e300])
-    def test_right_tail_tends_to_zero_past_density_underflow(self, t_dagger):
-        problem, allocation = self.mismatched_instance()
-        assert joint_regret_expression(problem, allocation, t_dagger) == 0.0
-
-    @pytest.mark.parametrize("t_dagger", [-38.0, -1e300])
-    def test_left_tail_stays_infinite(self, t_dagger):
-        problem, allocation = self.mismatched_instance()
-        assert joint_regret_expression(problem, allocation, t_dagger) == math.inf
-
-    @pytest.mark.parametrize("t_dagger", [np.float32(0.4), np.float64(0.4)], ids=["f32", "f64"])
-    def test_numpy_t_dagger_gives_a_python_float(self, t_dagger):
-        problem, allocation = self.mismatched_instance()
-        value = joint_regret_expression(problem, allocation, t_dagger)
-        assert type(value) is float
-        assert value == joint_regret_expression(problem, allocation, float(t_dagger))
 
 
 class TestDispatch:

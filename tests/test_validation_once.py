@@ -252,10 +252,12 @@ class TestRegretSummary:
             ((P, 0.5, ("0.5",)), "per_group must be a sequence of real numbers"),
             ((P, 0.5, (True, 0.5)), "per_group must be a sequence of real numbers"),
             ((P, 0.5, b"ab"), "per_group must be a sequence of real numbers"),
+            ((P, 0.5, (math.nan, 0.25)), "per_group entries must be nonnegative reals or inf"),
+            ((P, 0.5, (0.25, -1.0)), "per_group entries must be nonnegative reals or inf"),
             (("separate", 0.5), "paradigm must be a Paradigm"),
         ],
         ids=["none", "array", "bool", "string", "bare-number", "huge", "digit-string",
-             "bool-entry", "bytes", "paradigm-name"],
+             "bool-entry", "bytes", "nan-entry", "negative-entry", "paradigm-name"],
     )
     def test_public_constructor_rejects_bad_fields(self, args, match):
         with pytest.raises(ValidationError, match=match):
