@@ -78,3 +78,34 @@ def test_a_hanging_test_fails_the_run_and_names_itself(tmp_path):
     assert result.returncode == 1
     assert "Timeout" in result.stderr
     assert "in test_hangs_forever" in result.stderr
+
+
+SLOW_BUT_UNDER_THE_LIMIT = '''
+import time
+
+
+def test_first():
+    time.sleep(0.6)
+
+
+def test_second():
+    time.sleep(0.6)
+
+
+def test_third():
+    time.sleep(0.6)
+'''
+
+
+def test_each_test_gets_the_whole_limit(tmp_path):
+    # 1.8 s in all under a 1 s limit: the guard must re-arm for every test.
+    (tmp_path / "conftest.py").write_text(GUARD_CONFTEST)
+    (tmp_path / "test_slow.py").write_text(SLOW_BUT_UNDER_THE_LIMIT)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_slow.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "3 passed" in result.stdout
+    assert "Timeout" not in result.stderr

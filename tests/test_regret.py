@@ -18,6 +18,7 @@ from regretalloc.model import (
     ValidationError,
 )
 from regretalloc.regret import (
+    KAPPA_TOL,
     adversarial_tau_separate,
     expected_regret,
     joint_mismatch,
@@ -135,12 +136,88 @@ class TestWorstCaseJoint:
             value = worst_case(problem, Allocation(counts), Paradigm.JOINT_UTILITARIAN).value
             assert math.isfinite(value) == (counts[0] > 0 and len(set(counts)) == 1), counts
 
+    @pytest.mark.parametrize("redistribute", [False, True], ids=["plain", "redistribute"])
+    @pytest.mark.parametrize("scheme", ["minimax", "proportional", "egalitarian", "neyman"])
+    @pytest.mark.parametrize("case", [0, 1], ids=["beta=0.005", "beta=0.025"])
+    def test_bundled_cells_are_finite_only_for_plain_proportional(
+        self, covid_cases, case, scheme, redistribute
+    ):
+        # Plain proportional misses its weights by 3.8e-5, relative, and the
+        # pair redistribution adds to group 1 makes that 2.5e-4; the other
+        # schemes miss by 0.6 to 3.6.  Each is far from the boundary.
+        problem = covid_cases[case].problem
+        allocation = allocate(problem, scheme, redistribute=redistribute)
+        h = sampling_fractions(allocation)
+        miss = max(abs(x / w - 1.0) for x, w in zip(h, problem.weights))
+        finite = scheme == "proportional" and not redistribute
+        assert miss < KAPPA_TOL / 2 if finite else miss > 2 * KAPPA_TOL
+        value = worst_case(problem, allocation, Paradigm.JOINT_UTILITARIAN).value
+        assert math.isfinite(value) == finite
+
+    @pytest.mark.parametrize(
+        "weights, counts, matched, finite",
+        [
+            ((0.5, 0.5), (1000098, 999902), (10**6, 10**6), True),
+            ((0.5, 0.5), (1000102, 999898), (10**6, 10**6), False),
+            ((0.5, 0.3, 0.2), (999962, 600000, 400038), (10**6, 600000, 400000), True),
+            ((0.5, 0.3, 0.2), (999958, 600000, 400042), (10**6, 600000, 400000), False),
+        ],
+        ids=["2-groups-inside", "2-groups-outside", "3-groups-inside", "3-groups-outside"],
+    )
+    def test_fractions_match_within_kappa_tol_relative_to_the_weight(
+        self, weights, counts, matched, finite
+    ):
+        # The largest miss is 9.5e-5 or 9.8e-5 inside, 1.02e-4 or 1.05e-4
+        # outside; inside, Hj is within that order of the exactly matched Hj.
+        problem = make_problem(weights, (2.0,) * len(weights), 2 * 10**6)
+        value = worst_case(problem, Allocation(counts), Paradigm.JOINT_UTILITARIAN).value
+        if finite:
+            exact = worst_case(problem, Allocation(matched), Paradigm.JOINT_UTILITARIAN).value
+            assert value == pytest.approx(exact, rel=1e-3)
+        else:
+            assert value == math.inf
+
+    @pytest.mark.parametrize("groups", [2, 3, 6])
+    def test_identical_groups_pool_to_one_over_root_g(self, groups):
+        # G copies of one group at equal counts: H and He are one group's
+        # c0 * se, and the pooled standard error is se / sqrt(G).
+        problem = make_problem((1.0 / groups,) * groups, (2.0,) * groups, 60 * groups)
+        allocation = Allocation((60,) * groups)
+        separate, joint, egalitarian = (
+            worst_case(problem, allocation, paradigm).value for paradigm in Paradigm
+        )
+        assert egalitarian == pytest.approx(separate, rel=1e-15)
+        assert joint == pytest.approx(separate / math.sqrt(groups), rel=1e-15)
+
     def test_sub_budget_proportional_is_finite_but_larger(self):
         problem = make_problem((0.3, 0.7), (1.0, 2.0), 200)
         full = worst_case(problem, Allocation((60, 140)), Paradigm.JOINT_UTILITARIAN).value
         half = worst_case(problem, Allocation((30, 70)), Paradigm.JOINT_UTILITARIAN).value
         assert math.isfinite(half)
         assert half == pytest.approx(full * math.sqrt(2.0), rel=1e-12)
+
+
+class TestSingleGroup:
+    """With one group the sampling fraction is its weight, 1, so the pooled
+    decision is the group's own: the three paradigms agree on the worst case
+    and on the expected regret."""
+
+    @pytest.mark.parametrize(
+        "var_sum, count",
+        [(2.0, 8), (2e-300, 2), (1e308, 2), (2.0, 0)],
+        ids=["ordinary", "tiny-variance", "variance-near-float-max", "unsampled"],
+    )
+    def test_the_paradigms_coincide(self, var_sum, count):
+        problem = make_problem((1.0,), (var_sum,), 8)
+        allocation = Allocation((count,))
+        truth = design_truth(problem, (-0.5,))
+        worst = [worst_case(problem, allocation, paradigm).value for paradigm in Paradigm]
+        expected = [
+            expected_regret(problem, allocation, truth, paradigm).value for paradigm in Paradigm
+        ]
+        assert worst[1] == pytest.approx(worst[0], rel=1e-15) and worst[2] == worst[0]
+        assert expected[1] == pytest.approx(expected[0], rel=1e-15)
+        assert expected[2] == expected[0]
 
 
 class TestWorstCaseEgalitarian:

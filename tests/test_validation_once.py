@@ -254,14 +254,23 @@ class TestRegretSummary:
             ((P, 0.5, b"ab"), "per_group must be a sequence of real numbers"),
             ((P, 0.5, (math.nan, 0.25)), "per_group entries must be nonnegative reals or inf"),
             ((P, 0.5, (0.25, -1.0)), "per_group entries must be nonnegative reals or inf"),
+            ((P, 0.5, (-math.inf,)), "per_group entries must be nonnegative reals or inf"),
+            ((P, 0.5, (0.25, -1e-300)), "per_group entries must be nonnegative reals or inf"),
             (("separate", 0.5), "paradigm must be a Paradigm"),
         ],
         ids=["none", "array", "bool", "string", "bare-number", "huge", "digit-string",
-             "bool-entry", "bytes", "nan-entry", "negative-entry", "paradigm-name"],
+             "bool-entry", "bytes", "nan-entry", "negative-entry", "negative-inf-entry",
+             "tiny-negative-entry", "paradigm-name"],
     )
     def test_public_constructor_rejects_bad_fields(self, args, match):
         with pytest.raises(ValidationError, match=match):
             RegretSummary(*args)
+
+    @pytest.mark.parametrize("entry", [0.0, -0.0, math.inf], ids=repr)
+    def test_public_constructor_keeps_zero_and_inf_entries(self, entry):
+        # The kernels give 0 for a zero effect and inf for an unsampled group.
+        summary = RegretSummary(self.P, 0.5, (entry, 0.25))
+        assert summary.per_group == (entry, 0.25)
 
     @pytest.mark.parametrize("paradigm", Paradigm, ids=lambda p: p.name)
     @pytest.mark.parametrize("per_group", [None, (0.25, 0.5)], ids=["scalar", "per-group"])
