@@ -6,15 +6,17 @@ per-layer metric, and the setting they were measured in.
 
 Runs ``perfbench/run.py --seed 1 --trace 0`` for each workload that
 BENCHMARK.json declares, at its ``run_seconds``, in ``RUNS`` rounds that each
-run every workload once, then one ``--trace 1`` design-sweep run, whose
+run every workload once and then one ``--trace 1`` design-sweep, whose
 layer suite gives every per-layer metric.  Each end-to-end metric's
-``value`` is the median of its ``RUNS`` runs, which the record lists under
-``runs`` in round order, so that their spread can be read beside it.  Each
-run's metrics come from its last stdout line, the environment from its
-report under ``perfbench/.work/``.  The record also holds ``src_lines``, the
-line count of ``src/regretalloc/*.py``, so that the size of the package is
-read from the same file as its speed.  Exits non-zero, and writes nothing,
-when a run fails or any of its checks is not ``correct``.
+``value`` is the median of its ``RUNS`` untraced runs, and each per-layer
+metric's the median of its ``RUNS`` traced runs; the record lists the runs
+under ``runs`` in round order, so that their spread can be read beside the
+value.  Each run's metrics come from its last stdout line, the environment
+from the first traced run's report under ``perfbench/.work/``.  The record
+also holds ``src_lines``, the line count of ``src/regretalloc/*.py``, so
+that the size of the package is read from the same file as its speed.
+Exits non-zero, and writes nothing, when a run fails or any of its checks
+is not ``correct``.
 
 With ``--compare BASE.json``, an earlier record, it then prints one row
 per workload and end-to-end metric: the BASE value, the new value, the
@@ -72,31 +74,36 @@ def count_src_lines(package: Path = PACKAGE) -> int:
     return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
 
 
+def medians(results: list[dict]) -> dict:
+    """Each metric of the first result, its value the median of that
+    metric's values over ``results``, which it keeps under ``runs``."""
+    merged = {}
+    for name, metric in results[0]["metrics"].items():
+        values = [result["metrics"][name]["value"] for result in results]
+        merged[name] = {**metric, "value": statistics.median(values), "runs": values}
+    return merged
+
+
 def assemble(
-    rounds: list[dict[str, tuple[dict, dict]]], trace_run: tuple[dict, dict], environ,
+    rounds: list[dict[str, tuple[dict, dict]]], trace_runs: list[tuple[dict, dict]], environ,
     src_lines: int,
 ) -> dict:
     """The record of the ``rounds`` of untraced runs (each workload ->
-    (result, report)), the traced design-sweep ``trace_run`` and the
-    package's ``src_lines``; RecordError if any run is not correct."""
+    (result, report)), the traced design-sweep ``trace_runs`` (one a round)
+    and the package's ``src_lines``; RecordError if any run is not correct."""
     labelled = [
         (f"{workload} (round {r})", run)
         for r, runs in enumerate(rounds, 1) for workload, run in runs.items()
-    ]
-    for label, (result, _) in labelled + [(f"{TRACE_WORKLOAD} (trace 1)", trace_run)]:
+    ] + [(f"{TRACE_WORKLOAD} (trace 1, round {r})", run) for r, run in enumerate(trace_runs, 1)]
+    for label, (result, _) in labelled:
         if result.get("correct") is not True:
             raise RecordError(
                 f"{label}: {result.get('failed')} of {result.get('attempted')} checked ops failed"
             )
-    end_to_end = {}
-    for workload, (result, _) in rounds[0].items():
-        end_to_end[workload] = {}
-        for name, metric in result["metrics"].items():
-            values = [runs[workload][0]["metrics"][name]["value"] for runs in rounds]
-            end_to_end[workload][name] = {
-                **metric, "value": statistics.median(values), "runs": values
-            }
-    trace_result, trace_report = trace_run
+    end_to_end = {
+        workload: medians([runs[workload][0] for runs in rounds]) for workload in rounds[0]
+    }
+    trace_report = trace_runs[0][1]
     environment = {key: trace_report["environment"][key] for key in ENVIRONMENT_KEYS}
     # Without bytecode every subprocess compiles src/ again (~20 ms a start).
     environment["PYTHONDONTWRITEBYTECODE"] = bool(environ.get("PYTHONDONTWRITEBYTECODE"))
@@ -104,7 +111,7 @@ def assemble(
         "seed": SEED,
         "run_seconds": {workload: run[1]["seconds"] for workload, run in rounds[0].items()},
         "end_to_end": end_to_end,
-        "per_layer": trace_result["metrics"],
+        "per_layer": medians([result for result, _ in trace_runs]),
         "src_lines": src_lines,
         "environment": environment,
     }
@@ -145,13 +152,13 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     base = json.loads(args.compare.read_text()) if args.compare else None
     seconds = bench["run_seconds"]
+    workloads = [spec["name"] for spec in bench["workloads"]]
+    rounds, trace_runs = [], []
     try:
-        rounds = [
-            {spec["name"]: run_perfbench(spec["name"], seconds, 0) for spec in bench["workloads"]}
-            for _ in range(RUNS)
-        ]
-        trace_run = run_perfbench(TRACE_WORKLOAD, seconds, trace=1)
-        record = assemble(rounds, trace_run, os.environ, count_src_lines())
+        for _ in range(RUNS):
+            rounds.append({workload: run_perfbench(workload, seconds, 0) for workload in workloads})
+            trace_runs.append(run_perfbench(TRACE_WORKLOAD, seconds, trace=1))
+        record = assemble(rounds, trace_runs, os.environ, count_src_lines())
     except RecordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

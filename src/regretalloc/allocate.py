@@ -1,8 +1,8 @@
 """Sample-selection rules for stratified 1:1 randomized designs.
 
-Each scheme is one entry of the ``SCHEMES`` table: a raw per-group share and
-a redistribution policy.  The four schemes, each optimal (or classical) for
-a different objective:
+Each scheme is one entry of the ``SCHEMES`` table: the raw shares of a
+problem's groups, from one call, and a redistribution policy.  The four
+schemes, each optimal (or classical) for a different objective:
 
 * ``minimax``      -- shares proportional to (s0^2+s1^2)^(1/3) * w^(2/3);
   minimizes the worst-case expected regret when every group gets its own
@@ -26,8 +26,9 @@ the group that loses least by giving one back, while the gain exceeds the
 loss; ties go to the first group.  The gain is ``shares - counts`` for
 proportional and Neyman (largest remainder; no exchange fires), one pair's
 drop in the group's H term for minimax, and the group's He term for
-egalitarian (``regret.worst_case_terms``).  The last two reach the exact
-even-integer minimum of H or He.
+egalitarian; each term is ``regret.worst_case_terms``' expression, computed
+in place in the same order, so it keeps its bits.  The last two reach the
+exact even-integer minimum of H or He.
 
 All functions are pure; a ``DesignProblem`` is checked when it is built, and
 ``model.validate_problem`` checks that a problem is one.
@@ -37,11 +38,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .model import Allocation, DesignProblem, Paradigm, ValidationError, validate_problem
-from .regret import worst_case_terms
+from .regret import _C0
 
 # Snap tolerance: continuous shares within this of an even integer are taken
 # as exactly even, so float noise cannot drop a pair (e.g. 0.2*200 -> 40).
@@ -57,21 +58,22 @@ class DegenerateAllocationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Scheme:
-    """``raw_share(weight, var_sum)``: a group's unnormalized share.
-    ``greedy_target``: the paradigm whose worst case redistribution
-    minimizes; None redistributes by largest remainder."""
+    """``raw_shares(weights, var_sums)``: every group's unnormalized share,
+    from one call per problem.  ``greedy_target``: the paradigm whose worst
+    case redistribution minimizes; None redistributes by largest remainder."""
 
-    raw_share: Callable[[float, float], float]
+    raw_shares: Callable[[tuple[float, ...], tuple[float, ...]], Sequence[float]]
     greedy_target: Paradigm | None
 
 
 SCHEMES: dict[str, Scheme] = {
     "minimax": Scheme(
-        lambda w, s: s ** (1.0 / 3.0) * w ** (2.0 / 3.0), Paradigm.SEPARATE_UTILITARIAN
+        lambda ws, ss: [s ** (1.0 / 3.0) * w ** (2.0 / 3.0) for w, s in zip(ws, ss)],
+        Paradigm.SEPARATE_UTILITARIAN,
     ),
-    "proportional": Scheme(lambda w, s: w, None),
-    "egalitarian": Scheme(lambda w, s: s, Paradigm.SEPARATE_EGALITARIAN),
-    "neyman": Scheme(lambda w, s: w * math.sqrt(s), None),
+    "proportional": Scheme(lambda ws, ss: ws, None),
+    "egalitarian": Scheme(lambda ws, ss: ss, Paradigm.SEPARATE_EGALITARIAN),
+    "neyman": Scheme(lambda ws, ss: [w * math.sqrt(s) for w, s in zip(ws, ss)], None),
 }
 
 
@@ -87,9 +89,9 @@ def _scheme(name: str) -> Scheme:
 def shares(problem: DesignProblem, scheme: str) -> tuple[float, ...]:
     """Budget-exhausting relaxation of a scheme, as Python floats:
     share_g = raw_share_g * N / sum of raw shares."""
-    raw_share = _scheme(scheme).raw_share
+    raw_shares = _scheme(scheme).raw_shares
     validate_problem(problem)
-    raw = [raw_share(w, s) for w, s in zip(problem.weights, problem.var_sums)]
+    raw = raw_shares(problem.weights, problem.var_sums)
     total = sum(raw)
     relaxed = tuple([problem.budget * w / total for w in raw])
     if not math.isfinite(sum(relaxed)):
@@ -115,17 +117,20 @@ def _redistribute(
     pairs = (problem.budget - sum(counts)) // 2
     if target is None:
         def gain(g: int, n: int) -> float:
-            return relaxed[g] - n
+            return relaxed[g] - n if n >= 0 else math.inf
     else:
-        weights, var_sums, worst_off = target.group_weights(problem), problem.var_sums, target.worst_off
+        scale = [w * _C0 for w in target.group_weights(problem)]
+        var_sums, worst_off = problem.var_sums, target.worst_off
 
         def gain(g: int, n: int) -> float:
-            term = worst_case_terms((weights[g],), (var_sums[g],), (n,))[0]
+            if n <= 0:
+                return math.inf
+            term = scale[g] * math.sqrt(var_sums[g] / (n * 0.5))
             # One pair's drop in the term, without cancelling term(n) - term(n+2).
             return term if worst_off else term * 2 / ((n + 2) * (1 + math.sqrt(n / (n + 2))))
 
     gains = [gain(g, n) for g, n in enumerate(counts)]
-    costs = [gain(g, n - 2) if n else math.inf for g, n in enumerate(counts)]
+    costs = [gain(g, n - 2) for g, n in enumerate(counts)]
     while pairs >= 0:
         j = gains.index(max(gains))
         if pairs:
@@ -135,7 +140,7 @@ def _redistribute(
             if not costs[i] < gains[j]:
                 break
             counts[i] -= 2
-            gains[i], costs[i] = costs[i], gain(i, counts[i] - 2) if counts[i] else math.inf
+            gains[i], costs[i] = costs[i], gain(i, counts[i] - 2)
         counts[j] += 2
         gains[j], costs[j] = gain(j, counts[j]), gains[j]
     return counts

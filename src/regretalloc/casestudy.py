@@ -181,12 +181,16 @@ def required_sample_size(spec: PowerSpec, weights: Sequence[float]) -> int:
     if not math.isfinite(spread):
         raise ConfigError("variances var_control and var_treated pool beyond float range")
     try:
-        raw = spread / spec.detectable_effect**2
-        return 2 * math.ceil(raw / 2.0)
+        size = 2 * math.ceil(spread / spec.detectable_effect**2 / 2.0)
     except (OverflowError, ZeroDivisionError):  # effect**2 or the size out of float range
         raise ConfigError(
             f"detectable effect {spec.detectable_effect!r} gives no finite sample size"
         ) from None
+    # Each w * v can underflow to 0 where the exact product, and so N, is positive.
+    if size == 0 and spec.power_quantile != spec.size_quantile:
+        groups = zip(weights, spec.var_control, spec.var_treated)
+        return 2 * any(w > 0 and v0 + v1 > 0 for w, v0, v1 in groups)
+    return size
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Allocation schemes: closed-form shares, even-floor rounding, invariants."""
 
+import hashlib
 import heapq
 import math
 import random
@@ -649,3 +650,53 @@ class TestOneSetOfNumbers:
                     assert worst_case(narrow, allocation, paradigm) == worst_case(
                         wide, allocation, paradigm
                     )
+
+
+def redistribution_corpus():
+    """Seeded problems for the digest below: G from 1 to 30 with log-uniform
+    weights, arm variances and budgets, then identical groups (every gain
+    ties) for G from 1 to 8 at 40 budgets each."""
+    rng = random.Random(33)
+
+    def log_uniform(low, high):
+        return 10.0 ** rng.uniform(math.log10(low), math.log10(high))
+
+    problems = []
+    for _ in range(3000):
+        G = rng.randint(1, 30)
+        raw = [log_uniform(1e-4, 1.0) for _ in range(G)]
+        groups = tuple(
+            GroupSpec(f"g{g}", r / sum(raw), log_uniform(1e-2, 1e2), log_uniform(1e-2, 1e2))
+            for g, r in enumerate(raw)
+        )
+        problems.append(DesignProblem(int(log_uniform(2 * G, 1e7)), groups))
+    for G in range(1, 9):
+        groups = tuple(GroupSpec(f"g{g}", 1.0 / G, 0.5, 0.5) for g in range(G))
+        problems += [DesignProblem(int(log_uniform(2 * G, 1e5)), groups) for _ in range(40)]
+    return problems
+
+
+# sha256 of repr([allocate(p, scheme, redistribute=True).counts for p in the
+# corpus]), taken before the gain was computed in place.
+REDISTRIBUTED_SHA256 = {
+    "minimax": "3c87c7189551963319846dd5319b3965c70e5c5e7680a1ab3b4434c49cb89a1b",
+    "proportional": "325b05a0caec607ea646127a94d7724df8fc86031f01e769aa645eca34e16b6e",
+    "egalitarian": "30481570923cb0243bae8e2bce4933fcbbaaf579cc3cdf3b9e656353ee5df041",
+    "neyman": "6e74054c10da5c94060c2470f9e84069a6778a129aa344902e6386f3195b424a",
+}
+
+
+class TestRedistributedDigest:
+    """The exact optimum is unique only up to ties, so the loop's scan order
+    and first-group rule are part of the answer: a faster gain must leave
+    every count where it was."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return redistribution_corpus()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_counts_match_the_pinned_digest(self, corpus, scheme):
+        counts = [redistributed(problem, scheme) for problem in corpus]
+        digest = hashlib.sha256(repr(counts).encode()).hexdigest()
+        assert digest == REDISTRIBUTED_SHA256[scheme]

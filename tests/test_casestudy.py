@@ -283,6 +283,18 @@ class TestRequiredSampleSize:
         assert required_sample_size(PowerSpec(-0.006, 0.9, 0.05, (0.0,), (0.0,)), (1.0,)) == 0
 
     @pytest.mark.parametrize(
+        "weight, variance", [(5e-324, 1e-6), (1e-200, 1e-200)], ids=["subnormal", "normal"]
+    )
+    def test_an_underflowing_product_still_needs_one_pair(self, weight, variance):
+        # w * v rounds to 0.0, but the exact r is positive and tiny, so N is 2.
+        spec = PowerSpec(-1.0, 0.5, 0.125, (variance,), (variance,))
+        assert weight * variance == 0.0
+        assert required_sample_size(spec, (weight,)) == 2
+
+    def test_equal_quantiles_need_no_sample(self):
+        assert required_sample_size(PowerSpec(-1.0, 0.3, 0.3, (1e-200,), (1e-200,)), (1e-200,)) == 0
+
+    @pytest.mark.parametrize(
         "args, match",
         [
             (("x", 0.9, 0.05, (0.1,), (0.1,)), "detectable effect"),

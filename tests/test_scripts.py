@@ -78,8 +78,8 @@ class TestBenchRecord:
         }
         layers = {"allocate.minimax_us": {"value": 3.0, "unit": "us"}}
         record = bench_record.assemble(
-            [runs] * 3, fake_run("design-sweep", metrics=layers), {"PYTHONDONTWRITEBYTECODE": "1"},
-            2369,
+            [runs] * 3, [fake_run("design-sweep", metrics=layers)] * 3,
+            {"PYTHONDONTWRITEBYTECODE": "1"}, 2369,
         )
         assert record == {
             "seed": 1,
@@ -88,7 +88,7 @@ class TestBenchRecord:
                 "design-sweep": {"work_per_s": {"value": 2.0, "unit": "1/s", "runs": [2.0] * 3}},
                 "mc-trial": {"work_per_s": {"value": 1.0, "unit": "1/s", "runs": [1.0] * 3}},
             },
-            "per_layer": layers,
+            "per_layer": {"allocate.minimax_us": {"value": 3.0, "unit": "us", "runs": [3.0] * 3}},
             "src_lines": 2369,
             "environment": {
                 "nproc": 2, "cpu_model": "cpu", "python": "3.11.7", "numpy": "2.4.6",
@@ -103,9 +103,16 @@ class TestBenchRecord:
             {"mc-trial": fake_run("mc-trial", metrics={"setup_s": {"value": v, "unit": "s"}})}
             for v in (0.3, 0.1, 0.2)
         ]
-        record = bench_record.assemble(rounds, fake_run("design-sweep"), {}, 1)
+        traced = [
+            fake_run("design-sweep", metrics={"regret.self_s": {"value": v, "unit": "s"}})
+            for v in (0.5, 0.7, 0.6)
+        ]
+        record = bench_record.assemble(rounds, traced, {}, 1)
         assert record["end_to_end"] == {
             "mc-trial": {"setup_s": {"value": 0.2, "unit": "s", "runs": [0.3, 0.1, 0.2]}}
+        }
+        assert record["per_layer"] == {
+            "regret.self_s": {"value": 0.6, "unit": "s", "runs": [0.5, 0.7, 0.6]}
         }
 
     def test_a_run_that_fails_in_round_2_stops_the_record(self, tmp_path, monkeypatch, capsys):
@@ -114,7 +121,7 @@ class TestBenchRecord:
 
         def run(workload, seconds, trace):
             calls.append((workload, trace))
-            return fake_run(workload, correct=len(calls) != 5)
+            return fake_run(workload, correct=len(calls) != 6)
 
         monkeypatch.setattr(bench_record, "run_perfbench", run)
         out = tmp_path / "out.json"
@@ -123,14 +130,24 @@ class TestBenchRecord:
         assert capsys.readouterr().err == (
             "error: mc-trial (round 2): 3 of 10 checked ops failed\n"
         )
-        rounds = [(w, 0) for w in ("design-sweep", "mc-trial", "reproduce-cli")] * 3
-        assert calls == rounds + [("design-sweep", 1)]
+        one_round = [(w, 0) for w in ("design-sweep", "mc-trial", "reproduce-cli")]
+        assert calls == (one_round + [("design-sweep", 1)]) * 3
+
+    def test_a_traced_run_that_fails_names_its_round(self):
+        bench_record = load_bench_record()
+        runs = {"mc-trial": fake_run("mc-trial")}
+        traced = [fake_run("design-sweep", correct=r != 2) for r in (1, 2, 3)]
+        with pytest.raises(
+            bench_record.RecordError,
+            match=r"^design-sweep \(trace 1, round 2\): 3 of 10 checked ops failed$",
+        ):
+            bench_record.assemble([runs] * 3, traced, {}, 1)
 
     @pytest.mark.parametrize("environ", [{}, {"PYTHONDONTWRITEBYTECODE": ""}], ids=["unset", "empty"])
     def test_an_empty_bytecode_flag_is_unset(self, environ):
         bench_record = load_bench_record()
         runs = {"mc-trial": fake_run("mc-trial")}
-        record = bench_record.assemble([runs], fake_run("design-sweep"), environ, 1)
+        record = bench_record.assemble([runs], [fake_run("design-sweep")], environ, 1)
         assert record["environment"]["PYTHONDONTWRITEBYTECODE"] is False
 
     @pytest.mark.parametrize("failing", ["mc-trial", "trace"])
@@ -139,7 +156,7 @@ class TestBenchRecord:
         runs = {"mc-trial": fake_run("mc-trial", correct=failing != "mc-trial")}
         with pytest.raises(bench_record.RecordError, match="3 of 10 checked ops failed"):
             bench_record.assemble(
-                [runs], fake_run("design-sweep", correct=failing != "trace"), {}, 1
+                [runs], [fake_run("design-sweep", correct=failing != "trace")], {}, 1
             )
 
     def test_src_lines_count_as_wc_does(self, tmp_path):
