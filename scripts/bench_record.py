@@ -21,9 +21,11 @@ is not ``correct``.
 With ``--compare BASE.json``, an earlier record, it then prints one row
 per workload and end-to-end metric: the BASE value, the new value, the
 relative change, and the metric's ``better`` direction and ``bound`` from
-BENCHMARK.json; a change worse than its bound is flagged ``WORSE``.  A last
-row gives ``src_lines`` the same way, without a direction or bound, and
-``-`` where BASE has none.
+BENCHMARK.json; a change worse than its bound is flagged ``WORSE``.  Then
+one row per per-layer metric in both records, with its ``better``
+direction from BENCHMARK.json (layers have no bound).  A last row gives
+``src_lines`` the same way, without a direction or bound, and ``-`` where
+BASE has none.
 """
 
 import argparse
@@ -117,9 +119,12 @@ def assemble(
     }
 
 
-def compare(base: dict, record: dict, end_to_end: list[dict]) -> list[str]:
+def compare(
+    base: dict, record: dict, end_to_end: list[dict], per_layer: list[dict] = ()
+) -> list[str]:
     """The rows that ``--compare`` prints for ``record`` against ``base``;
-    ``end_to_end`` is BENCHMARK.json's list of metric specs."""
+    ``end_to_end`` and ``per_layer`` are BENCHMARK.json's lists of metric
+    specs."""
     rows = [
         f"{'workload':<14} {'metric':<15} {'base':>12} {'new':>12} {'change':>8}  better  bound"
     ]
@@ -136,6 +141,14 @@ def compare(base: dict, record: dict, end_to_end: list[dict]) -> list[str]:
                 worse, cells = False, f"{'-':>12} {new:>12.6g} {'-':>8}"
             flag = "  WORSE" if worse else ""
             rows.append(f"{workload:<14} {name:<15} {cells}  {spec['better']:<6}  {bound}{flag}")
+    better = {spec["name"]: spec["better"] for spec in per_layer}
+    old_layers = base.get("per_layer", {})
+    layers = [name for name in record.get("per_layer", {}) if name in old_layers]
+    width = max([30, *map(len, layers)])
+    for name in layers:
+        old, new = old_layers[name]["value"], record["per_layer"][name]["value"]
+        change = f"{(new - old) / old:>+8.1%}" if old else f"{'-':>8}"
+        rows.append(f"{name:<{width}} {old:>12.6g} {new:>12.6g} {change}  {better.get(name, '-')}")
     old, new = base.get("src_lines"), record["src_lines"]
     if old:
         rows.append(f"{'src_lines':<30} {old:>12} {new:>12} {(new - old) / old:>+8.1%}")
@@ -164,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     if base is not None:
-        print("\n".join(compare(base, record, bench["end_to_end"])))
+        print("\n".join(compare(base, record, bench["end_to_end"], bench["per_layer"])))
     return 0
 
 

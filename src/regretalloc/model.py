@@ -24,9 +24,11 @@ hashing and repr:
 
 * a ``DesignProblem``: ``n_groups``, the float ``weights``, ``var_control``,
   ``var_treated`` and ``var_sums``, and ``_inv_weight_sum``, sum_g 1/w_g;
-* an ``Allocation``: ``total``;
+* an ``Allocation``: ``total``, also from the allocators' ``_from_counts``;
 * a ``TruthScenario``: ``var_sums``, ``_length``, the common length of its
-  fields (None when they differ), and ``_fault``.
+  fields (None when they differ), and ``_fault``.  The public constructor
+  derives them; ``_on_problem``, the adversarial profile's, takes the
+  variances and sums from a checked ``DesignProblem`` and checks only ``tau``.
 
 A ``TruthScenario`` with a non-finite value or a non-positive variance can be
 built, but stores that fault, and every check raises it.  The validators
@@ -241,12 +243,18 @@ class TruthScenario:
         self._seal()
 
     @classmethod
-    def _from_floats(cls, tau, baseline, var_control, var_treated) -> "TruthScenario":
-        """The regret kernels' constructor: each field is already a tuple of
-        Python floats, so none is coerced again."""
+    def _on_problem(cls, tau: tuple[float, ...], problem: DesignProblem) -> "TruthScenario":
+        """The adversarial profile's constructor: ``tau``, Python floats, on
+        zero baselines with the problem's checked variances and sums; only a
+        non-finite ``tau`` (a sum that overflowed) is sealed, for its fault."""
         truth = object.__new__(cls)
-        truth.__dict__.update(zip(_SCENARIO_FIELDS, (tau, baseline, var_control, var_treated)))
-        truth._seal()
+        truth.__dict__.update(
+            tau=tau, baseline=(0.0,) * problem.n_groups, var_control=problem.var_control,
+            var_treated=problem.var_treated, var_sums=problem.var_sums,
+            _length=problem.n_groups, _fault=None,
+        )
+        if not math.isfinite(sum(tau)):
+            truth._seal()
         return truth
 
     def _seal(self) -> None:

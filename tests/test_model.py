@@ -352,12 +352,17 @@ class TestStoredWhenBuilt:
 
     def test_scenario_var_sums_are_stored_by_both_constructors(self):
         fields = ((0.1, -0.2), (0.0, 0.0), (0.1, 0.3), (0.2, 0.4))
-        built, from_floats = TruthScenario(*fields), TruthScenario._from_floats(*fields)
-        for truth in (built, from_floats):
+        problem = two_group_problem(variances=((0.1, 0.2), (0.3, 0.4)))
+        built, on_problem = TruthScenario(*fields), TruthScenario._on_problem(fields[0], problem)
+        for truth in (built, on_problem):
             assert truth.__dict__["var_sums"] == (0.1 + 0.2, 0.3 + 0.4)
-        assert built.var_sums == from_floats.var_sums
-        assert built == from_floats and hash(built) == hash(from_floats)
-        flipped = dataclasses.replace(built, tau=tuple(-t for t in built.tau))
+            assert truth.__dict__["_length"] == 2
+        # The profile shares the problem's checked tuples instead of copying them.
+        for name in ("var_control", "var_treated", "var_sums"):
+            assert getattr(on_problem, name) is getattr(problem, name)
+        assert built == on_problem and hash(built) == hash(on_problem)
+        assert repr(built) == repr(on_problem)
+        flipped = dataclasses.replace(on_problem, tau=tuple(-t for t in built.tau))
         assert flipped.var_sums == built.var_sums
 
     def test_problem_tuples_are_stored_as_floats(self):
@@ -383,7 +388,15 @@ class TestStoredWhenBuilt:
         ids=["none", "infinite-tau", "negative-variance"],
     )
     def test_scenario_fault_is_stored_by_both_constructors(self, fields, fault):
-        for truth in (TruthScenario(*fields), TruthScenario._from_floats(*fields)):
+        built = TruthScenario(*fields)
+        tau, _, var_control, var_treated = fields
+        if min(var_control + var_treated) <= 0.0:
+            # A checked problem cannot carry a non-positive variance.
+            scenarios = (built,)
+        else:
+            problem = two_group_problem(variances=tuple(zip(var_control, var_treated)))
+            scenarios = (built, TruthScenario._on_problem(tau, problem))
+        for truth in scenarios:
             if fault is None:
                 assert truth.__dict__["_fault"] is None
                 assert check_scenario(two_group_problem(), truth) is truth
@@ -392,3 +405,4 @@ class TestStoredWhenBuilt:
                 for _ in range(2):
                     with pytest.raises(ValidationError, match=fault):
                         check_scenario(two_group_problem(), truth)
+        assert len({truth._fault for truth in scenarios}) == 1

@@ -1,14 +1,24 @@
 """Closed-form worst-case and expected regret, adversarial scenarios."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
+import random
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from regretalloc import simulate
-from regretalloc.allocate import allocate, minimax_allocation, shares
+from regretalloc.allocate import (
+    SCHEMES,
+    DegenerateAllocationWarning,
+    allocate,
+    minimax_allocation,
+    shares,
+)
 from regretalloc.model import (
     Allocation,
     DesignProblem,
@@ -16,6 +26,7 @@ from regretalloc.model import (
     Paradigm,
     TruthScenario,
     ValidationError,
+    check_scenario,
 )
 from regretalloc.regret import (
     KAPPA_TOL,
@@ -488,9 +499,76 @@ class TestAdversarialProfilesAreScenarios:
         problem = DesignProblem(budget=4, groups=(GroupSpec("g0", 1.0, 1e308, 1e308),))
         allocation = Allocation((4,))
         truth = adversarial_tau_separate(problem, allocation)
+        fault = "scenario field tau must be finite, got (inf,)"
+        assert truth._fault == fault
         for _ in range(2):
-            with pytest.raises(ValidationError, match="tau must be finite"):
+            with pytest.raises(ValidationError, match=f"^{re.escape(fault)}$"):
+                check_scenario(problem, truth)
+            with pytest.raises(ValidationError, match=f"^{re.escape(fault)}$"):
                 expected_regret(problem, allocation, truth, Paradigm.SEPARATE_UTILITARIAN)
+
+
+def adversarial_corpus():
+    """Seeded (problem, allocation) cells for the digest below: G from 1 to
+    30 with log-uniform weights, arm variances and budgets, under each
+    scheme with and without ``redistribute``, kept where every group is
+    sampled."""
+    rng = random.Random(34)
+
+    def log_uniform(low, high):
+        return 10.0 ** rng.uniform(math.log10(low), math.log10(high))
+
+    cells = []
+    for _ in range(600):
+        G = rng.randint(1, 30)
+        raw = [log_uniform(1e-4, 1.0) for _ in range(G)]
+        groups = tuple(
+            GroupSpec(f"g{g}", r / sum(raw), log_uniform(1e-3, 1e3), log_uniform(1e-3, 1e3))
+            for g, r in enumerate(raw)
+        )
+        problem = DesignProblem(int(log_uniform(2 * G, 1e7)), groups)
+        for scheme, redistribute in itertools.product(SCHEMES, (False, True)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateAllocationWarning)
+                allocation = allocate(problem, scheme, redistribute)
+            if 0 not in allocation.counts:
+                cells.append((problem, allocation))
+    return cells
+
+
+def stored_facts(truth):
+    """Every fact a scenario stores, as text: the float hexes of its fields
+    and of ``var_sums``, then ``_length``, ``_fault`` and its repr."""
+    fields = (truth.tau, truth.baseline, truth.var_control, truth.var_treated, truth.var_sums)
+    return repr(([[v.hex() for v in values] for values in fields],
+                 truth._length, truth._fault, repr(truth)))
+
+
+# sha256 of "\n".join(stored_facts(adversarial_tau_separate(p, a))) over the
+# corpus, taken while the profile was still sealed like a built scenario.
+ADVERSARIAL_FACTS_SHA256 = "ed0f8a6619d11d0eac86f7621b7e91d0f55d1736b3dc4cf4a4f25fa8ca5f9521"
+
+
+class TestAdversarialDigest:
+    """The profile takes its problem's checked facts instead of sealing
+    itself as a built scenario does: each fact it stores must be the one
+    sealing derives."""
+
+    @pytest.fixture(scope="class")
+    def profiles(self):
+        return [(p, adversarial_tau_separate(p, a)) for p, a in adversarial_corpus()]
+
+    def test_stored_facts_match_the_pinned_digest(self, profiles):
+        sizes = {p.n_groups for p, _ in profiles}
+        assert len(profiles) == 2988 and min(sizes) == 1 and max(sizes) == 30
+        text = "\n".join(stored_facts(truth) for _, truth in profiles)
+        assert hashlib.sha256(text.encode()).hexdigest() == ADVERSARIAL_FACTS_SHA256
+
+    def test_each_profile_is_the_public_scenario(self, profiles):
+        for p, truth in profiles:
+            public = TruthScenario(truth.tau, (0.0,) * p.n_groups, p.var_control, p.var_treated)
+            assert truth == public and hash(truth) == hash(public)
+            assert stored_facts(truth) == stored_facts(public)
 
 
 class TestDispatch:

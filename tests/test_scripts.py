@@ -202,6 +202,43 @@ class TestBenchRecord:
         del base["src_lines"]  # as in BENCH_15, made before records counted lines
         assert bench_record.compare(base, new, specs)[-1].split() == ["src_lines", "-", "1990", "-"]
 
+    def test_compare_prints_a_row_per_layer_in_both_records(self):
+        bench_record = load_bench_record()
+        specs = [{"name": "work_per_s", "better": "higher", "bound": 0.25}]
+        layers = [
+            {"name": "regret.adversarial_tau_separate_us", "better": "lower"},
+            {"name": "simulate.trial_reps_per_s.separate", "better": "higher"},
+        ]
+
+        def record(**values):
+            return {
+                "end_to_end": {"a": {"work_per_s": {"value": 100.0}}},
+                "per_layer": {name: {"value": v, "unit": "x"} for name, v in values.items()},
+                "src_lines": 2000,
+            }
+
+        base = record(**{
+            "regret.adversarial_tau_separate_us": 4.0, "simulate.trial_reps_per_s.separate": 0.0,
+            "gone_us": 1.0,
+        })
+        new = record(**{
+            "simulate.trial_reps_per_s.separate": 5.0, "regret.adversarial_tau_separate_us": 2.0,
+            "added_us": 1.0,
+        })
+        header, *rows = bench_record.compare(base, new, specs, layers)
+        assert [row.split() for row in rows] == [
+            ["a", "work_per_s", "100", "100", "+0.0%", "higher", "0.25"],
+            ["simulate.trial_reps_per_s.separate", "0", "5", "-", "higher"],
+            ["regret.adversarial_tau_separate_us", "4", "2", "-50.0%", "lower"],
+            ["src_lines", "2000", "2000", "+0.0%"],
+        ]
+        # Each layer row's columns line up with the next, past the longest name.
+        assert len({len(row.rsplit("  ", 1)[0]) for row in rows[1:3]}) == 1
+        # A layer that BENCHMARK.json does not declare has no direction.
+        assert bench_record.compare(base, new, specs)[2].split()[-1] == "-"
+        del base["per_layer"]
+        assert bench_record.compare(base, new, specs, layers)[1:] == [rows[0], rows[-1]]
+
     def test_compare_prints_after_the_record_is_written(self, tmp_path, monkeypatch, capsys):
         bench_record = load_bench_record()
         metrics = {
