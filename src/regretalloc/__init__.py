@@ -14,7 +14,7 @@ study (``regretalloc.casestudy``, with ``json``) are loaded on first use:
 their names exported here (``SimConfig``, ``monte_carlo_regret``,
 ``default_config``, ``ConfigError`` and the others) are resolved on first
 access and are the very objects in those modules.  ``normal_quantile``
-loads the standard library's ``statistics`` on its first call.
+calls the C kernel of ``statistics.NormalDist``, without importing ``statistics``.
 """
 
 from importlib import import_module as _import_module

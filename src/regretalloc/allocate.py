@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
 from .model import Allocation, DesignProblem, Paradigm, ValidationError, validate_problem
 from .regret import _C0
@@ -56,14 +55,13 @@ class DegenerateAllocationWarning(UserWarning):
     """Some group's rounded count is zero; its worst-case regret is infinite."""
 
 
-@dataclass(frozen=True)
 class Scheme:
     """``raw_shares(weights, var_sums)``: every group's unnormalized share,
     from one call per problem.  ``greedy_target``: the paradigm whose worst
     case redistribution minimizes; None redistributes by largest remainder."""
 
-    raw_shares: Callable[[tuple[float, ...], tuple[float, ...]], Sequence[float]]
-    greedy_target: Paradigm | None
+    def __init__(self, raw_shares: Callable[..., Sequence[float]], greedy_target: Paradigm | None):
+        self.raw_shares, self.greedy_target = raw_shares, greedy_target
 
 
 SCHEMES: dict[str, Scheme] = {

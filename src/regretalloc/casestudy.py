@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .model import (
-    DesignProblem, GroupSpec, TruthScenario, ValidationError, _as_float, _as_int, _items,
+    DesignProblem, GroupSpec, TruthScenario, ValidationError, _Value, _as_float, _as_int, _items,
 )
 from .stats import normal_quantile
 
@@ -85,8 +85,8 @@ def _as_tuple(values: object, name: str, check) -> tuple[float, ...]:
 _RATE_FIELDS = ("covid_treated", "covid_control", "ar_treated", "ar_control")
 
 
-@dataclass(frozen=True)
-class IncidenceSpec:
+@dataclass(frozen=True, eq=False, repr=False)
+class IncidenceSpec(_Value):
     """Per-group incidence probabilities for both outcome components, plus
     the efficacy/safety tradeoff weight."""
 
@@ -104,8 +104,8 @@ class IncidenceSpec:
         object.__setattr__(self, "beta", _as_nonnegative(self.beta, "beta"))
 
 
-@dataclass(frozen=True)
-class PowerSpec:
+@dataclass(frozen=True, eq=False, repr=False)
+class PowerSpec(_Value):
     """Inputs for the power-based total sample size: detectable effect,
     size/power quantile levels, and per-group per-arm variances to pool."""
 
@@ -217,8 +217,8 @@ def _per_group(values: object, n_groups: int, field: str, check) -> tuple:
     return tuple(check(v, f"groups[{g}].{field}") for g, v in enumerate(items))
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+@dataclass(frozen=True, eq=False, repr=False)
+class ScenarioConfig(_Value):
     """A validated scenario configuration.  Each field is checked when the
     config is built, parsed or by hand, and a fault raises ConfigError
     naming the field by its path in the config file."""
@@ -344,8 +344,8 @@ def load_config(path: str) -> ScenarioConfig:
     return parse_config(obj)
 
 
-@dataclass(frozen=True)
-class CaseStudyCase:
+@dataclass(frozen=True, eq=False, repr=False)
+class CaseStudyCase(_Value):
     """One tradeoff case: a design problem built from the design rates and
     the evaluation scenario built from the reported incidence rates."""
 

@@ -29,7 +29,6 @@ import dataclasses
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import regret as regret_mod
@@ -49,14 +48,12 @@ from .stats import threshold_constants
 _REGRET_SCALE = 1e4
 
 
-@dataclass
 class ReportTable:
     """A rectangular table with a title and an optional scaling note."""
 
-    title: str
-    headers: list[str]
-    rows: list[list[str]] = field(default_factory=list)
-    note: str = ""
+    def __init__(self, title: str, headers: list[str], rows: list | None = None, note: str = ""):
+        self.title, self.headers, self.note = title, headers, note
+        self.rows: list[list[str]] = [] if rows is None else rows
 
     def add_row(self, cells: list[str]) -> None:
         if len(cells) != len(self.headers):

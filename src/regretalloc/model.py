@@ -13,7 +13,10 @@ Conventions
   checks this when it is built, so an odd or negative one never exists.
 
 All types are immutable values; they carry no behavior beyond validation and
-may be shared freely across threads.
+may be shared freely across threads.  The package's value types share one
+equality, hash and repr, written once in ``_Value``, and are declared
+``@dataclass(frozen=True, eq=False, repr=False)``: generated, those methods
+would be compiled again for each class on every start.
 
 Every value is checked when it is built and stores the Python ``int`` or
 ``float`` it checked (a ``DesignProblem`` its ``budget``), so that all later
@@ -40,7 +43,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 WEIGHT_SUM_TOL = 1e-9
 # Allocators scale float shares by the budget; past 2**53 a float no longer
@@ -96,8 +99,29 @@ def _as_int(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class _Value:
+    """Equality, hashing and repr over ``fields(self)``, as ``@dataclass(frozen=True)``
+    generates them: equal only to the same class with an equal field tuple
+    (else NotImplemented), hashed as that tuple, printed as ``QualName(f=v!r, ...)``."""
+
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, f.name) for f in fields(self)])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        values = ", ".join([f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)])
+        return f"{self.__class__.__qualname__}({values})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class GroupSpec(_Value):
     """One stratum: population share and per-arm outcome variances."""
 
     label: str
@@ -111,8 +135,8 @@ class GroupSpec:
         return self.var_control + self.var_treated
 
 
-@dataclass(frozen=True)
-class DesignProblem:
+@dataclass(frozen=True, eq=False, repr=False)
+class DesignProblem(_Value):
     """A total participant budget plus the ordered list of strata
     (ValidationError naming the group or the budget when built otherwise)."""
 
@@ -181,8 +205,8 @@ class DesignProblem:
         )
 
 
-@dataclass(frozen=True)
-class Allocation:
+@dataclass(frozen=True, eq=False, repr=False)
+class Allocation(_Value):
     """Even, nonnegative per-group sample counts (ValidationError when built
     otherwise); the sum, ``total``, may undershoot the budget."""
 
@@ -220,8 +244,8 @@ class Allocation:
         return allocation
 
 
-@dataclass(frozen=True)
-class TruthScenario:
+@dataclass(frozen=True, eq=False, repr=False)
+class TruthScenario(_Value):
     """A concrete data-generating process: per-group treatment effects,
     nuisance baselines, and per-arm variances."""
 

@@ -52,6 +52,7 @@ from .model import (
     Paradigm,
     TruthScenario,
     ValidationError,
+    _Value,
     _as_float,
     _as_real,
     _items,
@@ -71,8 +72,8 @@ _C0, _T_STAR = threshold_constants().c0, threshold_constants().t_star
 KAPPA_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class RegretSummary:
+@dataclass(frozen=True, eq=False, repr=False)
+class RegretSummary(_Value):
     """A regret value, its paradigm, and optional per-group contributions.
 
     For separate-utilitarian summaries the value is the sum of the per-group

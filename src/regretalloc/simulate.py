@@ -54,6 +54,7 @@ from .model import (
     Paradigm,
     TruthScenario,
     ValidationError,
+    _Value,
     _as_float,
     _as_int,
     _as_real,
@@ -70,8 +71,8 @@ _SEED_MASK = (1 << 64) - 1
 _TILE_BYTES = 1 << 21
 
 
-@dataclass(frozen=True)
-class SimConfig:
+@dataclass(frozen=True, eq=False, repr=False)
+class SimConfig(_Value):
     """Replication count and master seed for a Monte Carlo run."""
 
     replications: int
@@ -82,8 +83,8 @@ class SimConfig:
         object.__setattr__(self, "master_seed", _as_int("master_seed", self.master_seed))
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+@dataclass(frozen=True, eq=False, repr=False)
+class MonteCarloEstimate(_Value):
     """Sample mean of realized regret with its standard error (nonnegative
     and finite) over ``replications`` >= 1; ValidationError naming the field
     when built otherwise."""

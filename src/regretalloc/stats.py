@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import _Value
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -43,18 +45,21 @@ def normal_sf(x: float) -> float:
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse CDF: the z with Phi(z) = p, from ``NormalDist().inv_cdf``, within
-    about an ulp of the exact quantile.  Raises ValueError outside (0, 1).
-    The first call loads ``statistics``, which no other function needs."""
+    """Inverse CDF: the z with Phi(z) = p, within about an ulp of the exact
+    quantile.  Raises ValueError outside (0, 1).  The C kernel of
+    ``NormalDist().inv_cdf`` gives its bits without loading ``statistics``."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie strictly in (0, 1), got {p}")
-    import statistics
+    try:  # a plain import; called each time, ``from ... import`` is several times slower
+        import _statistics
+    except ImportError:  # an interpreter without the C kernel
+        import statistics
+        return statistics.NormalDist().inv_cdf(p)
+    return _statistics._normal_dist_inv_cdf(p, 0.0, 1.0)
 
-    return statistics.NormalDist().inv_cdf(p)
 
-
-@dataclass(frozen=True)
-class ThresholdConstants:
+@dataclass(frozen=True, eq=False, repr=False)
+class ThresholdConstants(_Value):
     """The maximizer t_star of t * Phi_c(t) and the maximum value c0."""
 
     t_star: float

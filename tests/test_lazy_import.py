@@ -1,6 +1,7 @@
 """Closed-form imports and commands leave numpy unloaded; only Monte Carlo
 loads it, through the package's lazily resolved simulate names."""
 
+import ast
 import inspect
 import json
 import os
@@ -163,21 +164,34 @@ loaded = "regretalloc.casestudy" in sys.modules
 module = regretalloc.casestudy
 print(listed, loaded, module is sys.modules["regretalloc.casestudy"])
 """
-QUANTILE_PROBE = """
-import sys
+# What ``statistics`` brings in besides itself.  ``random`` also comes with
+# ``tempfile`` (and, outside ``-S``, may come with ``site``), so these probes
+# run bare and take their output directory as an argument.
+STATISTICS_MODULES = ("statistics", "fractions", "decimal", "random")
+QUANTILE_PROBE = f"""
+import importlib.util, sys
 import regretalloc
-before = "statistics" in sys.modules
+before = [m for m in {STATISTICS_MODULES} if m in sys.modules]
 regretalloc.normal_quantile(0.975)
-print(before, "statistics" in sys.modules)
+after = [m for m in {STATISTICS_MODULES} if m in sys.modules]
+print((importlib.util.find_spec("_statistics") is not None, before, after))
+"""
+REPRODUCE_STATISTICS_PROBE = f"""
+import io, sys
+import regretalloc.cli as cli
+code = cli.main(["reproduce", "--out", sys.argv[1]], out=io.StringIO())
+print((code, [m for m in {STATISTICS_MODULES} if m in sys.modules]))
 """
 
 
-def run_bare(source: str) -> str:
-    """Last stdout line of ``source`` in a fresh ``python -S``, which does
-    not run ``site`` (here ``site`` itself imports ``typing``)."""
+def run_bare(source: str, *args: str) -> str:
+    """Last stdout line of ``source``, given ``args``, in a fresh
+    ``python -S``, which does not run ``site`` (here ``site`` itself imports
+    ``typing``)."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-S", "-c", source], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-S", "-c", source, *args],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
@@ -193,8 +207,16 @@ def test_casestudy_resolves_as_an_attribute_on_first_use():
     assert run_bare(CASESTUDY_ATTRIBUTE_PROBE) == "True False True"
 
 
-def test_first_normal_quantile_call_loads_statistics():
-    assert run_bare(QUANTILE_PROBE) == "False True"
+def test_first_normal_quantile_call_loads_no_statistics():
+    # The C kernel ships with CPython; only without it does the first call
+    # fall back to ``statistics.NormalDist``.
+    kernel, before, after = ast.literal_eval(run_bare(QUANTILE_PROBE))
+    assert before == []
+    assert after == ([] if kernel else list(STATISTICS_MODULES))
+
+
+def test_plain_reproduce_loads_no_statistics(tmp_path):
+    assert ast.literal_eval(run_bare(REPRODUCE_STATISTICS_PROBE, str(tmp_path))) == (0, [])
 
 
 @pytest.mark.parametrize("name", CASESTUDY_NAMES)

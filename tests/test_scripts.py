@@ -258,3 +258,112 @@ class TestBenchRecord:
         assert len(rows) == 1 + 4 * len(record["end_to_end"]) + 1 == 14
         assert "mc-trial       setup_s" in rows[5] and "+100.0%" in rows[5] and "WORSE" in rows[5]
         assert rows[-1].split() == ["src_lines", "-", str(record["src_lines"]), "-"]
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPairs:
+    PARENT = [10.0, 10.5, 9.5, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0]
+
+    def test_nine_of_ten_pairs_and_a_gap_past_the_parent_iqr_claim(self):
+        bench_pairs = load_bench_pairs()
+        change = [p - 1.0 for p in self.PARENT]
+        change[3] = self.PARENT[3]  # a tie counts for neither side
+        v = bench_pairs.verdict("lower", self.PARENT, change)
+        assert (v["led"], v["pairs"], v["claimable"]) == (9, 10, True)
+        assert v["parent"] == pytest.approx((9.8250, 10.0, 10.1750))
+        assert v["change"][1] == pytest.approx(9.0)
+
+    def test_eight_of_ten_pairs_do_not_claim(self):
+        bench_pairs = load_bench_pairs()
+        change = [p - 1.0 for p in self.PARENT]
+        change[0] = change[1] = 11.0
+        v = bench_pairs.verdict("lower", self.PARENT, change)
+        assert (v["led"], v["claimable"]) == (8, False)
+
+    def test_a_lead_in_every_pair_inside_the_parent_iqr_does_not_claim(self):
+        bench_pairs = load_bench_pairs()
+        change = [p - 0.3 for p in self.PARENT]  # parent IQR is 0.35
+        v = bench_pairs.verdict("lower", self.PARENT, change)
+        assert (v["led"], v["claimable"]) == (10, False)
+        change = [p - 0.4 for p in self.PARENT]
+        assert bench_pairs.verdict("lower", self.PARENT, change)["claimable"] is True
+
+    def test_higher_is_better_reverses_the_direction(self):
+        bench_pairs = load_bench_pairs()
+        lower = [p - 1.0 for p in self.PARENT]
+        assert bench_pairs.verdict("higher", self.PARENT, lower)["led"] == 0
+        higher = [p + 1.0 for p in self.PARENT]
+        v = bench_pairs.verdict("higher", self.PARENT, higher)
+        assert (v["led"], v["claimable"]) == (10, True)
+
+    def test_pairs_alternate_which_side_runs_first(self, capsys):
+        bench_pairs = load_bench_pairs()
+        calls = []
+
+        def run(checkout, workload, seed, seconds):
+            calls.append((checkout, seed))
+            return {"latency_p50_ms": float(len(calls))}
+
+        parent, change = bench_pairs.collect("p", "c", "reproduce-cli", 3, 8.0, 41, run=run)
+        assert calls == [("p", 41), ("c", 41), ("c", 42), ("p", 42), ("p", 43), ("c", 43)]
+        assert parent == [{"latency_p50_ms": v} for v in (1.0, 4.0, 5.0)]
+        assert change == [{"latency_p50_ms": v} for v in (2.0, 3.0, 6.0)]
+        assert "pair 2/3, seed 42: c first" in capsys.readouterr().err
+
+    def test_rows_print_each_metric_with_its_verdict(self):
+        bench_pairs = load_bench_pairs()
+        specs = [
+            {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
+            {"name": "work_per_s", "better": "higher", "bound": 0.25},
+        ]
+        parent = [{"latency_p50_ms": p, "work_per_s": 1.0} for p in self.PARENT]
+        change = [{"latency_p50_ms": p - 1.0, "work_per_s": 1.0} for p in self.PARENT]
+        header, latency, work = bench_pairs.rows(specs, parent, change)
+        assert header.split()[0] == "metric" and header.split()[-2:] == ["led", "claim"]
+        assert latency.split() == [
+            "latency_p50_ms", "10", "[9.825,", "10.175]", "9", "[8.825,", "9.175]",
+            "-10.0%", "10/10", "yes",
+        ]
+        assert work.split()[-3:] == ["+0.0%", "0/10", "no"]
+
+    def test_one_checkout_against_itself_prints_every_run(self, tmp_path, capsys):
+        # A stand-in for perfbench/run.py whose latency is its seed.
+        bench_pairs = load_bench_pairs()
+        specs = [{"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": specs}))
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").write_text(
+            "import json, sys\n"
+            "seed = float(sys.argv[sys.argv.index('--seed') + 1])\n"
+            "metrics = {'latency_p50_ms': {'value': seed, 'unit': 'ms'}}\n"
+            "result = {'correct': True, 'attempted': 1, 'failed': 0, 'metrics': metrics}\n"
+            "print(json.dumps(result))\n"
+        )
+        argv = [str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "2", "--seconds", "1",
+                "--first-seed", "5"]
+        assert bench_pairs.main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "w: 2 pairs of 1 s runs, seeds 5-6"
+        assert out[2].split()[-3:] == ["+0.0%", "0/2", "no"]
+        assert out[3:] == ["latency_p50_ms parent: 5 6", "latency_p50_ms change: 5 6"]
+
+    def test_a_run_that_is_not_correct_stops_the_comparison(self, tmp_path, capsys):
+        # A stand-in for perfbench/run.py: its last line reports 3 failed ops.
+        bench_pairs = load_bench_pairs()
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+        (tmp_path / "perfbench").mkdir()
+        result = {"correct": False, "attempted": 10, "failed": 3, "metrics": {}}
+        (tmp_path / "perfbench" / "run.py").write_text(
+            f"print('setup')\nprint({json.dumps(result)!r})\n"
+        )
+        argv = [str(tmp_path), str(tmp_path), "--workload", "w", "--seconds", "1",
+                "--first-seed", "5"]
+        assert bench_pairs.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {tmp_path} seed 5: 3 of 10 checked ops failed\n")

@@ -69,6 +69,10 @@ class TestNormalCdf:
         assert normal_cdf(x + step) >= normal_cdf(x)
 
 
+# Both tails to the last float below 1, and the levels the case study uses.
+QUANTILE_GRID = (1e-300, 1e-10, 0.025, 0.5, 0.8, 0.9, 0.975, 1 - 2**-53)
+
+
 class TestNormalQuantile:
     def test_median(self):
         assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
@@ -83,9 +87,33 @@ class TestNormalQuantile:
             z = normal_quantile(p)
             assert abs(normal_cdf(z) - p) <= 1e-10
 
-    @pytest.mark.parametrize("p", [1e-12, 0.05, 0.2, 0.5, 0.8, 0.9, 1 - 1e-9])
+    @pytest.mark.parametrize("p", [1e-12, 0.05, 0.2, 0.5, 0.8, 0.9, 1 - 1e-9, *QUANTILE_GRID])
     def test_is_the_standard_library_inverse_cdf(self, p):
         assert normal_quantile(p).hex() == NormalDist().inv_cdf(p).hex()
+
+    def test_fallback_without_the_c_kernel_gives_the_same_bits(self):
+        # With ``_statistics`` blocked, ``normal_quantile`` falls back to
+        # ``NormalDist().inv_cdf``, and ``statistics`` to its Python kernel.
+        script = textwrap.dedent(
+            f"""
+            import sys
+            sys.modules["_statistics"] = None
+            from regretalloc.stats import normal_quantile
+            import statistics
+            print(statistics._normal_dist_inv_cdf.__module__)
+            print(" ".join(normal_quantile(p).hex() for p in {QUANTILE_GRID!r}))
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        kernel, bits = done.stdout.splitlines()
+        assert kernel == "statistics"
+        assert bits.split() == [normal_quantile(p).hex() for p in QUANTILE_GRID]
 
     def test_roundtrip_through_cdf(self):
         for i in range(-50, 51):

@@ -14,8 +14,17 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from regretalloc import allocate as allocate_mod
+from regretalloc import casestudy, cli, model, regret, simulate, stats
 from regretalloc.allocate import allocate
-from regretalloc.casestudy import IncidenceSpec, PowerSpec, default_config
+from regretalloc.casestudy import (
+    CaseStudyCase,
+    IncidenceSpec,
+    PowerSpec,
+    ScenarioConfig,
+    build_case_study,
+    default_config,
+)
 from regretalloc.model import (
     Allocation,
     DesignProblem,
@@ -23,6 +32,7 @@ from regretalloc.model import (
     Paradigm,
     TruthScenario,
     ValidationError,
+    _Value,
     check_allocation,
     check_scenario,
     validate_problem,
@@ -35,6 +45,7 @@ from regretalloc.regret import (
     worst_case,
 )
 from regretalloc.simulate import MonteCarloEstimate, SimConfig, monte_carlo_regret
+from regretalloc.stats import ThresholdConstants, threshold_constants
 
 BAD_NUMBERS = st.sampled_from(
     [0.0, -1.0, float("nan"), float("inf"), float("-inf"), "1", None,
@@ -223,6 +234,90 @@ class TestRecordStaysOutOfTheValue:
         allocation = check_allocation(problem, Allocation((2, 4)))
         with pytest.raises(ValidationError, match="count 3 is odd"):
             check_allocation(problem, dataclasses.replace(allocation, counts=(2, 3)))
+
+
+def value_pairs():
+    """Two unequal sample instances of each value type, by type."""
+    config = default_config()
+    first, second = build_case_study(config)
+    rates = ((0.01, 0.02), (0.03, 0.04), (0.001, 0.002), (0.005, 0.006))
+    p = Paradigm.SEPARATE_EGALITARIAN
+    return {
+        GroupSpec: (GroupSpec("a", 0.5, 1.0, 2.0), GroupSpec("a", 0.5, 1.0, 3.0)),
+        DesignProblem: (valid_problem(2), valid_problem(2, budget=60)),
+        Allocation: (Allocation((2, 4)), Allocation((4, 2))),
+        TruthScenario: (valid_truth(2), valid_truth(3)),
+        RegretSummary: (RegretSummary(p, 0.25, (0.1, 0.25)), RegretSummary(p, 0.25)),
+        ThresholdConstants: (threshold_constants(), ThresholdConstants(0.75, 0.17)),
+        IncidenceSpec: (IncidenceSpec(*rates, 0.5), IncidenceSpec(*rates, 0.25)),
+        PowerSpec: (first.power, second.power),
+        ScenarioConfig: (config, dataclasses.replace(config, budget=config.budget + 2)),
+        CaseStudyCase: (first, second),
+        SimConfig: (SimConfig(100, 7), SimConfig(100, 8)),
+        MonteCarloEstimate: (MonteCarloEstimate(0.1, 0.01, 100), MonteCarloEstimate(0.1, 0.02, 100)),
+    }
+
+
+VALUE_TYPES = list(value_pairs())
+
+
+def reference(cls):
+    """A function giving each instance of ``cls`` as an instance of one class
+    that ``@dataclass(frozen=True)`` builds with the same name and fields, and
+    so with its generated methods."""
+    fields = dataclasses.fields(cls)
+    made = dataclasses.make_dataclass(cls.__name__, [(f.name, f.type) for f in fields], frozen=True)
+    return lambda value: made(*[getattr(value, f.name) for f in fields])
+
+
+def hashed(value):
+    """The hash, or the exception type: ``ScenarioConfig`` holds a dict."""
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+class TestValueSemanticsMatchGeneratedOnes:
+    def test_every_value_type_is_sampled(self):
+        found = {
+            cls
+            for module in (model, stats, regret, allocate_mod, simulate, casestudy, cli)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        }
+        assert found == set(VALUE_TYPES) and len(found) == 12
+        assert all(issubclass(cls, _Value) for cls in found)
+
+    @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+    def test_repr_hash_and_equality(self, cls):
+        pairs = value_pairs()
+        x, y = pairs[cls]
+        other = pairs[VALUE_TYPES[VALUE_TYPES.index(cls) - 1]][0]  # another value type
+        same = dataclasses.replace(x)
+        rx, ry, rsame = map(reference(cls), (x, y, same))
+        for value, ref in ((x, rx), (y, ry)):
+            assert repr(value) == repr(ref)
+            assert hashed(value) == hashed(ref)
+        for a, b, ra, rb in ((x, y, rx, ry), (x, same, rx, rsame), (x, x, rx, rx)):
+            assert (a == b, a != b) == (ra == rb, ra != rb)
+        assert (x == y, x == same) == (False, True)
+        assert x.__eq__(rx) is NotImplemented and x != rx
+        assert x.__eq__(other) is NotImplemented and x.__eq__(object()) is NotImplemented
+
+    @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+    def test_frozen_fields_replace_astuple_and_pickle(self, cls):
+        x, _ = value_pairs()[cls]
+        name = dataclasses.fields(x)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, getattr(x, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)
+        assert [f.name for f in dataclasses.fields(x)] == list(cls.__annotations__)
+        assert dataclasses.replace(x) == x
+        assert dataclasses.astuple(x) == dataclasses.astuple(reference(cls)(x))
+        copy = pickle.loads(pickle.dumps(x))
+        assert copy == x and repr(copy) == repr(x) and hashed(copy) == hashed(x)
 
 
 class TestRegretSummary:
