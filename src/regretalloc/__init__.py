@@ -15,6 +15,8 @@ their names exported here (``SimConfig``, ``monte_carlo_regret``,
 ``default_config``, ``ConfigError`` and the others) are resolved on first
 access and are the very objects in those modules.  ``normal_quantile``
 calls the C kernel of ``statistics.NormalDist``, without importing ``statistics``.
+No value type is a ``@dataclass`` at import (see ``model``), so a plain
+``regretalloc reproduce`` loads neither ``dataclasses`` nor ``inspect``.
 """
 
 from importlib import import_module as _import_module

@@ -29,7 +29,6 @@ import json
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .model import (
     DesignProblem, GroupSpec, TruthScenario, ValidationError, _Value, _as_float, _as_int, _items,
@@ -85,7 +84,6 @@ def _as_tuple(values: object, name: str, check) -> tuple[float, ...]:
 _RATE_FIELDS = ("covid_treated", "covid_control", "ar_treated", "ar_control")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class IncidenceSpec(_Value):
     """Per-group incidence probabilities for both outcome components, plus
     the efficacy/safety tradeoff weight."""
@@ -96,15 +94,15 @@ class IncidenceSpec(_Value):
     ar_control: tuple[float, ...]
     beta: float
 
-    def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            object.__setattr__(self, name, _as_tuple(getattr(self, name), name, _as_probability))
+    def __init__(self, covid_treated, covid_control, ar_treated, ar_control, beta) -> None:
+        rates = (covid_treated, covid_control, ar_treated, ar_control)
+        for name, values in zip(_RATE_FIELDS, rates):
+            self.__dict__[name] = _as_tuple(values, name, _as_probability)
         if len({len(getattr(self, name)) for name in _RATE_FIELDS}) != 1:
             raise ConfigError("incidence lists must all have one entry per group")
-        object.__setattr__(self, "beta", _as_nonnegative(self.beta, "beta"))
+        self.__dict__["beta"] = _as_nonnegative(beta, "beta")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class PowerSpec(_Value):
     """Inputs for the power-based total sample size: detectable effect,
     size/power quantile levels, and per-group per-arm variances to pool."""
@@ -115,14 +113,16 @@ class PowerSpec(_Value):
     var_control: tuple[float, ...]
     var_treated: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "detectable_effect", _as_nonzero(self.detectable_effect, "detectable effect")
+    def __init__(
+        self, detectable_effect, power_quantile, size_quantile, var_control, var_treated
+    ) -> None:
+        self.__dict__.update(  # checked in field order
+            detectable_effect=_as_nonzero(detectable_effect, "detectable effect"),
+            power_quantile=_as_quantile(power_quantile, "power_quantile"),
+            size_quantile=_as_quantile(size_quantile, "size_quantile"),
+            var_control=_as_tuple(var_control, "var_control", _as_nonnegative),
+            var_treated=_as_tuple(var_treated, "var_treated", _as_nonnegative),
         )
-        for name in ("power_quantile", "size_quantile"):
-            object.__setattr__(self, name, _as_quantile(getattr(self, name), name))
-        for name in ("var_control", "var_treated"):
-            object.__setattr__(self, name, _as_tuple(getattr(self, name), name, _as_nonnegative))
         if len(self.var_control) != len(self.var_treated):
             raise ConfigError("var_control and var_treated differ in length")
 
@@ -217,7 +217,6 @@ def _per_group(values: object, n_groups: int, field: str, check) -> tuple:
     return tuple(check(v, f"groups[{g}].{field}") for g, v in enumerate(items))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ScenarioConfig(_Value):
     """A validated scenario configuration.  Each field is checked when the
     config is built, parsed or by hand, and a fault raises ConfigError
@@ -234,20 +233,22 @@ class ScenarioConfig(_Value):
     power_quantile: float
     size_quantile: float
 
-    def __post_init__(self) -> None:
-        weights = _as_tuple(self.weights, "weights", _as_probability)
-        beta_cases = _as_tuple(self.beta_cases, "beta_cases", _as_nonnegative)
-        reported = self.reported
+    def __init__(
+        self, weights, budget, labels, design_covid_control, design_ar_treated, reported,
+        beta_cases, detectable_effect, power_quantile, size_quantile,
+    ) -> None:
+        weights = _as_tuple(weights, "weights", _as_probability)
+        beta_cases = _as_tuple(beta_cases, "beta_cases", _as_nonnegative)
         for name, values in (("weights", weights), ("beta_cases", beta_cases)):
             if not values:
                 raise ConfigError(f"{name}: expected a nonempty list")
         G = len(weights)
         try:
-            budget = _as_int("budget", self.budget)
+            checked_budget = _as_int("budget", budget)
         except ValidationError:
-            budget = 0
-        if budget < 2 * G:  # DesignProblem needs a treated/control pair per group
-            raise ConfigError(f"budget: expected a positive integer >= {2 * G}, got {self.budget!r}")
+            checked_budget = 0
+        if checked_budget < 2 * G:  # DesignProblem needs a treated/control pair per group
+            raise ConfigError(f"budget: expected a positive integer >= {2 * G}, got {budget!r}")
         if not isinstance(reported, dict) or set(reported) != set(_RATE_FIELDS):
             raise ConfigError(
                 f"groups[*].reported: expected a dict with keys {sorted(_RATE_FIELDS)}, "
@@ -255,22 +256,22 @@ class ScenarioConfig(_Value):
             )
         self.__dict__.update(
             weights=weights,
-            budget=budget,
-            labels=_per_group(self.labels, G, "label", _as_label),
+            budget=checked_budget,
+            labels=_per_group(labels, G, "label", _as_label),
             design_covid_control=_per_group(
-                self.design_covid_control, G, "design.covid_control", _as_probability
+                design_covid_control, G, "design.covid_control", _as_probability
             ),
             design_ar_treated=_per_group(
-                self.design_ar_treated, G, "design.ar_treated", _as_probability
+                design_ar_treated, G, "design.ar_treated", _as_probability
             ),
             reported={
                 key: _per_group(reported[key], G, f"reported.{key}", _as_probability)
                 for key in _RATE_FIELDS
             },
             beta_cases=beta_cases,
-            detectable_effect=_as_nonzero(self.detectable_effect, "power.detectable_effect"),
-            power_quantile=_as_quantile(self.power_quantile, "power.power_quantile"),
-            size_quantile=_as_quantile(self.size_quantile, "power.size_quantile"),
+            detectable_effect=_as_nonzero(detectable_effect, "power.detectable_effect"),
+            power_quantile=_as_quantile(power_quantile, "power.power_quantile"),
+            size_quantile=_as_quantile(size_quantile, "power.size_quantile"),
         )
 
 
@@ -344,7 +345,6 @@ def load_config(path: str) -> ScenarioConfig:
     return parse_config(obj)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class CaseStudyCase(_Value):
     """One tradeoff case: a design problem built from the design rates and
     the evaluation scenario built from the reported incidence rates."""
@@ -353,6 +353,9 @@ class CaseStudyCase(_Value):
     problem: DesignProblem
     truth: TruthScenario
     power: PowerSpec
+
+    def __init__(self, beta, problem, truth, power) -> None:
+        self.__dict__.update(beta=beta, problem=problem, truth=truth, power=power)
 
 
 def build_case_study(config: ScenarioConfig) -> tuple[CaseStudyCase, ...]:

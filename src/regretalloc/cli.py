@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import sys
 import warnings
@@ -37,6 +36,7 @@ from .allocate import allocate as build_allocation
 from .casestudy import (
     CaseStudyCase,
     ConfigError,
+    PowerSpec,
     build_case_study,
     default_config,
     load_config,
@@ -153,8 +153,12 @@ def _power_table(cases, vs_budget: bool) -> ReportTable:
     else:
         table = ReportTable("power conventions", headers)
     for case in cases:
-        for pq in (case.power.power_quantile, 0.80):
-            spec = dataclasses.replace(case.power, power_quantile=pq)
+        power = case.power
+        for pq in (power.power_quantile, 0.80):
+            spec = PowerSpec(
+                power.detectable_effect, pq, power.size_quantile, power.var_control,
+                power.var_treated,
+            )
             n = required_sample_size(spec, case.problem.weights)
             row = [_fmt_raw(case.beta), _fmt_raw(pq), _fmt_raw(spec.size_quantile), str(n)]
             if vs_budget:

@@ -13,10 +13,14 @@ Conventions
   checks this when it is built, so an odd or negative one never exists.
 
 All types are immutable values; they carry no behavior beyond validation and
-may be shared freely across threads.  The package's value types share one
-equality, hash and repr, written once in ``_Value``, and are declared
-``@dataclass(frozen=True, eq=False, repr=False)``: generated, those methods
-would be compiled again for each class on every start.
+may be shared freely across threads.  The package's value types hold their
+value semantics, written once, in ``_Value``: field names (and
+``__match_args__``), equality, hash, repr and frozen fields.  Each has an
+``__init__`` with the signature ``@dataclass`` would generate, storing
+through ``__dict__``.  No class is processed by ``@dataclass`` at import,
+which would load ``dataclasses`` and ``inspect`` on every start; each makes
+its ``__dataclass_fields__`` on first access, for ``dataclasses.fields``,
+``replace``, ``astuple`` and ``is_dataclass``.
 
 Every value is checked when it is built and stores the Python ``int`` or
 ``float`` it checked (a ``DesignProblem`` its ``budget``), so that all later
@@ -43,7 +47,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, fields
 
 WEIGHT_SUM_TOL = 1e-9
 # Allocators scale float shares by the budget; past 2**53 a float no longer
@@ -99,13 +102,33 @@ def _as_int(name: str, value, minimum: int | None = None) -> int:
     return value
 
 
+class _DataclassFields:
+    """``__dataclass_fields__`` of a value type, made on first access by
+    ``dataclass(init=False, eq=False, repr=False)``, which stores the class's
+    own attribute over this one.  ``_Value`` itself is no dataclass."""
+
+    def __get__(self, instance, owner):
+        if owner is _Value:
+            raise AttributeError("__dataclass_fields__")
+        import dataclasses
+        dataclasses.dataclass(init=False, eq=False, repr=False)(owner)
+        return owner.__dict__["__dataclass_fields__"]
+
+
 class _Value:
-    """Equality, hashing and repr over ``fields(self)``, as ``@dataclass(frozen=True)``
+    """Equality, hashing and repr over the fields, as ``@dataclass(frozen=True)``
     generates them: equal only to the same class with an equal field tuple
-    (else NotImplemented), hashed as that tuple, printed as ``QualName(f=v!r, ...)``."""
+    (else NotImplemented), hashed as that tuple, printed as ``QualName(f=v!r, ...)``.
+    A subclass's fields are the names of its own annotations, in order."""
+
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
 
     def _field_values(self) -> tuple:
-        return tuple([getattr(self, f.name) for f in fields(self)])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -116,11 +139,22 @@ class _Value:
         return hash(self._field_values())
 
     def __repr__(self) -> str:
-        values = ", ".join([f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)])
+        values = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{self.__class__.__qualname__}({values})"
 
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True, eq=False, repr=False)
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __replace__(self, **changes):  # copy.replace, as @dataclass gives it on 3.13
+        import dataclasses
+        return dataclasses.replace(self, **changes)
+
+
 class GroupSpec(_Value):
     """One stratum: population share and per-arm outcome variances."""
 
@@ -129,13 +163,17 @@ class GroupSpec(_Value):
     var_control: float
     var_treated: float
 
+    def __init__(self, label, weight, var_control, var_treated) -> None:
+        self.__dict__.update(
+            label=label, weight=weight, var_control=var_control, var_treated=var_treated
+        )
+
     @property
     def var_sum(self) -> float:
         """Variance of the treated-minus-control contrast per unit pair."""
         return self.var_control + self.var_treated
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class DesignProblem(_Value):
     """A total participant budget plus the ordered list of strata
     (ValidationError naming the group or the budget when built otherwise)."""
@@ -143,12 +181,12 @@ class DesignProblem(_Value):
     budget: int
     groups: tuple[GroupSpec, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, budget, groups) -> None:
         try:
-            groups = tuple(self.groups)
+            groups = tuple(groups)
         except TypeError:  # None, a bare GroupSpec
             raise ValidationError(
-                f"problem field groups must be a sequence of GroupSpec, got {self.groups!r}"
+                f"problem field groups must be a sequence of GroupSpec, got {groups!r}"
             ) from None
         if len(groups) < 1:
             raise ValidationError("a design problem needs at least one group")
@@ -182,7 +220,7 @@ class DesignProblem(_Value):
                 f"group weights must sum to 1 within {WEIGHT_SUM_TOL:g}; got {total_weight!r}"
             )
         # Counts are integers, so a fractional or NaN budget has no meaning.
-        budget = _as_int("budget", self.budget)
+        budget = _as_int("budget", budget)
         if budget < 2 * len(groups):
             raise ValidationError(
                 f"budget {budget} cannot give each of {len(groups)} groups "
@@ -205,20 +243,19 @@ class DesignProblem(_Value):
         )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Allocation(_Value):
     """Even, nonnegative per-group sample counts (ValidationError when built
     otherwise); the sum, ``total``, may undershoot the budget."""
 
     counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, counts) -> None:
         coerced = []
         try:
-            counts = _items(self.counts)
+            items = _items(counts)
         except TypeError:  # None, a bare count, a str
-            raise ValidationError(f"allocation counts must be a sequence, got {self.counts!r}") from None
-        for c in counts:
+            raise ValidationError(f"allocation counts must be a sequence, got {counts!r}") from None
+        for c in items:
             try:  # a plain int skips the bool lookups
                 n = None if type(c) is not int and _is_bool(c) else int(c)
             except (TypeError, ValueError, OverflowError):  # None, NaN, +-inf
@@ -244,7 +281,6 @@ class Allocation(_Value):
         return allocation
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TruthScenario(_Value):
     """A concrete data-generating process: per-group treatment effects,
     nuisance baselines, and per-arm variances."""
@@ -254,16 +290,15 @@ class TruthScenario(_Value):
     var_control: tuple[float, ...]
     var_treated: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        for name in _SCENARIO_FIELDS:
-            values = getattr(self, name)
+    def __init__(self, tau, baseline, var_control, var_treated) -> None:
+        for name, values in zip(_SCENARIO_FIELDS, (tau, baseline, var_control, var_treated)):
             try:
                 coerced = tuple(_as_real(v) for v in _items(values))
             except (TypeError, OverflowError):  # None, "x", a bare scalar, 10**400
                 raise ValidationError(
                     f"scenario field {name} must be a sequence of real numbers, got {values!r}"
                 ) from None
-            object.__setattr__(self, name, coerced)
+            self.__dict__[name] = coerced
         self._seal()
 
     @classmethod

@@ -43,7 +43,6 @@ sqrt(S / (n * 0.5)), the same rounded quotient, where 2.0 * S overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import erfc, sqrt
 
 from .model import (
@@ -72,7 +71,6 @@ _C0, _T_STAR = threshold_constants().c0, threshold_constants().t_star
 KAPPA_TOL = 1e-4
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RegretSummary(_Value):
     """A regret value, its paradigm, and optional per-group contributions.
 
@@ -84,26 +82,26 @@ class RegretSummary(_Value):
     value: float
     per_group: tuple[float, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.paradigm, Paradigm):
-            raise ValidationError(f"paradigm must be a Paradigm, got {self.paradigm!r}")
-        value = _as_float(self.value)  # NaN for None, True, "0.5", 10**400
-        if not value >= 0.0:
-            raise ValidationError(f"regret must be a nonnegative real or inf, got {self.value!r}")
-        object.__setattr__(self, "value", value)
-        if self.per_group is not None:
+    def __init__(self, paradigm, value, per_group=None) -> None:
+        if not isinstance(paradigm, Paradigm):
+            raise ValidationError(f"paradigm must be a Paradigm, got {paradigm!r}")
+        as_float = _as_float(value)  # NaN for None, True, "0.5", 10**400
+        if not as_float >= 0.0:
+            raise ValidationError(f"regret must be a nonnegative real or inf, got {value!r}")
+        if per_group is not None:
             try:
-                per_group = tuple([_as_real(v) for v in _items(self.per_group)])
+                coerced = tuple([_as_real(v) for v in _items(per_group)])
             except (TypeError, OverflowError):  # 1.5, "x", b"ab", (None,), (True,), (10**400,)
                 raise ValidationError(
                     f"per_group must be a sequence of real numbers in float range, "
-                    f"got {self.per_group!r}"
+                    f"got {per_group!r}"
                 ) from None
-            if not all([v >= 0.0 for v in per_group]):  # NaN too
+            if not all([v >= 0.0 for v in coerced]):  # NaN too
                 raise ValidationError(
-                    f"per_group entries must be nonnegative reals or inf, got {self.per_group!r}"
+                    f"per_group entries must be nonnegative reals or inf, got {per_group!r}"
                 )
-            object.__setattr__(self, "per_group", per_group)
+            per_group = coerced
+        self.__dict__.update(paradigm=paradigm, value=as_float, per_group=per_group)
 
     @classmethod
     def _from_floats(

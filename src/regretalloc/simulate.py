@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,19 +70,19 @@ _SEED_MASK = (1 << 64) - 1
 _TILE_BYTES = 1 << 21
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class SimConfig(_Value):
     """Replication count and master seed for a Monte Carlo run."""
 
     replications: int
     master_seed: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "replications", _as_int("replications", self.replications, 1))
-        object.__setattr__(self, "master_seed", _as_int("master_seed", self.master_seed))
+    def __init__(self, replications, master_seed) -> None:
+        self.__dict__.update(
+            replications=_as_int("replications", replications, 1),
+            master_seed=_as_int("master_seed", master_seed),
+        )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class MonteCarloEstimate(_Value):
     """Sample mean of realized regret with its standard error (nonnegative
     and finite) over ``replications`` >= 1; ValidationError naming the field
@@ -93,14 +92,13 @@ class MonteCarloEstimate(_Value):
     std_error: float
     replications: int
 
-    def __post_init__(self) -> None:
-        for name in ("mean", "std_error"):
-            value = getattr(self, name)
+    def __init__(self, mean, std_error, replications) -> None:
+        for name, value in (("mean", mean), ("std_error", std_error)):
             as_float = _as_float(value)
             if not 0.0 <= as_float < math.inf:  # NaN too
                 raise ValidationError(f"{name} must be nonnegative and finite, got {value!r}")
-            object.__setattr__(self, name, as_float)
-        object.__setattr__(self, "replications", _as_int("replications", self.replications, 1))
+            self.__dict__[name] = as_float
+        self.__dict__["replications"] = _as_int("replications", replications, 1)
 
 
 def _philox_rng(master_seed: int, stream: int) -> np.random.Generator:

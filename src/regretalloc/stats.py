@@ -14,7 +14,6 @@ solved once at import; ``threshold_constants`` returns that frozen object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import _Value
 
@@ -58,12 +57,14 @@ def normal_quantile(p: float) -> float:
     return _statistics._normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ThresholdConstants(_Value):
     """The maximizer t_star of t * Phi_c(t) and the maximum value c0."""
 
     t_star: float
     c0: float
+
+    def __init__(self, t_star, c0) -> None:
+        self.__dict__.update(t_star=t_star, c0=c0)
 
 
 def solve_threshold_constants() -> ThresholdConstants:

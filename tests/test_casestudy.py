@@ -291,6 +291,12 @@ class TestRequiredSampleSize:
         assert weight * variance == 0.0
         assert required_sample_size(spec, (weight,)) == 2
 
+    def test_an_unweighted_group_with_variance_needs_no_pair(self):
+        # Only the weight-0 group has variance, and the weighted one has none:
+        # the pooled variance is exactly 0, so no pair is needed.
+        spec = PowerSpec(1.0, 0.9, 0.05, (1.0, 0.0), (1.0, 0.0))
+        assert required_sample_size(spec, (0.0, 1.0)) == 0
+
     def test_equal_quantiles_need_no_sample(self):
         assert required_sample_size(PowerSpec(-1.0, 0.3, 0.3, (1e-200,), (1e-200,)), (1e-200,)) == 0
 

@@ -56,10 +56,10 @@ print(json.dumps([before, "numpy" in sys.modules, monte_carlo_regret is original
 """
 
 
-def run_probe(source: str):
+def run_probe(source: str, *args: str):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-c", source], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", source, *args], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -184,6 +184,88 @@ print((code, [m for m in {STATISTICS_MODULES} if m in sys.modules]))
 """
 
 
+# ``dataclasses`` imports ``inspect`` (with ``dis``, ``ast``, ``tokenize``
+# and ``linecache``).  The value types load neither until their first
+# dataclass use or frozen-field error; the last step is such an error.
+INTROSPECTION_MODULES = ("dataclasses", "inspect")
+STARTUP_PROBE = f"""
+import io, sys
+steps = []
+def record(name, code=0):
+    steps.append((name, code, [m for m in {INTROSPECTION_MODULES} if m in sys.modules]))
+import regretalloc
+record("import regretalloc")
+import regretalloc.cli as cli
+record("import regretalloc.cli")
+for argv in (["reproduce", "--out", sys.argv[1]], ["allocate", "--scheme", "minimax"], ["power"]):
+    record(argv[0], cli.main(argv, out=io.StringIO()))
+try:
+    regretalloc.GroupSpec("a", 1.0, 1.0, 1.0).weight = 0.5
+except Exception as exc:
+    record(f"{{type(exc).__module__}}.{{type(exc).__name__}}: {{exc}}")
+print(steps)
+"""
+# One instance of each value type, built without any dataclass use.  In a
+# fresh interpreter, ``use`` then makes one kind of first use of all of
+# them; it gives the value types processed before and after, and the repr
+# of the results.
+COLD_PROBE = """
+import json, sys
+from dataclasses import MISSING, astuple, fields, is_dataclass, replace
+from regretalloc import Allocation, Paradigm, RegretSummary, threshold_constants
+from regretalloc.casestudy import IncidenceSpec, build_case_study, default_config
+from regretalloc.simulate import MonteCarloEstimate, SimConfig
+
+def samples():
+    config = default_config()
+    case = build_case_study(config)[0]
+    return [
+        case.problem.groups[0], case.problem, Allocation((2, 4)), case.truth,
+        RegretSummary(Paradigm.SEPARATE_EGALITARIAN, 0.25, (0.1, 0.25)), threshold_constants(),
+        IncidenceSpec((0.01,), (0.02,), (0.03,), (0.04,), 0.5), case.power, config, case,
+        SimConfig(100, 7), MonteCarloEstimate(0.1, 0.01, 100),
+    ]
+
+def frozen(value):
+    errors = []
+    for name in (value.__match_args__[0], "other"):
+        for change in (lambda: setattr(value, name, 0), lambda: delattr(value, name)):
+            try:
+                change()
+            except Exception as exc:
+                errors.append(f"{type(exc).__module__}.{type(exc).__name__}: {exc}")
+    return errors
+
+USES = {
+    "replace": lambda values: [
+        replace(default_config(), budget=400), *[replace(v) for v in values]
+    ],
+    "fields": lambda values: [
+        [(f.name, f.type, f.init, None if f.default is MISSING else f.default) for f in fields(v)]
+        for v in values
+    ],
+    "astuple": lambda values: [astuple(v) for v in values],
+    "__replace__": lambda values: [v.__replace__() for v in values],
+    "is_dataclass": lambda values: [(is_dataclass(type(v)), is_dataclass(v)) for v in values],
+    "frozen": lambda values: [frozen(v) for v in values],
+    "match_args": lambda values: [type(v).__match_args__ for v in values],
+}
+
+def processed(values):
+    return [type(v).__name__ for v in values if "__dataclass_fields__" in vars(type(v))]
+
+def use(kind):
+    values = samples()
+    before = processed(values)
+    result = repr(USES[kind](values))
+    return [before, processed(values), result]
+
+if __name__ == "__main__":
+    print(json.dumps(use(sys.argv[1])))
+"""
+COLD_USES = ["replace", "fields", "astuple", "__replace__", "is_dataclass", "frozen", "match_args"]
+
+
 def run_bare(source: str, *args: str) -> str:
     """Last stdout line of ``source``, given ``args``, in a fresh
     ``python -S``, which does not run ``site`` (here ``site`` itself imports
@@ -217,6 +299,30 @@ def test_first_normal_quantile_call_loads_no_statistics():
 
 def test_plain_reproduce_loads_no_statistics(tmp_path):
     assert ast.literal_eval(run_bare(REPRODUCE_STATISTICS_PROBE, str(tmp_path))) == (0, [])
+
+
+def test_plain_commands_load_no_dataclasses_or_inspect(tmp_path):
+    steps = ast.literal_eval(run_bare(STARTUP_PROBE, str(tmp_path)))
+    commands = ["import regretalloc", "import regretalloc.cli", "reproduce", "allocate", "power"]
+    assert steps[:-1] == [(name, 0, []) for name in commands]
+    # The frozen-field error imports ``dataclasses`` for its exception type.
+    error = "dataclasses.FrozenInstanceError: cannot assign to field 'weight'"
+    assert steps[-1] == (error, 0, list(INTROSPECTION_MODULES))
+
+
+@pytest.mark.parametrize("kind", COLD_USES)
+def test_first_dataclass_use_gives_the_warm_result(kind):
+    # The warm result comes from this process, once every value type has
+    # been processed; its parity with ``@dataclass`` is checked in
+    # test_validation_once.TestValueSemanticsMatchGeneratedOnes.
+    probe = {"__name__": "cold_probe"}
+    exec(COLD_PROBE, probe)
+    names = [type(value).__name__ for value in probe["samples"]()]
+    assert probe["use"]("is_dataclass")[1] == names and len(set(names)) == 12
+    before, after, cold = run_probe(COLD_PROBE, kind)
+    # Each dataclass use processes every class; the other two process none.
+    assert (before, after) == ([], [] if kind in ("frozen", "match_args") else names)
+    assert cold == probe["use"](kind)[2]
 
 
 @pytest.mark.parametrize("name", CASESTUDY_NAMES)

@@ -125,6 +125,13 @@ class TestNormalQuantile:
         with pytest.raises(ValueError):
             normal_quantile(p)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_the_bounds_are_refused_by_the_package_check(self, p):
+        # The C kernel would raise its own ValueError here, with another message.
+        message = rf"^quantile level must lie strictly in \(0, 1\), got {p}$"
+        with pytest.raises(ValueError, match=message):
+            normal_quantile(p)
+
 
 class TestThresholdConstants:
     def test_threshold_constants_are_bit_identical(self):

@@ -3,6 +3,7 @@ without re-coercing their per-group terms.  No call writes to its arguments,
 and an invalid input raises the same ValidationError on every call."""
 
 import dataclasses
+import inspect
 import math
 import pickle
 import warnings
@@ -261,13 +262,23 @@ def value_pairs():
 VALUE_TYPES = list(value_pairs())
 
 
-def reference(cls):
-    """A function giving each instance of ``cls`` as an instance of one class
-    that ``@dataclass(frozen=True)`` builds with the same name and fields, and
-    so with its generated methods."""
+def reference_class(cls):
+    """The class that ``@dataclass(frozen=True)`` builds with the name, fields
+    and defaults of ``cls``, and so with its generated methods."""
     fields = dataclasses.fields(cls)
-    made = dataclasses.make_dataclass(cls.__name__, [(f.name, f.type) for f in fields], frozen=True)
-    return lambda value: made(*[getattr(value, f.name) for f in fields])
+    spec = [(f.name, f.type, dataclasses.field(default=f.default)) for f in fields]
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+
+
+def reference(cls):
+    """A function giving each instance of ``cls`` as an instance of
+    ``reference_class(cls)``."""
+    made, names = reference_class(cls), [f.name for f in dataclasses.fields(cls)]
+    return lambda value: made(*[getattr(value, name) for name in names])
+
+
+def parameters(function):
+    return [(p.name, p.kind, p.default) for p in inspect.signature(function).parameters.values()]
 
 
 def hashed(value):
@@ -288,6 +299,22 @@ class TestValueSemanticsMatchGeneratedOnes:
         }
         assert found == set(VALUE_TYPES) and len(found) == 12
         assert all(issubclass(cls, _Value) for cls in found)
+        assert not dataclasses.is_dataclass(_Value) and not dataclasses.is_dataclass(_Value())
+        assert not hasattr(_Value, "__dataclass_fields__")
+
+    @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+    def test_signature_match_args_and_missing_arguments(self, cls):
+        made = reference_class(cls)
+        assert parameters(cls) == parameters(made)
+        assert cls.__match_args__ == made.__match_args__
+        x, _ = value_pairs()[cls]
+        empty = inspect.Parameter.empty
+        required = [name for name, _, default in parameters(cls) if default is empty]
+        for missing in required:
+            args = {name: getattr(x, name) for name in required if name != missing}
+            for make in (cls, made):
+                with pytest.raises(TypeError, match=f"missing 1 required .*'{missing}'"):
+                    make(**args)
 
     @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
     def test_repr_hash_and_equality(self, cls):
@@ -309,10 +336,12 @@ class TestValueSemanticsMatchGeneratedOnes:
     def test_frozen_fields_replace_astuple_and_pickle(self, cls):
         x, _ = value_pairs()[cls]
         name = dataclasses.fields(x)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(x, name, getattr(x, name))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(x, name)
+        frozen = dataclasses.FrozenInstanceError
+        for value in (x, reference(cls)(x)):  # the generated messages
+            with pytest.raises(frozen, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(frozen, match=f"^cannot delete field '{name}'$"):
+                delattr(value, name)
         assert [f.name for f in dataclasses.fields(x)] == list(cls.__annotations__)
         assert dataclasses.replace(x) == x
         assert dataclasses.astuple(x) == dataclasses.astuple(reference(cls)(x))
